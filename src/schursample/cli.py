@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import jsonio
@@ -51,8 +50,7 @@ def _batch(count: int, seed: int, one):
     if count == 1:
         return [one(RandomSource(seed))]
     base = RandomSource(seed)
-    with ThreadPoolExecutor(max_workers=min(count, 8)) as pool:
-        return list(pool.map(lambda k: one(base.child(k)), range(count)))
+    return [one(base.child(k)) for k in range(count)]
 
 
 def cmd_sample(args) -> int:

@@ -9,12 +9,15 @@ the finite growth rules do the rest.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from operator import neg
+from typing import Dict, Optional, Tuple
 
 from .partitions import EMPTY, Partition, interlaces_h, interlaces_v
 from .rng import RandomSource
-from .rules import GROW, grow_hh
+from .rules import GROW
+from .sampler import DivergenceError
 from .words import Rel, Word
 
 K_BRACKET_REL = 1e-15  # documented resolution of the CDF bracket for K
@@ -75,8 +78,11 @@ class ParamSeq:
             return float(sum(self.values[m:]))
         return self.coeff * self.ratio**m / (1 - self.ratio)
 
-    def support_bound(self) -> Optional[int]:
-        return len(self.values) if self.kind == "finite" else None
+    def sup(self, m: int) -> float:
+        """max_{i >= m} of the sequence."""
+        if self.kind == "finite":
+            return max(self.values[m:], default=0.0)
+        return self.coeff * self.ratio**m
 
 
 @dataclass(frozen=True)
@@ -103,13 +109,20 @@ class PyramidalParameters:
 class WordConvention:
     """Chooses the relation (plain vs primed) on each side of the center.
 
-    ``left_primed(i)`` picks the relation between lambda(-i-1) and
-    lambda(-i); ``right_primed(j)`` between lambda(j) and lambda(j+1).
+    The pattern has period 2: ``left[i % 2]`` says whether the relation
+    between lambda(-i-1) and lambda(-i) is primed, ``right[j % 2]`` whether
+    the one between lambda(j) and lambda(j+1) is.
     """
 
-    left_primed: Callable[[int], bool]
-    right_primed: Callable[[int], bool]
+    left: Tuple[bool, bool]
+    right: Tuple[bool, bool]
     name: str = "custom"
+
+    def left_primed(self, i: int) -> bool:
+        return self.left[i % 2]
+
+    def right_primed(self, j: int) -> bool:
+        return self.right[j % 2]
 
     def epsilon(self, i: int, j: int) -> int:
         return 1 if self.left_primed(i) != self.right_primed(j) else -1
@@ -120,15 +133,22 @@ class WordConvention:
             return "HH" if not rp else "HV"
         return "VH" if not rp else "VV"
 
+    def plus_count(self, s: int) -> int:
+        """Number of boxes with epsilon = +1 on the anti-diagonal i + j = s."""
+        per_parity = (s // 2 + 1, (s + 1) // 2)  # boxes with j even, j odd
+        return sum(
+            n for p, n in enumerate(per_parity) if self.left[(s - p) % 2] != self.right[p]
+        )
+
     @staticmethod
     def plane_partitions() -> "WordConvention":
-        return WordConvention(lambda i: False, lambda j: False, "plane-partitions")
+        return WordConvention((False, False), (False, False), "plane-partitions")
 
     @staticmethod
     def pyramid() -> "WordConvention":
         """Alternating relations: the innermost left relation is primed,
         the innermost right one plain."""
-        return WordConvention(lambda i: i % 2 == 0, lambda j: j % 2 == 1, "pyramid")
+        return WordConvention((True, False), (False, True), "pyramid")
 
 
 @dataclass
@@ -166,52 +186,80 @@ class PyramidalSampler:
     """Caches the truncation-index CDF for one parameter set.
 
     P(K <= k) is the product of (1 - c_ij) over boxes after k in Cantor
-    order; prefix log-products plus a certified tail bracket turn sampling K
-    into a binary search over a table.  The bracket is resolved to relative
-    width 1e-15, an explicit approximation of the idealized real-number
-    model.
+    order.  The cache is one table over anti-diagonals s = i + j: entry s is
+    the sum of log(1 - c) over the boxes with i + j < s.  When a_i b_j
+    depends only on i + j (geometric a and b with one ratio, as for
+    q-volume) an anti-diagonal's sum is a closed form in its number of
+    eps = +1 boxes; otherwise it is summed box by box.  The table stops at
+    the first anti-diagonal past which a certified bound on the remaining
+    mass is at most 1e-15 of the total (relative), and log P(empty) is the
+    midpoint of that bracket, an explicit approximation of the idealized
+    real-number model.  Sampling K bisects the table for the anti-diagonal,
+    then walks its boxes in Cantor order; a draw inside the tail bracket
+    resolves to the last box of the table.
     """
 
     def __init__(self, params: PyramidalParameters, convention: WordConvention):
         self.params = params
         self.conv = convention
-        self._prefix = [0.0]  # prefix[k] = sum_{k(i,j) < k} log(1 - c_ij)
+        a, b = params.a, params.b
+        # a_i b_j = coeff * ratio^(i+j) when both families share one ratio
+        self._closed = a.kind == b.kind == "geometric" and a.ratio == b.ratio
+        self._diag = None  # _diag[s] = sum_{i+j < s} log(1 - c_ij)
         self._log_all = None
 
-    def _c_at(self, k: int) -> float:
-        i, j = cantor_unpair(k)
-        return self.params.c(i, j, self.conv.epsilon(i, j))
+    def _c(self, i: int, j: int) -> float:
+        eps = self.conv.epsilon(i, j)
+        c = self.params.c(i, j, eps)
+        if c >= 1:
+            raise DivergenceError((i, j), self.conv.box_kind(i, j), c)
+        return c
 
-    def _extend_prefix(self, upto: int) -> None:
-        while len(self._prefix) <= upto:
-            k = len(self._prefix) - 1
-            c = self._c_at(k)
-            if c >= 1:
-                i, j = cantor_unpair(k)
-                raise ValueError(f"divergent parameter at box {(i, j)}: c = {c}")
-            self._prefix.append(self._prefix[-1] + math.log1p(-c))
+    def _diag_sum(self, s: int) -> float:
+        """sum of log(1 - c) over the boxes with i + j = s."""
+        if self._closed:
+            x = self.params.a[0] * self.params.b[s]
+            if x < 1:
+                plus = self.conv.plus_count(s)
+                return (s + 1 - plus) * math.log1p(-x) - plus * math.log1p(x)
+        # box by box, which names the first divergent box
+        return sum(math.log1p(-self._c(s - j, j)) for j in range(s + 1))
+
+    def _mass_past(self, s: int) -> float:
+        """Upper bound on -sum log(1 - c) over the boxes with i + j >= s."""
+        a, b = self.params.a, self.params.b
+        m = (s + 1) // 2  # every such box has i >= m or j >= m
+        cmax = max(a.sup(m) * b.sup(0), a.sup(0) * b.sup(m))
+        if cmax >= 1:
+            return math.inf
+        if self._closed:
+            r = a.ratio
+            mass = a[0] * b[s] * ((s + 1) / (1 - r) + r / (1 - r) ** 2)
+        else:
+            mass = sum(a[i] * b.tail(s - i) for i in range(s)) + a.tail(s) * b.total()
+        # -log(1 - c) <= ab / (1 - ab) for eps = -1 and <= ab for eps = +1
+        return mass / (1 - cmax)
 
     def log_p_empty(self) -> float:
         """log P(K = -infinity) = sum over all boxes of log(1 - c)."""
         if self._log_all is not None:
             return self._log_all
-        a, b = self.params.a, self.params.b
-        t = 4
+        diag = [0.0]
+        hi, lo = 0.0, 0.0  # compensated running sum, hi + lo
         while True:
-            kmax = cantor_pair(t, 0)  # all boxes with i + j < t are below this
-            self._extend_prefix(kmax)
-            m = (t + 1) // 2
-            s_up = a.tail(m) * b.total() + a.total() * b.tail(m)
-            cmax = max(a[m] * b[0], a[0] * b[m])
-            if cmax < 1:
-                bracket = s_up / (1 - cmax)
-                acc = self._prefix[kmax]
-                if bracket <= K_BRACKET_REL * max(abs(acc), 1e-6):
-                    self._log_all = acc - bracket / 2
-                    return self._log_all
-            t *= 2
-            if t > 1 << 20:
+            s = len(diag) - 1
+            bound = self._mass_past(s)
+            if bound <= K_BRACKET_REL * max(abs(diag[-1]), 1e-6):
+                self._diag = diag
+                self._log_all = diag[-1] - bound / 2
+                return self._log_all
+            if s > 1 << 20:
                 raise ArithmeticError("tail bound fails to converge")
+            term = self._diag_sum(s)
+            t = hi + term
+            lo += (hi - t) + term if abs(hi) >= abs(term) else (term - t) + hi
+            hi = t
+            diag.append(hi + lo)
 
     def sample_truncation_index(self, src: RandomSource) -> Optional[int]:
         """K distributed as the largest active box index; None means no box
@@ -221,19 +269,15 @@ class PyramidalSampler:
         log_v = math.log(v)
         if log_v <= log_all:
             return None
-        target = log_all - log_v  # want smallest k with prefix[k+1] <= target
-        hi = len(self._prefix) - 1
-        while self._prefix[hi] > target:
-            hi = hi * 2 + 16
-            self._extend_prefix(hi)
-        lo = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._prefix[mid + 1] <= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        target = log_all - log_v  # K: first box whose running sum reaches target
+        diag = self._diag
+        s = min(bisect_left(diag, -target, key=neg), len(diag) - 1) - 1
+        acc = diag[s]
+        for j in range(s + 1):
+            acc += math.log1p(-self._c(s - j, j))
+            if acc <= target:
+                break
+        return cantor_pair(s - j, j)
 
     def sample(self, src: RandomSource | int) -> PyramidalSample:
         if isinstance(src, int):
@@ -304,25 +348,27 @@ def truncation_params(params: PyramidalParameters, m: int) -> tuple:
     return tuple(a[i] for i in range(m - 1, -1, -1)) + tuple(b[j] for j in range(m))
 
 
-def rsk_shape(letter_rows: list, nrows: int) -> Partition:
-    """Shape of the growth diagram of a 0/1 array with one marked row per
-    column; this is the RSK shape of the corresponding word."""
-    profile = [EMPTY] * (nrows + 1)
-    for letter in letter_rows:
-        prev_diag = EMPTY
-        for r in range(1, nrows + 1):
-            above = profile[r]
-            nu = grow_hh(profile[r - 1], above, prev_diag, 1 if letter == r - 1 else 0)
-            profile[r] = nu
-            prev_diag = above
-    return profile[nrows]
+def rsk_shape(letters: list) -> Partition:
+    """Shape of the RSK insertion tableau of a word, by Schensted row
+    insertion; it equals the shape of the word's growth diagram (Fomin)."""
+    rows: list = []
+    for x in letters:
+        for row in rows:
+            k = bisect_right(row, x)
+            if k == len(row):
+                row.append(x)
+                break
+            row[k], x = x, row[k]
+        else:
+            rows.append([x])
+    return tuple(len(row) for row in rows)
 
 
 def plancherel_sample(theta: float, src: RandomSource | int) -> Partition:
     """Poissonized Plancherel measure: P(lambda) ~ theta^n (f^lambda / n!)^2.
 
-    Draw N ~ Poisson(theta), pass a uniform N-permutation through the growth
-    rules, and keep the final shape.
+    Draw N ~ Poisson(theta), insert a uniform N-permutation by RSK, and
+    keep the shape.
     """
     if isinstance(src, int):
         src = RandomSource(src)
@@ -330,7 +376,7 @@ def plancherel_sample(theta: float, src: RandomSource | int) -> Partition:
         raise ValueError("theta must be positive")
     n = src.poisson(theta)
     perm = src.permutation(n)
-    return rsk_shape(perm, n)
+    return rsk_shape(perm)
 
 
 def mixed_plancherel_sample(a: float, bs, src: RandomSource | int) -> Partition:
@@ -338,7 +384,8 @@ def mixed_plancherel_sample(a: float, bs, src: RandomSource | int) -> Partition:
     P(lambda) ~ a^|lambda| (f^lambda / |lambda|!) s_lambda(b_0, b_1, ...).
 
     Each line i carries an independent Poisson(a * b_i) point count; points
-    are ordered uniformly in time and pushed through the growth rules.
+    are ordered uniformly in time and the word of their lines is inserted
+    by RSK.
     """
     if isinstance(src, int):
         src = RandomSource(src)
@@ -349,4 +396,4 @@ def mixed_plancherel_sample(a: float, bs, src: RandomSource | int) -> Partition:
     for i, b in enumerate(bs):
         letters.extend([i] * src.poisson(a * b))
     src.shuffle(letters)
-    return rsk_shape(letters, len(bs)) if bs else EMPTY
+    return rsk_shape(letters)

@@ -5,8 +5,10 @@ import pytest
 from schursample import jsonio
 from schursample.cli import main
 from schursample.render import RenderStyle, render_svg
+from schursample.rng import RandomSource
 from schursample.sampler import schur_sample
 from schursample.tilings import DominoTiling, to_plane_partition, to_steep_tiling
+from schursample.unbounded import PyramidalParameters, PyramidalSampler, WordConvention
 from schursample.words import parse_word
 
 
@@ -35,6 +37,22 @@ def test_sample_count_ordered_and_deterministic(capsys):
     assert code == code2 == 0
     assert out1 == out2
     assert len(out1.strip().splitlines()) == 8
+
+
+def test_sample_unbounded_batch_matches_library(capsys):
+    code, out, _ = run_cli(
+        capsys, "sample-unbounded", "--q", "0.8", "--alternating", "--count", "8", "--seed", "3"
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 8
+    sampler = PyramidalSampler(PyramidalParameters.q_volume(0.8), WordConvention.pyramid())
+    base = RandomSource(3)
+    for k, line in enumerate(lines):
+        got = json.loads(line)
+        s = sampler.sample(base.child(k))
+        assert got["truncation_index"] == s.truncation_index
+        assert got["lambdas"] == {str(i): list(v) for i, v in sorted(s.lambdas.items())}
 
 
 def test_zfun_cli(capsys):

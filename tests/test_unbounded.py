@@ -2,11 +2,13 @@ import math
 import random
 from collections import Counter
 
+import pytest
 
 from schursample.oracle import hook_length_f
 from schursample.partitions import EMPTY
 from schursample.rng import RandomSource
-from schursample.sampler import boundary_lambdas, run_growth
+from schursample.rules import grow_hh
+from schursample.sampler import DivergenceError, boundary_lambdas, run_growth
 from schursample.unbounded import (
     ParamSeq,
     PyramidalParameters,
@@ -17,6 +19,7 @@ from schursample.unbounded import (
     grow_pyramidal,
     mixed_plancherel_sample,
     plancherel_sample,
+    rsk_shape,
     truncation_params,
     truncation_word,
     unbounded_schur_sample,
@@ -73,6 +76,132 @@ def test_empty_probability_q03():
             assert s.lam(0) != EMPTY  # the conditioned box forces content
     p = certified_empty_probability(q)
     assert abs(empties / n - p) < 3 * math.sqrt(p * (1 - p) / n)
+
+
+class BoxByBoxReference:
+    """The Cantor-order search the anti-diagonal table replaced: a prefix
+    table of log(1 - c) extended one box at a time, its total certified
+    with the square tail bound over i, j < (t+1)//2."""
+
+    def __init__(self, params, conv):
+        self.params, self.conv = params, conv
+        self.prefix = [0.0]
+        a, b = params.a, params.b
+        t = 4
+        while True:
+            kmax = cantor_pair(t, 0)
+            self.extend(kmax)
+            m = (t + 1) // 2
+            s_up = a.tail(m) * b.total() + a.total() * b.tail(m)
+            cmax = max(a[m] * b[0], a[0] * b[m])
+            if cmax < 1:
+                bracket = s_up / (1 - cmax)
+                acc = self.prefix[kmax]
+                if bracket <= 1e-15 * max(abs(acc), 1e-6):
+                    self.log_all = acc - bracket / 2
+                    return
+            t *= 2
+
+    def extend(self, upto):
+        while len(self.prefix) <= upto:
+            i, j = cantor_unpair(len(self.prefix) - 1)
+            c = self.params.c(i, j, self.conv.epsilon(i, j))
+            self.prefix.append(self.prefix[-1] + math.log1p(-c))
+
+    def truncation_index(self, src):
+        log_v = math.log(src.uniform())
+        if log_v <= self.log_all:
+            return None
+        target = self.log_all - log_v
+        hi = len(self.prefix) - 1
+        while self.prefix[hi] > target:
+            hi = hi * 2 + 16
+            self.extend(hi)
+        lo = 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.prefix[mid + 1] <= target:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+def test_truncation_index_matches_box_by_box_search(q):
+    params = PyramidalParameters.q_volume(q)
+    for conv in (WordConvention.plane_partitions(), WordConvention.pyramid()):
+        sampler = PyramidalSampler(params, conv)
+        ref = BoxByBoxReference(params, conv)
+        src, src_ref = RandomSource(404), RandomSource(404)
+        for _ in range(3000):
+            assert sampler.sample_truncation_index(src) == ref.truncation_index(src_ref)
+
+
+def test_log_p_empty_plane_partitions_accuracy():
+    # log prod_{i,j >= 0} (1 - q^(i+j+1)) = sum_n n log(1 - q^n)
+    q = 0.9
+    exact = math.fsum(n * math.log1p(-(q**n)) for n in range(1, 2000))
+    sampler = PyramidalSampler(PyramidalParameters.q_volume(q), WordConvention.plane_partitions())
+    assert abs(sampler.log_p_empty() - exact) <= 1e-14 * abs(exact)
+
+
+class FixedUniform(RandomSource):
+    def __init__(self, u):
+        super().__init__(0)
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+def test_truncation_index_in_tail_bracket_stays_in_table():
+    params = PyramidalParameters.q_volume(0.9)
+    for conv in (WordConvention.plane_partitions(), WordConvention.pyramid()):
+        sampler = PyramidalSampler(params, conv)
+        for u in (1 - 2.0**-53, 1 - 2.0**-40):
+            k = sampler.sample_truncation_index(FixedUniform(u))
+            assert k is not None
+            assert sum(cantor_unpair(k)) < len(sampler._diag) - 1
+
+
+def test_divergent_parameters_name_the_box():
+    cases = [
+        (ParamSeq.finite([0.5, 3.0]), ParamSeq.finite([1.0]), WordConvention.plane_partitions()),
+        (ParamSeq.geometric(2.0, 0.5), ParamSeq.geometric(1.0, 0.5), WordConvention.pyramid()),
+    ]
+    for a, b, conv in cases:
+        sampler = PyramidalSampler(PyramidalParameters(a, b), conv)
+        with pytest.raises(DivergenceError) as err:
+            sampler.sample(1)
+        assert err.value.box == (1, 0)
+        assert err.value.kind == "HH"
+
+
+def growth_diagram_shape(letter_rows, nrows):
+    """Fomin's growth diagram of a 0/1 array with one marked row per
+    column, filled with the HH rule; its final shape is the RSK shape."""
+    profile = [EMPTY] * (nrows + 1)
+    for letter in letter_rows:
+        prev_diag = EMPTY
+        for r in range(1, nrows + 1):
+            above = profile[r]
+            nu = grow_hh(profile[r - 1], above, prev_diag, 1 if letter == r - 1 else 0)
+            profile[r] = nu
+            prev_diag = above
+    return profile[nrows]
+
+
+def test_rsk_shape_matches_growth_diagram():
+    rnd = random.Random(2024)
+    for _ in range(500):
+        n = rnd.randrange(41)
+        perm = rnd.sample(range(n), n)
+        assert rsk_shape(perm) == growth_diagram_shape(perm, n)
+    for _ in range(500):
+        rows = rnd.randint(1, 5)
+        word = [rnd.randrange(rows) for _ in range(rnd.randrange(40))]
+        assert rsk_shape(word) == growth_diagram_shape(word, rows)
 
 
 def test_outputs_interlace():
