@@ -15,7 +15,7 @@ from . import jsonio
 from .oracle import chi_square_statistic, enumerate_support, tv_distance
 from .render import RenderStyle, render_svg
 from .rng import RandomSource
-from .sampler import in_place_boundary_sample, schur_sample
+from .sampler import schur_sample
 from .symmetric import symmetric_schur_sample
 from .tilings import (
     to_plane_overpartition,
@@ -55,10 +55,7 @@ def _batch(count: int, seed: int, one):
 
 def cmd_sample(args) -> int:
     word, z = _word_and_params(args)
-    if args.in_place:
-        one = lambda src: in_place_boundary_sample(word, z, src)
-    else:
-        one = lambda src: schur_sample(word, z, src, order=args.order)
+    one = lambda src: schur_sample(word, z, src, order=args.order)
     for s in _batch(args.count, args.seed, one):
         print(jsonio.dumps(s))
     return 0
@@ -191,7 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z", help="comma-separated parameters, rationals allowed")
     sp.add_argument("--q", help="q-Volume specialization parameter in (0,1)")
     sp.add_argument("--order", choices=["row_major", "diagonal"], default="row_major")
-    sp.add_argument("--in-place", action="store_true", help="O(m+n) storage variant")
+    sp.add_argument(
+        "--in-place",
+        action="store_true",
+        help="accepted and ignored: every sample already uses O(m+n) storage",
+    )
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("sample-symmetric", help="sample a right-free Schur process")

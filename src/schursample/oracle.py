@@ -20,7 +20,6 @@ from .partitions import (
     Partition,
     conjugate,
     interlaces_h,
-    interlaces_v,
     part,
     partitions_up_to,
 )
@@ -647,24 +646,10 @@ class BijectionReport:
         return not self.counterexamples
 
 
-_BOX_PRE = {
-    "HH": (interlaces_h, interlaces_h),
-    "HV": (interlaces_v, interlaces_h),
-    "VH": (interlaces_h, interlaces_v),
-    "VV": (interlaces_v, interlaces_v),
-}
-_BOX_POST = {
-    "HH": (interlaces_h, interlaces_h),
-    "HV": (interlaces_h, interlaces_v),
-    "VH": (interlaces_v, interlaces_h),
-    "VV": (interlaces_v, interlaces_v),
-}
-
-
 def _verify_box_type(kind: str, max_weight: int, report: BijectionReport) -> None:
     parts = partitions_up_to(max_weight)
-    pre_l, pre_m = _BOX_PRE[kind]
-    post_l, post_m = _BOX_POST[kind]
+    pre_l, pre_m = rules.BOX_PRE[kind]
+    post_l, post_m = rules.BOX_POST[kind]
     rand_range = (0, 1) if kind in ("HV", "VH") else range(2 * max_weight + 1)
     for lam in parts:
         for mu in parts:
@@ -721,14 +706,12 @@ def _verify_diagonal(kind: str, max_weight: int, report: BijectionReport) -> Non
                 continue
             grange = (0,) if kind == "HEC" else range(2 * max_weight + 1)
             for g in grange:
+                nu = rules.grow_diag(kind, mu, kap, g)
                 if kind == "H":
-                    nu = rules.grow_diag_h(mu, kap, g)
                     balanced = 2 * sum(mu) + g == sum(kap) + sum(nu)
                 elif kind == "HER":
-                    nu = rules.grow_diag_h_er(mu, kap, g)
                     balanced = 2 * sum(mu) + 2 * g == sum(kap) + sum(nu)
                 else:
-                    nu = rules.grow_diag_h_ec(mu, kap)
                     balanced = 2 * sum(mu) == sum(kap) + sum(nu)
                 if not balanced:
                     report.counterexamples.append(
@@ -761,15 +744,12 @@ def verify_bijections(max_weight: int = 6) -> BijectionReport:
     """Exhaustively certify all growth rules (the four box types and the
     three diagonal reflection rules) up to the given weight: injectivity,
     surjectivity onto the valid targets, inverse round trips, and weight
-    balances.  Block-interleaving assertions run inside grow_hv because
-    rule checking is switched on for the duration."""
+    balances.  Every rule runs through the checked entry points
+    ``rules.grow`` and ``rules.grow_diag``, which also assert the HV block
+    interleaving."""
     report = BijectionReport()
-    prev = rules.set_checks(True)
-    try:
-        for kind in ("HH", "HV", "VH", "VV"):
-            _verify_box_type(kind, max_weight, report)
-        for kind in ("H", "HER", "HEC"):
-            _verify_diagonal(kind, max_weight, report)
-    finally:
-        rules.set_checks(prev)
+    for kind in ("HH", "HV", "VH", "VV"):
+        _verify_box_type(kind, max_weight, report)
+    for kind in ("H", "HER", "HEC"):
+        _verify_diagonal(kind, max_weight, report)
     return report

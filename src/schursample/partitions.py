@@ -7,7 +7,7 @@ infinite tail of zero parts, so ``part(lam, i)`` is total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 Partition = Tuple[int, ...]
 
@@ -31,10 +31,6 @@ def make(parts: Iterable[int]) -> Partition:
     return tuple(p)
 
 
-def is_partition(p: Sequence[int]) -> bool:
-    return all(p[i] >= p[i + 1] for i in range(len(p) - 1)) and (not p or p[-1] >= 1)
-
-
 def part(lam: Partition, i: int) -> int:
     """1-based part accessor; 0 beyond the stored length."""
     if i < 1:
@@ -44,10 +40,6 @@ def part(lam: Partition, i: int) -> int:
 
 def weight(lam: Partition) -> int:
     return sum(lam)
-
-
-def length(lam: Partition) -> int:
-    return len(lam)
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -5,9 +5,12 @@ the fourth corner of a growth-diagram box, bijectively in (kappa, rand) for
 fixed (lam, mu).  Weight balance: |lam| + |mu| + rand = |kappa| + |nu| for the
 four box rules; the diagonal rules balance 2|mu| + G (or + 2G, or + 0).
 
-Input validation is gated on :func:`set_checks` so the release path keeps the
-O(max(len, largest part)) per-box cost.  ``shrink`` always validates, since it
-must report inconsistent inputs.
+The ``grow_*`` kernels check nothing, so the growth sweep pays only the
+O(max(len, largest part)) per-box cost.  The checked entry points
+:func:`grow` and :func:`grow_diag` run a kernel between assertions of its
+input range, strip preconditions, HV block interleaving, output interlacing
+and weight balance; the oracle and the tests call those.  ``shrink`` and
+``shrink_diag`` always validate, since they must report inconsistent inputs.
 """
 from __future__ import annotations
 
@@ -22,21 +25,6 @@ from .partitions import (
 )
 
 _INF = float("inf")
-
-_CHECKS = False
-
-
-def set_checks(on: bool) -> bool:
-    """Enable pre/postcondition checking inside the growth rules; returns the
-    previous setting."""
-    global _CHECKS
-    prev = _CHECKS
-    _CHECKS = on
-    return prev
-
-
-def checks_enabled() -> bool:
-    return _CHECKS
 
 
 class GrowthError(ValueError):
@@ -61,28 +49,17 @@ def grow_hh(lam: Partition, mu: Partition, kap: Partition, g: int) -> Partition:
     Requires lam >= kap and mu >= kap (horizontal strips); produces nu with
     nu >= lam and nu >= mu.
     """
-    if _CHECKS:
-        _require(g >= 0, "G must be nonnegative")
-        _require(interlaces_h(lam, kap), f"precondition lam > kap fails: {lam} {kap}")
-        _require(interlaces_h(mu, kap), f"precondition mu > kap fails: {mu} {kap}")
     n = max(len(lam), len(mu)) + 1
     rows = [max(part(lam, 1), part(mu, 1)) + g]
     for i in range(2, n + 1):
         li, mi = part(lam, i), part(mu, i)
         lp, mp = part(lam, i - 1), part(mu, i - 1)
         rows.append((li if li > mi else mi) + (lp if lp < mp else mp) - part(kap, i - 1))
-    nu = _trim(rows)
-    if _CHECKS:
-        _require(interlaces_h(nu, lam) and interlaces_h(nu, mu), "HH output interlacing")
-        _require(sum(lam) + sum(mu) + g == sum(kap) + sum(nu), "HH weight balance")
-    return nu
+    return _trim(rows)
 
 
 def grow_vv(lam: Partition, mu: Partition, kap: Partition, g: int) -> Partition:
     """Dual of grow_hh: conjugate everything, apply grow_hh, conjugate back."""
-    if _CHECKS:
-        _require(interlaces_v(lam, kap), f"precondition lam >' kap fails: {lam} {kap}")
-        _require(interlaces_v(mu, kap), f"precondition mu >' kap fails: {mu} {kap}")
     return conjugate(grow_hh(conjugate(lam), conjugate(mu), conjugate(kap), g))
 
 
@@ -113,10 +90,6 @@ def grow_hv(lam: Partition, mu: Partition, kap: Partition, b: int) -> Partition:
     nu >= lam and nu >=' mu.  The input bit is consumed at the first
     j-position; each i-position emits the next bit lam_i - kap_i.
     """
-    if _CHECKS:
-        _require(b in (0, 1), "B must be a bit")
-        _require(interlaces_v(lam, kap), f"precondition lam >' kap fails: {lam} {kap}")
-        _require(interlaces_h(mu, kap), f"precondition mu > kap fails: {mu} {kap}")
     n = max(len(lam), len(mu)) + 1
     rows = []
     bit = b
@@ -130,18 +103,8 @@ def grow_hv(lam: Partition, mu: Partition, kap: Partition, b: int) -> Partition:
             rows.append(hi)
         if part(mu, i + 1) < li <= mi:
             bit = li - part(kap, i)
-            if _CHECKS:
-                _require(bit in (0, 1), "cascaded bit out of range")
         prev_lam = li
-    nu = _trim(rows)
-    if _CHECKS:
-        i_list, j_list = _hv_positions(lam, mu)
-        _require(len(j_list) == len(i_list) + 1, "block count mismatch")
-        for k, ik in enumerate(i_list):
-            _require(j_list[k] <= ik < j_list[k + 1], "block interleaving violated")
-        _require(interlaces_h(nu, lam) and interlaces_v(nu, mu), "HV output interlacing")
-        _require(sum(lam) + sum(mu) + b == sum(kap) + sum(nu), "HV weight balance")
-    return nu
+    return _trim(rows)
 
 
 def grow_vh(lam: Partition, mu: Partition, kap: Partition, b: int) -> Partition:
@@ -150,13 +113,56 @@ def grow_vh(lam: Partition, mu: Partition, kap: Partition, b: int) -> Partition:
     return grow_hv(mu, lam, kap, b)
 
 
-GROW = {"HH": grow_hh, "HV": grow_hv, "VH": grow_vh, "VV": grow_vv}
+# The sweep calls the kernels through GROW, so a caller may substitute them;
+# the checked entry points use their own table.
+_KERNELS = {"HH": grow_hh, "HV": grow_hv, "VH": grow_vh, "VV": grow_vv}
+GROW = dict(_KERNELS)
+
+# Strip relations of a box: BOX_PRE[kind] = (lam vs kappa, mu vs kappa) for
+# the inputs, BOX_POST[kind] = (nu vs lam, nu vs mu) for the output.
+BOX_PRE = {
+    "HH": (interlaces_h, interlaces_h),
+    "HV": (interlaces_v, interlaces_h),
+    "VH": (interlaces_h, interlaces_v),
+    "VV": (interlaces_v, interlaces_v),
+}
+BOX_POST = {
+    "HH": (interlaces_h, interlaces_h),
+    "HV": (interlaces_h, interlaces_v),
+    "VH": (interlaces_v, interlaces_h),
+    "VV": (interlaces_v, interlaces_v),
+}
+
+
+def _require_hv_blocks(lam: Partition, mu: Partition, kap: Partition) -> None:
+    """The j- and i-positions of grow_hv(lam, mu, kap, .) interleave, and
+    every cascaded bit lam_i - kap_i is 0 or 1."""
+    i_list, j_list = _hv_positions(lam, mu)
+    _require(len(j_list) == len(i_list) + 1, "block count mismatch")
+    for k, ik in enumerate(i_list):
+        _require(j_list[k] <= ik < j_list[k + 1], "block interleaving violated")
+        _require(part(lam, ik) - part(kap, ik) in (0, 1), "cascaded bit out of range")
 
 
 def grow(kind: str, lam: Partition, mu: Partition, kap: Partition, rand: int) -> Partition:
-    if kind in ("HV", "VH") and rand not in (0, 1):
-        raise GrowthError(f"{kind} box takes a bit, got {rand}")
-    return GROW[kind](lam, mu, kap, rand)
+    """The box rule of ``kind`` with every pre- and postcondition asserted;
+    raises GrowthError on the first one that fails."""
+    if kind in ("HV", "VH"):
+        _require(rand in (0, 1), f"{kind} box takes a bit, got {rand}")
+    else:
+        _require(rand >= 0, "G must be nonnegative")
+    pre_l, pre_m = BOX_PRE[kind]
+    _require(pre_l(lam, kap), f"{kind} precondition on lam, kappa fails: {lam} {kap}")
+    _require(pre_m(mu, kap), f"{kind} precondition on mu, kappa fails: {mu} {kap}")
+    if kind == "HV":
+        _require_hv_blocks(lam, mu, kap)
+    elif kind == "VH":
+        _require_hv_blocks(mu, lam, kap)
+    nu = _KERNELS[kind](lam, mu, kap, rand)
+    post_l, post_m = BOX_POST[kind]
+    _require(post_l(nu, lam) and post_m(nu, mu), f"{kind} output interlacing")
+    _require(sum(lam) + sum(mu) + rand == sum(kap) + sum(nu), f"{kind} weight balance")
+    return nu
 
 
 def _shrink_hh(lam: Partition, nu: Partition, mu: Partition):
@@ -211,11 +217,7 @@ def shrink(kind: str, lam: Partition, nu: Partition, mu: Partition) -> Tuple[Par
         raise
     except Exception as exc:  # pragma: no cover - defensive
         raise GrowthError(f"no preimage for {kind} box: {exc}") from exc
-    prev = set_checks(False)
-    try:
-        check = GROW[kind](lam, mu, kap, rand)
-    finally:
-        set_checks(prev)
+    check = _KERNELS[kind](lam, mu, kap, rand)
     if check != nu:
         raise GrowthError(
             f"no preimage: grow({kind}, {lam}, {mu}, {kap}, {rand}) = {check} != {nu}"
@@ -226,18 +228,11 @@ def shrink(kind: str, lam: Partition, nu: Partition, mu: Partition) -> Tuple[Par
 def grow_diag_h(mu: Partition, kap: Partition, g: int) -> Partition:
     """Diagonal (free boundary) rule: nu_1 = mu_1 + G and
     nu_i = mu_i + mu_{i-1} - kap_{i-1}; balances 2|mu| + G = |kap| + |nu|."""
-    if _CHECKS:
-        _require(g >= 0, "G must be nonnegative")
-        _require(interlaces_h(mu, kap), f"precondition mu > kap fails: {mu} {kap}")
     n = len(mu) + 1
     rows = [part(mu, 1) + g]
     for i in range(2, n + 1):
         rows.append(part(mu, i) + part(mu, i - 1) - part(kap, i - 1))
-    nu = _trim(rows)
-    if _CHECKS:
-        _require(interlaces_h(nu, mu), "diag-H output interlacing")
-        _require(2 * sum(mu) + g == sum(kap) + sum(nu), "diag-H weight balance")
-    return nu
+    return _trim(rows)
 
 
 def grow_diag_h_er(mu: Partition, kap: Partition, g: int) -> Partition:
@@ -246,11 +241,6 @@ def grow_diag_h_er(mu: Partition, kap: Partition, g: int) -> Partition:
 
     Maps even-rowed kappa < mu to even-rowed nu > mu; balances 2|mu| + 2G.
     """
-    if any(v % 2 for v in kap):
-        raise GrowthError(f"kappa must have even rows, got {kap}")
-    if _CHECKS:
-        _require(g >= 0, "G must be nonnegative")
-        _require(interlaces_h(mu, kap), f"precondition mu > kap fails: {mu} {kap}")
     n = len(mu) + 1
     rows = [2 * ((part(mu, 1) + 1) // 2) + 2 * g]
     for i in range(2, n + 1):
@@ -259,25 +249,13 @@ def grow_diag_h_er(mu: Partition, kap: Partition, g: int) -> Partition:
             + 2 * (part(mu, i - 1) // 2)
             - part(kap, i - 1)
         )
-    nu = _trim(rows)
-    if _CHECKS:
-        _require(all(v % 2 == 0 for v in nu), "diag-HER output must have even rows")
-        _require(interlaces_h(nu, mu), "diag-HER output interlacing")
-        _require(2 * sum(mu) + 2 * g == sum(kap) + sum(nu), "diag-HER weight balance")
-    return nu
+    return _trim(rows)
 
 
 def grow_diag_h_ec(mu: Partition, kap: Partition) -> Partition:
     """Even-columns diagonal rule (deterministic): nu_1 = mu_1 and
     nu_i = mu_i + mu_{i-1} - kap_{i-1}; balances 2|mu| = |kap| + |nu|."""
-    if any(v % 2 for v in conjugate(kap)):
-        raise GrowthError(f"kappa must have even columns, got {kap}")
-    if _CHECKS:
-        _require(interlaces_h(mu, kap), f"precondition mu > kap fails: {mu} {kap}")
-    nu = grow_diag_h(mu, kap, 0)
-    if _CHECKS:
-        _require(all(v % 2 == 0 for v in conjugate(nu)), "diag-HEC output even columns")
-    return nu
+    return grow_diag_h(mu, kap, 0)
 
 
 def grow_diag_v(mu: Partition, kap: Partition, g: int) -> Partition:
@@ -298,6 +276,43 @@ def grow_diag_v_ec(mu: Partition, kap: Partition, g: int) -> Partition:
     return conjugate(grow_diag_h_er(conjugate(mu), conjugate(kap), g))
 
 
+# kind -> (kernel, strip relation of mu over kappa and of nu over mu,
+#          parity constraint on kappa and nu, multiple of G in the balance;
+#          0 marks a deterministic rule, which takes no G)
+_DIAG_RULES = {
+    "H": (grow_diag_h, interlaces_h, None, 1),
+    "HER": (grow_diag_h_er, interlaces_h, "rows", 2),
+    "HEC": (grow_diag_h_ec, interlaces_h, "columns", 0),
+    "V": (grow_diag_v, interlaces_v, None, 1),
+    "VER": (grow_diag_v_er, interlaces_v, "rows", 0),
+    "VEC": (grow_diag_v_ec, interlaces_v, "columns", 2),
+}
+
+
+def _even(lam: Partition, parity: str) -> bool:
+    return all(v % 2 == 0 for v in (lam if parity == "rows" else conjugate(lam)))
+
+
+def grow_diag(kind: str, mu: Partition, kap: Partition, g: int) -> Partition:
+    """The diagonal rule of ``kind`` in {H, HER, HEC, V, VER, VEC} with
+    every pre- and postcondition asserted; the deterministic HEC and VER
+    rules take g = 0.  Raises GrowthError on the first check that fails."""
+    kernel, strip, parity, g_weight = _DIAG_RULES[kind]
+    if g_weight:
+        _require(g >= 0, "G must be nonnegative")
+    else:
+        _require(g == 0, f"diag-{kind} is deterministic, got G = {g}")
+    _require(strip(mu, kap), f"diag-{kind} precondition on mu, kappa fails: {mu} {kap}")
+    if parity:
+        _require(_even(kap, parity), f"kappa must have even {parity}, got {kap}")
+    nu = kernel(mu, kap, g) if g_weight else kernel(mu, kap)
+    if parity:
+        _require(_even(nu, parity), f"diag-{kind} output must have even {parity}")
+    _require(strip(nu, mu), f"diag-{kind} output interlacing")
+    _require(2 * sum(mu) + g_weight * g == sum(kap) + sum(nu), f"diag-{kind} weight balance")
+    return nu
+
+
 def shrink_diag(kind: str, mu: Partition, nu: Partition) -> Tuple[Partition, int]:
     """Invert a diagonal rule; kind in {H, HER, HEC, V, VER, VEC}.
 
@@ -312,7 +327,6 @@ def shrink_diag(kind: str, mu: Partition, nu: Partition) -> Tuple[Partition, int
     if kind == "H":
         g = part(nu, 1) - part(mu, 1)
         rows = [part(mu, i + 1) + part(mu, i) - part(nu, i + 1) for i in range(1, n + 1)]
-        forward = lambda k, gg: grow_diag_h(mu, k, gg)
     elif kind == "HER":
         g2 = part(nu, 1) - 2 * ((part(mu, 1) + 1) // 2)
         if g2 < 0 or g2 % 2:
@@ -322,11 +336,9 @@ def shrink_diag(kind: str, mu: Partition, nu: Partition) -> Tuple[Partition, int
             2 * ((part(mu, i + 1) + 1) // 2) + 2 * (part(mu, i) // 2) - part(nu, i + 1)
             for i in range(1, n + 1)
         ]
-        forward = lambda k, gg: grow_diag_h_er(mu, k, gg)
     elif kind == "HEC":
         g = 0
         rows = [part(mu, i + 1) + part(mu, i) - part(nu, i + 1) for i in range(1, n + 1)]
-        forward = lambda k, gg: grow_diag_h_ec(mu, k)
     else:
         raise KeyError(kind)
     if any(r < 0 for r in rows):
@@ -334,6 +346,6 @@ def shrink_diag(kind: str, mu: Partition, nu: Partition) -> Tuple[Partition, int
     kap = _trim(rows)
     if g < 0 or not all(kap[i] >= kap[i + 1] for i in range(len(kap) - 1)):
         raise GrowthError(f"no preimage for diagonal {kind}")
-    if forward(kap, g) != nu:
+    if grow_diag(kind, mu, kap, g) != nu:
         raise GrowthError(f"no preimage for diagonal {kind}: roundtrip mismatch")
     return kap, g

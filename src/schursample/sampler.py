@@ -1,10 +1,17 @@
 """Exact sampling of Schur processes by growth of the encoded shape.
 
-``schur_sample`` fills every box of the encoded shape with the reference
-local rules and keeps the whole grid; ``in_place_boundary_sample`` produces
-the identical output (same seed, same draw order) while storing only one
-staircase profile of m + n + 1 partitions, which is the variant to use for
-large simulations.
+:func:`grow_profile` is the one growth sweep.  It fills the encoded shape
+row by row with the local rules, stores one profile of m + 1 partitions and
+returns the m + n + 1 boundary partitions.  The finite sampler
+``schur_sample`` runs on it, and so do the symmetric sampler (which passes a
+diagonal rule and grows one triangle) and the pyramidal one (which grows its
+finite truncation word).  ``in_place_boundary_sample`` is another name for
+``schur_sample``.
+
+:func:`run_growth` keeps the whole grid and takes any traversal order; it
+is the reference that the tests compare the sweep against, and it backs
+``schur_sample(order="diagonal")``, which is domino shuffling on Aztec
+words.
 """
 from __future__ import annotations
 
@@ -13,10 +20,12 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .partitions import EMPTY, Partition, interlaces
 from .rng import ALGORITHM, RandomSource
-from .rules import GROW, grow, shrink
+from .rules import GROW, shrink
 from .words import Rel, ShapePlan, Word, precompute_par
 
 Box = Tuple[int, int]
+
+_INF = float("inf")
 
 
 class DivergenceError(ValueError):
@@ -25,7 +34,7 @@ class DivergenceError(ValueError):
     def __init__(self, box: Box, kind: str, xi):
         self.box, self.kind, self.xi = box, kind, xi
         super().__init__(
-            f"box {box} of type {kind} has parameter x*y = {xi} >= 1; "
+            f"box {box} of type {kind} has parameter {xi} >= 1; "
             "the geometric weight diverges"
         )
 
@@ -46,7 +55,6 @@ class ProcessSample:
     lambdas: Tuple[Partition, ...]
     rng_algorithm: str = ALGORITHM
     stats: Optional[SampleStats] = None
-    grid: Optional[Dict[Box, Partition]] = None
     draw_log: Optional[list] = None
 
     def validate(self) -> None:
@@ -67,31 +75,90 @@ class ProcessSample:
         return sum(sum(l) for l in self.lambdas)
 
 
-def check_parameters(plan: ShapePlan) -> None:
-    """Reject words whose geometric boxes have divergent parameters, naming
-    the first offending box."""
+def check_parameters(plan: ShapePlan, diagonal=None) -> None:
+    """Check every parameter before any draw, naming the first bad box.
+
+    A negative or non-finite parameter raises ValueError; a geometric
+    (HH/VV) parameter >= 1 raises DivergenceError.  A symmetric sampler
+    passes ``diagonal(i, kind)``, the geometric parameter drawn at the
+    diagonal box (i, i), or None where that box draws nothing; the boxes
+    below the diagonal mirror those above it and are skipped.
+    """
     for i, j in plan.boxes():
         kind = plan.box_type(i, j)
-        if kind in ("HH", "VV"):
-            xi = plan.param(i, j)
-            if not 0 <= xi < 1:
-                raise DivergenceError((i, j), kind, xi)
-        elif plan.param(i, j) < 0:
-            raise ValueError(f"negative parameter at box {(i, j)}")
-
-
-def draw_box_inputs(plan: ShapePlan, src: RandomSource) -> Dict[Box, int]:
-    """Draw the per-box randomness in canonical (row-major) order: one
-    geometric for each HH/VV box, one Bernoulli bit for each HV/VH box."""
-    inputs: Dict[Box, int] = {}
-    for i, j in plan.boxes():
-        kind = plan.box_type(i, j)
-        xi = float(plan.param(i, j))
-        if kind in ("HH", "VV"):
-            inputs[(i, j)] = src.geometric(xi)
+        if diagonal is None or i < j:
+            xi, geometric = plan.param(i, j), kind in ("HH", "VV")
+        elif i == j:
+            xi, geometric = diagonal(i, kind), True
+            if xi is None:
+                continue
         else:
-            inputs[(i, j)] = src.bernoulli(xi / (1.0 + xi))
-    return inputs
+            continue
+        if not 0 <= xi < _INF:
+            raise ValueError(
+                f"box {(i, j)} of type {kind} has parameter {xi}; "
+                "parameters must be finite and nonnegative"
+            )
+        if geometric and xi >= 1:
+            raise DivergenceError((i, j), kind, xi)
+
+
+def box_draw(plan: ShapePlan, src: RandomSource):
+    """The per-box draw from ``src``, as a function (i, j, kind) -> input:
+    Geom(x_i y_j) on HH/VV boxes, Bernoulli(x_i y_j / (1 + x_i y_j)) on
+    HV/VH boxes."""
+    geom, bern = src.geometric, src.bernoulli
+
+    def draw(i: int, j: int, kind: str) -> int:
+        xi = float(plan.param(i, j))
+        return geom(xi) if kind in ("HH", "VV") else bern(xi / (1.0 + xi))
+
+    return draw
+
+
+def grow_profile(plan: ShapePlan, box_input, diagonal=None, stats=None):
+    """The growth sweep: fill the encoded shape of ``plan`` row by row and
+    return the m + n + 1 boundary partitions (entry k is lambda(k)).
+
+    ``box_input(i, j, kind)`` gives the random input of box (i, j); it is
+    called in row-major order, the canonical draw order.  Only one profile
+    of m + 1 partitions is kept: entry i holds tau(i, j) for the last row j
+    that reached column i.
+
+    With ``diagonal`` the sweep is symmetric and the shape must be
+    self-conjugate: only boxes with i <= j are grown, diagonal box (i, i)
+    is ``diagonal(i, kind, mu, kap)`` with mu = tau(i - 1, i) and
+    kap = tau(i - 1, i - 1), and the boundary after the diagonal point
+    mirrors the boundary before it.
+    """
+    pi, m, n = plan.pi, plan.m, plan.n
+    nrows = len(pi)
+    profile = [EMPTY] * (m + 1)
+    segments = []  # per-row boundary pieces, assembled at the end
+    for j in range(1, nrows + 1):
+        row_len = pi[j - 1]
+        stop = row_len if diagonal is None else min(row_len, j)
+        prev_diag = EMPTY  # tau(i - 1, j - 1)
+        for i in range(1, stop + 1):
+            kind = plan.box_type(i, j)
+            lam, above = profile[i - 1], profile[i]  # tau(i - 1, j), tau(i, j - 1)
+            if i == j and diagonal is not None:
+                nu = diagonal(i, kind, lam, prev_diag)
+            else:
+                nu = GROW[kind](lam, above, prev_diag, box_input(i, j, kind))
+            if stats is not None:
+                stats.boxes += 1
+                stats.work += max(len(lam), len(above)) + 1
+            profile[i] = nu
+            prev_diag = above
+        segments.append(profile[pi[j] if j < nrows else 0 : row_len + 1])
+    lambdas = [EMPTY] * (n - nrows)  # padded empty rows on the vertical axis
+    for seg in reversed(segments):
+        lambdas.extend(seg)
+    lambdas.extend([EMPTY] * (m - (pi[0] if pi else 0) + 1))
+    if diagonal is not None:
+        lambdas[n + 1 :] = reversed(lambdas[:n])
+    return tuple(lambdas)
 
 
 def run_growth(
@@ -118,7 +185,7 @@ def run_growth(
         lam = get((i - 1, j), EMPTY)
         mu = get((i, j - 1), EMPTY)
         kap = get((i - 1, j - 1), EMPTY)
-        nu = grow(plan.box_type(i, j), lam, mu, kap, inputs[(i, j)])
+        nu = GROW[plan.box_type(i, j)](lam, mu, kap, inputs[(i, j)])
         tau[(i, j)] = nu
         if stats is not None:
             stats.boxes += 1
@@ -135,73 +202,38 @@ def schur_sample(
     z: Sequence,
     src: RandomSource | int,
     order: str = "row_major",
-    keep_grid: bool = False,
 ) -> ProcessSample:
     """Draw one exact sample of the Schur process of ``word`` with parameters
-    ``z``; the whole growth grid is retained when ``keep_grid`` is set."""
+    ``z``, storing one profile of m + 1 partitions.
+
+    ``order="diagonal"`` grows the whole grid by increasing i + j instead
+    (domino shuffling on Aztec words); the draws, and so the sample, are the
+    same.
+    """
     if isinstance(src, int):
         src = RandomSource(src)
     plan = precompute_par(word, z)
     check_parameters(plan)
     stats = SampleStats()
-    inputs = draw_box_inputs(plan, src)
-    grid = run_growth(plan, inputs, order=order, stats=stats)
+    draw = box_draw(plan, src)
+    if order == "row_major":
+        lambdas = grow_profile(plan, draw, stats=stats)
+    else:
+        inputs = {(i, j): draw(i, j, plan.box_type(i, j)) for i, j in plan.boxes()}
+        lambdas = boundary_lambdas(plan, run_growth(plan, inputs, order, stats))
     return ProcessSample(
         word=plan.word,
         z=tuple(z),
         seed=src.seed,
-        lambdas=boundary_lambdas(plan, grid),
+        lambdas=lambdas,
         stats=stats,
-        grid=grid if keep_grid else None,
         draw_log=list(src.draw_log) if src.draw_log is not None else None,
     )
 
 
-def in_place_boundary_sample(
-    word: Sequence[Rel], z: Sequence, src: RandomSource | int
-) -> ProcessSample:
-    """Same output as ``schur_sample`` (bit-identical for the same seed) with
-    peak storage of m + n + 1 partitions."""
-    if isinstance(src, int):
-        src = RandomSource(src)
-    plan = precompute_par(word, z)
-    check_parameters(plan)
-    stats = SampleStats()
-    pi, m, n = plan.pi, plan.m, plan.n
-    geom, bern = src.geometric, src.bernoulli
-    profile = [EMPTY] * (m + 1)  # profile[i] = tau(i, current row - 1)
-    segments = []  # per-row boundary pieces, assembled at the end
-    nrows = len(pi)
-    for j in range(1, nrows + 1):
-        row_len = pi[j - 1]
-        kinds = [plan.box_type(i, j) for i in range(1, row_len + 1)]
-        xis = [float(plan.param(i, j)) for i in range(1, row_len + 1)]
-        prev_diag = profile[0]  # tau(0, j-1) = empty
-        for i in range(1, row_len + 1):
-            kind = kinds[i - 1]
-            xi = xis[i - 1]
-            u = geom(xi) if kind in ("HH", "VV") else bern(xi / (1.0 + xi))
-            above = profile[i]  # tau(i, j-1)
-            lam = profile[i - 1]  # tau(i-1, j), already overwritten
-            nu = GROW[kind](lam, above, prev_diag, u)
-            stats.boxes += 1
-            stats.work += max(len(lam), len(above)) + 1
-            profile[i] = nu
-            prev_diag = above
-        lo = pi[j] if j < nrows else 0
-        segments.append([profile[x] for x in range(lo, row_len + 1)])
-    lambdas = [EMPTY] * (n - nrows)  # padded empty rows on the vertical axis
-    for seg in reversed(segments):
-        lambdas.extend(seg)
-    lambdas.extend(EMPTY for _ in range(m - (pi[0] if pi else 0) + 1))
-    return ProcessSample(
-        word=plan.word,
-        z=tuple(z),
-        seed=src.seed,
-        lambdas=tuple(lambdas),
-        stats=stats,
-        draw_log=list(src.draw_log) if src.draw_log is not None else None,
-    )
+# Another name for schur_sample, which already stores O(m + n) partitions;
+# kept for the callers that use it.
+in_place_boundary_sample = schur_sample
 
 
 def reconstruct_inputs(sample: ProcessSample) -> Dict[Box, int]:
@@ -231,8 +263,3 @@ def reconstruct_inputs(sample: ProcessSample) -> Dict[Box, int]:
             tau[(i - 1, j - 1)] = kap
             inputs[(i, j)] = rand
     return inputs
-
-
-def replay_draw_order(plan: ShapePlan) -> list:
-    """Box order in which the random inputs are drawn (row-major)."""
-    return list(plan.boxes())

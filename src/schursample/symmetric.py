@@ -1,22 +1,24 @@
 """Sampling of right-free (symmetric) Schur processes.
 
 The word is reflected into w . w*, the boundary weight t is folded into the
-parameters (z_i -> t^{+-1} z_i), and the square shape is filled one triangle
-at a time: off-diagonal boxes share a single draw with their mirror image,
-diagonal boxes use the one-sided reflection rules selected by the boundary
-mode (free, even rows, or even columns).
+parameters (z_i -> t^{+-1} z_i), and the growth sweep
+:func:`~schursample.sampler.grow_profile` fills the i <= j triangle of the
+square shape: an off-diagonal box and its mirror image share one draw, and
+a diagonal box runs the one-sided reflection rule selected by the boundary
+mode (free, even rows, or even columns).  The sampler reads those rules from
+this module's ``grow_diag_*`` names on each call, so a caller may
+substitute them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .partitions import EMPTY, Partition, conjugate, interlaces
 from .rng import ALGORITHM, RandomSource
 from .rules import (
-    GROW,
     grow_diag_h,
     grow_diag_h_ec,
     grow_diag_h_er,
@@ -24,10 +26,9 @@ from .rules import (
     grow_diag_v_ec,
     grow_diag_v_er,
 )
-from .words import Rel, ShapePlan, Word, precompute_par, symmetrize
+from .sampler import box_draw, check_parameters, grow_profile
+from .words import Rel, Word, precompute_par, symmetrize
 from .zfun import MODE_EVEN_COLUMNS, MODE_EVEN_ROWS, MODE_FREE, MODES
-
-Box = Tuple[int, int]
 
 
 @dataclass
@@ -75,59 +76,6 @@ def fold_boundary_weight(word: Sequence[Rel], z: Sequence, t):
     return tuple(zz * t if s.left else zz / t for s, zz in zip(word, z))
 
 
-class _MirrorGrid:
-    """Stores only the j >= i triangle; reads below the diagonal mirror."""
-
-    def __init__(self):
-        self._tau: Dict[Box, Partition] = {}
-
-    def get(self, i: int, j: int) -> Partition:
-        if i > j:
-            i, j = j, i
-        return self._tau.get((i, j), EMPTY)
-
-    def set(self, i: int, j: int, value: Partition) -> None:
-        self._tau[(i, j)] = value
-
-
-def _check_symmetric_parameters(plan: ShapePlan, mode: str) -> None:
-    for i, j in plan.boxes():
-        if j < i:
-            continue
-        kind = plan.box_type(i, j)
-        if j == i:
-            x = plan.x[i - 1]
-            needs_geometric = not (
-                (mode == MODE_EVEN_ROWS and kind == "VV")
-                or (mode == MODE_EVEN_COLUMNS and kind == "HH")
-            )
-            xi = x * x if mode in (MODE_EVEN_ROWS, MODE_EVEN_COLUMNS) else x
-            if needs_geometric and not 0 <= xi < 1:
-                raise ValueError(
-                    f"diagonal box {(i, i)} draws Geom({xi}) which diverges"
-                )
-        elif kind in ("HH", "VV"):
-            xi = plan.param(i, j)
-            if not 0 <= xi < 1:
-                raise ValueError(f"box {(i, j)} has divergent parameter {xi}")
-
-
-def _diagonal_step(kind: str, mode: str, mu, kap, x, src: RandomSource):
-    if kind == "HH":
-        if mode == MODE_FREE:
-            return grow_diag_h(mu, kap, src.geometric(float(x)))
-        if mode == MODE_EVEN_ROWS:
-            return grow_diag_h_er(mu, kap, src.geometric(float(x) ** 2))
-        return grow_diag_h_ec(mu, kap)
-    if kind == "VV":
-        if mode == MODE_FREE:
-            return grow_diag_v(mu, kap, src.geometric(float(x)))
-        if mode == MODE_EVEN_ROWS:
-            return grow_diag_v_er(mu, kap)
-        return grow_diag_v_ec(mu, kap, src.geometric(float(x) ** 2))
-    raise AssertionError(f"diagonal boxes are always HH or VV, got {kind}")
-
-
 def symmetric_schur_sample(
     word: Sequence[Rel],
     z: Sequence,
@@ -147,25 +95,26 @@ def symmetric_schur_sample(
     zbar = fold_boundary_weight(word, z, t)
     wsym, zsym = symmetrize(word, zbar)
     plan = precompute_par(wsym, zsym)
-    _check_symmetric_parameters(plan, mode)
-    grid = _MirrorGrid()
-    for i, j in plan.boxes():
-        if j < i:
-            continue  # mirrored
-        kind = plan.box_type(i, j)
-        if j > i:
-            xi = float(plan.param(i, j))
-            if kind in ("HH", "VV"):
-                u = src.geometric(xi)
-            else:
-                u = src.bernoulli(xi / (1.0 + xi))
-            nu = GROW[kind](grid.get(i - 1, j), grid.get(i, j - 1), grid.get(i - 1, j - 1), u)
-        else:
-            nu = _diagonal_step(
-                kind, mode, grid.get(i - 1, i), grid.get(i - 1, i - 1), plan.x[i - 1], src
-            )
-        grid.set(i, j, nu)
-    lambdas = tuple(grid.get(i, j) for i, j in plan.boundary_points())
+    # diagonal box kind -> (rule, power p of its Geom(x^p) draw; 0: no draw)
+    if mode == MODE_FREE:
+        diag_rules = {"HH": (grow_diag_h, 1), "VV": (grow_diag_v, 1)}
+    elif mode == MODE_EVEN_ROWS:
+        diag_rules = {"HH": (grow_diag_h_er, 2), "VV": (grow_diag_v_er, 0)}
+    else:
+        diag_rules = {"HH": (grow_diag_h_ec, 0), "VV": (grow_diag_v_ec, 2)}
+
+    def diagonal_param(i: int, kind: str):
+        power = diag_rules[kind][1]
+        return float(plan.x[i - 1]) ** power if power else None
+
+    def diagonal(i: int, kind: str, mu: Partition, kap: Partition) -> Partition:
+        rule, power = diag_rules[kind]
+        if not power:
+            return rule(mu, kap)
+        return rule(mu, kap, src.geometric(diagonal_param(i, kind)))
+
+    check_parameters(plan, diagonal_param)
+    lambdas = grow_profile(plan, box_draw(plan, src), diagonal)
     return SymmetricSample(
         word=word, z=tuple(z), t=t, mode=mode, seed=src.seed, lambdas=lambdas
     )

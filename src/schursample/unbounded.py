@@ -4,7 +4,7 @@ A pyramidal process is a two-sided sequence of partitions, interlaced toward
 a center and eventually empty, weighted by two summable parameter sequences.
 Sampling truncates at a random Cantor-pairing index K: the box at K receives
 a conditioned draw, boxes below K ordinary draws, boxes above K zeros, and
-the finite growth rules do the rest.
+the finite growth sweep over the truncation word does the rest.
 """
 from __future__ import annotations
 
@@ -16,9 +16,8 @@ from typing import Dict, Optional, Tuple
 
 from .partitions import EMPTY, Partition, interlaces_h, interlaces_v
 from .rng import RandomSource
-from .rules import GROW
-from .sampler import DivergenceError
-from .words import Rel, Word
+from .sampler import DivergenceError, grow_profile
+from .words import Rel, Word, precompute_par
 
 K_BRACKET_REL = 1e-15  # documented resolution of the CDF bracket for K
 
@@ -302,24 +301,13 @@ class PyramidalSampler:
 def grow_pyramidal(
     convention: WordConvention, inputs: Dict[Tuple[int, int], int], m: int
 ) -> Dict[int, Partition]:
-    """Run the growth rules over the m x m corner in decreasing partial
-    order; boxes without an entry in ``inputs`` take input 0."""
-    tau: Dict[Tuple[int, int], Partition] = {}
-    get = tau.get
-    for i in range(m - 1, -1, -1):
-        for j in range(m - 1, -1, -1):
-            u = inputs.get((i, j), 0)
-            lam = get((i + 1, j), EMPTY)
-            mu = get((i, j + 1), EMPTY)
-            kap = get((i + 1, j + 1), EMPTY)
-            tau[(i, j)] = GROW[convention.box_kind(i, j)](lam, mu, kap, u)
-    out: Dict[int, Partition] = {}
-    for i in range(m):
-        if tau.get((i, 0), EMPTY):
-            out[-i] = tau[(i, 0)]
-        if i and tau.get((0, i), EMPTY):
-            out[i] = tau[(0, i)]
-    return out
+    """Grow the m x m corner: the growth sweep over the finite word
+    ``truncation_word(convention, m)``, whose box (u, v) is corner box
+    (m - u, m - v).  Boxes without an entry in ``inputs`` take input 0.
+    Returns the nonempty lambda(k), keyed by k."""
+    plan = precompute_par(truncation_word(convention, m), (0,) * (2 * m))
+    lambdas = grow_profile(plan, lambda u, v, kind: inputs.get((m - u, m - v), 0))
+    return {k - m: lam for k, lam in enumerate(lambdas) if lam}
 
 
 def unbounded_schur_sample(

@@ -44,9 +44,17 @@ Word = Tuple[Rel, ...]
 
 _TOKEN = re.compile(r"\s*(?:(<'|>'|<|>)|(\()|(\)\s*\^\s*(\d+)))")
 
+MAX_WORD_LENGTH = 10**6  # longest word parse_word expands, in symbols
+
+
+def _check_length(n: int) -> None:
+    if n > MAX_WORD_LENGTH:
+        raise ValueError(f"word expands to {n} symbols, more than {MAX_WORD_LENGTH}")
+
 
 def parse_word(text: str) -> Word:
-    """Parse the ASCII word syntax; raises ValueError on bad input."""
+    """Parse the ASCII word syntax; raises ValueError on bad input,
+    including words longer than MAX_WORD_LENGTH symbols."""
     out: List[Rel] = []
     stack: List[int] = []
     pos = 0
@@ -59,6 +67,7 @@ def parse_word(text: str) -> Word:
         pos = m.end()
         sym, open_, close, rep = m.group(1), m.group(2), m.group(3), m.group(4)
         if sym:
+            _check_length(len(out) + 1)
             out.append(Rel(sym))
         elif open_:
             stack.append(len(out))
@@ -66,6 +75,7 @@ def parse_word(text: str) -> Word:
             if not stack:
                 raise ValueError("unbalanced ')' in word")
             start = stack.pop()
+            _check_length(start + (len(out) - start) * int(rep))
             out[start:] = out[start:] * int(rep)
     if stack:
         raise ValueError("unbalanced '(' in word")

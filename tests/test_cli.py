@@ -39,6 +39,15 @@ def test_sample_count_ordered_and_deterministic(capsys):
     assert len(out1.strip().splitlines()) == 8
 
 
+def test_sample_in_place_flag_changes_nothing(capsys):
+    args = ("sample", "--word", "(<'>)^3", "--z", "1,1,1,1,1,1", "--seed", "5", "--count", "3")
+    code, plain, _ = run_cli(capsys, *args)
+    code2, in_place, _ = run_cli(capsys, *args, "--in-place")
+    assert code == code2 == 0
+    assert in_place == plain
+    assert len(plain.strip().splitlines()) == 3
+
+
 def test_sample_unbounded_batch_matches_library(capsys):
     code, out, _ = run_cli(
         capsys, "sample-unbounded", "--q", "0.8", "--alternating", "--count", "8", "--seed", "3"

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -9,28 +10,20 @@ from schursample.partitions import (
     interlaces_v,
     partitions_up_to,
 )
-from schursample import rules
-from schursample.rules import (
-    GrowthError,
-    grow,
-    grow_diag_h,
-    grow_diag_h_ec,
-    grow_diag_h_er,
-    grow_diag_v,
-    grow_hh,
-    grow_hv,
-    grow_vh,
-    grow_vv,
-    shrink,
-    shrink_diag,
-)
+from schursample.rules import GrowthError, grow, grow_diag, shrink, shrink_diag
+
+# every rule under test runs through the checked entry points
+grow_hh = functools.partial(grow, "HH")
+grow_hv = functools.partial(grow, "HV")
+grow_vh = functools.partial(grow, "VH")
+grow_vv = functools.partial(grow, "VV")
+grow_diag_h = functools.partial(grow_diag, "H")
+grow_diag_h_er = functools.partial(grow_diag, "HER")
+grow_diag_v = functools.partial(grow_diag, "V")
 
 
-@pytest.fixture(autouse=True)
-def _strict_rules():
-    prev = rules.set_checks(True)
-    yield
-    rules.set_checks(prev)
+def grow_diag_h_ec(mu, kap):
+    return grow_diag("HEC", mu, kap, 0)
 
 
 def test_grow_hh_examples():

@@ -64,6 +64,15 @@ def test_divergence_error_names_box():
     schur_sample(parse_word("<'>"), (1, 1), 0)
 
 
+@pytest.mark.parametrize(
+    "text, z", [("<'>", (math.inf, 1)), ("<>", (-0.5, 1))], ids=["non-finite", "negative"]
+)
+def test_bad_parameter_names_the_box(text, z):
+    with pytest.raises(ValueError, match="finite and nonnegative") as err:
+        schur_sample(parse_word(text), z, 0)
+    assert "box (1, 1)" in str(err.value)
+
+
 def test_validate_and_invariants_randomized():
     rnd = random.Random(0)
     for trial in range(400):

@@ -1,18 +1,39 @@
+import functools
 import math
+import random
 from fractions import Fraction
 
+import pytest
 
+from schursample import rules, symmetric
 from schursample.oracle import enumerate_symmetric_support, horizontal_strips_above
 from schursample.partitions import EMPTY, conjugate, partitions_up_to
 from schursample.rng import RandomSource
+from schursample.sampler import DivergenceError
 from schursample.symmetric import (
     SymmetricSample,
     fold_boundary_weight,
     symmetric_schur_sample,
     symmetric_weight,
 )
-from schursample.words import parse_word
+from schursample.words import Rel, parse_word, precompute_par, symmetrize
 from schursample.zfun import z_symmetric
+
+# name of each diagonal rule in schursample.symmetric -> its rules.grow_diag kind
+CHECKED_DIAGONAL_RULES = {
+    "grow_diag_h": "H",
+    "grow_diag_h_er": "HER",
+    "grow_diag_h_ec": "HEC",
+    "grow_diag_v": "V",
+    "grow_diag_v_er": "VER",
+    "grow_diag_v_ec": "VEC",
+}
+
+
+def _checked_diagonal(kind):
+    if kind in ("HEC", "VER"):  # deterministic: no G argument
+        return lambda mu, kap: rules.grow_diag(kind, mu, kap, 0)
+    return functools.partial(rules.grow_diag, kind)
 
 
 def test_single_left_free_is_geometric():
@@ -182,15 +203,92 @@ def test_t_handled_by_reparametrization():
         assert a.lambdas == b.lambdas
 
 
-def test_symmetric_sampler_under_rule_checks():
+def test_symmetric_sampler_under_rule_checks(monkeypatch):
     # exercise the per-box interlacing and diagonal weight-balance assertions
-    from schursample import rules
+    for kind in rules.GROW:
+        monkeypatch.setitem(rules.GROW, kind, functools.partial(rules.grow, kind))
+    for name, kind in CHECKED_DIAGONAL_RULES.items():
+        monkeypatch.setattr(symmetric, name, _checked_diagonal(kind))
+    w = parse_word("<'<><'")
+    for mode in ("free", "even_rows", "even_columns"):
+        for seed in range(100):
+            symmetric_schur_sample(w, (0.4, 0.3, 0.5, 0.2), 0.5, mode, seed)
 
-    prev = rules.set_checks(True)
-    try:
-        w = parse_word("<'<><'")
-        for mode in ("free", "even_rows", "even_columns"):
-            for seed in range(100):
-                symmetric_schur_sample(w, (0.4, 0.3, 0.5, 0.2), 0.5, mode, seed)
-    finally:
-        rules.set_checks(prev)
+
+class _MirrorGrid:
+    """Stores only the j >= i triangle; reads below the diagonal mirror."""
+
+    def __init__(self):
+        self._tau = {}
+
+    def get(self, i, j):
+        if i > j:
+            i, j = j, i
+        return self._tau.get((i, j), EMPTY)
+
+    def set(self, i, j, value):
+        self._tau[(i, j)] = value
+
+
+def _reference_diagonal_step(kind, mode, mu, kap, x, src):
+    if kind == "HH":
+        if mode == "free":
+            return rules.grow_diag_h(mu, kap, src.geometric(float(x)))
+        if mode == "even_rows":
+            return rules.grow_diag_h_er(mu, kap, src.geometric(float(x) ** 2))
+        return rules.grow_diag_h_ec(mu, kap)
+    if mode == "free":
+        return rules.grow_diag_v(mu, kap, src.geometric(float(x)))
+    if mode == "even_rows":
+        return rules.grow_diag_v_er(mu, kap)
+    return rules.grow_diag_v_ec(mu, kap, src.geometric(float(x) ** 2))
+
+
+def _reference_symmetric_lambdas(word, z, t, mode, seed):
+    """Triangle loop over a mirrored full grid, box by box in row-major
+    order: the reference for the profile sweep of symmetric_schur_sample."""
+    src = RandomSource(seed)
+    wsym, zsym = symmetrize(word, fold_boundary_weight(word, z, t))
+    plan = precompute_par(wsym, zsym)
+    grid = _MirrorGrid()
+    for i, j in plan.boxes():
+        if j < i:
+            continue
+        kind = plan.box_type(i, j)
+        if j > i:
+            xi = float(plan.param(i, j))
+            if kind in ("HH", "VV"):
+                u = src.geometric(xi)
+            else:
+                u = src.bernoulli(xi / (1.0 + xi))
+            nu = rules.GROW[kind](
+                grid.get(i - 1, j), grid.get(i, j - 1), grid.get(i - 1, j - 1), u
+            )
+        else:
+            nu = _reference_diagonal_step(
+                kind, mode, grid.get(i - 1, i), grid.get(i - 1, i - 1), plan.x[i - 1], src
+            )
+        grid.set(i, j, nu)
+    return tuple(grid.get(i, j) for i, j in plan.boundary_points())
+
+
+def test_profile_sweep_matches_mirrored_grid():
+    rnd = random.Random(21)
+    for trial in range(300):
+        w = tuple(rnd.choice(list(Rel)) for _ in range(rnd.randrange(7)))
+        z = tuple(rnd.choice((0.2, 0.35, 0.5, Fraction(1, 3))) for _ in w)
+        for t in (Fraction(1, 2), 1, 1.5):
+            for mode in ("free", "even_rows", "even_columns"):
+                s = symmetric_schur_sample(w, z, t, mode, trial)
+                assert s.lambdas == _reference_symmetric_lambdas(w, z, t, mode, trial)
+
+
+def test_divergent_symmetric_parameters_raise_divergence_error():
+    # free mode: the diagonal box of "<" draws Geom(t z) = Geom(1.2)
+    with pytest.raises(DivergenceError) as err:
+        symmetric_schur_sample(parse_word("<"), (0.8,), 1.5, "free", 0)
+    assert err.value.box == (1, 1)
+    # even columns: the HH diagonal draws nothing, box (1, 2) has 0.9 * 1.2
+    with pytest.raises(DivergenceError) as err:
+        symmetric_schur_sample(parse_word("<<"), (0.9, 1.2), 1, "even_columns", 0)
+    assert err.value.box == (1, 2)

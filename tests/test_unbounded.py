@@ -237,6 +237,28 @@ def test_coupling_with_finite_sampler():
                 assert lam_fin[k] == lam_inf.get(k - 4, EMPTY)
 
 
+def test_grow_pyramidal_matches_full_grid_on_sparse_inputs():
+    rnd = random.Random(13)
+    params = PyramidalParameters.q_volume(0.5)
+    for conv in (WordConvention.plane_partitions(), WordConvention.pyramid()):
+        for m in range(1, 9):
+            plan = precompute_par(truncation_word(conv, m), truncation_params(params, m))
+            for _ in range(40):
+                inputs = {}
+                for i in range(m):
+                    for j in range(m):
+                        if rnd.random() < 0.5:
+                            continue  # a missing box takes input 0
+                        kind = conv.box_kind(i, j)
+                        inputs[(i, j)] = (
+                            rnd.randrange(2) if kind in ("HV", "VH") else rnd.randrange(4)
+                        )
+                lam_inf = grow_pyramidal(conv, inputs, m)
+                fin_inputs = {(u, v): inputs.get((m - u, m - v), 0) for u, v in plan.boxes()}
+                lam_fin = boundary_lambdas(plan, run_growth(plan, fin_inputs))
+                assert lam_inf == {k - m: lam for k, lam in enumerate(lam_fin) if lam}
+
+
 def test_plancherel_empty_and_single():
     theta = 1.0
     n = 50_000

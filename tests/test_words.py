@@ -30,6 +30,12 @@ def test_parse_and_format():
         parse_word("(<>")
 
 
+def test_parse_word_caps_nested_expansion():
+    assert len(parse_word("((<'>)^100)^100")) == 20_000
+    with pytest.raises(ValueError, match="symbols"):
+        parse_word("(((<'>)^100)^100)^100")  # 2,000,000 symbols
+
+
 def test_encoded_shape_examples():
     assert encoded_shape(MIXED_WORD) == (4, 3, 2, 2)
     assert encoded_shape((RH, RH, LH)) == ()
