@@ -43,13 +43,19 @@ def weight(lam: Partition) -> int:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transpose the Young diagram: result_i = #{j : lam_j >= i}."""
-    if not lam:
-        return EMPTY
-    out = [0] * lam[0]
-    for v in lam:
-        for i in range(v):
-            out[i] += 1
+    """Transpose the Young diagram: result_i = #{j : lam_j >= i}.
+
+    Runs in O(len(lam) + lam_1): the columns lam_{j+1} < i <= lam_j all
+    have length j, so each row adds its columns in one block.
+    """
+    out = []
+    j = len(lam)
+    prev = 0
+    for v in reversed(lam):
+        if v != prev:
+            out += [j] * (v - prev)
+            prev = v
+        j -= 1
     return tuple(out)
 
 

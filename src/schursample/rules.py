@@ -6,11 +6,20 @@ fixed (lam, mu).  Weight balance: |lam| + |mu| + rand = |kappa| + |nu| for the
 four box rules; the diagonal rules balance 2|mu| + G (or + 2G, or + 0).
 
 The ``grow_*`` kernels check nothing, so the growth sweep pays only the
-O(max(len, largest part)) per-box cost.  The checked entry points
-:func:`grow` and :func:`grow_diag` run a kernel between assertions of its
-input range, strip preconditions, HV block interleaving, output interlacing
-and weight balance; the oracle and the tests call those.  ``shrink`` and
-``shrink_diag`` always validate, since they must report inconsistent inputs.
+per-box cost.  A box kernel pads lam, mu and kappa with zeros once, to
+n = max(len(lam), len(mu)) + 1 rows, and makes one O(n) pass over them.
+The column rules cost O(n + largest part): ``grow_vv`` walks the columns of
+its inputs directly and conjugates only its output, and the ``grow_diag_v*``
+rules conjugate in O(len + largest part).  A kernel whose corner is empty
+(lam and mu, or the diagonal's mu, empty) returns at once, so the many tiny
+boxes of short words do not pay for the padding.  On valid inputs every
+output row but the last is positive, so a kernel drops at most one zero.
+
+The checked entry points :func:`grow` and :func:`grow_diag` run a kernel
+between assertions of its input range, strip preconditions, HV block
+interleaving, output interlacing and weight balance; the oracle and the
+tests call those.  ``shrink`` and ``shrink_diag`` always validate, since
+they must report inconsistent inputs.
 """
 from __future__ import annotations
 
@@ -49,18 +58,47 @@ def grow_hh(lam: Partition, mu: Partition, kap: Partition, g: int) -> Partition:
     Requires lam >= kap and mu >= kap (horizontal strips); produces nu with
     nu >= lam and nu >= mu.
     """
+    if not lam and not mu:
+        return (g,) if g else ()
     n = max(len(lam), len(mu)) + 1
-    rows = [max(part(lam, 1), part(mu, 1)) + g]
-    for i in range(2, n + 1):
-        li, mi = part(lam, i), part(mu, i)
-        lp, mp = part(lam, i - 1), part(mu, i - 1)
-        rows.append((li if li > mi else mi) + (lp if lp < mp else mp) - part(kap, i - 1))
-    return _trim(rows)
+    L = lam + (0,) * (n - len(lam))
+    M = mu + (0,) * (n - len(mu))
+    K = kap + (0,) * (n - len(kap))
+    pl, pm = L[0], M[0]
+    rows = [(pl if pl > pm else pm) + g]
+    for li, mi, kp in zip(L[1:], M[1:], K):
+        rows.append((li if li > mi else mi) + (pl if pl < pm else pm) - kp)
+        pl, pm = li, mi
+    if not rows[-1]:
+        rows.pop()
+    return tuple(rows)
 
 
 def grow_vv(lam: Partition, mu: Partition, kap: Partition, g: int) -> Partition:
-    """Dual of grow_hh: conjugate everything, apply grow_hh, conjugate back."""
-    return conjugate(grow_hh(conjugate(lam), conjugate(mu), conjugate(kap), g))
+    """Dual of grow_hh: the Cauchy rule on the columns, so that
+    conjugate(nu) = grow_hh(conjugate(lam), conjugate(mu), conjugate(kap), g).
+
+    Walks the columns of lam, mu and kap with one row pointer each, so it
+    never builds their conjugates.
+    """
+    if not lam and not mu:
+        return (1,) * g
+    a, b, k = len(lam), len(mu), len(kap)  # lengths of column 1
+    cols = [(a if a > b else b) + g]
+    pa, pb = a, b
+    for c in range(1, max(lam[:1] + mu[:1]) + 1):
+        # a, b become the lengths of column c + 1 of lam and mu, k of column c of kap
+        while a and lam[a - 1] <= c:
+            a -= 1
+        while b and mu[b - 1] <= c:
+            b -= 1
+        while k and kap[k - 1] < c:
+            k -= 1
+        cols.append((a if a > b else b) + (pa if pa < pb else pb) - k)
+        pa, pb = a, b
+    if not cols[-1]:
+        cols.pop()
+    return conjugate(cols)
 
 
 def _hv_positions(lam: Partition, mu: Partition):
@@ -90,21 +128,26 @@ def grow_hv(lam: Partition, mu: Partition, kap: Partition, b: int) -> Partition:
     nu >= lam and nu >=' mu.  The input bit is consumed at the first
     j-position; each i-position emits the next bit lam_i - kap_i.
     """
+    if not lam and not mu:
+        return (b,) if b else ()
     n = max(len(lam), len(mu)) + 1
+    L = lam + (0,) * (n - len(lam))
+    M = mu + (0,) * (n + 1 - len(mu))
+    K = kap + (0,) * (n - len(kap))
     rows = []
     bit = b
-    prev_lam = _INF
-    for i in range(1, n + 1):
-        li, mi = part(lam, i), part(mu, i)
-        hi = li if li > mi else mi
-        if li <= mi < prev_lam:
-            rows.append(hi + bit)
+    prev = _INF
+    for li, mi, m_next, kp in zip(L, M, M[1:], K):
+        if li > mi:  # neither a j- nor an i-position
+            rows.append(li)
         else:
-            rows.append(hi)
-        if part(mu, i + 1) < li <= mi:
-            bit = li - part(kap, i)
-        prev_lam = li
-    return _trim(rows)
+            rows.append(mi + bit if mi < prev else mi)
+            if m_next < li:
+                bit = li - kp
+        prev = li
+    if not rows[-1]:
+        rows.pop()
+    return tuple(rows)
 
 
 def grow_vh(lam: Partition, mu: Partition, kap: Partition, b: int) -> Partition:
@@ -228,11 +271,15 @@ def shrink(kind: str, lam: Partition, nu: Partition, mu: Partition) -> Tuple[Par
 def grow_diag_h(mu: Partition, kap: Partition, g: int) -> Partition:
     """Diagonal (free boundary) rule: nu_1 = mu_1 + G and
     nu_i = mu_i + mu_{i-1} - kap_{i-1}; balances 2|mu| + G = |kap| + |nu|."""
-    n = len(mu) + 1
-    rows = [part(mu, 1) + g]
-    for i in range(2, n + 1):
-        rows.append(part(mu, i) + part(mu, i - 1) - part(kap, i - 1))
-    return _trim(rows)
+    if not mu:
+        return (g,) if g else ()
+    K = kap + (0,) * (len(mu) - len(kap))
+    rows = [mu[0] + g]
+    for mi, mp, kp in zip(mu[1:] + (0,), mu, K):
+        rows.append(mi + mp - kp)
+    if not rows[-1]:
+        rows.pop()
+    return tuple(rows)
 
 
 def grow_diag_h_er(mu: Partition, kap: Partition, g: int) -> Partition:
@@ -241,15 +288,15 @@ def grow_diag_h_er(mu: Partition, kap: Partition, g: int) -> Partition:
 
     Maps even-rowed kappa < mu to even-rowed nu > mu; balances 2|mu| + 2G.
     """
-    n = len(mu) + 1
-    rows = [2 * ((part(mu, 1) + 1) // 2) + 2 * g]
-    for i in range(2, n + 1):
-        rows.append(
-            2 * ((part(mu, i) + 1) // 2)
-            + 2 * (part(mu, i - 1) // 2)
-            - part(kap, i - 1)
-        )
-    return _trim(rows)
+    if not mu:
+        return (2 * g,) if g else ()
+    K = kap + (0,) * (len(mu) - len(kap))
+    rows = [2 * ((mu[0] + 1) // 2) + 2 * g]
+    for mi, mp, kp in zip(mu[1:] + (0,), mu, K):
+        rows.append(2 * ((mi + 1) // 2) + 2 * (mp // 2) - kp)
+    if not rows[-1]:
+        rows.pop()
+    return tuple(rows)
 
 
 def grow_diag_h_ec(mu: Partition, kap: Partition) -> Partition:
@@ -260,6 +307,8 @@ def grow_diag_h_ec(mu: Partition, kap: Partition) -> Partition:
 
 def grow_diag_v(mu: Partition, kap: Partition, g: int) -> Partition:
     """Conjugated free diagonal rule, for VV-type diagonal boxes."""
+    if not mu:
+        return (1,) * g
     return conjugate(grow_diag_h(conjugate(mu), conjugate(kap), g))
 
 
@@ -267,12 +316,14 @@ def grow_diag_v_er(mu: Partition, kap: Partition) -> Partition:
     """Even-rows constraint on a VV diagonal box: conjugating turns it into
     the even-columns rule, so this variant is deterministic.  Maps kappa
     (even rows, kappa <' mu) to nu (even rows, nu >' mu)."""
-    return conjugate(grow_diag_h_ec(conjugate(mu), conjugate(kap)))
+    return grow_diag_v(mu, kap, 0)
 
 
 def grow_diag_v_ec(mu: Partition, kap: Partition, g: int) -> Partition:
     """Even-columns constraint on a VV diagonal box: the conjugated
     even-rows rule, consuming one geometric value."""
+    if not mu:
+        return (1,) * (2 * g)
     return conjugate(grow_diag_h_er(conjugate(mu), conjugate(kap), g))
 
 

@@ -84,23 +84,24 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> None:
     diagonal box (i, i), or None where that box draws nothing; the boxes
     below the diagonal mirror those above it and are skipped.
     """
-    for i, j in plan.boxes():
-        kind = plan.box_type(i, j)
-        if diagonal is None or i < j:
-            xi, geometric = plan.param(i, j), kind in ("HH", "VV")
-        elif i == j:
-            xi, geometric = diagonal(i, kind), True
-            if xi is None:
-                continue
-        else:
-            continue
-        if not 0 <= xi < _INF:
-            raise ValueError(
-                f"box {(i, j)} of type {kind} has parameter {xi}; "
-                "parameters must be finite and nonnegative"
-            )
-        if geometric and xi >= 1:
-            raise DivergenceError((i, j), kind, xi)
+    x, y, kinds = plan.x, plan.y, plan.row_kinds()
+    for j, row_len in enumerate(plan.pi, start=1):
+        for i, kind in enumerate(kinds[j - 1][:row_len], start=1):
+            if diagonal is None or i < j:
+                xi, geometric = x[i - 1] * y[j - 1], kind in ("HH", "VV")
+            elif i == j:
+                xi, geometric = diagonal(i, kind), True
+                if xi is None:
+                    continue
+            else:
+                break
+            if not 0 <= xi < _INF:
+                raise ValueError(
+                    f"box {(i, j)} of type {kind} has parameter {xi}; "
+                    "parameters must be finite and nonnegative"
+                )
+            if geometric and xi >= 1:
+                raise DivergenceError((i, j), kind, xi)
 
 
 def box_draw(plan: ShapePlan, src: RandomSource):
@@ -108,9 +109,10 @@ def box_draw(plan: ShapePlan, src: RandomSource):
     Geom(x_i y_j) on HH/VV boxes, Bernoulli(x_i y_j / (1 + x_i y_j)) on
     HV/VH boxes."""
     geom, bern = src.geometric, src.bernoulli
+    x, y = plan.x, plan.y
 
     def draw(i: int, j: int, kind: str) -> int:
-        xi = float(plan.param(i, j))
+        xi = float(x[i - 1] * y[j - 1])
         return geom(xi) if kind in ("HH", "VV") else bern(xi / (1.0 + xi))
 
     return draw
@@ -133,14 +135,14 @@ def grow_profile(plan: ShapePlan, box_input, diagonal=None, stats=None):
     """
     pi, m, n = plan.pi, plan.m, plan.n
     nrows = len(pi)
+    kinds = plan.row_kinds()
     profile = [EMPTY] * (m + 1)
     segments = []  # per-row boundary pieces, assembled at the end
     for j in range(1, nrows + 1):
         row_len = pi[j - 1]
         stop = row_len if diagonal is None else min(row_len, j)
         prev_diag = EMPTY  # tau(i - 1, j - 1)
-        for i in range(1, stop + 1):
-            kind = plan.box_type(i, j)
+        for i, kind in enumerate(kinds[j - 1][:stop], start=1):
             lam, above = profile[i - 1], profile[i]  # tau(i - 1, j), tau(i, j - 1)
             if i == j and diagonal is not None:
                 nu = diagonal(i, kind, lam, prev_diag)

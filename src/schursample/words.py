@@ -155,6 +155,12 @@ class ShapePlan:
     def box_type(self, i: int, j: int) -> str:
         return box_kind(self.u[i - 1], self.v[j - 1])
 
+    def row_kinds(self) -> List[List[str]]:
+        """kinds[j - 1][i - 1] == box_type(i, j) for every column i <= m;
+        rows with the same symbol share one list."""
+        by_symbol = {s: [box_kind(u, s) for u in self.u] for s in set(self.v)}
+        return [by_symbol[s] for s in self.v]
+
     def param(self, i: int, j: int):
         return self.x[i - 1] * self.y[j - 1]
 
@@ -228,12 +234,22 @@ def precompute_par(w: Sequence[Rel], z: Sequence) -> ShapePlan:
 
 def q_volume_parameters(w: Sequence[Rel], q):
     """Parameters making the measure proportional to q^(total volume):
-    z_i = q^-i on left symbols and q^i on right symbols."""
+    z_i = q^-i on left symbols and q^i on right symbols.
+
+    Raises ValueError, naming the symbol, when a float q^-i overflows.
+    """
     if not 0 < q < 1:
         raise ValueError(f"q must lie in (0,1), got {q}")
-    return tuple(
-        q ** (-(i + 1)) if s.left else q ** (i + 1) for i, s in enumerate(w)
-    )
+    z = []
+    for i, s in enumerate(w, start=1):
+        try:
+            z.append(q ** -i if s.left else q ** i)
+        except OverflowError:
+            raise ValueError(
+                f"symbol {i} ({s.value}) of the word needs the parameter q^-{i}, "
+                f"which overflows a float at q={q}"
+            ) from None
+    return tuple(z)
 
 
 def symmetrize(w: Sequence[Rel], z: Sequence):

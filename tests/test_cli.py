@@ -143,3 +143,12 @@ def test_json_symmetric_roundtrip():
     s = symmetric_schur_sample(parse_word("<<'"), (0.3, 0.4), 0.5, "free", 2)
     back = jsonio.loads(jsonio.dumps(s))
     assert back.lambdas == s.lambdas and back.mode == "free"
+
+
+def test_sample_long_q_volume_word_exits_with_the_overflowing_symbol(capsys):
+    code, out, err = run_cli(
+        capsys, "sample", "--word", "(<)^2000(>)^2000", "--q", "0.7", "--seed", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert "symbol 1990 (<)" in err and "q=0.7" in err

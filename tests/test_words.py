@@ -95,6 +95,12 @@ def test_q_volume_parameters():
         q_volume_parameters((LH, RH), 1.5)
 
 
+def test_q_volume_parameters_overflow_names_the_symbol():
+    word = parse_word("(<)^2000(>)^2000")
+    with pytest.raises(ValueError, match=r"symbol 1990 \(<\).*q=0\.7"):
+        q_volume_parameters(word, 0.7)
+
+
 def test_symmetrize():
     w, z = symmetrize((LH, RV), ("z1", "z2"))
     assert w == (LH, RV, LV, RH)
