@@ -39,7 +39,7 @@ print(f"\nAztec 3 brute-force sum = {total} (exact match: {total == z_finite(w, 
 
 # --- the MacMahon product for unboxed plane partitions ----------------------
 qf = 0.5
-zp = z_pyramidal(PyramidalParameters.q_volume(qf), WordConvention.plane_partitions(), 1e-12)
+zp = z_pyramidal(PyramidalParameters.q_volume(qf), WordConvention.plane_partitions())
 macmahon = -sum(k * math.log1p(-(qf**k)) for k in range(1, 200))
 print(f"\nunboxed plane partitions at q = {qf}:")
 print(f"  log Z = {zp.log:.12f}")

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import jsonio
 from .oracle import chi_square_statistic, enumerate_support, tv_distance
@@ -28,7 +29,7 @@ from .unbounded import (
     WordConvention,
     plancherel_sample,
 )
-from .words import parse_params, parse_word, q_volume_parameters
+from .words import parse_number, parse_params, parse_word, q_volume_parameters
 
 
 class CliError(Exception):
@@ -40,7 +41,7 @@ def _word_and_params(args):
     if args.z is not None:
         z = parse_params(args.z, len(word))
     elif args.q is not None:
-        z = q_volume_parameters(word, Fraction(args.q) if "/" in args.q else float(args.q))
+        z = q_volume_parameters(word, parse_number(args.q))
     else:
         raise CliError("need --z or --q")
     return word, z
@@ -143,9 +144,17 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
+def _first_record(args):
+    """The first JSON line of --input (stdin for "-"), decoded."""
+    text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
+    lines = text.strip().splitlines()
+    if not lines:
+        raise CliError(f"no JSON record in input {args.input!r}")
+    return jsonio.loads(lines[0])
+
+
 def cmd_convert(args) -> int:
-    text = sys.stdin.read() if args.input == "-" else open(args.input).read()
-    obj = jsonio.loads(text.strip().splitlines()[0])
+    obj = _first_record(args)
     if args.to == "plane-partition":
         view = to_plane_partition(obj.word, obj.lambdas)
     elif args.to == "steep-tiling":
@@ -159,8 +168,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_render(args) -> int:
-    text = sys.stdin.read() if args.input == "-" else open(args.input).read()
-    view = jsonio.loads(text.strip().splitlines()[0])
+    view = _first_record(args)
     svg = render_svg(view, RenderStyle(model=args.style, scale=args.scale))
     if args.out:
         with open(args.out, "w") as fh:

@@ -13,20 +13,13 @@ from .partitions import make
 from .sampler import ProcessSample
 from .symmetric import SymmetricSample
 from .tilings import Domino, DominoTiling, HeightMatrix, OverpartitionTableau
-from .words import format_word, parse_word
+from .words import format_word, parse_number, parse_word
 
 FORMAT = "schursample/1"
 
 
 def _num_to_str(v) -> str:
     return str(v) if isinstance(v, (int, Fraction)) else repr(float(v))
-
-
-def _num_from_str(s: str):
-    try:
-        return Fraction(s) if ("/" in s or "." not in s and "e" not in s.lower()) else float(s)
-    except ValueError:
-        return float(s)
 
 
 def sample_to_dict(s: ProcessSample) -> Dict[str, Any]:
@@ -49,7 +42,7 @@ def sample_from_dict(d: Dict[str, Any]) -> ProcessSample:
         raise ValueError(f"not a process sample: kind={d.get('kind')!r}")
     return ProcessSample(
         word=parse_word(d["word"]),
-        z=tuple(_num_from_str(v) for v in d["z"]),
+        z=tuple(parse_number(v) for v in d["z"]),
         seed=d.get("seed"),
         lambdas=tuple(make(l) for l in d["lambdas"]),
         rng_algorithm=d.get("rng", "unknown"),
@@ -75,8 +68,8 @@ def symmetric_from_dict(d: Dict[str, Any]) -> SymmetricSample:
         raise ValueError(f"not a symmetric sample: kind={d.get('kind')!r}")
     return SymmetricSample(
         word=parse_word(d["word"]),
-        z=tuple(_num_from_str(v) for v in d["z"]),
-        t=_num_from_str(d["t"]),
+        z=tuple(parse_number(v) for v in d["z"]),
+        t=parse_number(d["t"]),
         mode=d["mode"],
         seed=d.get("seed"),
         lambdas=tuple(make(l) for l in d["lambdas"]),

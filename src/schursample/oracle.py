@@ -346,54 +346,38 @@ def _interior_count_tables(word: Word, s_max: int) -> List[tuple]:
     return tables
 
 
-def _path_mass(word, zz, q, bound: int, tables, s_max: int) -> float:
-    """1-D relaxation: sum over slice-weight paths (all values <= bound) of
-    an upper bound on the sequence mass carrying that weight profile.
+def _path_mass(word, zz, q, bound: int, tables, s_max: int) -> List[float]:
+    """1-D relaxation: for each final value t, the sum over slice-weight
+    paths (all values <= bound) of an upper bound on the sequence mass
+    carrying that weight profile.
 
-    Steps cost z_i^|difference| in z-mode and nothing in q-mode; interior
-    values t pick up the partition-count cap (times q^t in q-mode).
+    Steps cost z_i^|difference| in z-mode and nothing in q-mode; the value t
+    after step i picks up the partition-count cap ``tables[i][t]`` (times
+    q^t in q-mode) wherever a table is given.
     """
     cur = [0.0] * (s_max + 1)
     cur[0] = 1.0
-    n = len(word)
+    qq = float(q) if q is not None else 1.0
     for i, rel in enumerate(word):
         step = 1.0 if q is not None else float(zz[i])
         nxt = [0.0] * (s_max + 1)
-        if rel.left:
-            run = 0.0
-            for t in range(bound + 1):
-                run = run * step + cur[t]
-                nxt[t] = run
-        else:
-            run = 0.0
-            for t in range(bound, -1, -1):
-                run = run * step + cur[t]
-                nxt[t] = run
-        if i < n - 1:
+        run = 0.0
+        for t in range(bound + 1) if rel.left else range(bound, -1, -1):
+            run = run * step + cur[t]
+            nxt[t] = run
+        if i < len(tables):
             table = tables[i]
             qpow = 1.0
-            qq = float(q) if q is not None else 1.0
             for t in range(bound + 1):
                 nxt[t] *= table[t] * qpow
                 qpow *= qq
         cur = nxt
-    return cur[0]
+    return cur
 
 
-def _crude_beyond(word: Word, zz, q, s_max: int) -> float:
-    """Bound on the mass of paths whose maximum exceeds s_max."""
-    n = len(word)
-    hooks = _hook_counts(word)[:-1]
-    degree = (n - 1) + sum(
-        max(min(al + bl, ar + br) - 1, 0) for (al, bl), (ar, br) in hooks
-    )
-    if q is not None:
-        x = float(q)
-    else:
-        zmax = max((float(v) for v in zz), default=0.0)
-        if zmax >= 1:
-            raise ValueError("z-mode tail bound needs all parameters < 1")
-        x = zmax * zmax
+def _crude_beyond(degree: int, x: float, s_max: int) -> float:
+    """Bound on sum_{t > s_max} (t + 1)^degree x^t, the mass of paths whose
+    maximum exceeds s_max."""
     total = 0.0
     t = s_max + 1
     term = (t + 1) ** degree * x**t
@@ -434,10 +418,21 @@ def escape_mass_bound(word: Word, z, cap: int, q=None, refine_to: int = 0) -> Fr
         cap = refine_to
     s_max = _S_DEFAULT_Q if q is not None else _S_DEFAULT_Z
     s_max = max(s_max, 2 * cap + 2)
+    hooks = _hook_counts(word)[:-1]
     tables = _interior_count_tables(word, s_max)
-    full = _path_mass(word, zz, q, s_max, tables, s_max)
-    capped = _path_mass(word, zz, q, cap, tables, s_max)
-    esc = max(full - capped, 0.0) + _crude_beyond(word, zz, q, s_max)
+    full = _path_mass(word, zz, q, s_max, tables, s_max)[0]
+    capped = _path_mass(word, zz, q, cap, tables, s_max)[0]
+    degree = (len(word) - 1) + sum(
+        max(min(al + bl, ar + br) - 1, 0) for (al, bl), (ar, br) in hooks
+    )
+    if q is not None:
+        x = float(q)
+    else:
+        zmax = max((float(v) for v in zz), default=0.0)
+        if zmax >= 1:
+            raise ValueError("z-mode tail bound needs all parameters < 1")
+        x = zmax * zmax
+    esc = max(full - capped, 0.0) + _crude_beyond(degree, x, s_max)
     # the difference of two nearly equal DP sums can cancel below the float
     # precision; full * 1e-12 strictly dominates that rounding loss
     bound = (esc + full * 1e-12) * (1 + 1e-6) + 1e-295
@@ -510,54 +505,18 @@ def _symmetric_escape_bound(word: Word, zz, tt: Fraction, cap: int) -> Fraction:
         raise ValueError("tail bound needs all parameters < 1")
     s_max = max(_S_DEFAULT_Z, 2 * cap + 2)
     # hook caps from the left side only (the right end is free)
-    left_counts = []
-    a = b = 0
-    for s in word:
-        if s.left:
-            if s.primed:
-                b += 1
-            else:
-                a += 1
-        left_counts.append((a, b))
-    tables = [_hook_count_table(aa, bb, s_max) for aa, bb in left_counts]
+    left_counts = [left for left, _ in _hook_counts(word)]
+    tables = [_hook_count_table(a, b, s_max) for a, b in left_counts]
+    tf = float(tt)
 
     def mass(bound: int) -> float:
-        cur = [0.0] * (s_max + 1)
-        cur[0] = 1.0
-        for i, rel in enumerate(word):
-            step = float(zz[i])
-            nxt = [0.0] * (s_max + 1)
-            if rel.left:
-                run = 0.0
-                for v in range(bound + 1):
-                    run = run * step + cur[v]
-                    nxt[v] = run
-            else:
-                run = 0.0
-                for v in range(bound, -1, -1):
-                    run = run * step + cur[v]
-                    nxt[v] = run
-            table = tables[i]
-            for v in range(bound + 1):
-                nxt[v] *= table[v]
-            cur = nxt
-        tf = float(tt)
+        cur = _path_mass(word, zz, None, bound, tables, s_max)
         return sum(w * tf**v for v, w in enumerate(cur))
 
     full = mass(s_max)
     esc = max(full - mass(cap), 0.0) + full * 1e-12
     degree = len(word) + sum(a + b for a, b in left_counts)
-    x = zmax
-    total, v = 0.0, s_max + 1
-    term = (v + 1) ** degree * x**v
-    while True:
-        ratio = x * ((v + 2) / (v + 1)) ** degree
-        if ratio < 0.95:
-            esc += total + term / (1 - ratio)
-            break
-        total += term
-        v += 1
-        term = (v + 1) ** degree * x**v
+    esc += _crude_beyond(degree, zmax, s_max)
     bound = esc * (1 + 1e-6) + 1e-295
     return Fraction(bound).limit_denominator(10**30) + Fraction(1, 10**25)
 

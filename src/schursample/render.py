@@ -8,7 +8,7 @@ the diagonal Maya diagrams (the right view for very large samples).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from .tilings import DominoTiling, HeightMatrix
@@ -27,11 +27,6 @@ LOZENGE_PALETTE = {"top": "#f1c232", "left": "#cc4125", "right": "#3d85c6"}
 class RenderStyle:
     model: str = "domino"
     scale: float = 12.0
-    palette: dict = field(default_factory=dict)
-    orientation: float = 0.0  # reserved; kept for format stability
-
-    def color(self, key, default_palette):
-        return self.palette.get(key, default_palette[key])
 
 
 def _fmt(x: float) -> str:
@@ -97,7 +92,7 @@ def render_lozenge(hm: HeightMatrix, style: RenderStyle) -> str:
             _iso(c, r, h, s), _iso(c + 1, r, h, s),
             _iso(c + 1, r + 1, h, s), _iso(c, r + 1, h, s),
         ]
-        svg.polygon(top, style.color("top", LOZENGE_PALETTE))
+        svg.polygon(top, LOZENGE_PALETTE["top"])
         if h > 0:
             left = [
                 _iso(c, r + 1, h, s), _iso(c + 1, r + 1, h, s),
@@ -107,8 +102,8 @@ def render_lozenge(hm: HeightMatrix, style: RenderStyle) -> str:
                 _iso(c + 1, r, h, s), _iso(c + 1, r + 1, h, s),
                 _iso(c + 1, r + 1, 0, s), _iso(c + 1, r, 0, s),
             ]
-            svg.polygon(left, style.color("left", LOZENGE_PALETTE))
-            svg.polygon(right, style.color("right", LOZENGE_PALETTE))
+            svg.polygon(left, LOZENGE_PALETTE["left"])
+            svg.polygon(right, LOZENGE_PALETTE["right"])
     return svg.document()
 
 
@@ -132,7 +127,7 @@ def render_domino(tiling: DominoTiling, style: RenderStyle) -> str:
     svg = _Svg()
     for d in tiling.dominoes:
         key = ("v" if d.vertical else "h", d.sign)
-        svg.polygon(_domino_rect(d, style.scale), style.color(key, DOMINO_PALETTE))
+        svg.polygon(_domino_rect(d, style.scale), DOMINO_PALETTE[key])
     return svg.document()
 
 

@@ -24,7 +24,7 @@ from .partitions import (
     from_maya,
     part,
 )
-from .words import Rel, Word
+from .words import Rel, Word, encoded_shape
 
 
 class CodecError(ValueError):
@@ -63,7 +63,7 @@ def to_plane_partition(word: Sequence[Rel], lambdas: Sequence[Partition]) -> Hei
     word = tuple(word)
     if any(s.primed for s in word):
         raise CodecError("plane partitions need an unprimed word")
-    shape = _encoded_shape_padded(word)
+    shape = encoded_shape(word)
     n = sum(1 for s in word if not s.left)
     rows: List[List[int]] = [[0] * ln for ln in shape]
     for r in range(1, len(shape) + 1):
@@ -75,18 +75,6 @@ def to_plane_partition(word: Sequence[Rel], lambdas: Sequence[Partition]) -> Hei
     hm = HeightMatrix(tuple(shape), tuple(tuple(r) for r in rows))
     hm.validate()
     return hm
-
-
-def _encoded_shape_padded(word: Word) -> Partition:
-    lefts = 0
-    parts = []
-    for s in word:
-        if s.left:
-            lefts += 1
-        else:
-            parts.append(lefts)
-    parts.reverse()
-    return tuple(p for p in parts if p)
 
 
 def _diag_depth(shape: Partition, c: int, r: int) -> int:

@@ -261,15 +261,22 @@ def symmetrize(w: Sequence[Rel], z: Sequence):
     return wsym, zsym
 
 
+def parse_number(text: str):
+    """``a/b`` and integer literals give exact rationals, anything else a
+    float (``inf`` and ``nan`` included)."""
+    if "/" in text or ("." not in text and "e" not in text.lower()):
+        try:
+            return Fraction(text)
+        except ValueError:
+            pass  # inf, nan: float spellings with no '.' or 'e'
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+    return float(text)
+
+
 def parse_params(text: str, n: int | None = None):
     """Parse a comma-separated parameter list; ``a/b`` gives exact rationals."""
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    out = []
-    for t in items:
-        if "/" in t or ("." not in t and "e" not in t.lower()):
-            out.append(Fraction(t))
-        else:
-            out.append(float(t))
+    out = tuple(parse_number(t.strip()) for t in text.split(",") if t.strip())
     if n is not None and len(out) != n:
         raise ValueError(f"expected {n} parameters, got {len(out)}")
-    return tuple(out)
+    return out

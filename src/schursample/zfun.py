@@ -12,6 +12,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Sequence
 
+from .sampler import DivergenceError
+from .unbounded import PyramidalSampler
 from .words import Rel, epsilon
 
 MODE_FREE = "free"
@@ -130,53 +132,13 @@ def z_symmetric(word: Sequence[Rel], z: Sequence, t, mode: str = MODE_FREE) -> Z
     return acc.result()
 
 
-def z_pyramidal(params, convention, rel_tol: float = 1e-10, order: str = "cantor") -> ZValue:
-    """Infinite product (1 + eps_ij a_i b_j)^eps_ij over i, j >= 0, evaluated
-    until the remaining-mass bound certifies relative error <= rel_tol.
+def z_pyramidal(params, convention) -> ZValue:
+    """Infinite product (1 + eps_ij a_i b_j)^eps_ij over i, j >= 0.
 
-    ``order`` chooses the accumulation order: "cantor" walks anti-diagonals
-    (the pairing-function order), "rows" walks growing squares; absolutely
-    convergent products agree.
+    This is 1 / P(K = -infinity) of the pyramidal sampler, so the value is
+    read from its certified truncation table (relative error <= 1e-15).
     """
-    a, b = params.a, params.b
-    log_acc = 0.0
-
-    def term(i: int, j: int) -> Optional[float]:
-        c = a[i] * b[j]
-        e = convention.epsilon(i, j)
-        if e == -1 and c >= 1:
-            return None
-        return math.log1p(c) if e == 1 else -math.log1p(-c)
-
-    if order not in ("cantor", "rows"):
-        raise ValueError(f"unknown accumulation order {order!r}")
-    block = 8
-    processed = 0  # number of complete anti-diagonals / side of the square
-    while True:
-        if order == "cantor":
-            for t in range(processed, processed + block):
-                for j in range(t + 1):
-                    v = term(t - j, j)
-                    if v is None:
-                        return ZValue(finite=False)
-                    log_acc += v
-        else:
-            hi = processed + block
-            for i in range(hi):
-                for j in range(hi):
-                    if i < processed and j < processed:
-                        continue
-                    v = term(i, j)
-                    if v is None:
-                        return ZValue(finite=False)
-                    log_acc += v
-        processed += block
-        # the unprocessed region lies outside the m x m square
-        m = (processed + 1) // 2 if order == "cantor" else processed
-        tail = a.tail(m) * b.total() + a.total() * b.tail(m)
-        cmax = max(a[m] * b[0], a[0] * b[m], 0.0)
-        if cmax < 1 and tail / (1 - cmax) <= rel_tol * max(abs(log_acc), 1e-3):
-            return ZValue(True, None, log_acc)
-        block *= 2
-        if processed > 1 << 20:
-            raise ArithmeticError("pyramidal partition function tail does not shrink")
+    try:
+        return ZValue(True, None, -PyramidalSampler(params, convention).log_p_empty())
+    except DivergenceError:
+        return ZValue(finite=False)

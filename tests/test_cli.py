@@ -84,6 +84,24 @@ def test_cli_domain_error_exit_code(capsys):
     assert "diverges" in err or "error" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--z", "1/0,1"), ("--q", "1/0")])
+def test_cli_zero_denominator_exits_with_an_error_line(capsys, flag, value):
+    code, out, err = run_cli(capsys, "sample", "--word", "<>", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "'1/0'" in err
+
+
+@pytest.mark.parametrize("command", [["convert", "--to", "plane-partition"], ["render"]])
+def test_cli_empty_input_exits_with_an_error_line(capsys, tmp_path, command):
+    empty = tmp_path / "empty.json"
+    empty.write_text("\n \n")
+    code, out, err = run_cli(capsys, *command, "--input", str(empty))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "no JSON record" in err
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["sample"])  # missing --word

@@ -1,0 +1,50 @@
+import math
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+from schursample import jsonio
+from schursample.sampler import ProcessSample
+from schursample.symmetric import SymmetricSample
+from schursample.words import Rel
+from schursample.zfun import MODES
+
+numbers = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.fractions(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.inf, -math.inf]),
+)
+words = st.lists(st.sampled_from(list(Rel)), max_size=8).map(tuple)
+partitions = st.lists(st.integers(1, 9), max_size=5).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+)
+seeds = st.one_of(st.none(), st.integers(0, 2**63))
+
+
+def assert_same_numbers(back, orig):
+    """Rationals come back as equal Fractions, floats as the same float."""
+    assert len(back) == len(orig)
+    for b, o in zip(back, orig):
+        assert b == o
+        assert isinstance(b, float if isinstance(o, float) else Fraction)
+
+
+@given(st.data(), words, seeds)
+def test_process_sample_json_round_trip(data, word, seed):
+    z = tuple(data.draw(numbers) for _ in word)
+    lambdas = tuple(data.draw(partitions) for _ in range(len(word) + 1))
+    s = ProcessSample(word=word, z=z, seed=seed, lambdas=lambdas)
+    back = jsonio.loads(jsonio.dumps(s))
+    assert back == s
+    assert_same_numbers(back.z, z)
+
+
+@given(st.data(), words, numbers, st.sampled_from(MODES), seeds)
+def test_symmetric_sample_json_round_trip(data, word, t, mode, seed):
+    z = tuple(data.draw(numbers) for _ in word)
+    lambdas = tuple(data.draw(partitions) for _ in range(2 * len(word) + 1))
+    s = SymmetricSample(word=word, z=z, t=t, mode=mode, seed=seed, lambdas=lambdas)
+    back = jsonio.loads(jsonio.dumps(s))
+    assert back == s
+    assert_same_numbers(back.z + (back.t,), z + (t,))

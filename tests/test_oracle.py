@@ -5,6 +5,7 @@ import pytest
 from schursample.oracle import (
     SupportSizeError,
     enumerate_support,
+    enumerate_symmetric_support,
     escape_mass_bound,
     exact_probability,
     hook_length_f,
@@ -117,6 +118,14 @@ def test_z_finite_vs_bruteforce_bracket():
 def test_escape_bound_zero_for_finite_words():
     w = parse_word("(<'>)^3")
     assert escape_mass_bound(w, (Fraction(1),) * 6, cap=slice_cap(w)) == 0
+
+
+def test_symmetric_tail_bound_refuses_a_ratio_stuck_above_its_cutoff():
+    # the tail terms (v + 1)^5 (24/25)^v have ratio -> 0.96, never below 0.95
+    with pytest.raises(ArithmeticError, match="does not converge"):
+        enumerate_symmetric_support(
+            parse_word("<<'"), (Fraction(24, 25),) * 2, Fraction(1, 2), cap=2
+        )
 
 
 def test_tv_distance_examples():

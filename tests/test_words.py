@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from schursample.words import (
     encoded_shape,
     epsilon,
     format_word,
+    parse_number,
+    parse_params,
     parse_word,
     precompute_par,
     q_volume_parameters,
@@ -34,6 +37,22 @@ def test_parse_word_caps_nested_expansion():
     assert len(parse_word("((<'>)^100)^100")) == 20_000
     with pytest.raises(ValueError, match="symbols"):
         parse_word("(((<'>)^100)^100)^100")  # 2,000,000 symbols
+
+
+def test_parse_number():
+    assert parse_number("3") == 3 and isinstance(parse_number("3"), Fraction)
+    assert parse_number("-2/6") == Fraction(-1, 3)
+    for text in ("0.5", "1e-3", "2E5"):
+        assert parse_number(text) == float(text) and isinstance(parse_number(text), float)
+    assert parse_number("-inf") == float("-inf")
+    assert math.isnan(parse_number("nan"))
+    with pytest.raises(ValueError, match="'1/0'"):
+        parse_number("1/0")
+    with pytest.raises(ValueError):
+        parse_number("x")
+    assert parse_params(" 1/2, 0.25 ,3", 3) == (Fraction(1, 2), 0.25, Fraction(3))
+    with pytest.raises(ValueError, match="expected 2"):
+        parse_params("1,2,3", 2)
 
 
 def test_encoded_shape_examples():

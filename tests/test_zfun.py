@@ -69,18 +69,27 @@ def test_z_pyramidal_macmahon():
     q = 0.5
     params = PyramidalParameters.q_volume(q)
     conv = WordConvention.plane_partitions()
-    out = z_pyramidal(params, conv, rel_tol=1e-12)
+    out = z_pyramidal(params, conv)
     expected = -sum(n * math.log1p(-(q**n)) for n in range(1, 200))
     assert out.finite
     assert abs(out.log - expected) < 1e-9
 
 
-def test_z_pyramidal_order_independence():
-    params = PyramidalParameters.q_volume(0.5)
-    conv = WordConvention.pyramid()
-    a = z_pyramidal(params, conv, rel_tol=1e-12, order="cantor")
-    b = z_pyramidal(params, conv, rel_tol=1e-12, order="rows")
-    assert abs(a.log - b.log) < 1e-10
+def test_z_pyramidal_macmahon_to_double_precision():
+    # at q = 0.9 the MacMahon sum needs about 400 terms; fsum is exact to 1 ulp
+    q = 0.9
+    out = z_pyramidal(PyramidalParameters.q_volume(q), WordConvention.plane_partitions())
+    expected = math.fsum(-n * math.log1p(-(q**n)) for n in range(1, 2000))
+    assert out.finite
+    assert abs(out.log - expected) <= 1e-14 * expected
+
+
+def test_z_pyramidal_divergence():
+    g = ParamSeq.geometric(1.5, 0.5)  # a_1 b_0 = 1.125 on a plain box
+    for conv in (WordConvention.plane_partitions(), WordConvention.pyramid()):
+        out = z_pyramidal(PyramidalParameters(g, g), conv)
+        assert not out.finite
+        assert math.isinf(float(out))
 
 
 def test_z_pyramidal_trivial():
