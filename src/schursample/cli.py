@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import jsonio
-from .oracle import chi_square_statistic, enumerate_support, tv_distance
+from .oracle import chi_square_pvalue, chi_square_statistic, enumerate_support, tv_distance
 from .render import RenderStyle, render_svg
 from .rng import RandomSource
 from .sampler import schur_sample
@@ -116,12 +117,20 @@ def cmd_zfun(args) -> int:
     return 0
 
 
+def _exact(v) -> Fraction:
+    """The rational the oracle uses for a parsed number: floats are rounded
+    to denominators up to 10^9, and non-finite values are refused."""
+    if not isinstance(v, float):
+        return Fraction(v)
+    if not math.isfinite(v):
+        raise ValueError(f"the exact oracle needs finite parameters, got {v!r}")
+    return Fraction(v).limit_denominator(10**9)
+
+
 def cmd_verify(args) -> int:
     word, z = _word_and_params(args)
-    zx = tuple(Fraction(v) if not isinstance(v, float) else Fraction(v).limit_denominator(10**9) for v in z)
-    q = None
-    if args.q is not None:
-        q = Fraction(args.q) if "/" in args.q else Fraction(args.q).limit_denominator(10**9)
+    zx = tuple(_exact(v) for v in z)
+    q = None if args.q is None else _exact(parse_number(args.q))
     sup = enumerate_support(word, zx, cap=args.cap, q=q, refine_tail_to=2 * args.cap + 8)
     src = RandomSource(args.seed)
     counts = {}
@@ -137,8 +146,6 @@ def cmd_verify(args) -> int:
     print(f"tail bound: {float(sup.tail_bound):.3g}")
     print(f"TV distance: {tv:.5f}")
     print(f"chi-square: {stat:.2f} on {dof} dof")
-    from .oracle import chi_square_pvalue
-
     print(f"chi-square p-value: {chi_square_pvalue(stat, dof):.4g}")
     print("PASS" if passed else "FAIL")
     return 0 if passed else 1

@@ -46,6 +46,7 @@ def sample_from_dict(d: Dict[str, Any]) -> ProcessSample:
         seed=d.get("seed"),
         lambdas=tuple(make(l) for l in d["lambdas"]),
         rng_algorithm=d.get("rng", "unknown"),
+        draw_log=[tuple(e) for e in d["draw_log"]] if "draw_log" in d else None,
     )
 
 

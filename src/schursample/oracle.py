@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import product
 from numbers import Rational
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -82,20 +83,8 @@ def vertical_strips_above(mu: Partition, budget: int) -> List[Partition]:
 
 def horizontal_strips_below(mu: Partition) -> List[Partition]:
     """All kappa <= mu with mu/kappa a horizontal strip (finite set)."""
-    out: List[Partition] = []
-    ell = len(mu)
-
-    def rec(i: int, acc: List[int]):
-        if i > ell:
-            out.append(tuple(v for v in acc if v))
-            return
-        for v in range(part(mu, i + 1), part(mu, i) + 1):
-            acc.append(v)
-            rec(i + 1, acc)
-            acc.pop()
-
-    rec(1, [])
-    return out
+    rows = product(*(range(lo, hi + 1) for hi, lo in zip(mu, mu[1:] + (0,))))
+    return [tuple(v for v in kappa if v) for kappa in rows]
 
 
 def vertical_strips_below(mu: Partition) -> List[Partition]:
@@ -134,33 +123,22 @@ def extensions(mu: Partition, rel: Rel, cap: int) -> List[Partition]:
 # ---------------------------------------------------------------------------
 # hook-class caps: which partitions can appear at a given position
 
-def _hook_counts(word: Word) -> List[Tuple[int, int]]:
-    """For each interior position i, the (rows, columns) hook bound
-    min-imized over the build-up and tear-down sides.
+def _hook_counts(word: Word) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
+    """For each position i, the (plain, primed) counts of the left steps up
+    to i and of the right steps after it.
 
     A slice reached from empty by a plain and b primed left steps satisfies
     lam_{a+1} <= b, and symmetrically from the right.
     """
-    n = len(word)
-    left = []
-    a = b = 0
-    for s in word:
-        if s.left:
-            if s.primed:
-                b += 1
-            else:
-                a += 1
-        left.append((a, b))
-    right = [None] * n
-    c = d = 0
-    for i in range(n - 1, -1, -1):
-        right[i] = (c, d)
-        if not word[i].left:
-            if word[i].primed:
-                d += 1
-            else:
-                c += 1
-    return [(left[i], right[i]) for i in range(n)]
+    def running(steps, left: bool) -> List[Tuple[int, int]]:
+        out, a, b = [], 0, 0
+        for s in steps:
+            if s.left == left:
+                a, b = a + (not s.primed), b + s.primed
+            out.append((a, b))
+        return out
+
+    return list(zip(running(word, True), running(word[:0:-1], False)[::-1] + [(0, 0)]))
 
 
 def slice_cap(word: Word) -> int:
@@ -181,17 +159,73 @@ def slice_cap(word: Word) -> int:
 
 
 def word_has_finite_support(word: Word) -> bool:
-    seen_plain_left = seen_primed_left = False
+    """No right step follows a left step of the same primedness."""
+    seen = set()
     for s in word:
         if s.left:
-            seen_plain_left |= not s.primed
-            seen_primed_left |= s.primed
-        else:
-            if not s.primed and seen_plain_left:
-                return False
-            if s.primed and seen_primed_left:
-                return False
+            seen.add(s.primed)
+        elif s.primed in seen:
+            return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the slice walk behind every support: a forward DP and an enumerator, both
+# taking the end condition ``free``.  None is the closed end: the last slice
+# is empty, so each slice must fit the hook of the right steps after it.  A
+# pair (t, mode) is the free end: a last slice lam obeying the mode weighs
+# t^|lam|.
+
+def _end_weight(lam: Partition, free):
+    if free is None:
+        return int(lam == EMPTY)
+    t, mode = free
+    if mode == MODE_EVEN_ROWS and any(v % 2 for v in lam):
+        return 0
+    if mode == MODE_EVEN_COLUMNS and any(v % 2 for v in conjugate(lam)):
+        return 0
+    return t ** sum(lam)
+
+
+def _steps(word: Word, zz: tuple, cap: int, free):
+    """steps(i, mu) lists each slice lam allowed after mu at step i with its
+    factor z_i^||lam| - |mu||."""
+    room = [right if free is None else None for _, right in _hook_counts(word)]
+    factor = lru_cache(maxsize=None)(lambda i, k: zz[i] ** k)
+    return lambda i, mu: [
+        (lam, factor(i, abs(sum(lam) - sum(mu))))
+        for lam in extensions(mu, word[i], cap)
+        if room[i] is None or part(lam, room[i][0] + 1) <= room[i][1]
+    ]
+
+
+def _slice_dp(word: Word, zz: tuple, cap: int, free) -> Fraction:
+    """Total weight of the sequences with every slice at most ``cap``."""
+    steps = _steps(word, zz, cap, free)
+    states: Dict[Partition, Fraction] = {EMPTY: Fraction(1)}
+    for i in range(len(word)):
+        new: Dict[Partition, Fraction] = {}
+        for mu, w in states.items():
+            for lam, dz in steps(i, mu):
+                new[lam] = new.get(lam, 0) + w * dz
+        states = new
+    return sum((w * _end_weight(lam, free) for lam, w in states.items()), Fraction(0))
+
+
+def _sequences(word: Word, zz: tuple, cap: int, free):
+    """Yield (sequence, weight) for every sequence that _slice_dp sums."""
+    steps = _steps(word, zz, cap, free)
+
+    def rec(seq: List[Partition], w: Fraction):
+        if len(seq) > len(word):
+            end = _end_weight(seq[-1], free)
+            if end:  # w * 1 is w: a closed end costs no product
+                yield tuple(seq), w * end if end != 1 else w
+            return
+        for lam, dz in steps(len(seq) - 1, seq[-1]):
+            yield from rec(seq + [lam], w * dz)
+
+    return rec([EMPTY], Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +242,9 @@ class WeightedSupport:
     entries: Dict[tuple, Fraction]
     tail_bound: Fraction
 
-    @property
+    @cached_property
     def total(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
+        return _slice_dp(self.word, self.z, self.cap, None)
 
     @property
     def complete(self) -> bool:
@@ -258,32 +292,11 @@ def enumerate_support(
     zz = _as_fractions(z)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    n = len(word)
-    hooks = _hook_counts(word)
     entries: Dict[tuple, Fraction] = {}
-
-    def fits_right(lam: Partition, i: int) -> bool:
-        (c, d) = hooks[i - 1][1]
-        return part(lam, c + 1) <= d
-
-    def rec(i: int, seq: List[Partition], w: Fraction):
-        if i == n:
-            if seq[-1] == EMPTY:
-                if len(entries) >= max_entries:
-                    raise SupportSizeError(
-                        f"support enumeration exceeded {max_entries} entries"
-                    )
-                entries[tuple(seq)] = w
-            return
-        mu = seq[-1]
-        for lam in extensions(mu, word[i], cap):
-            if not fits_right(lam, i + 1):
-                continue
-            seq.append(lam)
-            rec(i + 1, seq, w * zz[i] ** abs(sum(lam) - sum(mu)))
-            seq.pop()
-
-    rec(0, [EMPTY], Fraction(1))
+    for seq, w in _sequences(word, zz, cap, None):
+        if len(entries) >= max_entries:
+            raise SupportSizeError(f"support enumeration exceeded {max_entries} entries")
+        entries[seq] = w
     tail = escape_mass_bound(word, zz, cap, q=q, refine_to=refine_tail_to)
     return WeightedSupport(word, zz, cap, entries, tail)
 
@@ -291,21 +304,7 @@ def enumerate_support(
 def sum_weights_dp(word: Sequence[Rel], z: Sequence, cap: int) -> Fraction:
     """Exact sum of weights over the same capped support, without
     materializing the sequences."""
-    word = tuple(word)
-    zz = _as_fractions(z)
-    hooks = _hook_counts(word)
-    states: Dict[Partition, Fraction] = {EMPTY: Fraction(1)}
-    for i, rel in enumerate(word):
-        (c, d) = hooks[i][1]
-        new: Dict[Partition, Fraction] = {}
-        for mu, w in states.items():
-            for lam in extensions(mu, rel, cap):
-                if part(lam, c + 1) > d:
-                    continue
-                dw = w * zz[i] ** abs(sum(lam) - sum(mu))
-                new[lam] = new.get(lam, Fraction(0)) + dw
-        states = new
-    return states.get(EMPTY, Fraction(0))
+    return _slice_dp(tuple(word), _as_fractions(z), cap, None)
 
 
 # ---------------------------------------------------------------------------
@@ -442,30 +441,26 @@ def escape_mass_bound(word: Word, z, cap: int, q=None, refine_to: int = 0) -> Fr
 # ---------------------------------------------------------------------------
 # right-free (symmetric) support
 
-def _mode_ok(lam: Partition, mode: str) -> bool:
-    if mode == MODE_EVEN_ROWS:
-        return all(v % 2 == 0 for v in lam)
-    if mode == MODE_EVEN_COLUMNS:
-        return all(v % 2 == 0 for v in conjugate(lam))
-    return True
-
-
 @dataclass
 class SymmetricSupport:
     """Exact weights t^|free| * prod z^|diffs| of right-free sequences with
-    every slice within the cap and the free end obeying the mode."""
+    every slice within the cap and the free end obeying the mode.  The total
+    comes from the slice DP; the entries are enumerated on first access."""
 
     word: Word
     z: tuple
     t: Fraction
     mode: str
     cap: int
-    entries: Dict[tuple, Fraction]
     tail_bound: Fraction
 
-    @property
+    @cached_property
+    def entries(self) -> Dict[tuple, Fraction]:
+        return dict(_sequences(self.word, self.z, self.cap, (self.t, self.mode)))
+
+    @cached_property
     def total(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
+        return _slice_dp(self.word, self.z, self.cap, (self.t, self.mode))
 
 
 def enumerate_symmetric_support(
@@ -476,23 +471,8 @@ def enumerate_symmetric_support(
     word = tuple(word)
     zz = _as_fractions(z)
     tt = Fraction(t)
-    entries: Dict[tuple, Fraction] = {}
-    n = len(word)
-
-    def rec(i: int, seq: List[Partition], w: Fraction):
-        if i == n:
-            if _mode_ok(seq[-1], mode):
-                entries[tuple(seq)] = w * tt ** sum(seq[-1])
-            return
-        mu = seq[-1]
-        for lam in extensions(mu, word[i], cap):
-            seq.append(lam)
-            rec(i + 1, seq, w * zz[i] ** abs(sum(lam) - sum(mu)))
-            seq.pop()
-
-    rec(0, [EMPTY], Fraction(1))
     tail = _symmetric_escape_bound(word, zz, tt, cap)
-    return SymmetricSupport(word, zz, tt, mode, cap, entries, tail)
+    return SymmetricSupport(word, zz, tt, mode, cap, tail)
 
 
 def _symmetric_escape_bound(word: Word, zz, tt: Fraction, cap: int) -> Fraction:
@@ -503,21 +483,32 @@ def _symmetric_escape_bound(word: Word, zz, tt: Fraction, cap: int) -> Fraction:
     zmax = max((float(v) for v in zz), default=0.0)
     if zmax >= 1:
         raise ValueError("tail bound needs all parameters < 1")
-    s_max = max(_S_DEFAULT_Z, 2 * cap + 2)
     # hook caps from the left side only (the right end is free)
     left_counts = [left for left, _ in _hook_counts(word)]
-    tables = [_hook_count_table(a, b, s_max) for a, b in left_counts]
+    degree = len(word) + sum(a + b for a, b in left_counts)
     tf = float(tt)
 
-    def mass(bound: int) -> float:
-        cur = _path_mass(word, zz, None, bound, tables, s_max)
-        return sum(w * tf**v for v, w in enumerate(cur))
+    def parts(s_max: int) -> Tuple[float, float]:
+        """The path part (maxima in (cap, s_max]) and the crude part (maxima
+        beyond s_max) of the bound at horizon s_max."""
+        tables = [_hook_count_table(a, b, s_max) for a, b in left_counts]
 
-    full = mass(s_max)
-    esc = max(full - mass(cap), 0.0) + full * 1e-12
-    degree = len(word) + sum(a + b for a, b in left_counts)
-    esc += _crude_beyond(degree, zmax, s_max)
-    bound = esc * (1 + 1e-6) + 1e-295
+        def mass(bound: int) -> float:
+            cur = _path_mass(word, zz, None, bound, tables, s_max)
+            return sum(w * tf**v for v, w in enumerate(cur))
+
+        full = mass(s_max)
+        path = max(full - mass(cap), 0.0) + full * 1e-12
+        return path, _crude_beyond(degree, zmax, s_max)
+
+    # the crude part falls and the path part rises with the horizon, so
+    # double it until the path relaxation carries the bound
+    s_max = max(_S_DEFAULT_Z, 2 * cap + 2)
+    path, crude = parts(s_max)
+    while crude > path:
+        s_max *= 2
+        path, crude = parts(s_max)
+    bound = (path + crude) * (1 + 1e-6) + 1e-295
     return Fraction(bound).limit_denominator(10**30) + Fraction(1, 10**25)
 
 

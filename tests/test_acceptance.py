@@ -185,7 +185,7 @@ def test_criterion_7_symmetric_variants():
                 assert all(v % 2 == 0 for v in lam)
             elif k % 3 == 2:
                 assert all(v % 2 == 0 for v in conjugate(lam))
-    with Budget("7b (symmetric Z brackets, words <= 4)", 120.0):
+    with Budget("7b (symmetric Z brackets, words <= 4)", 30.0):
         t = Fraction(1, 2)
         n_checked = 0
         for w in all_words(4):
@@ -196,6 +196,24 @@ def test_criterion_7_symmetric_variants():
                 assert sup.total <= zv.exact <= sup.total + sup.tail_bound, (w, mode)
                 n_checked += 1
         print(f"  {n_checked} (word, mode) pairs bracketed")
+
+
+def test_criterion_7_symmetric_brackets_are_not_vacuous():
+    # the upper side of a 7b bracket tests something only if its tail bound
+    # is well below Z itself
+    with Budget("7c (symmetric tail bounds below Z/3, words <= 4)", 30.0):
+        t = Fraction(1, 2)
+        worst = Fraction(0)
+        for w in all_words(4):
+            z = Z_CYCLE[: len(w)]
+            for mode in ("free", "even_rows", "even_columns"):
+                ratio = (
+                    enumerate_symmetric_support(w, z, t, cap=10, mode=mode).tail_bound
+                    / z_symmetric(w, z, t, mode).exact
+                )
+                assert ratio < Fraction(1, 3), (w, mode, float(ratio))
+                worst = max(worst, ratio)
+        print(f"  worst tail bound / Z = {float(worst):.3g}")
 
 
 def test_criterion_8_unbounded_sampler():

@@ -118,6 +118,16 @@ def test_verify_cli_passes(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize(
+    "params,named", [(("--z", "1/2,1/2", "--q", "1/0"), "'1/0'"), (("--z", "1/2,inf"), "inf")]
+)
+def test_verify_bad_number_exits_with_an_error_line(capsys, params, named):
+    code, out, err = run_cli(capsys, "verify", "--word", "<>", *params, "--samples", "10")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and named in err
+
+
 def test_convert_and_render_pipeline(capsys, tmp_path, monkeypatch):
     s = schur_sample(parse_word("(<)^3(>)^3"), (0.5,) * 6, 5)
     sample_file = tmp_path / "sample.json"

@@ -4,9 +4,10 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from schursample import jsonio
-from schursample.sampler import ProcessSample
+from schursample.rng import RandomSource
+from schursample.sampler import ProcessSample, schur_sample
 from schursample.symmetric import SymmetricSample
-from schursample.words import Rel
+from schursample.words import Rel, parse_word
 from schursample.zfun import MODES
 
 numbers = st.one_of(
@@ -48,3 +49,11 @@ def test_symmetric_sample_json_round_trip(data, word, t, mode, seed):
     back = jsonio.loads(jsonio.dumps(s))
     assert back == s
     assert_same_numbers(back.z + (back.t,), z + (t,))
+
+
+def test_logged_sample_json_round_trip():
+    s = schur_sample(parse_word("(<'>)^2"), (1, 1, 1, 1), RandomSource(3, log_draws=True))
+    assert s.draw_log
+    back = jsonio.loads(jsonio.dumps(s))
+    assert back.draw_log == s.draw_log
+    assert back.lambdas == s.lambdas
