@@ -9,8 +9,9 @@ shuffling dynamics; any fill order gives the same tiling for the same bits.
 from collections import Counter
 from pathlib import Path
 
-from schursample import RandomSource, parse_word, schur_sample
+from schursample import RandomSource, parse_word, precompute_par, schur_sample
 from schursample.render import RenderStyle, render_svg
+from schursample.sampler import boundary_lambdas, run_growth
 from schursample.tilings import to_steep_tiling
 
 OUT = Path(__file__).parent / "output"
@@ -24,10 +25,16 @@ print("size-2 Aztec diamond, 20000 samples over the 8 tilings:")
 for seq, c in sorted(counts.items()):
     print(f"  {str(seq):55s} {c / 20_000:.4f}")
 
-# --- one large sample, rendered --------------------------------------------
+# --- one large sample, grown again by domino shuffling, rendered -----------
 n = 24
 word = parse_word(f"(<'>)^{n}")
-sample = schur_sample(word, (1,) * (2 * n), 2024, order="diagonal")
+z = (1,) * (2 * n)
+sample = schur_sample(word, z, RandomSource(2024, log_draws=True))
+plan = precompute_par(word, z)
+bits = {box: bit for box, (_, _, bit) in zip(plan.boxes(), sample.draw_log)}
+shuffled = boundary_lambdas(plan, run_growth(plan, bits, "diagonal"))
+print(f"\ndomino shuffling on the same {len(bits)} bits gives the same tiling: "
+      f"{shuffled == sample.lambdas}")
 tiling = to_steep_tiling(word, sample.lambdas)
 svg = render_svg(tiling, RenderStyle(model="domino", scale=8))
 path = OUT / f"aztec_{n}.svg"

@@ -27,7 +27,7 @@ for n in (1, 2, 3, 4):
 w = parse_word("(<)^2(>)^2")
 q = Fraction(1, 2)
 z = q_volume_parameters(w, q)
-sup = enumerate_support(w, z, cap=12, q=q, refine_tail_to=40)
+sup = enumerate_support(w, z, cap=12, refine_tail_to=40)
 print(f"\nboxed 2x2 plane partitions at q = 1/2:")
 print(f"  closed form     Z = {z_finite(w, z)}")
 print(f"  enumerated mass   = {float(sup.total):.9f} + tail <= {float(sup.tail_bound):.2e}")

@@ -39,6 +39,8 @@ class CliError(Exception):
 
 def _word_and_params(args):
     word = parse_word(args.word)
+    if args.z is not None and args.q is not None:
+        raise CliError(f"give --z or --q, not both (got --z {args.z!r} and --q {args.q!r})")
     if args.z is not None:
         z = parse_params(args.z, len(word))
     elif args.q is not None:
@@ -57,7 +59,7 @@ def _batch(count: int, seed: int, one):
 
 def cmd_sample(args) -> int:
     word, z = _word_and_params(args)
-    one = lambda src: schur_sample(word, z, src, order=args.order)
+    one = lambda src: schur_sample(word, z, src)
     for s in _batch(args.count, args.seed, one):
         print(jsonio.dumps(s))
     return 0
@@ -75,7 +77,7 @@ def cmd_sample_symmetric(args) -> int:
 
 
 def cmd_sample_unbounded(args) -> int:
-    params = PyramidalParameters.q_volume(float(args.q))
+    params = PyramidalParameters.q_volume(float(parse_number(args.q)))
     conv = WordConvention.pyramid() if args.alternating else WordConvention.plane_partitions()
     sampler = PyramidalSampler(params, conv)
     out = _batch(args.count, args.seed, sampler.sample)
@@ -129,9 +131,11 @@ def _exact(v) -> Fraction:
 
 def cmd_verify(args) -> int:
     word, z = _word_and_params(args)
-    zx = tuple(_exact(v) for v in z)
-    q = None if args.q is None else _exact(parse_number(args.q))
-    sup = enumerate_support(word, zx, cap=args.cap, q=q, refine_tail_to=2 * args.cap + 8)
+    if args.q is None:
+        zx = tuple(_exact(v) for v in z)
+    else:  # exact q^Volume weights, which the oracle recognises
+        zx = q_volume_parameters(word, _exact(parse_number(args.q)))
+    sup = enumerate_support(word, zx, cap=args.cap, refine_tail_to=2 * args.cap + 8)
     src = RandomSource(args.seed)
     counts = {}
     for k in range(args.samples):
@@ -202,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--z", help="comma-separated parameters, rationals allowed")
     sp.add_argument("--q", help="q-Volume specialization parameter in (0,1)")
-    sp.add_argument("--order", choices=["row_major", "diagonal"], default="row_major")
     sp.add_argument(
         "--in-place",
         action="store_true",

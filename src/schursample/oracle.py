@@ -20,13 +20,14 @@ from .partitions import (
     EMPTY,
     Partition,
     conjugate,
+    has_even_parts,
     interlaces_h,
     part,
     partitions_up_to,
 )
 from . import rules
-from .words import Rel, Word
-from .zfun import MODE_EVEN_COLUMNS, MODE_EVEN_ROWS, MODE_FREE
+from .words import Rel, Word, q_volume_parameters
+from .zfun import MODE_EVEN_COLUMNS, MODE_FREE
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +181,7 @@ def _end_weight(lam: Partition, free):
     if free is None:
         return int(lam == EMPTY)
     t, mode = free
-    if mode == MODE_EVEN_ROWS and any(v % 2 for v in lam):
-        return 0
-    if mode == MODE_EVEN_COLUMNS and any(v % 2 for v in conjugate(lam)):
+    if mode != MODE_FREE and not has_even_parts(lam, mode == MODE_EVEN_COLUMNS):
         return 0
     return t ** sum(lam)
 
@@ -278,16 +277,11 @@ def enumerate_support(
     word: Sequence[Rel],
     z: Sequence,
     cap: int,
-    q=None,
     max_entries: int = 2_000_000,
     refine_tail_to: int = 0,
 ) -> WeightedSupport:
-    """All word-interlaced sequences with every |lambda(i)| <= cap.
-
-    ``q`` (when given) asserts that the weights follow the q^Volume form and
-    is used for the sharper tail bound; otherwise the z-mode bound applies,
-    which requires every z_i < 1.
-    """
+    """All word-interlaced sequences with every |lambda(i)| <= cap, with the
+    tail bound of :func:`escape_mass_bound`."""
     word = tuple(word)
     zz = _as_fractions(z)
     if cap < 0:
@@ -297,7 +291,7 @@ def enumerate_support(
         if len(entries) >= max_entries:
             raise SupportSizeError(f"support enumeration exceeded {max_entries} entries")
         entries[seq] = w
-    tail = escape_mass_bound(word, zz, cap, q=q, refine_to=refine_tail_to)
+    tail = escape_mass_bound(word, zz, cap, refine_to=refine_tail_to)
     return WeightedSupport(word, zz, cap, entries, tail)
 
 
@@ -393,7 +387,17 @@ def _crude_beyond(degree: int, x: float, s_max: int) -> float:
             raise ArithmeticError("crude tail bound does not converge")
 
 
-def escape_mass_bound(word: Word, z, cap: int, q=None, refine_to: int = 0) -> Fraction:
+def _volume_q(word: Word, zz: tuple):
+    """The q with zz == q_volume_parameters(word, q) for some 0 < q < 1, or
+    None.  The first parameter fixes q: it is q^-1 on a left symbol and q
+    on a right one."""
+    if not word or zz[0] == 0:
+        return None
+    q = 1 / zz[0] if word[0].left else zz[0]
+    return q if 0 < q < 1 and zz == q_volume_parameters(word, q) else None
+
+
+def escape_mass_bound(word: Word, z, cap: int, refine_to: int = 0) -> Fraction:
     """Rational upper bound on the weight of sequences with some slice
     heavier than ``cap``.
 
@@ -401,7 +405,10 @@ def escape_mass_bound(word: Word, z, cap: int, q=None, refine_to: int = 0) -> Fr
     Otherwise a one-dimensional relaxation over slice weights is summed up
     to an internal horizon, plus a certified polynomial-times-geometric
     bound beyond it; the float arithmetic is inflated by 1e-6 before
-    rationalizing, which dwarfs the accumulated rounding error.
+    rationalizing, which dwarfs the accumulated rounding error.  When z is
+    exactly the q^Volume specialization of the word, the relaxation weighs
+    slice weights by q (q-mode); otherwise it weighs the steps by z, which
+    needs every z_i < 1 (z-mode).
 
     With ``refine_to`` > cap, the mass with maxima in (cap, refine_to] is
     computed exactly by the slice DP and only the remainder is relaxed,
@@ -415,6 +422,7 @@ def escape_mass_bound(word: Word, z, cap: int, q=None, refine_to: int = 0) -> Fr
     if refine_to > cap:
         exact_part = sum_weights_dp(word, zz, refine_to) - sum_weights_dp(word, zz, cap)
         cap = refine_to
+    q = _volume_q(word, zz)
     s_max = _S_DEFAULT_Q if q is not None else _S_DEFAULT_Z
     s_max = max(s_max, 2 * cap + 2)
     hooks = _hook_counts(word)[:-1]
@@ -645,14 +653,11 @@ def _verify_box_type(kind: str, max_weight: int, report: BijectionReport) -> Non
 
 def _verify_diagonal(kind: str, max_weight: int, report: BijectionReport) -> None:
     parts = partitions_up_to(max_weight)
+    parity_ok = lambda lam: kind == "H" or has_even_parts(lam, kind == "HEC")
     for mu in parts:
         image = {}
         for kap in parts:
-            if not interlaces_h(mu, kap):
-                continue
-            if kind == "HER" and any(v % 2 for v in kap):
-                continue
-            if kind == "HEC" and any(v % 2 for v in conjugate(kap)):
+            if not interlaces_h(mu, kap) or not parity_ok(kap):
                 continue
             grange = (0,) if kind == "HEC" else range(2 * max_weight + 1)
             for g in grange:
@@ -674,11 +679,7 @@ def _verify_diagonal(kind: str, max_weight: int, report: BijectionReport) -> Non
                 image[nu] = (kap, g)
                 report.checked += 1
         for nu in partitions_up_to(2 * max_weight):
-            if not interlaces_h(nu, mu):
-                continue
-            if kind == "HER" and any(v % 2 for v in nu):
-                continue
-            if kind == "HEC" and any(v % 2 for v in conjugate(nu)):
+            if not interlaces_h(nu, mu) or not parity_ok(nu):
                 continue
             try:
                 kap, g = rules.shrink_diag(kind, mu, nu)

@@ -59,6 +59,11 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(out)
 
 
+def has_even_parts(lam: Partition, columns: bool) -> bool:
+    """Every row of lam (every column, with ``columns``) has even length."""
+    return all(v % 2 == 0 for v in (conjugate(lam) if columns else lam))
+
+
 def contains(lam: Partition, mu: Partition) -> bool:
     """mu is a subdiagram of lam."""
     return len(mu) <= len(lam) and all(lam[i] >= mu[i] for i in range(len(mu)))

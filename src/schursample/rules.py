@@ -28,6 +28,7 @@ from typing import Tuple
 from .partitions import (
     Partition,
     conjugate,
+    has_even_parts,
     interlaces_h,
     interlaces_v,
     part,
@@ -340,10 +341,6 @@ _DIAG_RULES = {
 }
 
 
-def _even(lam: Partition, parity: str) -> bool:
-    return all(v % 2 == 0 for v in (lam if parity == "rows" else conjugate(lam)))
-
-
 def grow_diag(kind: str, mu: Partition, kap: Partition, g: int) -> Partition:
     """The diagonal rule of ``kind`` in {H, HER, HEC, V, VER, VEC} with
     every pre- and postcondition asserted; the deterministic HEC and VER
@@ -355,10 +352,11 @@ def grow_diag(kind: str, mu: Partition, kap: Partition, g: int) -> Partition:
         _require(g == 0, f"diag-{kind} is deterministic, got G = {g}")
     _require(strip(mu, kap), f"diag-{kind} precondition on mu, kappa fails: {mu} {kap}")
     if parity:
-        _require(_even(kap, parity), f"kappa must have even {parity}, got {kap}")
+        columns = parity == "columns"
+        _require(has_even_parts(kap, columns), f"kappa must have even {parity}, got {kap}")
     nu = kernel(mu, kap, g) if g_weight else kernel(mu, kap)
     if parity:
-        _require(_even(nu, parity), f"diag-{kind} output must have even {parity}")
+        _require(has_even_parts(nu, columns), f"diag-{kind} output must have even {parity}")
     _require(strip(nu, mu), f"diag-{kind} output interlacing")
     _require(2 * sum(mu) + g_weight * g == sum(kap) + sum(nu), f"diag-{kind} weight balance")
     return nu

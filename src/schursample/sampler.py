@@ -9,9 +9,9 @@ finite truncation word).  ``in_place_boundary_sample`` is another name for
 ``schur_sample``.
 
 :func:`run_growth` keeps the whole grid and takes any traversal order; it
-is the reference that the tests compare the sweep against, and it backs
-``schur_sample(order="diagonal")``, which is domino shuffling on Aztec
-words.
+is the reference that the tests compare the sweep against.  Its
+``"diagonal"`` order is domino shuffling on Aztec words, and it grows the
+same grid as the sweep from the same inputs.
 """
 from __future__ import annotations
 
@@ -164,10 +164,7 @@ def grow_profile(plan: ShapePlan, box_input, diagonal=None, stats=None):
 
 
 def run_growth(
-    plan: ShapePlan,
-    inputs: Dict[Box, int],
-    order: str = "row_major",
-    stats: Optional[SampleStats] = None,
+    plan: ShapePlan, inputs: Dict[Box, int], order: str = "row_major"
 ) -> Dict[Box, Partition]:
     """Fill the shape with the local rules under the given per-box inputs.
 
@@ -187,11 +184,7 @@ def run_growth(
         lam = get((i - 1, j), EMPTY)
         mu = get((i, j - 1), EMPTY)
         kap = get((i - 1, j - 1), EMPTY)
-        nu = GROW[plan.box_type(i, j)](lam, mu, kap, inputs[(i, j)])
-        tau[(i, j)] = nu
-        if stats is not None:
-            stats.boxes += 1
-            stats.work += max(len(lam), len(mu)) + 1
+        tau[(i, j)] = GROW[plan.box_type(i, j)](lam, mu, kap, inputs[(i, j)])
     return tau
 
 
@@ -200,29 +193,16 @@ def boundary_lambdas(plan: ShapePlan, grid: Dict[Box, Partition]) -> Tuple[Parti
 
 
 def schur_sample(
-    word: Sequence[Rel],
-    z: Sequence,
-    src: RandomSource | int,
-    order: str = "row_major",
+    word: Sequence[Rel], z: Sequence, src: RandomSource | int
 ) -> ProcessSample:
     """Draw one exact sample of the Schur process of ``word`` with parameters
-    ``z``, storing one profile of m + 1 partitions.
-
-    ``order="diagonal"`` grows the whole grid by increasing i + j instead
-    (domino shuffling on Aztec words); the draws, and so the sample, are the
-    same.
-    """
+    ``z``, storing one profile of m + 1 partitions."""
     if isinstance(src, int):
         src = RandomSource(src)
     plan = precompute_par(word, z)
     check_parameters(plan)
     stats = SampleStats()
-    draw = box_draw(plan, src)
-    if order == "row_major":
-        lambdas = grow_profile(plan, draw, stats=stats)
-    else:
-        inputs = {(i, j): draw(i, j, plan.box_type(i, j)) for i, j in plan.boxes()}
-        lambdas = boundary_lambdas(plan, run_growth(plan, inputs, order, stats))
+    lambdas = grow_profile(plan, box_draw(plan, src), stats=stats)
     return ProcessSample(
         word=plan.word,
         z=tuple(z),

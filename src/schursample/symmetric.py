@@ -16,7 +16,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Sequence, Tuple
 
-from .partitions import EMPTY, Partition, conjugate, interlaces
+from .partitions import EMPTY, Partition, has_even_parts, interlaces
 from .rng import ALGORITHM, RandomSource
 from .rules import (
     grow_diag_h,
@@ -58,10 +58,8 @@ class SymmetricSample:
             if self.lambdas[i] != self.lambdas[2 * n - i]:
                 raise ValueError("sequence is not palindromic")
         lam = self.free_partition
-        if self.mode == MODE_EVEN_ROWS and any(v % 2 for v in lam):
-            raise ValueError(f"free partition {lam} has an odd row")
-        if self.mode == MODE_EVEN_COLUMNS and any(v % 2 for v in conjugate(lam)):
-            raise ValueError(f"free partition {lam} has an odd column")
+        if self.mode != MODE_FREE and not has_even_parts(lam, self.mode == MODE_EVEN_COLUMNS):
+            raise ValueError(f"free partition {lam} breaks the {self.mode} boundary mode")
         wsym, _ = symmetrize(self.word, self.z)
         for i, rel in enumerate(wsym, start=1):
             if not interlaces(self.lambdas[i - 1], self.lambdas[i], rel):

@@ -128,10 +128,6 @@ class DominoTiling:
     window: Tuple[int, int]  # doubled positions [lo, hi] covered per diagonal
     dominoes: tuple  # tuple[Domino, ...], sorted
 
-    @property
-    def shifts(self) -> Tuple[int, ...]:
-        return word_shifts(self.word)
-
     def domino_set(self) -> frozenset:
         return frozenset(self.dominoes)
 

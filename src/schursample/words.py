@@ -6,7 +6,6 @@ for the size-2 Aztec diamond word.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -188,21 +187,6 @@ class ShapePlan:
                 j -= 1
             pts.append((i, j))
         return pts
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "word": format_word(self.word),
-                "pi": list(self.pi),
-                "x": [str(v) for v in self.x],
-                "y": [str(v) for v in self.y],
-                "u": [s.value for s in self.u],
-                "v": [s.value for s in self.v],
-                "box_type": {
-                    f"{i},{j}": self.box_type(i, j) for i, j in self.boxes()
-                },
-            }
-        )
 
 
 def precompute_par(w: Sequence[Rel], z: Sequence) -> ShapePlan:

@@ -101,7 +101,7 @@ def test_criterion_2_exact_sampling_distribution():
         q = Fraction(1, 2)
         w = parse_word("(<)^2(>)^2")
         z = q_volume_parameters(w, q)
-        sup = enumerate_support(w, z, cap=12, q=q, refine_tail_to=44)
+        sup = enumerate_support(w, z, cap=12, refine_tail_to=44)
         assert sup.tail_bound < Fraction(1, 1000) * z_finite(w, z).exact
         zf = (2.0, 4.0, 0.125, 0.0625)
         src = RandomSource(515)

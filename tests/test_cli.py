@@ -64,6 +64,17 @@ def test_sample_unbounded_batch_matches_library(capsys):
         assert got["lambdas"] == {str(i): list(v) for i, v in sorted(s.lambdas.items())}
 
 
+def test_sample_unbounded_q_takes_a_rational(capsys):
+    lambdas = []
+    for q in ("1/2", "0.5"):
+        code, out, _ = run_cli(capsys, "sample-unbounded", "--q", q, "--seed", "4")
+        assert code == 0
+        got = json.loads(out)
+        assert got["q"] == q
+        lambdas.append(got["lambdas"])
+    assert lambdas[0] == lambdas[1]
+
+
 def test_zfun_cli(capsys):
     code, out, _ = run_cli(capsys, "zfun", "--word", "<>", "--z", "1/2,1/2")
     assert code == 0
@@ -126,6 +137,14 @@ def test_verify_bad_number_exits_with_an_error_line(capsys, params, named):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("command", [["sample"], ["verify", "--samples", "10"]])
+def test_z_and_q_together_exit_with_an_error_line(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--word", "<>", "--z", "1/2,1/2", "--q", "1/10")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--z" in err and "--q" in err
 
 
 def test_convert_and_render_pipeline(capsys, tmp_path, monkeypatch):

@@ -87,7 +87,6 @@ def test_plan_totals():
         w = parse_word(text)
         plan = precompute_par(w, tuple(Fraction(1, 2) for _ in w))
         assert len(plan.x) + len(plan.y) == len(w)
-        plan.to_json()  # smoke: dumpable
 
 
 def test_maya_particle_positions_match_definition():

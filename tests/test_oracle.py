@@ -109,10 +109,30 @@ def test_dp_equals_materialized_sum():
 def test_z_finite_vs_bruteforce_bracket():
     w = parse_word("(<)^2(>)^2")
     z = q_volume_parameters(w, Fraction(1, 2))
-    sup = enumerate_support(w, z, cap=12, q=Fraction(1, 2), refine_tail_to=40)
+    sup = enumerate_support(w, z, cap=12, refine_tail_to=40)
     zf = z_finite(w, z).exact
     assert sup.total <= zf <= sup.total + sup.tail_bound
     assert sup.tail_bound < Fraction(1, 1000) * zf
+
+
+def test_escape_bound_reads_q_from_z():
+    # q^Volume weights are recognised: the q-mode bound, equal to the one a
+    # hand-passed q = 1/2 gave, where z-mode would refuse z_1 = 2
+    w = parse_word("<>")
+    assert escape_mass_bound(w, q_volume_parameters(w, Fraction(1, 2)), 6) == Fraction(
+        1342178622349078953266152388762717, 85899345920000000000000000000000000
+    )
+
+
+@pytest.mark.parametrize("text", ["<>", "><>"])
+def test_escape_bound_is_z_mode_for_other_weights(text):
+    # z_1 = 1/2 means q = 2 on "<>" and q = 1/2 on "><>", whose q^Volume
+    # weights are (1/2, 4, 1/8): neither z is q^Volume, so the z-mode bound
+    # applies and the bracket holds
+    w = parse_word(text)
+    z = (Fraction(1, 2),) * len(w)
+    sup = enumerate_support(w, z, cap=3)
+    assert sup.total + sup.tail_bound >= z_finite(w, z).exact
 
 
 def test_escape_bound_zero_for_finite_words():

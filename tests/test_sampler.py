@@ -7,6 +7,7 @@ from schursample.partitions import EMPTY
 from schursample.rng import RandomSource
 from schursample.sampler import (
     DivergenceError,
+    boundary_lambdas,
     in_place_boundary_sample,
     reconstruct_inputs,
     run_growth,
@@ -97,11 +98,15 @@ def test_traversal_orders_agree():
 
 
 def test_seeded_traversals_bit_identical():
+    # domino shuffling (the diagonal fill) on the sweep's own draws gives
+    # the sweep's sample
     w = parse_word("(<'>)^4")
     z = (1,) * 8
-    a = schur_sample(w, z, 99, order="row_major")
-    b = schur_sample(w, z, 99, order="diagonal")
-    assert a.lambdas == b.lambdas
+    s = schur_sample(w, z, RandomSource(99, log_draws=True))
+    plan = precompute_par(w, z)
+    inputs = {box: value for box, (_, _, value) in zip(plan.boxes(), s.draw_log)}
+    assert len(inputs) == len(s.draw_log) == sum(plan.pi)
+    assert boundary_lambdas(plan, run_growth(plan, inputs, "diagonal")) == s.lambdas
 
 
 def test_in_place_matches_full_grid():
