@@ -49,10 +49,17 @@ path.write_text(render_svg(tiling, RenderStyle(model="maya-particles", scale=9))
 print(f"wrote the particle view (good for large samples) to {path}")
 
 # --- empty-process probability ----------------------------------------------
+# P(empty) = 1/Z, the probability that no box fires; checked at q = 0.5, where
+# 5,000 samples see the empty pyramid often
 import math
 
-p_empty = math.exp(sum(n * math.log1p(-(q**n)) for n in range(1, 400)))
+q = 0.5
+sampler = PyramidalSampler(PyramidalParameters.q_volume(q), WordConvention.pyramid())
+p_empty = math.exp(sampler.log_p_empty())
 src = RandomSource(99)
 n = 5000
 empties = sum(1 for k in range(n) if sampler.sample(src.child(k)).truncation_index is None)
-print(f"\nP(no brick removed) = {p_empty:.4f}; empirical over {n} runs: {empties / n:.4f}")
+print(
+    f"\nP(no brick removed) at q = {q}: 1/Z = {p_empty:.4f}; "
+    f"empirical over {n} runs: {empties / n:.4f}"
+)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from numbers import Rational
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .partitions import (
     EMPTY,
@@ -55,31 +55,9 @@ def horizontal_strips_above(mu: Partition, budget: int) -> List[Partition]:
 
 
 def vertical_strips_above(mu: Partition, budget: int) -> List[Partition]:
-    """All nu with 0 <= nu_i - mu_i <= 1 and |nu| - |mu| <= budget.
-
-    Below the stored rows of mu the strip may continue with any number of
-    extra rows of length 1 (a column tail).
-    """
-    out: List[Partition] = []
-    ell = len(mu)
-
-    def rec(i: int, acc: List[int], left: int):
-        if i > ell:
-            for k in range(left + 1):
-                out.append(tuple(v for v in acc if v) + (1,) * k)
-            return
-        lo = part(mu, i)
-        prev = acc[-1] if acc else None
-        for d in (0, 1):
-            v = lo + d
-            if d == 1 and (left == 0 or (prev is not None and v > prev)):
-                continue
-            acc.append(v)
-            rec(i + 1, acc, left - d)
-            acc.pop()
-
-    rec(1, [], max(budget, 0))
-    return out
+    """All nu with 0 <= nu_i - mu_i <= 1 and |nu| - |mu| <= budget: the
+    conjugates of the horizontal strips above the conjugate of mu."""
+    return [conjugate(nu) for nu in horizontal_strips_above(conjugate(mu), budget)]
 
 
 def horizontal_strips_below(mu: Partition) -> List[Partition]:
@@ -89,28 +67,14 @@ def horizontal_strips_below(mu: Partition) -> List[Partition]:
 
 
 def vertical_strips_below(mu: Partition) -> List[Partition]:
-    out: List[Partition] = []
-    ell = len(mu)
-
-    def rec(i: int, acc: List[int]):
-        if i > ell:
-            out.append(tuple(v for v in acc if v))
-            return
-        prev = acc[-1] if acc else None
-        for d in (0, 1):
-            v = part(mu, i) - d
-            if v < 0 or (prev is not None and v > prev):
-                continue
-            acc.append(v)
-            rec(i + 1, acc)
-            acc.pop()
-
-    rec(1, [])
-    return out
+    """All kappa with 0 <= mu_i - kappa_i <= 1, by conjugation."""
+    return [conjugate(k) for k in horizontal_strips_below(conjugate(mu))]
 
 
 def extensions(mu: Partition, rel: Rel, cap: int) -> List[Partition]:
-    """All lam with ``mu rel lam`` and |lam| <= cap."""
+    """All lam with ``mu rel lam`` and |lam| <= cap.  The slice walk starts
+    at the empty slice and keeps every slice within cap >= 0, so the budget
+    it passes is never negative."""
     budget = cap - sum(mu)
     if rel == Rel.LH:
         return horizontal_strips_above(mu, budget)
@@ -189,6 +153,8 @@ def _end_weight(lam: Partition, free):
 def _steps(word: Word, zz: tuple, cap: int, free):
     """steps(i, mu) lists each slice lam allowed after mu at step i with its
     factor z_i^||lam| - |mu||."""
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
     room = [right if free is None else None for _, right in _hook_counts(word)]
     factor = lru_cache(maxsize=None)(lambda i, k: zz[i] ** k)
     return lambda i, mu: [
@@ -231,19 +197,27 @@ def _sequences(word: Word, zz: tuple, cap: int, free):
 # weighted support
 
 @dataclass
-class WeightedSupport:
-    """Exact weights of every interlaced sequence within the weight cap,
-    plus a rational upper bound on the mass that the cap missed."""
+class Support:
+    """Exact weights of the word-interlaced sequences with every slice
+    within the weight cap, plus a rational upper bound on the mass that the
+    cap missed.  ``free`` is the end condition of the slice walk: None for
+    the closed end, or (t, mode) for the free end, where a last slice lam
+    obeying the mode weighs t^|lam|.  The total comes from the slice DP and
+    the entries are enumerated on first access."""
 
     word: Word
     z: tuple
     cap: int
-    entries: Dict[tuple, Fraction]
+    free: Optional[Tuple[Fraction, str]]
     tail_bound: Fraction
 
     @cached_property
+    def entries(self) -> Dict[tuple, Fraction]:
+        return dict(_sequences(self.word, self.z, self.cap, self.free))
+
+    @cached_property
     def total(self) -> Fraction:
-        return _slice_dp(self.word, self.z, self.cap, None)
+        return _slice_dp(self.word, self.z, self.cap, self.free)
 
     @property
     def complete(self) -> bool:
@@ -279,26 +253,37 @@ def enumerate_support(
     cap: int,
     max_entries: int = 2_000_000,
     refine_tail_to: int = 0,
-) -> WeightedSupport:
+) -> Support:
     """All word-interlaced sequences with every |lambda(i)| <= cap, with the
-    tail bound of :func:`escape_mass_bound`."""
+    tail bound of :func:`escape_mass_bound`.  The entries are enumerated
+    here, so that ``max_entries`` guards this call."""
     word = tuple(word)
     zz = _as_fractions(z)
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
     entries: Dict[tuple, Fraction] = {}
     for seq, w in _sequences(word, zz, cap, None):
         if len(entries) >= max_entries:
             raise SupportSizeError(f"support enumeration exceeded {max_entries} entries")
         entries[seq] = w
-    tail = escape_mass_bound(word, zz, cap, refine_to=refine_tail_to)
-    return WeightedSupport(word, zz, cap, entries, tail)
+    sup = Support(word, zz, cap, None, escape_mass_bound(word, zz, cap, refine_tail_to))
+    sup.entries = entries
+    return sup
 
 
 def sum_weights_dp(word: Sequence[Rel], z: Sequence, cap: int) -> Fraction:
     """Exact sum of weights over the same capped support, without
     materializing the sequences."""
     return _slice_dp(tuple(word), _as_fractions(z), cap, None)
+
+
+def enumerate_symmetric_support(
+    word: Sequence[Rel], z: Sequence, t, cap: int, mode: str = MODE_FREE
+) -> Support:
+    """All right-free word-interlaced sequences (the free end included) with
+    slices at most ``cap``; the tail bound needs all z_i < 1 and t <= 1."""
+    word = tuple(word)
+    zz = _as_fractions(z)
+    free = (Fraction(t), mode)
+    return Support(word, zz, cap, free, _tail_bound(word, zz, cap, free))
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +313,6 @@ def _hook_count_table(a: int, b: int, s_max: int) -> tuple:
     for t in range(s_max + 1):
         out.append(sum(pa[s] * pb[t - s] for s in range(t + 1)))
     return tuple(out)
-
-
-def _interior_count_tables(word: Word, s_max: int) -> List[tuple]:
-    tables = []
-    for (al, bl), (ar, br) in _hook_counts(word)[:-1]:
-        tl = _hook_count_table(al, bl, s_max)
-        tr = _hook_count_table(ar, br, s_max)
-        tables.append(tuple(min(x, y) for x, y in zip(tl, tr)))
-    return tables
 
 
 def _path_mass(word, zz, q, bound: int, tables, s_max: int) -> List[float]:
@@ -397,18 +373,76 @@ def _volume_q(word: Word, zz: tuple):
     return q if 0 < q < 1 and zz == q_volume_parameters(word, q) else None
 
 
+def _tail_bound(word: Word, zz: tuple, cap: int, free) -> Fraction:
+    """Rational upper bound on the mass of the sequences with some slice
+    heavier than ``cap``, for the end condition ``free`` of the slice walk.
+
+    A one-dimensional relaxation over slice weights is summed up to a
+    horizon (the path part), plus a certified polynomial-times-geometric
+    bound on the paths whose maximum lies beyond it (the crude part).  The
+    crude part falls and the path part rises with the horizon, so the
+    horizon doubles until the path part carries the bound.  The float
+    arithmetic is inflated by 1e-6 before rationalizing, which dwarfs the
+    accumulated rounding error.
+
+    At the closed end a slice fits both the hook class of the left steps
+    before it and that of the right steps after it, and the path must end
+    at 0.  When z is exactly the q^Volume specialization of the word, the
+    relaxation weighs slice weights by q (q-mode); otherwise it weighs the
+    steps by z, which needs every z_i < 1 (z-mode).  At the free end only
+    the left hook class bounds a slice, a path ending at v weighs t^v, which
+    needs t <= 1, and the relaxation is in z-mode.
+    """
+    hooks = _hook_counts(word)
+    zmax = max((float(v) for v in zz), default=0.0)
+    if free is None:
+        q = _volume_q(word, zz)
+        hooks = hooks[:-1]  # the last slice is empty
+        counts = lambda s_max: [
+            tuple(map(min, _hook_count_table(*left, s_max), _hook_count_table(*right, s_max)))
+            for left, right in hooks
+        ]
+        end = lambda cur: cur[0]
+        degree = (len(word) - 1) + sum(
+            max(min(al + bl, ar + br) - 1, 0) for (al, bl), (ar, br) in hooks
+        )
+        x = float(q) if q is not None else zmax * zmax
+    else:
+        if free[0] > 1:
+            raise ValueError("tail bound needs t <= 1")
+        q, t = None, float(free[0])
+        counts = lambda s_max: [_hook_count_table(*left, s_max) for left, _ in hooks]
+        end = lambda cur: sum(w * t**v for v, w in enumerate(cur))
+        degree = len(word) + sum(al + bl for (al, bl), _ in hooks)
+        x = zmax
+    if q is None and zmax >= 1:
+        raise ValueError("z-mode tail bound needs all parameters < 1")
+
+    def parts(s_max: int) -> Tuple[float, float, float]:
+        """The path part (maxima in (cap, s_max]), its rounding slack, and
+        the crude part (maxima beyond s_max) of the bound."""
+        tables = counts(s_max)
+        full = end(_path_mass(word, zz, q, s_max, tables, s_max))
+        capped = end(_path_mass(word, zz, q, cap, tables, s_max))
+        # the difference of two nearly equal DP sums can cancel below the
+        # float precision; full * 1e-12 strictly dominates that rounding loss
+        return max(full - capped, 0.0), full * 1e-12, _crude_beyond(degree, x, s_max)
+
+    s_max = max(_S_DEFAULT_Q if q is not None else _S_DEFAULT_Z, 2 * cap + 2)
+    path, slack, crude = parts(s_max)
+    while crude > path + slack:
+        s_max *= 2
+        path, slack, crude = parts(s_max)
+    bound = (path + crude + slack) * (1 + 1e-6) + 1e-295
+    return Fraction(bound).limit_denominator(10**30) + Fraction(1, 10**25)
+
+
 def escape_mass_bound(word: Word, z, cap: int, refine_to: int = 0) -> Fraction:
     """Rational upper bound on the weight of sequences with some slice
     heavier than ``cap``.
 
-    For finite-support words the bound is 0 once cap covers the support.
-    Otherwise a one-dimensional relaxation over slice weights is summed up
-    to an internal horizon, plus a certified polynomial-times-geometric
-    bound beyond it; the float arithmetic is inflated by 1e-6 before
-    rationalizing, which dwarfs the accumulated rounding error.  When z is
-    exactly the q^Volume specialization of the word, the relaxation weighs
-    slice weights by q (q-mode); otherwise it weighs the steps by z, which
-    needs every z_i < 1 (z-mode).
+    For finite-support words the bound is 0 once cap covers the support;
+    otherwise it is the closed-end tail bound.
 
     With ``refine_to`` > cap, the mass with maxima in (cap, refine_to] is
     computed exactly by the slice DP and only the remainder is relaxed,
@@ -422,115 +456,20 @@ def escape_mass_bound(word: Word, z, cap: int, refine_to: int = 0) -> Fraction:
     if refine_to > cap:
         exact_part = sum_weights_dp(word, zz, refine_to) - sum_weights_dp(word, zz, cap)
         cap = refine_to
-    q = _volume_q(word, zz)
-    s_max = _S_DEFAULT_Q if q is not None else _S_DEFAULT_Z
-    s_max = max(s_max, 2 * cap + 2)
-    hooks = _hook_counts(word)[:-1]
-    tables = _interior_count_tables(word, s_max)
-    full = _path_mass(word, zz, q, s_max, tables, s_max)[0]
-    capped = _path_mass(word, zz, q, cap, tables, s_max)[0]
-    degree = (len(word) - 1) + sum(
-        max(min(al + bl, ar + br) - 1, 0) for (al, bl), (ar, br) in hooks
-    )
-    if q is not None:
-        x = float(q)
-    else:
-        zmax = max((float(v) for v in zz), default=0.0)
-        if zmax >= 1:
-            raise ValueError("z-mode tail bound needs all parameters < 1")
-        x = zmax * zmax
-    esc = max(full - capped, 0.0) + _crude_beyond(degree, x, s_max)
-    # the difference of two nearly equal DP sums can cancel below the float
-    # precision; full * 1e-12 strictly dominates that rounding loss
-    bound = (esc + full * 1e-12) * (1 + 1e-6) + 1e-295
-    return exact_part + Fraction(bound).limit_denominator(10**30) + Fraction(1, 10**25)
-
-
-# ---------------------------------------------------------------------------
-# right-free (symmetric) support
-
-@dataclass
-class SymmetricSupport:
-    """Exact weights t^|free| * prod z^|diffs| of right-free sequences with
-    every slice within the cap and the free end obeying the mode.  The total
-    comes from the slice DP; the entries are enumerated on first access."""
-
-    word: Word
-    z: tuple
-    t: Fraction
-    mode: str
-    cap: int
-    tail_bound: Fraction
-
-    @cached_property
-    def entries(self) -> Dict[tuple, Fraction]:
-        return dict(_sequences(self.word, self.z, self.cap, (self.t, self.mode)))
-
-    @cached_property
-    def total(self) -> Fraction:
-        return _slice_dp(self.word, self.z, self.cap, (self.t, self.mode))
-
-
-def enumerate_symmetric_support(
-    word: Sequence[Rel], z: Sequence, t, cap: int, mode: str = MODE_FREE
-) -> SymmetricSupport:
-    """All right-free word-interlaced sequences (the free end included) with
-    slices at most ``cap``."""
-    word = tuple(word)
-    zz = _as_fractions(z)
-    tt = Fraction(t)
-    tail = _symmetric_escape_bound(word, zz, tt, cap)
-    return SymmetricSupport(word, zz, tt, mode, cap, tail)
-
-
-def _symmetric_escape_bound(word: Word, zz, tt: Fraction, cap: int) -> Fraction:
-    """Upper bound on the right-free mass with some slice above the cap;
-    needs all z_i < 1 and t <= 1."""
-    if tt > 1:
-        raise ValueError("tail bound needs t <= 1")
-    zmax = max((float(v) for v in zz), default=0.0)
-    if zmax >= 1:
-        raise ValueError("tail bound needs all parameters < 1")
-    # hook caps from the left side only (the right end is free)
-    left_counts = [left for left, _ in _hook_counts(word)]
-    degree = len(word) + sum(a + b for a, b in left_counts)
-    tf = float(tt)
-
-    def parts(s_max: int) -> Tuple[float, float]:
-        """The path part (maxima in (cap, s_max]) and the crude part (maxima
-        beyond s_max) of the bound at horizon s_max."""
-        tables = [_hook_count_table(a, b, s_max) for a, b in left_counts]
-
-        def mass(bound: int) -> float:
-            cur = _path_mass(word, zz, None, bound, tables, s_max)
-            return sum(w * tf**v for v, w in enumerate(cur))
-
-        full = mass(s_max)
-        path = max(full - mass(cap), 0.0) + full * 1e-12
-        return path, _crude_beyond(degree, zmax, s_max)
-
-    # the crude part falls and the path part rises with the horizon, so
-    # double it until the path relaxation carries the bound
-    s_max = max(_S_DEFAULT_Z, 2 * cap + 2)
-    path, crude = parts(s_max)
-    while crude > path:
-        s_max *= 2
-        path, crude = parts(s_max)
-    bound = (path + crude) * (1 + 1e-6) + 1e-295
-    return Fraction(bound).limit_denominator(10**30) + Fraction(1, 10**25)
+    return exact_part + _tail_bound(word, zz, cap, None)
 
 
 # ---------------------------------------------------------------------------
 # probabilities and distances
 
-def exact_probability(lambdas: Sequence[Partition], support: WeightedSupport) -> Fraction:
+def exact_probability(lambdas: Sequence[Partition], support: Support) -> Fraction:
     key = tuple(lambdas)
     if key not in support.entries:
         raise KeyError(f"sequence not in enumerated support: {key}")
     return support.entries[key] / support.total
 
 
-def tv_distance(empirical: Mapping[tuple, int], support: WeightedSupport) -> float:
+def tv_distance(empirical: Mapping[tuple, int], support: Support) -> float:
     """Half L1 distance between the empirical law and the truncated exact
     law, plus any empirical mass falling outside the support."""
     nsamples = sum(empirical.values())
@@ -604,91 +543,74 @@ class BijectionReport:
         return not self.counterexamples
 
 
+def _certify(
+    label: str, grow, shrink, inputs, targets, outer: int, rand_weight: int,
+    report: BijectionReport,
+) -> None:
+    """Certify one rule with its outer corners fixed: ``grow(kappa, rand)``
+    must map the inputs injectively, balance outer + rand_weight * rand =
+    |kappa| + |nu|, and every target must shrink to an input that grew to
+    it.  ``shrink`` raises GrowthError for a target without a preimage."""
+    image = {}
+    for kap, r in inputs:
+        nu = grow(kap, r)
+        if outer + rand_weight * r != sum(kap) + sum(nu):
+            report.counterexamples.append(f"{label}: weight balance fails at {kap},{r}")
+        if nu in image:
+            report.counterexamples.append(
+                f"{label}: not injective, {image[nu]} and {(kap, r)} both give {nu}"
+            )
+        image[nu] = (kap, r)
+        report.checked += 1
+    for nu in targets:
+        try:
+            pre = shrink(nu)
+        except rules.GrowthError as exc:
+            report.counterexamples.append(f"{label}: target {nu} has no preimage: {exc}")
+            continue
+        if image.get(nu) != pre:
+            report.counterexamples.append(
+                f"{label}: target {nu} shrinks to {pre}, which does not grow to it"
+            )
+        report.hit_targets += 1
+
+
 def _verify_box_type(kind: str, max_weight: int, report: BijectionReport) -> None:
     parts = partitions_up_to(max_weight)
+    targets = partitions_up_to(2 * max_weight)
     pre_l, pre_m = rules.BOX_PRE[kind]
     post_l, post_m = rules.BOX_POST[kind]
-    rand_range = (0, 1) if kind in ("HV", "VH") else range(2 * max_weight + 1)
+    rands = (0, 1) if kind in ("HV", "VH") else range(2 * max_weight + 1)
     for lam in parts:
         for mu in parts:
-            image = {}
-            for kap in parts:
-                if not (pre_l(lam, kap) and pre_m(mu, kap)):
-                    continue
-                for r in rand_range:
-                    nu = rules.grow(kind, lam, mu, kap, r)
-                    if sum(lam) + sum(mu) + r != sum(kap) + sum(nu):
-                        report.counterexamples.append(
-                            f"{kind} weight balance fails at {lam},{mu},{kap},{r}"
-                        )
-                    if nu in image:
-                        report.counterexamples.append(
-                            f"{kind} not injective at {lam},{mu}: {image[nu]} and "
-                            f"{(kap, r)} both give {nu}"
-                        )
-                    image[nu] = (kap, r)
-                    report.checked += 1
-            # surjectivity over the reachable weight window
-            for nu in partitions_up_to(2 * max_weight):
-                if not (post_l(nu, lam) and post_m(nu, mu)):
-                    continue
-                if kind in ("HV", "VH") and nu not in image:
-                    report.counterexamples.append(
-                        f"{kind} misses target {nu} from {lam},{mu}"
-                    )
-                if kind in ("HH", "VV"):
-                    try:
-                        kap, r = rules.shrink(kind, lam, nu, mu)
-                    except rules.GrowthError as exc:
-                        report.counterexamples.append(
-                            f"{kind} target {nu} from {lam},{mu} has no preimage: {exc}"
-                        )
-                        continue
-                    if rules.grow(kind, lam, mu, kap, r) != nu:
-                        report.counterexamples.append(
-                            f"{kind} shrink/grow roundtrip fails at {lam},{mu},{nu}"
-                        )
-                report.hit_targets += 1
+            _certify(
+                f"{kind} at {lam},{mu}",
+                lambda kap, r: rules.grow(kind, lam, mu, kap, r),
+                lambda nu: rules.shrink(kind, lam, nu, mu),
+                [(kap, r) for kap in parts if pre_l(lam, kap) and pre_m(mu, kap) for r in rands],
+                [nu for nu in targets if post_l(nu, lam) and post_m(nu, mu)],
+                sum(lam) + sum(mu), 1, report,
+            )
+
+
+# diagonal kind -> the multiple of G in its weight balance
+_DIAG_G_WEIGHT = {"H": 1, "HER": 2, "HEC": 0}
 
 
 def _verify_diagonal(kind: str, max_weight: int, report: BijectionReport) -> None:
     parts = partitions_up_to(max_weight)
+    targets = partitions_up_to(2 * max_weight)
     parity_ok = lambda lam: kind == "H" or has_even_parts(lam, kind == "HEC")
+    gs = (0,) if kind == "HEC" else range(2 * max_weight + 1)
     for mu in parts:
-        image = {}
-        for kap in parts:
-            if not interlaces_h(mu, kap) or not parity_ok(kap):
-                continue
-            grange = (0,) if kind == "HEC" else range(2 * max_weight + 1)
-            for g in grange:
-                nu = rules.grow_diag(kind, mu, kap, g)
-                if kind == "H":
-                    balanced = 2 * sum(mu) + g == sum(kap) + sum(nu)
-                elif kind == "HER":
-                    balanced = 2 * sum(mu) + 2 * g == sum(kap) + sum(nu)
-                else:
-                    balanced = 2 * sum(mu) == sum(kap) + sum(nu)
-                if not balanced:
-                    report.counterexamples.append(
-                        f"diag {kind} weight balance fails at {mu},{kap},{g}"
-                    )
-                if nu in image:
-                    report.counterexamples.append(
-                        f"diag {kind} not injective at {mu}: {image[nu]} vs {(kap, g)}"
-                    )
-                image[nu] = (kap, g)
-                report.checked += 1
-        for nu in partitions_up_to(2 * max_weight):
-            if not interlaces_h(nu, mu) or not parity_ok(nu):
-                continue
-            try:
-                kap, g = rules.shrink_diag(kind, mu, nu)
-            except rules.GrowthError as exc:
-                report.counterexamples.append(
-                    f"diag {kind} target {nu} from {mu} unreached: {exc}"
-                )
-                continue
-            report.hit_targets += 1
+        _certify(
+            f"diag {kind} at {mu}",
+            lambda kap, g: rules.grow_diag(kind, mu, kap, g),
+            lambda nu: rules.shrink_diag(kind, mu, nu),
+            [(kap, g) for kap in parts if interlaces_h(mu, kap) and parity_ok(kap) for g in gs],
+            [nu for nu in targets if interlaces_h(nu, mu) and parity_ok(nu)],
+            2 * sum(mu), _DIAG_G_WEIGHT[kind], report,
+        )
 
 
 def verify_bijections(max_weight: int = 6) -> BijectionReport:

@@ -38,10 +38,6 @@ def part(lam: Partition, i: int) -> int:
     return lam[i - 1] if i <= len(lam) else 0
 
 
-def weight(lam: Partition) -> int:
-    return sum(lam)
-
-
 def conjugate(lam: Partition) -> Partition:
     """Transpose the Young diagram: result_i = #{j : lam_j >= i}.
 

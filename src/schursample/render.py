@@ -149,8 +149,8 @@ def render_maya_particles(tiling: DominoTiling, style: RenderStyle) -> str:
 
 
 def render_svg(view, style: RenderStyle) -> str:
-    if style.scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < style.scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {style.scale!r}")
     if style.model == "lozenge":
         if not isinstance(view, HeightMatrix):
             raise TypeError("lozenge rendering needs a plane partition view")

@@ -31,6 +31,16 @@ class CodecError(ValueError):
     pass
 
 
+def _require_closed(word: Word, lambdas: Sequence[Partition]) -> None:
+    """A finite sequence has one slice more than its word and empty ends."""
+    if len(lambdas) != len(word) + 1:
+        raise CodecError(
+            f"a word of {len(word)} symbols needs {len(word) + 1} slices, got {len(lambdas)}"
+        )
+    if lambdas[0] or lambdas[-1]:
+        raise CodecError(f"the end slices must be empty, got {lambdas[0]} and {lambdas[-1]}")
+
+
 # ---------------------------------------------------------------------------
 # reverse plane partitions
 
@@ -63,6 +73,7 @@ def to_plane_partition(word: Sequence[Rel], lambdas: Sequence[Partition]) -> Hei
     word = tuple(word)
     if any(s.primed for s in word):
         raise CodecError("plane partitions need an unprimed word")
+    _require_closed(word, lambdas)
     shape = encoded_shape(word)
     n = sum(1 for s in word if not s.left)
     rows: List[List[int]] = [[0] * ln for ln in shape]
@@ -172,6 +183,7 @@ def to_steep_tiling(
     word = tuple(word)
     if not is_steep_word(word):
         raise CodecError("not a steep word: needs alternating primed/plain symbols")
+    _require_closed(word, lambdas)
     shifts = word_shifts(word)
     if window is None:
         lo = min(

@@ -53,14 +53,17 @@ class ParamSeq:
     @staticmethod
     def finite(values) -> "ParamSeq":
         vals = tuple(float(v) for v in values)
-        if any(v < 0 for v in vals):
-            raise ValueError("parameters must be nonnegative")
+        if not all(0 <= v < math.inf for v in vals):
+            raise ValueError(f"parameters must be finite and nonnegative, got {vals}")
         return ParamSeq("finite", values=vals)
 
     @staticmethod
     def geometric(coeff: float, ratio: float) -> "ParamSeq":
-        if not 0 <= ratio < 1 or coeff < 0:
-            raise ValueError("geometric family needs coeff >= 0, 0 <= ratio < 1")
+        if not (0 <= ratio < 1 and 0 <= coeff < math.inf):
+            raise ValueError(
+                f"geometric family needs finite coeff >= 0 and 0 <= ratio < 1, "
+                f"got coeff={coeff!r}, ratio={ratio!r}"
+            )
         return ParamSeq("geometric", coeff=float(coeff), ratio=float(ratio))
 
     def __getitem__(self, i: int) -> float:
@@ -360,8 +363,8 @@ def plancherel_sample(theta: float, src: RandomSource | int) -> Partition:
     """
     if isinstance(src, int):
         src = RandomSource(src)
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta!r}")
     n = src.poisson(theta)
     perm = src.permutation(n)
     return rsk_shape(perm)
@@ -378,8 +381,10 @@ def mixed_plancherel_sample(a: float, bs, src: RandomSource | int) -> Partition:
     if isinstance(src, int):
         src = RandomSource(src)
     bs = [float(b) for b in bs]
-    if a <= 0 or any(b < 0 for b in bs):
-        raise ValueError("need a > 0 and nonnegative line intensities")
+    if not (0 < a < math.inf and all(0 <= b < math.inf for b in bs)):
+        raise ValueError(
+            f"need finite a > 0 and finite nonnegative line intensities, got a={a!r}, {bs}"
+        )
     letters: list = []
     for i, b in enumerate(bs):
         letters.extend([i] * src.poisson(a * b))

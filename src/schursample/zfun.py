@@ -55,6 +55,12 @@ def _all_rational(values) -> bool:
     return all(isinstance(v, Rational) for v in values)
 
 
+def _require_finite(values) -> None:
+    for v in values:
+        if not isinstance(v, Rational) and not math.isfinite(v):
+            raise ValueError(f"parameters must be finite, got {v!r}")
+
+
 class _Accumulator:
     """Multiplies factors (1 + e*x)^e exactly or in log space."""
 
@@ -88,6 +94,7 @@ def z_finite(word: Sequence[Rel], z: Sequence) -> ZValue:
     word = tuple(word)
     if len(z) != len(word):
         raise ValueError("parameter list does not match word length")
+    _require_finite(z)
     acc = _Accumulator(_all_rational(z) and len(word) <= EXACT_WORD_LIMIT)
     for i in range(len(word)):
         if not word[i].left:
@@ -108,6 +115,7 @@ def z_symmetric(word: Sequence[Rel], z: Sequence, t, mode: str = MODE_FREE) -> Z
     word = tuple(word)
     if len(z) != len(word):
         raise ValueError("parameter list does not match word length")
+    _require_finite((*z, t))
     acc = _Accumulator(_all_rational(z) and isinstance(t, Rational)
                        and len(word) <= EXACT_WORD_LIMIT)
     for i, s in enumerate(word):

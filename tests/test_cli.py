@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -199,3 +200,40 @@ def test_sample_long_q_volume_word_exits_with_the_overflowing_symbol(capsys):
     assert code == 1
     assert out == ""
     assert "symbol 1990 (<)" in err and "q=0.7" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sample-plancherel", "--theta", "inf"],
+        ["sample-plancherel", "--theta", "nan"],
+        ["zfun", "--word", "<>", "--z", "nan,1"],
+        ["zfun", "--word", "<>'", "--z", "inf,1"],
+    ],
+)
+def test_non_finite_parameters_exit_with_an_error_line(capsys, command):
+    code, out, err = run_cli(capsys, *command)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_render_refuses_a_non_finite_scale():
+    t = DominoTiling(parse_word("(<'>)^1"), (-3, 3), ())
+    with pytest.raises(ValueError, match="finite"):
+        render_svg(t, RenderStyle(model="domino", scale=math.nan))
+
+
+def test_convert_refuses_a_symmetric_sample_as_a_plane_partition(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "sample-symmetric", "--word", "<<", "--z", "0.3,0.3", "--seed", "1"
+    )
+    assert code == 0
+    sample_file = tmp_path / "sample.json"
+    sample_file.write_text(out)
+    code, out, err = run_cli(
+        capsys, "convert", "--to", "plane-partition", "--input", str(sample_file)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "slices" in err

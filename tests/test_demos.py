@@ -15,10 +15,11 @@ DEMOS = [
     "06_partition_functions.py",
     "07_entropy_and_exactness.py",
 ]
-# demo -> the SVGs it writes to output/ (demo 03 takes seconds and is left out)
+# demo -> the SVGs it writes to output/
 SVG_DEMOS = {
     "01_aztec_diamond.py": ["aztec_24.svg"],
     "02_plane_partitions.py": ["plane_partition_40.svg"],
+    "03_pyramid_partitions.py": ["pyramid_tiling.svg", "pyramid_particles.svg"],
 }
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from schursample import rules
 from schursample.oracle import (
     SupportSizeError,
     enumerate_support,
@@ -26,18 +27,20 @@ from schursample.zfun import z_finite
 
 
 def test_strip_generators_against_predicates():
-    for mu in partitions_up_to(5):
-        above_h = set(horizontal_strips_above(mu, 4))
+    cases = [(mu, 4) for mu in partitions_up_to(5)]
+    cases += [(mu, budget) for mu in partitions_up_to(6) for budget in range(7)]
+    for mu, budget in cases:
+        above_h = set(horizontal_strips_above(mu, budget))
         expect = {
             nu
-            for nu in partitions_up_to(sum(mu) + 4)
+            for nu in partitions_up_to(sum(mu) + budget)
             if interlaces_h(nu, mu)
         }
         assert above_h == expect
-        above_v = set(vertical_strips_above(mu, 4))
+        above_v = set(vertical_strips_above(mu, budget))
         expect = {
             nu
-            for nu in partitions_up_to(sum(mu) + 4)
+            for nu in partitions_up_to(sum(mu) + budget)
             if interlaces_v(nu, mu)
         }
         assert above_v == expect
@@ -45,6 +48,18 @@ def test_strip_generators_against_predicates():
         assert below_h == {k for k in partitions_up_to(sum(mu)) if interlaces_h(mu, k)}
         below_v = set(vertical_strips_below(mu))
         assert below_v == {k for k in partitions_up_to(sum(mu)) if interlaces_v(mu, k)}
+
+
+def test_every_slice_walk_refuses_a_negative_cap():
+    # so the strip generators never see a negative budget
+    w = parse_word("<'>")
+    z = (Fraction(1, 2),) * 2
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        sum_weights_dp(w, z, -1)
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        enumerate_support(w, z, -1)
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        enumerate_symmetric_support(w, z, Fraction(1, 2), -1).total
 
 
 def test_enumerate_single_pair():
@@ -172,3 +187,15 @@ def test_verify_bijections_small():
     report = verify_bijections(3)
     assert report.passed, report.counterexamples[:5]
     assert report.checked > 0 and report.hit_targets > 0
+
+
+def test_verify_bijections_reports_a_wrong_preimage(monkeypatch):
+    shrink = rules.shrink
+
+    def off_by_one(kind, lam, nu, mu):
+        kap, rand = shrink(kind, lam, nu, mu)
+        return kap, rand + 1
+
+    monkeypatch.setattr(rules, "shrink", off_by_one)
+    report = verify_bijections(2)
+    assert not report.passed

@@ -134,6 +134,20 @@ def test_steep_roundtrip_random():
         assert from_steep_tiling(t) == s.lambdas
 
 
+@pytest.mark.parametrize(
+    "codec,text,lambdas",
+    [
+        (to_plane_partition, "<>", (EMPTY, (5,), EMPTY, EMPTY, EMPTY)),
+        (to_plane_partition, "<>", ((1,), (1,), EMPTY)),
+        (to_steep_tiling, "<'>", (EMPTY, (1,))),
+        (to_steep_tiling, "<'>", (EMPTY, (1,), (1,))),
+    ],
+)
+def test_codecs_refuse_a_sequence_of_the_wrong_shape(codec, text, lambdas):
+    with pytest.raises(CodecError, match="slices"):
+        codec(parse_word(text), lambdas)
+
+
 def test_steep_rejects_bad_words():
     with pytest.raises(CodecError):
         to_steep_tiling(parse_word("<>"), (EMPTY, (1,), EMPTY))

@@ -312,3 +312,23 @@ def test_mixed_plancherel_empty_probability_two_lines():
     empties = sum(1 for k in range(n) if mixed_plancherel_sample(a, bs, src.child(k)) == EMPTY)
     p = math.exp(-a * sum(bs))
     assert abs(empties / n - p) < 4 * math.sqrt(p * (1 - p) / n)
+
+
+@pytest.mark.parametrize("theta", [math.inf, math.nan])
+def test_plancherel_refuses_a_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta must be positive and finite"):
+        plancherel_sample(theta, 0)
+
+
+@pytest.mark.parametrize("a,bs", [(1.0, [math.nan]), (math.inf, [1.0])])
+def test_mixed_plancherel_refuses_non_finite_intensities(a, bs):
+    with pytest.raises(ValueError, match="finite"):
+        mixed_plancherel_sample(a, bs, 0)
+
+
+def test_param_seq_refuses_non_finite_values():
+    # construction only: a sampler over such a sequence never returns
+    with pytest.raises(ValueError, match="finite"):
+        ParamSeq.finite([math.nan])
+    with pytest.raises(ValueError, match="finite"):
+        ParamSeq.geometric(math.nan, 0.5)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 
 from schursample.unbounded import ParamSeq, PyramidalParameters, WordConvention
 from schursample.words import parse_word
@@ -96,3 +97,14 @@ def test_z_pyramidal_trivial():
     params = PyramidalParameters(a=ParamSeq.finite([]), b=ParamSeq.finite([]))
     out = z_pyramidal(params, WordConvention.plane_partitions())
     assert out.finite and abs(out.log) == 0.0
+
+
+@pytest.mark.parametrize("text,z", [("<>", (math.nan, 1.0)), ("<>'", (math.inf, 1.0))])
+def test_z_refuses_non_finite_parameters(text, z):
+    w = parse_word(text)
+    with pytest.raises(ValueError, match="finite"):
+        z_finite(w, z)
+    with pytest.raises(ValueError, match="finite"):
+        z_symmetric(w, z, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        z_symmetric(w, (0.5, 0.5), math.nan)
