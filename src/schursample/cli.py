@@ -225,14 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample-unbounded", help="sample a pyramidal Schur process")
     sp.add_argument("--q", required=True)
     sp.add_argument("--alternating", action="store_true", help="pyramid-partition word")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=1)
+    add_common(sp, word=False)
     sp.set_defaults(func=cmd_sample_unbounded)
 
     sp = sub.add_parser("sample-plancherel", help="poissonized Plancherel partition")
     sp.add_argument("--theta", type=float, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=1)
+    add_common(sp, word=False)
     sp.set_defaults(func=cmd_sample_plancherel)
 
     sp = sub.add_parser("zfun", help="closed-form partition function")
@@ -274,7 +272,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, TypeError, KeyError, OSError) as exc:
+    except (CliError, ArithmeticError, ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -593,10 +593,6 @@ def _verify_box_type(kind: str, max_weight: int, report: BijectionReport) -> Non
             )
 
 
-# diagonal kind -> the multiple of G in its weight balance
-_DIAG_G_WEIGHT = {"H": 1, "HER": 2, "HEC": 0}
-
-
 def _verify_diagonal(kind: str, max_weight: int, report: BijectionReport) -> None:
     parts = partitions_up_to(max_weight)
     targets = partitions_up_to(2 * max_weight)
@@ -609,7 +605,7 @@ def _verify_diagonal(kind: str, max_weight: int, report: BijectionReport) -> Non
             lambda nu: rules.shrink_diag(kind, mu, nu),
             [(kap, g) for kap in parts if interlaces_h(mu, kap) and parity_ok(kap) for g in gs],
             [nu for nu in targets if interlaces_h(nu, mu) and parity_ok(nu)],
-            2 * sum(mu), _DIAG_G_WEIGHT[kind], report,
+            2 * sum(mu), rules._DIAG_RULES[kind][3], report,
         )
 
 

@@ -5,15 +5,23 @@ the fourth corner of a growth-diagram box, bijectively in (kappa, rand) for
 fixed (lam, mu).  Weight balance: |lam| + |mu| + rand = |kappa| + |nu| for the
 four box rules; the diagonal rules balance 2|mu| + G (or + 2G, or + 0).
 
+The diagonal (Littlewood) rules are Cauchy rules on a doubled corner: the
+free and even-columns rules run ``grow_hh`` (``grow_vv`` for a VV box) on
+the corner (mu, mu), and the even-rows rule runs ``grow_hh`` on the corner
+(C, F) with C_i = 2*ceil(mu_i/2), F_i = 2*floor(mu_i/2) and input 2G.  The
+VV even-columns rule is the conjugate of the even-rows one, and
+``shrink_diag`` inverts every diagonal rule with the Cauchy inverse on the
+same corner.
+
 The ``grow_*`` kernels check nothing, so the growth sweep pays only the
 per-box cost.  A box kernel pads lam, mu and kappa with zeros once, to
 n = max(len(lam), len(mu)) + 1 rows, and makes one O(n) pass over them.
 The column rules cost O(n + largest part): ``grow_vv`` walks the columns of
-its inputs directly and conjugates only its output, and the ``grow_diag_v*``
-rules conjugate in O(len + largest part).  A kernel whose corner is empty
-(lam and mu, or the diagonal's mu, empty) returns at once, so the many tiny
-boxes of short words do not pay for the padding.  On valid inputs every
-output row but the last is positive, so a kernel drops at most one zero.
+its inputs directly and conjugates only its output, and ``grow_diag_v_ec``
+conjugates in O(len + largest part).  A kernel whose corner is empty returns
+at once, so the many tiny boxes of short words do not pay for the padding.
+On valid inputs every output row but the last is positive, so a kernel drops
+at most one zero.
 
 The checked entry points :func:`grow` and :func:`grow_diag` run a kernel
 between assertions of its input range, strip preconditions, HV block
@@ -31,6 +39,7 @@ from .partitions import (
     has_even_parts,
     interlaces_h,
     interlaces_v,
+    make,
     part,
 )
 
@@ -39,12 +48,6 @@ _INF = float("inf")
 
 class GrowthError(ValueError):
     pass
-
-
-def _trim(rows) -> Partition:
-    while rows and rows[-1] == 0:
-        rows.pop()
-    return tuple(rows)
 
 
 def _require(cond: bool, msg: str):
@@ -209,6 +212,14 @@ def grow(kind: str, lam: Partition, mu: Partition, kap: Partition, rand: int) ->
     return nu
 
 
+def _kappa(rows) -> Partition:
+    """The recovered rows of kappa as a partition; GrowthError if they are none."""
+    try:
+        return make(rows)
+    except ValueError as exc:
+        raise GrowthError(f"no preimage: {exc}") from None
+
+
 def _shrink_hh(lam: Partition, nu: Partition, mu: Partition):
     g = part(nu, 1) - max(part(lam, 1), part(mu, 1))
     n = max(len(lam), len(mu))
@@ -219,7 +230,7 @@ def _shrink_hh(lam: Partition, nu: Partition, mu: Partition):
             + min(part(lam, i), part(mu, i))
             - part(nu, i + 1)
         )
-    return _trim(rows), g
+    return _kappa(rows), g
 
 
 def _shrink_hv(lam: Partition, nu: Partition, mu: Partition):
@@ -232,7 +243,7 @@ def _shrink_hv(lam: Partition, nu: Partition, mu: Partition):
     for i in range(1, n + 1):
         base = min(part(lam, i), part(mu, i))
         rows.append(base - consumed.get(i, 0))
-    return _trim(rows), b
+    return _kappa(rows), b
 
 
 def shrink(kind: str, lam: Partition, nu: Partition, mu: Partition) -> Tuple[Partition, int]:
@@ -253,10 +264,6 @@ def shrink(kind: str, lam: Partition, nu: Partition, mu: Partition) -> Tuple[Par
             raise KeyError(kind)
         if rand < 0 or (kind in ("HV", "VH") and rand > 1):
             raise GrowthError(f"no preimage: recovered rand={rand}")
-        if any(r < 0 for r in kap) or not all(
-            kap[i] >= kap[i + 1] for i in range(len(kap) - 1)
-        ):
-            raise GrowthError(f"no preimage: recovered kappa={kap}")
     except GrowthError:
         raise
     except Exception as exc:  # pragma: no cover - defensive
@@ -269,35 +276,27 @@ def shrink(kind: str, lam: Partition, nu: Partition, mu: Partition) -> Tuple[Par
     return kap, rand
 
 
+def _halves(mu: Partition) -> Tuple[Partition, Partition]:
+    """The corner (C, F) of the even-rows rule: C_i = 2*ceil(mu_i/2) and
+    F_i = 2*floor(mu_i/2)."""
+    return tuple(v + v % 2 for v in mu), tuple(v - v % 2 for v in mu if v > 1)
+
+
 def grow_diag_h(mu: Partition, kap: Partition, g: int) -> Partition:
-    """Diagonal (free boundary) rule: nu_1 = mu_1 + G and
-    nu_i = mu_i + mu_{i-1} - kap_{i-1}; balances 2|mu| + G = |kap| + |nu|."""
-    if not mu:
-        return (g,) if g else ()
-    K = kap + (0,) * (len(mu) - len(kap))
-    rows = [mu[0] + g]
-    for mi, mp, kp in zip(mu[1:] + (0,), mu, K):
-        rows.append(mi + mp - kp)
-    if not rows[-1]:
-        rows.pop()
-    return tuple(rows)
+    """Diagonal (free boundary) rule: the Cauchy rule on the corner (mu, mu),
+    nu_1 = mu_1 + G and nu_i = mu_i + mu_{i-1} - kap_{i-1}; balances
+    2|mu| + G = |kap| + |nu|."""
+    return grow_hh(mu, mu, kap, g)
 
 
 def grow_diag_h_er(mu: Partition, kap: Partition, g: int) -> Partition:
-    """Even-rows diagonal rule: nu_1 = 2*ceil(mu_1/2) + 2G and
+    """Even-rows diagonal rule: the Cauchy rule on the corner _halves(mu) with
+    input 2G, nu_1 = 2*ceil(mu_1/2) + 2G and
     nu_i = 2*ceil(mu_i/2) + 2*floor(mu_{i-1}/2) - kap_{i-1}.
 
     Maps even-rowed kappa < mu to even-rowed nu > mu; balances 2|mu| + 2G.
     """
-    if not mu:
-        return (2 * g,) if g else ()
-    K = kap + (0,) * (len(mu) - len(kap))
-    rows = [2 * ((mu[0] + 1) // 2) + 2 * g]
-    for mi, mp, kp in zip(mu[1:] + (0,), mu, K):
-        rows.append(2 * ((mi + 1) // 2) + 2 * (mp // 2) - kp)
-    if not rows[-1]:
-        rows.pop()
-    return tuple(rows)
+    return grow_hh(*_halves(mu), kap, 2 * g)
 
 
 def grow_diag_h_ec(mu: Partition, kap: Partition) -> Partition:
@@ -307,10 +306,9 @@ def grow_diag_h_ec(mu: Partition, kap: Partition) -> Partition:
 
 
 def grow_diag_v(mu: Partition, kap: Partition, g: int) -> Partition:
-    """Conjugated free diagonal rule, for VV-type diagonal boxes."""
-    if not mu:
-        return (1,) * g
-    return conjugate(grow_diag_h(conjugate(mu), conjugate(kap), g))
+    """Conjugated free diagonal rule, for VV-type diagonal boxes: the dual
+    Cauchy rule on the corner (mu, mu)."""
+    return grow_vv(mu, mu, kap, g)
 
 
 def grow_diag_v_er(mu: Partition, kap: Partition) -> Partition:
@@ -372,29 +370,11 @@ def shrink_diag(kind: str, mu: Partition, nu: Partition) -> Tuple[Partition, int
         dual = {"V": "H", "VER": "HEC", "VEC": "HER"}[kind]
         kap, g = shrink_diag(dual, conjugate(mu), conjugate(nu))
         return conjugate(kap), g
-    n = len(mu)
-    if kind == "H":
-        g = part(nu, 1) - part(mu, 1)
-        rows = [part(mu, i + 1) + part(mu, i) - part(nu, i + 1) for i in range(1, n + 1)]
-    elif kind == "HER":
-        g2 = part(nu, 1) - 2 * ((part(mu, 1) + 1) // 2)
-        if g2 < 0 or g2 % 2:
-            raise GrowthError(f"no preimage: bad top row {nu} over {mu}")
-        g = g2 // 2
-        rows = [
-            2 * ((part(mu, i + 1) + 1) // 2) + 2 * (part(mu, i) // 2) - part(nu, i + 1)
-            for i in range(1, n + 1)
-        ]
-    elif kind == "HEC":
-        g = 0
-        rows = [part(mu, i + 1) + part(mu, i) - part(nu, i + 1) for i in range(1, n + 1)]
-    else:
-        raise KeyError(kind)
-    if any(r < 0 for r in rows):
-        raise GrowthError(f"no preimage: negative kappa row for {kind}")
-    kap = _trim(rows)
-    if g < 0 or not all(kap[i] >= kap[i + 1] for i in range(len(kap) - 1)):
-        raise GrowthError(f"no preimage for diagonal {kind}")
+    g_weight = _DIAG_RULES[kind][3]
+    c, f = _halves(mu) if kind == "HER" else (mu, mu)
+    kap, g = _shrink_hh(c, nu, f)
+    g, excess = divmod(g, g_weight) if g_weight else (0, g)
+    _require(not excess, f"no preimage for diagonal {kind}: top row {nu} over {mu}")
     if grow_diag(kind, mu, kap, g) != nu:
         raise GrowthError(f"no preimage for diagonal {kind}: roundtrip mismatch")
     return kap, g

@@ -77,24 +77,16 @@ def to_plane_partition(word: Sequence[Rel], lambdas: Sequence[Partition]) -> Hei
     shape = encoded_shape(word)
     n = sum(1 for s in word if not s.left)
     rows: List[List[int]] = [[0] * ln for ln in shape]
-    for r in range(1, len(shape) + 1):
-        for c in range(1, shape[r - 1] + 1):
-            k = (c - r) + n
-            lam = lambdas[k]
-            depth = _diag_depth(shape, c, r)
-            rows[r - 1][c - 1] = part(lam, depth)
+    seen = [0] * len(lambdas)  # cells of each diagonal in the rows below
+    for r in range(len(shape) - 1, -1, -1):
+        row = rows[r]
+        for c in range(shape[r]):
+            k = c - r + n  # the diagonal of row r + 1, column c + 1
+            seen[k] += 1
+            row[c] = part(lambdas[k], seen[k])
     hm = HeightMatrix(tuple(shape), tuple(tuple(r) for r in rows))
     hm.validate()
     return hm
-
-
-def _diag_depth(shape: Partition, c: int, r: int) -> int:
-    """1 + number of shape boxes strictly up-right of (c, r) on its
-    diagonal; the outermost box has depth 1."""
-    depth = 0
-    while r + depth + 1 <= len(shape) and c + depth + 1 <= shape[r + depth]:
-        depth += 1
-    return depth + 1
 
 
 def from_plane_partition(word: Sequence[Rel], hm: HeightMatrix) -> Tuple[Partition, ...]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Dict, Optional, Tuple
 
-from .partitions import EMPTY, Partition, interlaces_h, interlaces_v
+from .partitions import EMPTY, Partition, interlaces
 from .rng import RandomSource
 from .sampler import DivergenceError, grow_profile
 from .words import Rel, Word, precompute_par
@@ -170,18 +170,10 @@ class PyramidalSample:
 
     def validate(self) -> None:
         lo, hi = self.support()
-        for i in range(0, hi + 1):
-            rel_v = self.convention.right_primed(i)
-            lam, nxt = self.lam(i), self.lam(i + 1)
-            ok = interlaces_v(lam, nxt) if rel_v else interlaces_h(lam, nxt)
-            if not ok:
+        m = max(hi, -lo) + 1
+        for i, rel in enumerate(truncation_word(self.convention, m), -m):
+            if not interlaces(self.lam(i), self.lam(i + 1), rel):
                 raise ValueError(f"interlacing fails between lambda({i}) and lambda({i+1})")
-        for i in range(0, -lo + 1):
-            rel_v = self.convention.left_primed(i)
-            lam, nxt = self.lam(-i), self.lam(-i - 1)
-            ok = interlaces_v(lam, nxt) if rel_v else interlaces_h(lam, nxt)
-            if not ok:
-                raise ValueError(f"interlacing fails between lambda({-i}) and lambda({-i-1})")
 
 
 class PyramidalSampler:

@@ -140,6 +140,15 @@ def test_verify_bad_number_exits_with_an_error_line(capsys, params, named):
     assert err.startswith("error:") and named in err
 
 
+def test_verify_divergent_tail_exits_with_an_error_line(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--word", "<>", "--z", "99/100,99/100", "--cap", "2"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "does not converge" in err
+
+
 @pytest.mark.parametrize("command", [["sample"], ["verify", "--samples", "10"]])
 def test_z_and_q_together_exit_with_an_error_line(capsys, command):
     code, out, err = run_cli(capsys, *command, "--word", "<>", "--z", "1/2,1/2", "--q", "1/10")

@@ -23,7 +23,7 @@ from schursample.tilings import (
     to_steep_tiling,
     word_shifts,
 )
-from schursample.words import parse_word, q_volume_parameters
+from schursample.words import Rel, parse_word, q_volume_parameters
 
 RPP_WORD = parse_word("<<<>><<>>")
 RPP_SEQ = (
@@ -69,6 +69,11 @@ def test_plane_partition_roundtrip_random():
         w = parse_word(f"(<)^{m}(>)^{n}")
         z = q_volume_parameters(w, 0.5)
         s = schur_sample(w, z, trial)
+        hm = to_plane_partition(w, s.lambdas)
+        assert from_plane_partition(w, hm) == s.lambdas
+    for trial in range(300):  # random unprimed words give non-rectangular shapes
+        w = tuple(rnd.choice((Rel.LH, Rel.RH)) for _ in range(rnd.randrange(1, 9)))
+        s = schur_sample(w, q_volume_parameters(w, 0.5), trial)
         hm = to_plane_partition(w, s.lambdas)
         assert from_plane_partition(w, hm) == s.lambdas
 
