@@ -22,6 +22,7 @@ from .partitions import (
     conjugate,
     has_even_parts,
     interlaces_h,
+    interlaces_v,
     part,
     partitions_up_to,
 )
@@ -575,27 +576,38 @@ def _certify(
         report.hit_targets += 1
 
 
+# a strip predicate -> the generators of the kappa below and the nu above
+# that satisfy it: pred(lam, kappa) and pred(nu, lam)
+_STRIPS = {
+    interlaces_h: (horizontal_strips_below, horizontal_strips_above),
+    interlaces_v: (vertical_strips_below, vertical_strips_above),
+}
+
+
 def _verify_box_type(kind: str, max_weight: int, report: BijectionReport) -> None:
+    """Certify box rule ``kind`` at every corner (lam, mu) up to max_weight;
+    the inputs kappa are generated below lam and the targets nu above lam,
+    then filtered by their relation to mu."""
     parts = partitions_up_to(max_weight)
-    targets = partitions_up_to(2 * max_weight)
     pre_l, pre_m = rules.BOX_PRE[kind]
     post_l, post_m = rules.BOX_POST[kind]
     rands = (0, 1) if kind in ("HV", "VH") else range(2 * max_weight + 1)
     for lam in parts:
+        below = _STRIPS[pre_l][0](lam)
+        above = _STRIPS[post_l][1](lam, 2 * max_weight - sum(lam))
         for mu in parts:
             _certify(
                 f"{kind} at {lam},{mu}",
                 lambda kap, r: rules.grow(kind, lam, mu, kap, r),
                 lambda nu: rules.shrink(kind, lam, nu, mu),
-                [(kap, r) for kap in parts if pre_l(lam, kap) and pre_m(mu, kap) for r in rands],
-                [nu for nu in targets if post_l(nu, lam) and post_m(nu, mu)],
+                [(kap, r) for kap in below if pre_m(mu, kap) for r in rands],
+                [nu for nu in above if post_m(nu, mu)],
                 sum(lam) + sum(mu), 1, report,
             )
 
 
 def _verify_diagonal(kind: str, max_weight: int, report: BijectionReport) -> None:
     parts = partitions_up_to(max_weight)
-    targets = partitions_up_to(2 * max_weight)
     parity_ok = lambda lam: kind == "H" or has_even_parts(lam, kind == "HEC")
     gs = (0,) if kind == "HEC" else range(2 * max_weight + 1)
     for mu in parts:
@@ -603,8 +615,8 @@ def _verify_diagonal(kind: str, max_weight: int, report: BijectionReport) -> Non
             f"diag {kind} at {mu}",
             lambda kap, g: rules.grow_diag(kind, mu, kap, g),
             lambda nu: rules.shrink_diag(kind, mu, nu),
-            [(kap, g) for kap in parts if interlaces_h(mu, kap) and parity_ok(kap) for g in gs],
-            [nu for nu in targets if interlaces_h(nu, mu) and parity_ok(nu)],
+            [(kap, g) for kap in horizontal_strips_below(mu) if parity_ok(kap) for g in gs],
+            [nu for nu in horizontal_strips_above(mu, 2 * max_weight - sum(mu)) if parity_ok(nu)],
             2 * sum(mu), rules._DIAG_RULES[kind][3], report,
         )
 

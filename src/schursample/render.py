@@ -107,27 +107,50 @@ def render_lozenge(hm: HeightMatrix, style: RenderStyle) -> str:
     return svg.document()
 
 
-def _domino_rect(d, s: float):
-    (k0, p0), (k1, p1) = d.cells()
-    boxes = []
-    for k, p in ((k0, p0), (k1, p1)):
-        y = p / 2.0
-        x = y - k  # diagonal k lies on x - y = -k
-        boxes.append((x, y))
-    xs = [b[0] for b in boxes]
-    ys = [b[1] for b in boxes]
-    x0, x1 = min(xs) - 0.5, max(xs) + 0.5
-    y0, y1 = min(ys) - 0.5, max(ys) + 0.5
-    return [
-        (x0 * s, -y0 * s), (x1 * s, -y0 * s), (x1 * s, -y1 * s), (x0 * s, -y1 * s)
-    ]
+class _Coords(dict):
+    """Coordinates given in half units u, each formatted once: u / 2 * scale."""
+
+    def __init__(self, scale: float):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, u: int) -> str:
+        text = self[u] = _fmt(u / 2 * self.scale)
+        return text
 
 
 def render_domino(tiling: DominoTiling, style: RenderStyle) -> str:
+    """One rectangle per domino.  Its cells sit at x = p/2 - k, y = p/2 on
+    diagonal k and on diagonal k + 1 one step left (horizontal) or up
+    (vertical); the rectangle is the union of their unit squares, with y
+    pointing up.  Corners are kept in half units, so they are integers."""
     svg = _Svg()
-    for d in tiling.dominoes:
-        key = ("v" if d.vertical else "h", d.sign)
-        svg.polygon(_domino_rect(d, style.scale), DOMINO_PALETTE[key])
+    s = style.scale
+    xs, ys = _Coords(s), _Coords(-s)
+    x_lo = y_lo = math.inf
+    x_hi = y_hi = -math.inf
+    for k, p, vertical, sign in tiling.dominoes:
+        x1 = p - 2 * k + 1
+        x0 = x1 - (2 if vertical else 4)
+        y0 = p - 1
+        y1 = y0 + (4 if vertical else 2)
+        if x0 < x_lo:
+            x_lo = x0
+        if x1 > x_hi:
+            x_hi = x1
+        if y0 < y_lo:
+            y_lo = y0
+        if y1 > y_hi:
+            y_hi = y1
+        a, b, c, e = xs[x0], ys[y0], xs[x1], ys[y1]
+        fill = DOMINO_PALETTE["v" if vertical else "h", sign]
+        svg.elems.append(
+            f'<polygon points="{a},{b} {c},{b} {c},{e} {a},{e}" '
+            f'fill="{fill}" stroke="#222222" stroke-width="0.60"/>'
+        )
+    if svg.elems:
+        svg.min_x, svg.max_x = x_lo / 2 * s, x_hi / 2 * s
+        svg.min_y, svg.max_y = y_hi / 2 * -s, y_lo / 2 * -s
     return svg.document()
 
 

@@ -15,8 +15,9 @@ same grid as the sweep from the same inputs.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .partitions import EMPTY, Partition, interlaces
 from .rng import ALGORITHM, RandomSource
@@ -26,10 +27,12 @@ from .words import Rel, ShapePlan, Word, precompute_par
 Box = Tuple[int, int]
 
 _INF = float("inf")
+_MAX = sys.float_info.max
 
 
 class DivergenceError(ValueError):
-    """A geometric box parameter is >= 1, so the measure does not exist."""
+    """A geometric box parameter is >= 1, so the measure does not exist;
+    or it is < 1 but rounds to 1.0, so the float draw cannot be made."""
 
     def __init__(self, box: Box, kind: str, xi):
         self.box, self.kind, self.xi = box, kind, xi
@@ -75,44 +78,70 @@ class ProcessSample:
         return sum(sum(l) for l in self.lambdas)
 
 
-def check_parameters(plan: ShapePlan, diagonal=None) -> None:
-    """Check every parameter before any draw, naming the first bad box.
+def _product(a, b):
+    """a * b, or inf where a float operand makes an exact one overflow."""
+    try:
+        return a * b
+    except OverflowError:
+        return _INF
 
-    A negative or non-finite parameter raises ValueError; a geometric
-    (HH/VV) parameter >= 1 raises DivergenceError.  A symmetric sampler
-    passes ``diagonal(i, kind)``, the geometric parameter drawn at the
-    diagonal box (i, i), or None where that box draws nothing; the boxes
-    below the diagonal mirror those above it and are skipped.
+
+def _refuse(box: Box, kind: str, xi) -> None:
+    """Raise the error of a box whose parameter xi fails the check."""
+    if not 0 <= xi < _INF or (xi > _MAX and kind not in ("HH", "VV")):
+        raise ValueError(
+            f"box {box} of type {kind} has parameter {xi}; "
+            "parameters must be finite and nonnegative, also as floats"
+        )
+    raise DivergenceError(box, kind, xi if xi >= 1 else float(xi))
+
+
+def check_parameters(plan: ShapePlan, diagonal=None) -> List[List[float]]:
+    """Check every parameter before any draw, naming the first bad box, and
+    return the float parameters of the draws: ``table[j - 1][i - 1]`` is
+    float(x_i y_j).
+
+    A negative or non-finite parameter (or one past the float range) raises
+    ValueError; a geometric (HH/VV) parameter whose float is >= 1 raises
+    DivergenceError, which covers an exact parameter >= 1 and one that
+    rounds up to 1.0.  Rows with equal y_j and symbol share one list, so
+    each product is formed and checked once per distinct (y_j, symbol).  A
+    symmetric sampler passes ``diagonal(i, kind)``, the geometric parameter
+    drawn at the diagonal box (i, i), or None where that box draws nothing;
+    the boxes below the diagonal mirror those above it and are skipped.
     """
-    x, y, kinds = plan.x, plan.y, plan.row_kinds()
+    x, y, v, kinds = plan.x, plan.y, plan.v, plan.row_kinds
+    rows = {}  # (type and repr of y_j, row symbol) -> (floats, failures) by column
+    table = []
     for j, row_len in enumerate(plan.pi, start=1):
-        for i, kind in enumerate(kinds[j - 1][:row_len], start=1):
-            if diagonal is None or i < j:
-                xi, geometric = x[i - 1] * y[j - 1], kind in ("HH", "VV")
-            elif i == j:
-                xi, geometric = diagonal(i, kind), True
-                if xi is None:
-                    continue
-            else:
-                break
-            if not 0 <= xi < _INF:
-                raise ValueError(
-                    f"box {(i, j)} of type {kind} has parameter {xi}; "
-                    "parameters must be finite and nonnegative"
-                )
-            if geometric and xi >= 1:
-                raise DivergenceError((i, j), kind, xi)
+        yj, row_kinds = y[j - 1], kinds[j - 1]
+        floats, bad = rows.setdefault((type(yj), repr(yj), v[j - 1]), ([], []))
+        stop = row_len if diagonal is None else min(row_len, j - 1)
+        for i in range(len(floats), stop):
+            xi = _product(x[i], yj)
+            finite = 0 <= xi <= _MAX
+            floats.append(float(xi) if finite else _INF)
+            bad.append(not finite or (floats[i] >= 1 and row_kinds[i] in ("HH", "VV")))
+        if True in bad[:stop]:
+            i = bad.index(True) + 1
+            _refuse((i, j), row_kinds[i - 1], _product(x[i - 1], yj))
+        table.append(floats)
+        if diagonal is not None and j <= row_len:
+            xi = diagonal(j, row_kinds[j - 1])
+            if xi is not None and not 0 <= xi < 1:
+                _refuse((j, j), row_kinds[j - 1], xi)
+    return table
 
 
-def box_draw(plan: ShapePlan, src: RandomSource):
+def box_draw(table: List[List[float]], src: RandomSource):
     """The per-box draw from ``src``, as a function (i, j, kind) -> input:
     Geom(x_i y_j) on HH/VV boxes, Bernoulli(x_i y_j / (1 + x_i y_j)) on
-    HV/VH boxes."""
+    HV/VH boxes, with the products from the table of
+    :func:`check_parameters`."""
     geom, bern = src.geometric, src.bernoulli
-    x, y = plan.x, plan.y
 
     def draw(i: int, j: int, kind: str) -> int:
-        xi = float(x[i - 1] * y[j - 1])
+        xi = table[j - 1][i - 1]
         return geom(xi) if kind in ("HH", "VV") else bern(xi / (1.0 + xi))
 
     return draw
@@ -135,7 +164,7 @@ def grow_profile(plan: ShapePlan, box_input, diagonal=None, stats=None):
     """
     pi, m, n = plan.pi, plan.m, plan.n
     nrows = len(pi)
-    kinds = plan.row_kinds()
+    kinds = plan.row_kinds
     profile = [EMPTY] * (m + 1)
     segments = []  # per-row boundary pieces, assembled at the end
     for j in range(1, nrows + 1):
@@ -200,9 +229,9 @@ def schur_sample(
     if isinstance(src, int):
         src = RandomSource(src)
     plan = precompute_par(word, z)
-    check_parameters(plan)
+    table = check_parameters(plan)
     stats = SampleStats()
-    lambdas = grow_profile(plan, box_draw(plan, src), stats=stats)
+    lambdas = grow_profile(plan, box_draw(table, src), stats=stats)
     return ProcessSample(
         word=plan.word,
         z=tuple(z),

@@ -111,8 +111,8 @@ def symmetric_schur_sample(
             return rule(mu, kap)
         return rule(mu, kap, src.geometric(diagonal_param(i, kind)))
 
-    check_parameters(plan, diagonal_param)
-    lambdas = grow_profile(plan, box_draw(plan, src), diagonal)
+    table = check_parameters(plan, diagonal_param)
+    lambdas = grow_profile(plan, box_draw(table, src), diagonal)
     return SymmetricSample(
         word=word, z=tuple(z), t=t, mode=mode, seed=src.seed, lambdas=lambdas
     )

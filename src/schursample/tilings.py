@@ -15,14 +15,13 @@ width-5 pyramid reconstructions in the tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .partitions import (
     MayaWindow,
     Partition,
     conjugate,
     from_maya,
-    part,
 )
 from .words import Rel, Word, encoded_shape
 
@@ -82,8 +81,9 @@ def to_plane_partition(word: Sequence[Rel], lambdas: Sequence[Partition]) -> Hei
         row = rows[r]
         for c in range(shape[r]):
             k = c - r + n  # the diagonal of row r + 1, column c + 1
-            seen[k] += 1
-            row[c] = part(lambdas[k], seen[k])
+            lam, i = lambdas[k], seen[k]
+            row[c] = lam[i] if i < len(lam) else 0
+            seen[k] = i + 1
     hm = HeightMatrix(tuple(shape), tuple(tuple(r) for r in rows))
     hm.validate()
     return hm
@@ -110,11 +110,11 @@ def from_plane_partition(word: Sequence[Rel], hm: HeightMatrix) -> Tuple[Partiti
 # ---------------------------------------------------------------------------
 # steep tilings
 
-@dataclass(frozen=True, order=True)
-class Domino:
+class Domino(NamedTuple):
     """One domino in diagonal coordinates: it covers the cell at doubled
     Maya position ``pos2`` on diagonal ``k`` and the cell at ``pos2 + 2``
-    (vertical) or ``pos2`` (horizontal) on diagonal k + 1."""
+    (vertical) or ``pos2`` (horizontal) on diagonal k + 1.  Dominoes order
+    as the tuples (k, pos2, vertical, sign)."""
 
     k: int
     pos2: int
@@ -151,14 +151,42 @@ def is_steep_word(word: Sequence[Rel]) -> bool:
     return all(s.primed == (i % 2 == 0) for i, s in enumerate(word))
 
 
-def _particles(lam: Partition, shift: int, rows: int) -> List[int]:
-    """Doubled positions of the first ``rows`` particles (by row index)."""
-    return [2 * (part(lam, i) - i + shift) + 1 for i in range(1, rows + 1)]
+def _step_marks(k: int, a: Partition, b: Partition, s: int, t: int, flip: int,
+                lo: int, hi: int) -> List[Tuple[int, int]]:
+    """The marks (p, q) that row i of step k + 1 links, for the rows whose
+    marks reach the window [lo, hi], in increasing p.
 
-
-def _holes(lam: Partition, shift: int, rows: int) -> List[int]:
-    conj = conjugate(lam)
-    return [2 * (i - part(conj, i) + shift) - 1 for i in range(1, rows + 1)]
+    With ``flip`` = 1 row i is the particle at 2(a_i - i + s) + 1 on the
+    left diagonal and 2(b_i - i + t) + 1 on the right one; with ``flip`` =
+    -1, and a, b the conjugates, it is the hole at 2(i - a_i + s) - 1 and
+    2(i - b_i + t) - 1.  Every row that a or b reaches must move its mark
+    by 0 or 2.  The rows past both are vacuum: they move by 2(t - s), which
+    is 0 or 2 because sigma steps by 0 or 1, and their marks fall (particles)
+    or rise (holes) by 2 a row, so the ones in the window are a run.
+    """
+    rows = max(len(a), len(b))
+    a = tuple(a) + (0,) * (rows - len(a))
+    b = tuple(b) + (0,) * (rows - len(b))
+    marks = [
+        (2 * (flip * (x - i) + s) + flip, 2 * (flip * (y - i) + t) + flip)
+        for i, x, y in zip(range(1, rows + 1), a, b)
+    ]
+    for p, q in marks:
+        if q - p not in (0, 2):
+            raise CodecError(
+                f"sequence does not interlace at step {k + 1}: mark moves from {p} to {q}"
+            )
+    if flip == 1:  # vacuum p = 2(s - i) + 1 <= hi and q = 2(t - i) + 1 >= lo
+        first, last = s + (1 - hi) // 2, t + (1 - lo) // 2
+    else:  # vacuum q = 2(t + i) - 1 >= lo and p = 2(s + i) - 1 <= hi
+        first, last = (lo + 1) // 2 - t, (hi + 1) // 2 - s
+    marks += [
+        (2 * (s - flip * i) + flip, 2 * (t - flip * i) + flip)
+        for i in range(max(first, rows + 1), last + 1)
+    ]
+    if flip == 1:
+        marks.reverse()
+    return [(p, q) for p, q in marks if lo <= p <= hi or lo <= q <= hi]
 
 
 def to_steep_tiling(
@@ -170,7 +198,8 @@ def to_steep_tiling(
 
     ``window`` (doubled positions, odd bounds) fixes which part of the
     infinite strip is materialized; it defaults to the deviation range of
-    the sequence plus one frame domino on each side.
+    the sequence plus one frame domino on each side.  The dominoes come out
+    sorted, by step and then by position.
     """
     word = tuple(word)
     if not is_steep_word(word):
@@ -178,38 +207,22 @@ def to_steep_tiling(
     _require_closed(word, lambdas)
     shifts = word_shifts(word)
     if window is None:
-        lo = min(
-            (2 * (shifts[k] - len(lambdas[k])) - 1 for k in range(len(lambdas))),
-        ) - 2
-        hi = max(
-            (2 * (shifts[k] + part(lambdas[k], 1)) + 1 for k in range(len(lambdas))),
-        ) + 2
+        lo = min(2 * (s - len(lam)) - 1 for s, lam in zip(shifts, lambdas)) - 2
+        hi = max(2 * (s + (lam[0] if lam else 0)) + 1 for s, lam in zip(shifts, lambdas)) + 2
         window = (lo, hi)
     lo, hi = window
     if lo % 2 == 0 or hi % 2 == 0:
         raise CodecError("window bounds must be doubled half-integers (odd)")
     dominoes: List[Domino] = []
     for k, rel in enumerate(word):
-        lam, nxt = lambdas[k], lambdas[k + 1]
-        # enough rows that both Maya diagrams are in their vacuum tails
-        rows = max(len(lam), len(nxt)) + (hi - lo) // 2 + len(word) + 2
-        if rel.primed:
-            src = _particles(lam, shifts[k], rows)
-            dst = _particles(nxt, shifts[k + 1], rows)
-            sign = -1
+        a, b = lambdas[k], lambdas[k + 1]
+        if rel.primed:  # a primed step pairs the particles, a plain one the holes
+            flip = 1
         else:
-            src = _holes(lam, shifts[k], rows)
-            dst = _holes(nxt, shifts[k + 1], rows)
-            sign = 1
-        for p, q in zip(src, dst):
-            if q - p not in (0, 2):
-                raise CodecError(
-                    f"sequence does not interlace at step {k + 1}: "
-                    f"mark moves from {p} to {q}"
-                )
-            if lo <= p <= hi or lo <= q <= hi:
-                dominoes.append(Domino(k, p, q - p == 2, sign))
-    return DominoTiling(word, window, tuple(sorted(dominoes)))
+            flip, a, b = -1, conjugate(a), conjugate(b)
+        marks = _step_marks(k, a, b, shifts[k], shifts[k + 1], flip, lo, hi)
+        dominoes += [Domino(k, p, q != p, -flip) for p, q in marks]
+    return DominoTiling(word, window, tuple(dominoes))
 
 
 def from_steep_tiling(tiling: DominoTiling) -> Tuple[Partition, ...]:
@@ -355,7 +368,7 @@ def to_plane_overpartition(
         row = []
         for c in range(1, shape[r - 1] + 1):
             first = next(
-                i for i in range(n2 + 1) if part(lambdas[i], r) >= c
+                i for i in range(n2 + 1) if len(lambdas[i]) >= r and lambdas[i][r - 1] >= c
             )
             if first % 2:
                 row.append((n - (first - 1) // 2, False))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -154,9 +155,11 @@ class ShapePlan:
     def box_type(self, i: int, j: int) -> str:
         return box_kind(self.u[i - 1], self.v[j - 1])
 
+    @cached_property
     def row_kinds(self) -> List[List[str]]:
         """kinds[j - 1][i - 1] == box_type(i, j) for every column i <= m;
-        rows with the same symbol share one list."""
+        rows with the same symbol share one list.  Computed once per plan,
+        for the parameter check and the growth sweep."""
         by_symbol = {s: [box_kind(u, s) for u in self.u] for s in set(self.v)}
         return [by_symbol[s] for s in self.v]
 

@@ -1,5 +1,7 @@
+import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +248,30 @@ def test_convert_refuses_a_symmetric_sample_as_a_plane_partition(capsys, tmp_pat
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "slices" in err
+
+
+def test_sample_refuses_a_parameter_that_rounds_to_one(capsys):
+    # the exact HH parameter is < 1, but its float is 1.0
+    code, out, err = run_cli(
+        capsys, "sample", "--word", "<>", "--z", "99999999999999999/100000000000000000,1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: box (1, 1) of type HH has parameter 1.0 >= 1")
+
+
+def test_cli_pipeline_reproduces_the_demo_svg(capsys, monkeypatch):
+    # sample (exact Fraction parameters) | convert | render, in-process; demo
+    # 01 draws the same sample from the library and renders it at scale 8
+    stages = [
+        ["sample", "--word", "(<'>)^24", "--z", ",".join(["1"] * 48), "--seed", "2024"],
+        ["convert", "--to", "steep-tiling", "--input", "-"],
+        ["render", "--style", "domino", "--scale", "8", "--input", "-"],
+    ]
+    text = ""
+    for argv in stages:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, text, err = run_cli(capsys, *argv)
+        assert code == 0, err
+    demo = Path(__file__).resolve().parents[1] / "demos" / "output" / "aztec_24.svg"
+    assert text == demo.read_text() + "\n"

@@ -1,0 +1,192 @@
+"""The window-bounded steep codec and the one-format-per-domino renderer
+against the row-walk codec and the polygon renderer they replaced, which are
+kept here as the reference.
+
+The reference codec walks a fixed number of rows per step, reading every
+mark through ``part()``, and sorts the dominoes at the end.  Its row count
+is the old one widened by the window's distance from the origin: the old
+count, max(len) + (hi - lo)/2 + len(word) + 2, missed vacuum rows of a
+window far below (particles) or above (holes) the sequence, and checked no
+row at all when lo > hi.  Three checks on random steep words: equal
+dominoes, windows and ``CodecError`` messages (default windows, windows
+widened and narrowed by up to 6 cells on each side, and sequences broken so
+they no longer interlace); equal SVG bytes at several scales; and the
+vacuum rows that the old row count missed.
+"""
+import random
+
+import pytest
+
+from schursample.partitions import EMPTY, conjugate, part
+from schursample.render import DOMINO_PALETTE, RenderStyle, _Svg, render_svg
+from schursample.sampler import schur_sample
+from schursample.tilings import (
+    CodecError,
+    Domino,
+    DominoTiling,
+    is_steep_word,
+    to_steep_tiling,
+    word_shifts,
+)
+from schursample.words import Rel, parse_word
+
+
+# --- the reference codec: one part() call per row --------------------------
+
+def _ref_particles(lam, shift, rows):
+    return [2 * (part(lam, i) - i + shift) + 1 for i in range(1, rows + 1)]
+
+
+def _ref_holes(lam, shift, rows):
+    conj = conjugate(lam)
+    return [2 * (i - part(conj, i) + shift) - 1 for i in range(1, rows + 1)]
+
+
+def ref_to_steep_tiling(word, lambdas, window=None):
+    word = tuple(word)
+    if not is_steep_word(word):
+        raise CodecError("not a steep word: needs alternating primed/plain symbols")
+    if len(lambdas) != len(word) + 1:
+        raise CodecError(
+            f"a word of {len(word)} symbols needs {len(word) + 1} slices, got {len(lambdas)}"
+        )
+    if lambdas[0] or lambdas[-1]:
+        raise CodecError(f"the end slices must be empty, got {lambdas[0]} and {lambdas[-1]}")
+    shifts = word_shifts(word)
+    if window is None:
+        lo = min(2 * (shifts[k] - len(lambdas[k])) - 1 for k in range(len(lambdas))) - 2
+        hi = max(2 * (shifts[k] + part(lambdas[k], 1)) + 1 for k in range(len(lambdas))) + 2
+        window = (lo, hi)
+    lo, hi = window
+    if lo % 2 == 0 or hi % 2 == 0:
+        raise CodecError("window bounds must be doubled half-integers (odd)")
+    dominoes = []
+    for k, rel in enumerate(word):
+        lam, nxt = lambdas[k], lambdas[k + 1]
+        rows = max(len(lam), len(nxt)) + (abs(lo) + abs(hi)) // 2 + len(word) + 2
+        if rel.primed:
+            src = _ref_particles(lam, shifts[k], rows)
+            dst = _ref_particles(nxt, shifts[k + 1], rows)
+            sign = -1
+        else:
+            src = _ref_holes(lam, shifts[k], rows)
+            dst = _ref_holes(nxt, shifts[k + 1], rows)
+            sign = 1
+        for p, q in zip(src, dst):
+            if q - p not in (0, 2):
+                raise CodecError(
+                    f"sequence does not interlace at step {k + 1}: "
+                    f"mark moves from {p} to {q}"
+                )
+            if lo <= p <= hi or lo <= q <= hi:
+                dominoes.append(Domino(k, p, q - p == 2, sign))
+    return DominoTiling(word, window, tuple(sorted(dominoes)))
+
+
+# --- the reference renderer: one polygon() call per domino -----------------
+
+def ref_domino_rect(d, s):
+    (k0, p0), (k1, p1) = d.cells()
+    boxes = []
+    for k, p in ((k0, p0), (k1, p1)):
+        y = p / 2.0
+        x = y - k  # diagonal k lies on x - y = -k
+        boxes.append((x, y))
+    xs = [b[0] for b in boxes]
+    ys = [b[1] for b in boxes]
+    x0, x1 = min(xs) - 0.5, max(xs) + 0.5
+    y0, y1 = min(ys) - 0.5, max(ys) + 0.5
+    return [
+        (x0 * s, -y0 * s), (x1 * s, -y0 * s), (x1 * s, -y1 * s), (x0 * s, -y1 * s)
+    ]
+
+
+def ref_render_domino(tiling, style):
+    svg = _Svg()
+    for d in tiling.dominoes:
+        key = ("v" if d.vertical else "h", d.sign)
+        svg.polygon(ref_domino_rect(d, style.scale), DOMINO_PALETTE[key])
+    return svg.document()
+
+
+# --- random steep cases ----------------------------------------------------
+
+def _random_case(rnd, trial):
+    """A random steep word, a sample of it, and (sometimes) that sample
+    with one interior slice changed so that it may no longer interlace."""
+    n = rnd.randrange(1, 7)
+    word = tuple(
+        s for _ in range(n)
+        for s in (rnd.choice((Rel.LV, Rel.RV)), rnd.choice((Rel.LH, Rel.RH)))
+    )
+    z = tuple(rnd.uniform(0.3, 0.95) for _ in word)
+    lambdas = list(schur_sample(word, z, trial).lambdas)
+    broken = rnd.random() < 0.3
+    if broken:
+        k = rnd.randrange(1, len(lambdas) - 1)
+        lam = list(lambdas[k])
+        if lam and rnd.random() < 0.5:
+            lam[0] += rnd.randrange(1, 3)
+        else:
+            lam = sorted(lam + [rnd.randrange(1, 3)], reverse=True)
+        lambdas[k] = tuple(lam)
+    return word, tuple(lambdas), broken
+
+
+def _outcome(codec, word, lambdas, window):
+    try:
+        return codec(word, lambdas, window)
+    except CodecError as exc:
+        return str(exc)
+
+
+def test_steep_codec_matches_reference_on_random_words():
+    rnd = random.Random(2024)
+    cases = broken = errors = 0
+    for trial in range(600):
+        word, lambdas, was_broken = _random_case(rnd, trial)
+        broken += was_broken
+        default = _outcome(ref_to_steep_tiling, word, lambdas, None)
+        lo, hi = (-3, 3) if isinstance(default, str) else default.window
+        windows = [None] + [
+            (lo + 2 * rnd.randint(-6, 6), hi + 2 * rnd.randint(-6, 6)) for _ in range(3)
+        ]
+        for window in windows:
+            want = _outcome(ref_to_steep_tiling, word, lambdas, window)
+            assert _outcome(to_steep_tiling, word, lambdas, window) == want, (
+                word, lambdas, window,
+            )
+            cases += 1
+            errors += isinstance(want, str)
+    assert cases == 2400 and broken >= 150 and errors >= 100
+
+
+def test_domino_renderer_matches_reference_on_random_words():
+    rnd = random.Random(7)
+    for trial in range(500):
+        word, lambdas, _ = _random_case(rnd, trial)
+        tiling = _outcome(to_steep_tiling, word, lambdas, None)
+        if isinstance(tiling, str):
+            continue
+        style = RenderStyle(model="domino", scale=rnd.choice((12.0, 8.0, 1.0, 0.37, 3e-3)))
+        assert render_svg(tiling, style) == ref_render_domino(tiling, style)
+
+
+def test_domino_renderer_matches_reference_on_a_large_aztec_diamond():
+    word = parse_word("(<'>)^60")
+    tiling = to_steep_tiling(word, schur_sample(word, (1,) * 120, 60).lambdas)
+    style = RenderStyle(model="domino", scale=12.0)
+    assert render_svg(tiling, style) == ref_render_domino(tiling, style)
+
+
+@pytest.mark.parametrize("text, window, count", [(">'>", (-15, -7), 6), ("<'>", (9, 17), 5)])
+def test_window_far_from_the_sequence_is_fully_covered(text, window, count):
+    # the particles of diagonal 1 below the sequence, and its holes above
+    # it, reach any window; the old row count stopped one row short of
+    # both windows (5 and 4 dominoes)
+    word = parse_word(text)
+    tiling = to_steep_tiling(word, (EMPTY,) * 3, window)
+    assert len(tiling.dominoes) == count
+    lo, hi = window
+    covered = {p for d in tiling.dominoes for k, p in d.cells() if k == 1}
+    assert covered >= set(range(lo, hi + 1, 2))

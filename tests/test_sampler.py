@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from schursample.rng import RandomSource
 from schursample.sampler import (
     DivergenceError,
     boundary_lambdas,
+    check_parameters,
     in_place_boundary_sample,
     reconstruct_inputs,
     run_growth,
@@ -63,6 +65,32 @@ def test_divergence_error_names_box():
     assert err.value.box == (1, 1)
     # a VH-only word with the same parameters is fine
     schur_sample(parse_word("<'>"), (1, 1), 0)
+
+
+def test_parameter_that_rounds_to_one_is_refused_before_any_draw():
+    # x y < 1 exactly, but float(x y) == 1.0, which Geom cannot draw
+    xi = Fraction(99999999999999999, 10**17)
+    src = RandomSource(0, log_draws=True)
+    with pytest.raises(DivergenceError, match="parameter 1.0 >= 1") as err:
+        schur_sample(parse_word("<'<>"), (1, xi, 1), src)
+    assert err.value.box == (2, 1) and err.value.kind == "HH"
+    assert src.draw_log == []
+    # the same product on a Bernoulli box draws with p = 1/2
+    schur_sample(parse_word("<'>"), (xi, 1), 0)
+
+
+def test_parameter_overflowing_a_float_is_refused_with_the_box():
+    with pytest.raises(ValueError, match="also as floats") as err:
+        schur_sample(parse_word("<'>"), (10**400, 1), 0)
+    assert "box (1, 1)" in str(err.value)
+
+
+def test_parameter_table_shares_equal_rows():
+    # x = (1, 1/2, 1); y = (1, 1, 2), row 1 first; rows 1 and 2 share a list
+    plan = precompute_par(parse_word("(<'>)^3"), (1, 2, Fraction(1, 2), 1, 1, 1))
+    table = check_parameters(plan)
+    assert table == [[1.0, 0.5, 1.0], [1.0, 0.5, 1.0], [2.0]]
+    assert table[0] is table[1]
 
 
 @pytest.mark.parametrize(
