@@ -626,8 +626,8 @@ def verify_bijections(max_weight: int = 6) -> BijectionReport:
     three diagonal reflection rules) up to the given weight: injectivity,
     surjectivity onto the valid targets, inverse round trips, and weight
     balances.  Every rule runs through the checked entry points
-    ``rules.grow`` and ``rules.grow_diag``, which also assert the HV block
-    interleaving."""
+    ``rules.grow`` / ``rules.grow_diag`` and their inverses ``rules.shrink``
+    / ``rules.shrink_diag``."""
     report = BijectionReport()
     for kind in ("HH", "HV", "VH", "VV"):
         _verify_box_type(kind, max_weight, report)

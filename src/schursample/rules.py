@@ -13,21 +13,20 @@ VV even-columns rule is the conjugate of the even-rows one, and
 ``shrink_diag`` inverts every diagonal rule with the Cauchy inverse on the
 same corner.
 
-The ``grow_*`` kernels check nothing, so the growth sweep pays only the
-per-box cost.  A box kernel pads lam, mu and kappa with zeros once, to
-n = max(len(lam), len(mu)) + 1 rows, and makes one O(n) pass over them.
-The column rules cost O(n + largest part): ``grow_vv`` walks the columns of
-its inputs directly and conjugates only its output, and ``grow_diag_v_ec``
-conjugates in O(len + largest part).  A kernel whose corner is empty returns
-at once, so the many tiny boxes of short words do not pay for the padding.
-On valid inputs every output row but the last is positive, so a kernel drops
-at most one zero.
+The ``grow_*`` kernels and their inverses ``shrink_*`` check nothing, so
+the growth sweep and the inverse sweep pay only the per-box cost.  A box
+kernel pads its partitions with zeros once, to n = max(len(lam), len(mu))
++ 1 rows, and makes one O(n) pass over them (``shrink_hv`` from the bottom
+row up).  ``grow_vv`` walks the columns of its inputs and conjugates only
+its output; ``shrink_vv`` and ``grow_diag_v_ec`` conjugate in
+O(len + largest part).  A grow kernel whose corner is empty returns at once.
 
-The checked entry points :func:`grow` and :func:`grow_diag` run a kernel
-between assertions of its input range, strip preconditions, HV block
-interleaving, output interlacing and weight balance; the oracle and the
-tests call those.  ``shrink`` and ``shrink_diag`` always validate, since
-they must report inconsistent inputs.
+The checked entry points :func:`grow` and :func:`grow_diag` assert the input
+range, strip preconditions, output interlacing and weight balance around a
+kernel (the HV block interleaving follows from the strip preconditions; the
+tests assert it).  ``shrink`` and ``shrink_diag`` always validate, since
+they must report inconsistent inputs: the checked rule must accept the
+recovered pair and regrow nu from it.
 """
 from __future__ import annotations
 
@@ -39,8 +38,6 @@ from .partitions import (
     has_even_parts,
     interlaces_h,
     interlaces_v,
-    make,
-    part,
 )
 
 _INF = float("inf")
@@ -105,32 +102,15 @@ def grow_vv(lam: Partition, mu: Partition, kap: Partition, g: int) -> Partition:
     return conjugate(cols)
 
 
-def _hv_positions(lam: Partition, mu: Partition):
-    """Index lists (i_list, j_list) of the block conditions.
-
-    j-positions satisfy lam_i <= mu_i < lam_{i-1} (nu may gain a box there);
-    i-positions satisfy mu_{i+1} < lam_i <= mu_i (kappa may lose one).  They
-    interleave as j_1 <= i_1 < j_2 <= ... < j_{r+1}.
-    """
-    n = max(len(lam), len(mu)) + 1
-    i_list, j_list = [], []
-    prev_lam = _INF
-    for i in range(1, n + 1):
-        li, mi = part(lam, i), part(mu, i)
-        if li <= mi < prev_lam:
-            j_list.append(i)
-        if part(mu, i + 1) < li <= mi:
-            i_list.append(i)
-        prev_lam = li
-    return i_list, j_list
-
-
 def grow_hv(lam: Partition, mu: Partition, kap: Partition, b: int) -> Partition:
     """Dual Cauchy rule with a cascading bit.
 
     Requires kap <' lam (vertical strip) and kap < mu; produces nu with
-    nu >= lam and nu >=' mu.  The input bit is consumed at the first
-    j-position; each i-position emits the next bit lam_i - kap_i.
+    nu >= lam and nu >=' mu.  Row i is a j-position when
+    lam_i <= mu_i < lam_{i-1} (nu may gain a box there) and an i-position
+    when mu_{i+1} < lam_i <= mu_i (kappa may lack one there).  The input bit
+    is consumed at the first j-position; each i-position emits the next bit
+    lam_i - kap_i, consumed at the next j-position.
     """
     if not lam and not mu:
         return (b,) if b else ()
@@ -160,35 +140,80 @@ def grow_vh(lam: Partition, mu: Partition, kap: Partition, b: int) -> Partition:
     return grow_hv(mu, lam, kap, b)
 
 
+def shrink_hh(lam: Partition, nu: Partition, mu: Partition) -> Tuple[Partition, int]:
+    """Inverse of grow_hh: G = nu_1 - max(lam_1, mu_1) and
+    kap_i = max(lam_{i+1}, mu_{i+1}) + min(lam_i, mu_i) - nu_{i+1}."""
+    n = max(len(lam), len(mu)) + 1
+    L = lam + (0,) * (n - len(lam))
+    M = mu + (0,) * (n - len(mu))
+    N = nu + (0,) * (n - len(nu))
+    rows = [
+        (li if li > mi else mi) + (pl if pl < pm else pm) - ni
+        for pl, pm, li, mi, ni in zip(L, M, L[1:], M[1:], N[1:])
+    ]
+    while rows and not rows[-1]:
+        rows.pop()
+    return tuple(rows), N[0] - (L[0] if L[0] > M[0] else M[0])
+
+
+def shrink_vv(lam: Partition, nu: Partition, mu: Partition) -> Tuple[Partition, int]:
+    """Inverse of grow_vv: shrink_hh on the conjugates."""
+    kap, g = shrink_hh(conjugate(lam), conjugate(nu), conjugate(mu))
+    return conjugate(kap), g
+
+
+def shrink_hv(lam: Partition, nu: Partition, mu: Partition) -> Tuple[Partition, int]:
+    """Inverse of grow_hv, in one pass from the bottom row up.
+
+    The pass carries the bit of the next j-position below, nu_j - mu_j.  An
+    i-position takes that bit back, kap_i = lam_i - bit; every other row
+    has kap_i = min(lam_i, mu_i).  The bit left at the top is the input b.
+    """
+    n = max(len(lam), len(mu)) + 1
+    L = (_INF,) + lam + (0,) * (n - len(lam))  # L[i] = lam_i
+    M = mu + (0,) * (n + 1 - len(mu))
+    N = nu + (0,) * (n - len(nu))
+    rows = []  # kappa from the bottom up
+    bit = 0
+    for li, prev, mi, m_next, ni in zip(
+        L[n:0:-1], L[n - 1 :: -1], M[n - 1 :: -1], M[n:0:-1], N[n - 1 :: -1]
+    ):
+        if li > mi:  # neither a j- nor an i-position
+            k = mi
+        else:
+            k = li - bit if m_next < li else li
+            if mi < prev:
+                bit = ni - mi
+        rows.append(k)
+    rows.reverse()
+    while rows and not rows[-1]:
+        rows.pop()
+    return tuple(rows), bit
+
+
+def shrink_vh(lam: Partition, nu: Partition, mu: Partition) -> Tuple[Partition, int]:
+    """Inverse of grow_vh: shrink_hv with the roles of lam and mu exchanged."""
+    return shrink_hv(mu, nu, lam)
+
+
 # The sweep calls the kernels through GROW, so a caller may substitute them;
-# the checked entry points use their own table.
+# the checked entry points use their own table.  SHRINK[kind](lam, nu, mu)
+# is the unchecked inverse of the same kernel: (kappa, rand), valid only when
+# nu has a preimage.
 _KERNELS = {"HH": grow_hh, "HV": grow_hv, "VH": grow_vh, "VV": grow_vv}
 GROW = dict(_KERNELS)
+SHRINK = {"HH": shrink_hh, "HV": shrink_hv, "VH": shrink_vh, "VV": shrink_vv}
 
 # Strip relations of a box: BOX_PRE[kind] = (lam vs kappa, mu vs kappa) for
-# the inputs, BOX_POST[kind] = (nu vs lam, nu vs mu) for the output.
+# the inputs, BOX_POST[kind] = (nu vs lam, nu vs mu) for the output; nu/lam
+# is the same kind of strip as mu/kappa, and nu/mu as lam/kappa.
 BOX_PRE = {
     "HH": (interlaces_h, interlaces_h),
     "HV": (interlaces_v, interlaces_h),
     "VH": (interlaces_h, interlaces_v),
     "VV": (interlaces_v, interlaces_v),
 }
-BOX_POST = {
-    "HH": (interlaces_h, interlaces_h),
-    "HV": (interlaces_h, interlaces_v),
-    "VH": (interlaces_v, interlaces_h),
-    "VV": (interlaces_v, interlaces_v),
-}
-
-
-def _require_hv_blocks(lam: Partition, mu: Partition, kap: Partition) -> None:
-    """The j- and i-positions of grow_hv(lam, mu, kap, .) interleave, and
-    every cascaded bit lam_i - kap_i is 0 or 1."""
-    i_list, j_list = _hv_positions(lam, mu)
-    _require(len(j_list) == len(i_list) + 1, "block count mismatch")
-    for k, ik in enumerate(i_list):
-        _require(j_list[k] <= ik < j_list[k + 1], "block interleaving violated")
-        _require(part(lam, ik) - part(kap, ik) in (0, 1), "cascaded bit out of range")
+BOX_POST = {kind: pre[::-1] for kind, pre in BOX_PRE.items()}
 
 
 def grow(kind: str, lam: Partition, mu: Partition, kap: Partition, rand: int) -> Partition:
@@ -201,10 +226,6 @@ def grow(kind: str, lam: Partition, mu: Partition, kap: Partition, rand: int) ->
     pre_l, pre_m = BOX_PRE[kind]
     _require(pre_l(lam, kap), f"{kind} precondition on lam, kappa fails: {lam} {kap}")
     _require(pre_m(mu, kap), f"{kind} precondition on mu, kappa fails: {mu} {kap}")
-    if kind == "HV":
-        _require_hv_blocks(lam, mu, kap)
-    elif kind == "VH":
-        _require_hv_blocks(mu, lam, kap)
     nu = _KERNELS[kind](lam, mu, kap, rand)
     post_l, post_m = BOX_POST[kind]
     _require(post_l(nu, lam) and post_m(nu, mu), f"{kind} output interlacing")
@@ -212,63 +233,13 @@ def grow(kind: str, lam: Partition, mu: Partition, kap: Partition, rand: int) ->
     return nu
 
 
-def _kappa(rows) -> Partition:
-    """The recovered rows of kappa as a partition; GrowthError if they are none."""
-    try:
-        return make(rows)
-    except ValueError as exc:
-        raise GrowthError(f"no preimage: {exc}") from None
-
-
-def _shrink_hh(lam: Partition, nu: Partition, mu: Partition):
-    g = part(nu, 1) - max(part(lam, 1), part(mu, 1))
-    n = max(len(lam), len(mu))
-    rows = []
-    for i in range(1, n + 1):
-        rows.append(
-            max(part(lam, i + 1), part(mu, i + 1))
-            + min(part(lam, i), part(mu, i))
-            - part(nu, i + 1)
-        )
-    return _kappa(rows), g
-
-
-def _shrink_hv(lam: Partition, nu: Partition, mu: Partition):
-    i_list, j_list = _hv_positions(lam, mu)
-    bits = [part(nu, j) - max(part(lam, j), part(mu, j)) for j in j_list]
-    b = bits[0]
-    n = max(len(lam), len(mu))
-    rows = []
-    consumed = {ik: bits[k + 1] for k, ik in enumerate(i_list)}
-    for i in range(1, n + 1):
-        base = min(part(lam, i), part(mu, i))
-        rows.append(base - consumed.get(i, 0))
-    return _kappa(rows), b
-
-
 def shrink(kind: str, lam: Partition, nu: Partition, mu: Partition) -> Tuple[Partition, int]:
     """Invert the matching grow rule: the unique (kappa, rand) with
     grow(kind, lam, mu, kappa, rand) == nu.  Raises GrowthError when no
-    preimage exists."""
-    try:
-        if kind == "HH":
-            kap, rand = _shrink_hh(lam, nu, mu)
-        elif kind == "VV":
-            kapc, rand = _shrink_hh(conjugate(lam), conjugate(nu), conjugate(mu))
-            kap = conjugate(kapc)
-        elif kind == "HV":
-            kap, rand = _shrink_hv(lam, nu, mu)
-        elif kind == "VH":
-            kap, rand = _shrink_hv(mu, nu, lam)
-        else:
-            raise KeyError(kind)
-        if rand < 0 or (kind in ("HV", "VH") and rand > 1):
-            raise GrowthError(f"no preimage: recovered rand={rand}")
-    except GrowthError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise GrowthError(f"no preimage for {kind} box: {exc}") from exc
-    check = _KERNELS[kind](lam, mu, kap, rand)
+    preimage exists: the checked rule refuses the recovered pair (its strip
+    preconditions also make kappa a partition) or grows another nu."""
+    kap, rand = SHRINK[kind](lam, nu, mu)
+    check = grow(kind, lam, mu, kap, rand)
     if check != nu:
         raise GrowthError(
             f"no preimage: grow({kind}, {lam}, {mu}, {kap}, {rand}) = {check} != {nu}"
@@ -372,7 +343,7 @@ def shrink_diag(kind: str, mu: Partition, nu: Partition) -> Tuple[Partition, int
         return conjugate(kap), g
     g_weight = _DIAG_RULES[kind][3]
     c, f = _halves(mu) if kind == "HER" else (mu, mu)
-    kap, g = _shrink_hh(c, nu, f)
+    kap, g = shrink_hh(c, nu, f)
     g, excess = divmod(g, g_weight) if g_weight else (0, g)
     _require(not excess, f"no preimage for diagonal {kind}: top row {nu} over {mu}")
     if grow_diag(kind, mu, kap, g) != nu:

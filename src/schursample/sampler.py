@@ -8,6 +8,9 @@ diagonal rule and grows one triangle) and the pyramidal one (which grows its
 finite truncation word).  ``in_place_boundary_sample`` is another name for
 ``schur_sample``.
 
+:func:`shrink_profile` is the same sweep run backwards: it peels the shape
+off the boundary with one profile and recovers every box's input.
+
 :func:`run_growth` keeps the whole grid and takes any traversal order; it
 is the reference that the tests compare the sweep against.  Its
 ``"diagonal"`` order is domino shuffling on Aztec words, and it grows the
@@ -21,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .partitions import EMPTY, Partition, interlaces
 from .rng import ALGORITHM, RandomSource
-from .rules import GROW, shrink
+from .rules import GROW, SHRINK, GrowthError
 from .words import Rel, ShapePlan, Word, precompute_par
 
 Box = Tuple[int, int]
@@ -247,30 +250,49 @@ def schur_sample(
 in_place_boundary_sample = schur_sample
 
 
-def reconstruct_inputs(sample: ProcessSample) -> Dict[Box, int]:
-    """Recover the per-box random inputs from the output sequence alone.
+def shrink_profile(plan: ShapePlan, lambdas: Sequence[Partition], diagonal=None):
+    """The inverse of grow_profile: from its boundary partitions ``lambdas``,
+    which must be a valid sequence (the kernels are unchecked), yield
+    ((i, j), input) for every box in reverse row-major order.
 
-    Peeling boxes in reverse row-major order inverts each local rule, so the
-    returned map equals the draw log of the forward run; running
-    ``run_growth`` with it reproduces the identical grid.
+    One profile of tau(i, j) is kept: row j is shrunk right to left, each box
+    giving tau(i - 1, j - 1), and those kappas with the boundary of row
+    j - 1 make the next profile.  With ``diagonal`` only the boxes i <= j are
+    shrunk; box (i, i) gives ``diagonal(i, kind, mu, nu)`` = (kappa, input)
+    with mu = tau(i - 1, i).
+    """
+    pi, nrows = plan.pi, len(plan.pi)
+    rows = [[] for _ in range(nrows + 1)]  # rows[j]: boundary tau(i, j), i rising
+    for (i, j), lam in zip(plan.boundary_points(), lambdas):
+        if j <= nrows and (diagonal is None or i <= j):
+            rows[j].append(lam)
+    profile = rows[nrows]
+    for j in range(nrows, 0, -1):
+        stop = pi[j - 1] if diagonal is None else min(pi[j - 1], j)
+        kinds = plan.row_kinds[j - 1]
+        kaps = []
+        mu = rows[j - 1][0] if rows[j - 1] else EMPTY  # tau(stop, j - 1)
+        for i in range(stop, 0, -1):
+            if i == j and diagonal is not None:
+                mu, rand = diagonal(i, kinds[i - 1], profile[i - 1], profile[i])
+            else:
+                mu, rand = SHRINK[kinds[i - 1]](profile[i - 1], profile[i], mu)
+            kaps.append(mu)  # tau(i - 1, j - 1), the mu of the next box
+            yield (i, j), rand
+        kaps.reverse()
+        profile = kaps + rows[j - 1]
+
+
+def reconstruct_inputs(sample: ProcessSample) -> Dict[Box, int]:
+    """Recover the per-box random inputs from the output sequence alone: the
+    draw log of the forward run, keyed by box in row-major order.
+
+    The inverse sweep :func:`shrink_profile` recovers them, and one forward
+    replay certifies them: they must regrow the sample, else GrowthError.
     """
     sample.validate()
     plan = precompute_par(sample.word, sample.z)
-    tau: Dict[Box, Partition] = {}
-    for pt, lam in zip(plan.boundary_points(), sample.lambdas):
-        tau[pt] = lam
-
-    def known(i: int, j: int) -> Partition:
-        if i == 0 or j <= 0:
-            return EMPTY
-        return tau[(i, j)]
-
-    inputs: Dict[Box, int] = {}
-    for j in range(len(plan.pi), 0, -1):
-        for i in range(plan.pi[j - 1], 0, -1):
-            kap, rand = shrink(
-                plan.box_type(i, j), known(i - 1, j), known(i, j), known(i, j - 1)
-            )
-            tau[(i - 1, j - 1)] = kap
-            inputs[(i, j)] = rand
+    inputs = dict(reversed(list(shrink_profile(plan, sample.lambdas))))
+    if grow_profile(plan, lambda i, j, kind: inputs[i, j]) != tuple(sample.lambdas):
+        raise GrowthError("the recovered inputs do not regrow the sample")
     return inputs

@@ -7,27 +7,30 @@ square shape: an off-diagonal box and its mirror image share one draw, and
 a diagonal box runs the one-sided reflection rule selected by the boundary
 mode (free, even rows, or even columns).  The sampler reads those rules from
 this module's ``grow_diag_*`` names on each call, so a caller may
-substitute them.
+substitute them.  :func:`reconstruct_symmetric_inputs` runs the inverse
+sweep on the same triangle and recovers the draws.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .partitions import EMPTY, Partition, has_even_parts, interlaces
 from .rng import ALGORITHM, RandomSource
 from .rules import (
+    GrowthError,
     grow_diag_h,
     grow_diag_h_ec,
     grow_diag_h_er,
     grow_diag_v,
     grow_diag_v_ec,
     grow_diag_v_er,
+    shrink_diag,
 )
-from .sampler import box_draw, check_parameters, grow_profile
-from .words import Rel, Word, precompute_par, symmetrize
+from .sampler import box_draw, check_parameters, grow_profile, shrink_profile
+from .words import Rel, ShapePlan, Word, precompute_par, symmetrize
 from .zfun import MODE_EVEN_COLUMNS, MODE_EVEN_ROWS, MODE_FREE, MODES
 
 
@@ -90,32 +93,66 @@ def symmetric_schur_sample(
     if isinstance(src, int):
         src = RandomSource(src)
     word = tuple(word)
-    zbar = fold_boundary_weight(word, z, t)
-    wsym, zsym = symmetrize(word, zbar)
-    plan = precompute_par(wsym, zsym)
-    # diagonal box kind -> (rule, power p of its Geom(x^p) draw; 0: no draw)
-    if mode == MODE_FREE:
-        diag_rules = {"HH": (grow_diag_h, 1), "VV": (grow_diag_v, 1)}
-    elif mode == MODE_EVEN_ROWS:
-        diag_rules = {"HH": (grow_diag_h_er, 2), "VV": (grow_diag_v_er, 0)}
-    else:
-        diag_rules = {"HH": (grow_diag_h_ec, 0), "VV": (grow_diag_v_ec, 2)}
+    plan = _symmetric_plan(word, z, t)
+    rules = _diagonal_rules(mode)
 
     def diagonal_param(i: int, kind: str):
-        power = diag_rules[kind][1]
+        power = rules[kind][2]
         return float(plan.x[i - 1]) ** power if power else None
 
-    def diagonal(i: int, kind: str, mu: Partition, kap: Partition) -> Partition:
-        rule, power = diag_rules[kind]
-        if not power:
-            return rule(mu, kap)
-        return rule(mu, kap, src.geometric(diagonal_param(i, kind)))
-
     table = check_parameters(plan, diagonal_param)
-    lambdas = grow_profile(plan, box_draw(table, src), diagonal)
+    draw = box_draw(table, src)
+    lambdas = _grow(plan, rules, draw, lambda i, kind: src.geometric(diagonal_param(i, kind)))
     return SymmetricSample(
         word=word, z=tuple(z), t=t, mode=mode, seed=src.seed, lambdas=lambdas
     )
+
+
+def _symmetric_plan(word: Word, z: Sequence, t) -> ShapePlan:
+    """The plan of the reflected word w . w*, with t folded into z."""
+    return precompute_par(*symmetrize(word, fold_boundary_weight(word, z, t)))
+
+
+def _diagonal_rules(mode: str):
+    """Diagonal box kind -> (grow rule, shrink_diag kind, power p of its
+    Geom(x^p) draw; 0: no draw), read from this module's names."""
+    if mode == MODE_FREE:
+        return {"HH": (grow_diag_h, "H", 1), "VV": (grow_diag_v, "V", 1)}
+    if mode == MODE_EVEN_ROWS:
+        return {"HH": (grow_diag_h_er, "HER", 2), "VV": (grow_diag_v_er, "VER", 0)}
+    return {"HH": (grow_diag_h_ec, "HEC", 0), "VV": (grow_diag_v_ec, "VEC", 2)}
+
+
+def _grow(plan: ShapePlan, rules, box_input, draw) -> Tuple[Partition, ...]:
+    """grow_profile over the i <= j triangle: diagonal box (i, i) runs its
+    rule, with G = draw(i, kind) where the rule draws."""
+
+    def diagonal(i: int, kind: str, mu: Partition, kap: Partition) -> Partition:
+        rule, _, power = rules[kind]
+        return rule(mu, kap, draw(i, kind)) if power else rule(mu, kap)
+
+    return grow_profile(plan, box_input, diagonal)
+
+
+def reconstruct_symmetric_inputs(sample: SymmetricSample) -> List[int]:
+    """The inputs of the boxes that draw, in draw-log order, recovered from
+    the output alone by the inverse sweep (``shrink_diag`` on the diagonal)
+    and certified by one forward replay, which must regrow the sample."""
+    sample.validate()
+    plan = _symmetric_plan(sample.word, sample.z, sample.t)
+    rules = _diagonal_rules(sample.mode)
+    shrunk = shrink_profile(
+        plan, sample.lambdas, lambda i, kind, mu, nu: shrink_diag(rules[kind][1], mu, nu)
+    )
+    inputs = [
+        rand for (i, j), rand in reversed(list(shrunk))
+        if i < j or rules[plan.row_kinds[i - 1][i - 1]][2]
+    ]
+    take = iter(inputs).__next__
+    replay = _grow(plan, rules, lambda i, j, kind: take(), lambda i, kind: take())
+    if replay != tuple(sample.lambdas):
+        raise GrowthError("the recovered inputs do not regrow the sample")
+    return inputs
 
 
 def symmetric_weight(sample: SymmetricSample):

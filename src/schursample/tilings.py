@@ -131,9 +131,6 @@ class DominoTiling:
     window: Tuple[int, int]  # doubled positions [lo, hi] covered per diagonal
     dominoes: tuple  # tuple[Domino, ...], sorted
 
-    def domino_set(self) -> frozenset:
-        return frozenset(self.dominoes)
-
 
 def word_shifts(word: Sequence[Rel]) -> Tuple[int, ...]:
     """sigma_k for k = 0..n: vertical steps of the minimal-tiling path."""
@@ -247,43 +244,6 @@ def from_steep_tiling(tiling: DominoTiling) -> Tuple[Partition, ...]:
         )
         out.append(from_maya(MayaWindow(lo, cells)))
     return tuple(out)
-
-
-def flip_distance_check(tiling: DominoTiling) -> int:
-    """Number of flips from the minimal tiling: the volume of the decoded
-    sequence (each flip adds or removes one box on one diagonal)."""
-    return sum(sum(l) for l in from_steep_tiling(tiling))
-
-
-def enumerate_flips(tiling: DominoTiling) -> List[Tuple[Domino, Domino]]:
-    """All flippable 2x2 blocks, as the pair of dominoes to replace."""
-    have = tiling.domino_set()
-    out = []
-    for d in tiling.dominoes:
-        if d.vertical:
-            partner = Domino(d.k + 1, d.pos2, True, -d.sign)
-            if partner in have:
-                out.append((d, partner))
-        else:
-            partner = Domino(d.k + 1, d.pos2 + 2, False, -d.sign)
-            if partner in have:
-                out.append((d, partner))
-    return out
-
-
-def apply_flip(tiling: DominoTiling, pair: Tuple[Domino, Domino]) -> DominoTiling:
-    a, b = pair
-    assert b.k == a.k + 1
-    have = set(tiling.dominoes)
-    have.discard(a)
-    have.discard(b)
-    if a.vertical:
-        have.add(Domino(a.k, a.pos2, False, a.sign))
-        have.add(Domino(a.k + 1, a.pos2 + 2, False, b.sign))
-    else:
-        have.add(Domino(a.k, a.pos2, True, a.sign))
-        have.add(Domino(a.k + 1, a.pos2, True, b.sign))
-    return DominoTiling(tiling.word, tiling.window, tuple(sorted(have)))
 
 
 def aztec_cell(n: int, k: int, pos2: int) -> bool:

@@ -235,9 +235,17 @@ class PyramidalSampler:
         return mass / (1 - cmax)
 
     def log_p_empty(self) -> float:
-        """log P(K = -infinity) = sum over all boxes of log(1 - c)."""
+        """log P(K = -infinity) = sum over all boxes of log(1 - c).
+
+        In the closed case the tail bound falls with s and no partial sum
+        exceeds _mass_past(0), so a q whose bound at the cap is still above
+        that sum's bracket cannot converge and is refused before the loop.
+        """
         if self._log_all is not None:
             return self._log_all
+        cap = (1 << 20) + 1
+        if self._closed and self._mass_past(cap) > K_BRACKET_REL * max(self._mass_past(0), 1e-6):
+            raise ArithmeticError("tail bound fails to converge")
         diag = [0.0]
         hi, lo = 0.0, 0.0  # compensated running sum, hi + lo
         while True:
@@ -247,7 +255,7 @@ class PyramidalSampler:
                 self._diag = diag
                 self._log_all = diag[-1] - bound / 2
                 return self._log_all
-            if s > 1 << 20:
+            if s >= cap:
                 raise ArithmeticError("tail bound fails to converge")
             term = self._diag_sum(s)
             t = hi + term

@@ -34,7 +34,7 @@ from schursample.sampler import (
     run_growth,
     schur_sample,
 )
-from schursample.symmetric import symmetric_schur_sample
+from schursample.symmetric import reconstruct_symmetric_inputs, symmetric_schur_sample
 from schursample.unbounded import (
     PyramidalParameters,
     PyramidalSampler,
@@ -151,6 +151,49 @@ def test_criterion_5_entropy_optimality():
             inputs = reconstruct_inputs(sample)
             log_by_box = dict(zip(plan.boxes(), (v for _, _, v in src.draw_log)))
             assert inputs == log_by_box
+
+
+def _logged_values(src):
+    return [value for _, _, value in src.draw_log]
+
+
+def test_criterion_5b_reconstruction_at_scale():
+    with Budget("5b (reconstruction at scale)", 15.0):
+        rnd = random.Random(5)
+        words = [parse_word("(<'>)^200"), parse_word("(<)^300(>)^300")]
+        words += [tuple(rnd.choice(list(Rel)) for _ in range(rnd.randrange(1, 25)))
+                  for _ in range(300)]
+        for k, w in enumerate(words):
+            z = (1,) * 400 if k == 0 else q_volume_parameters(w, 0.99 if k == 1 else 0.7)
+            src = RandomSource(501 + k, log_draws=True)
+            sample = schur_sample(w, z, src)
+            inputs = reconstruct_inputs(sample)
+            boxes = list(precompute_par(w, z).boxes())
+            assert list(inputs) == boxes
+            assert list(inputs.values()) == _logged_values(src)
+        for text in ("<'<><'", "(<)^60"):
+            w = parse_word(text)
+            for mode in ("free", "even_rows", "even_columns"):
+                for seed in range(100 if len(w) < 10 else 1):
+                    src = RandomSource(seed, log_draws=True)
+                    sample = symmetric_schur_sample(w, (0.9,) * len(w), 0.8, mode, src)
+                    assert reconstruct_symmetric_inputs(sample) == _logged_values(src)
+        bad = schur_sample(parse_word("<>"), (0.5, 0.5), 4)
+        bad.lambdas = (EMPTY, (2, 1), EMPTY)
+        with pytest.raises(ValueError):
+            reconstruct_inputs(bad)
+        # cost: Aztec 200 reconstruction within 2.5x its forward sample
+        w, z = words[0], (1,) * 400
+        sample_s = reconstruct_s = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            sample = schur_sample(w, z, 501)
+            t1 = time.perf_counter()
+            reconstruct_inputs(sample)
+            t2 = time.perf_counter()
+            sample_s, reconstruct_s = min(sample_s, t1 - t0), min(reconstruct_s, t2 - t1)
+        print(f"  Aztec 200: sample {sample_s:.3f}s, reconstruct {reconstruct_s:.3f}s")
+        assert reconstruct_s <= 2.5 * sample_s
 
 
 def test_criterion_6_traversal_invariance():

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,15 @@ def test_verify_divergent_tail_exits_with_an_error_line(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "does not converge" in err
+
+
+def test_sample_unbounded_refuses_a_non_converging_q_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "sample-unbounded", "--q", "0.99999", "--seed", "1")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "tail bound fails to converge" in err
 
 
 @pytest.mark.parametrize("command", [["sample"], ["verify", "--samples", "10"]])

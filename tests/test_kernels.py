@@ -4,7 +4,9 @@ replaced, which are kept here as the reference.
 Three checks: every triple the checked entry points accept up to weight 8;
 the kernel calls recorded from an Aztec sample and a pyramid sample with
 long partitions; and hypothesis-drawn triples with up to about 60 rows,
-which must also round-trip through ``shrink`` / ``shrink_diag``.
+which must also round-trip through ``shrink`` / ``shrink_diag``.  On the
+last two the shrink kernels must equal the reference shrinks, and every
+HV/VH triple must have interleaving block positions.
 """
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from schursample.partitions import (
     conjugate,
     interlaces_h,
     interlaces_v,
+    make,
     part,
     partitions_up_to,
 )
@@ -113,8 +116,71 @@ def ref_grow_diag_v_ec(mu, kap, g):
     return c(ref_grow_diag_h_er(c(mu), c(kap), g))
 
 
+def ref_hv_positions(lam, mu):
+    """Index lists (i_list, j_list) of the block conditions of grow_hv."""
+    n = max(len(lam), len(mu)) + 1
+    i_list, j_list = [], []
+    prev_lam = _INF
+    for i in range(1, n + 1):
+        li, mi = part(lam, i), part(mu, i)
+        if li <= mi < prev_lam:
+            j_list.append(i)
+        if part(mu, i + 1) < li <= mi:
+            i_list.append(i)
+        prev_lam = li
+    return i_list, j_list
+
+
+def assert_hv_blocks_interleave(lam, mu):
+    i_list, j_list = ref_hv_positions(lam, mu)
+    assert len(j_list) == len(i_list) + 1
+    for k, ik in enumerate(i_list):
+        assert j_list[k] <= ik < j_list[k + 1]
+
+
+def ref_shrink_hh(lam, nu, mu):
+    g = part(nu, 1) - max(part(lam, 1), part(mu, 1))
+    rows = [
+        max(part(lam, i + 1), part(mu, i + 1)) + min(part(lam, i), part(mu, i)) - part(nu, i + 1)
+        for i in range(1, max(len(lam), len(mu)) + 1)
+    ]
+    return make(rows), g
+
+
+def ref_shrink_hv(lam, nu, mu):
+    i_list, j_list = ref_hv_positions(lam, mu)
+    bits = [part(nu, j) - max(part(lam, j), part(mu, j)) for j in j_list]
+    consumed = {ik: bits[k + 1] for k, ik in enumerate(i_list)}
+    rows = [
+        min(part(lam, i), part(mu, i)) - consumed.get(i, 0)
+        for i in range(1, max(len(lam), len(mu)) + 1)
+    ]
+    return make(rows), bits[0]
+
+
+def ref_shrink_vv(lam, nu, mu):
+    c = ref_conjugate
+    kap, g = ref_shrink_hh(c(lam), c(nu), c(mu))
+    return c(kap), g
+
+
 REF_BOX = {"HH": ref_grow_hh, "HV": ref_grow_hv, "VH": ref_grow_vh, "VV": ref_grow_vv}
 BOX = {"HH": rules.grow_hh, "HV": rules.grow_hv, "VH": rules.grow_vh, "VV": rules.grow_vv}
+REF_SHRINK = {
+    "HH": ref_shrink_hh,
+    "HV": ref_shrink_hv,
+    "VH": lambda lam, nu, mu: ref_shrink_hv(mu, nu, lam),
+    "VV": ref_shrink_vv,
+}
+
+
+def check_shrink(kind, lam, mu, kap, r, nu):
+    """The shrink kernel and the reference shrink both return (kap, r)."""
+    assert rules.SHRINK[kind](lam, nu, mu) == REF_SHRINK[kind](lam, nu, mu) == (kap, r)
+    if kind == "HV":
+        assert_hv_blocks_interleave(lam, mu)
+    elif kind == "VH":
+        assert_hv_blocks_interleave(mu, lam)
 
 # diagonal kind -> (new kernel, reference kernel) as functions of (mu, kap, g);
 # the deterministic HEC and VER rules take g = 0
@@ -220,8 +286,10 @@ def test_box_kernels_match_reference_on_recorded_samples(monkeypatch):
     assert len(aztec) == 820
     assert {kind for kind, _ in pyramid} == {"HH", "HV", "VH", "VV"}
     assert max(len(p) for _, args in pyramid for p in args[:3]) >= 60
-    for kind, args in aztec + pyramid:
-        assert BOX[kind](*args) == REF_BOX[kind](*args)
+    for kind, (lam, mu, kap, r) in aztec + pyramid:
+        nu = BOX[kind](lam, mu, kap, r)
+        assert nu == REF_BOX[kind](lam, mu, kap, r)
+        check_shrink(kind, lam, mu, kap, r, nu)
 
 
 # --- hypothesis: long valid triples, and the shrink round trips ------------
@@ -281,6 +349,7 @@ def test_box_grow_shrink_round_trip(kind, data):
     nu = grow(kind, lam, mu, kap, r)
     assert nu == REF_BOX[kind](lam, mu, kap, r)
     assert shrink(kind, lam, nu, mu) == (kap, r)
+    check_shrink(kind, lam, mu, kap, r, nu)
 
 
 @st.composite

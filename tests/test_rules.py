@@ -8,6 +8,7 @@ from schursample.partitions import (
     conjugate,
     interlaces_h,
     interlaces_v,
+    part,
     partitions_up_to,
 )
 from schursample.rules import GrowthError, grow, grow_diag, shrink, shrink_diag
@@ -73,6 +74,44 @@ def test_shrink_examples():
     assert shrink("HH", EMPTY, EMPTY, EMPTY) == (EMPTY, 0)
     with pytest.raises(GrowthError):
         shrink("HH", (2,), (1,), EMPTY)  # nu does not even contain lam
+
+
+def _hv_positions(lam, mu):
+    """(i_list, j_list) of grow_hv(lam, mu, ., .): the j-positions satisfy
+    lam_i <= mu_i < lam_{i-1} (nu may gain a box there), the i-positions
+    mu_{i+1} < lam_i <= mu_i (kappa may lack one there)."""
+    n = max(len(lam), len(mu)) + 1
+    i_list, j_list = [], []
+    prev_lam = float("inf")
+    for i in range(1, n + 1):
+        li, mi = part(lam, i), part(mu, i)
+        if li <= mi < prev_lam:
+            j_list.append(i)
+        if part(mu, i + 1) < li <= mi:
+            i_list.append(i)
+        prev_lam = li
+    return i_list, j_list
+
+
+def test_hv_blocks_interleave_exhaustive():
+    """The strip preconditions of an HV box (kap <' lam, kap < mu) imply that
+    its positions interleave, j_1 <= i_1 < j_2 <= ... < j_{r+1}, so every
+    cascaded bit lam_i - kap_i has a j-position to land on; the checked
+    rules.grow therefore does not assert it.  Every triple up to weight 8."""
+    parts = partitions_up_to(8)
+    checked = 0
+    for kap in parts:
+        mus = [mu for mu in parts if interlaces_h(mu, kap)]
+        for lam in parts:
+            if not interlaces_v(lam, kap):
+                continue
+            for mu in mus:
+                i_list, j_list = _hv_positions(lam, mu)
+                assert len(j_list) == len(i_list) + 1, (lam, mu, kap)
+                for k, ik in enumerate(i_list):
+                    assert j_list[k] <= ik < j_list[k + 1], (lam, mu, kap)
+                checked += 1
+    assert checked == 4773
 
 
 def _kappas_below(lam, mu, kind):

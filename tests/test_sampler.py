@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from schursample import rules
 from schursample.partitions import EMPTY
 from schursample.rng import RandomSource
 from schursample.sampler import (
@@ -186,6 +187,21 @@ def test_reconstruct_rejects_inconsistent():
     bad.lambdas = (EMPTY, (2, 1), EMPTY)  # not a single row: cannot interlace
     with pytest.raises(ValueError):
         reconstruct_inputs(bad)
+
+
+def test_reconstruct_is_certified_by_a_forward_replay(monkeypatch):
+    w = parse_word("<<>>")
+    s = schur_sample(w, (0.9,) * 4, 3)
+    assert reconstruct_inputs(s)[(1, 1)] > 0
+    shrink_hh = rules.shrink_hh
+
+    def off_by_one(lam, nu, mu):
+        kap, g = shrink_hh(lam, nu, mu)
+        return kap, g + 1
+
+    monkeypatch.setitem(rules.SHRINK, "HH", off_by_one)
+    with pytest.raises(rules.GrowthError, match="do not regrow"):
+        reconstruct_inputs(s)
 
 
 def test_zero_parameters_force_equal_slices():

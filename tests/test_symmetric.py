@@ -13,6 +13,7 @@ from schursample.sampler import DivergenceError
 from schursample.symmetric import (
     SymmetricSample,
     fold_boundary_weight,
+    reconstruct_symmetric_inputs,
     symmetric_schur_sample,
     symmetric_weight,
 )
@@ -292,3 +293,37 @@ def test_divergent_symmetric_parameters_raise_divergence_error():
     with pytest.raises(DivergenceError) as err:
         symmetric_schur_sample(parse_word("<<"), (0.9, 1.2), 1, "even_columns", 0)
     assert err.value.box == (1, 2)
+
+
+def test_reconstruct_symmetric_inputs_equals_the_draw_log():
+    rnd = random.Random(8)
+    for trial in range(300):
+        w = tuple(rnd.choice(list(Rel)) for _ in range(rnd.randrange(8)))
+        z = tuple(rnd.choice((0.3, 0.6, 0.8, Fraction(1, 2))) for _ in w)
+        t = rnd.choice((Fraction(1, 2), 1, 1.2))
+        mode = ("free", "even_rows", "even_columns")[trial % 3]
+        src = RandomSource(trial, log_draws=True)
+        s = symmetric_schur_sample(w, z, t, mode, src)
+        assert reconstruct_symmetric_inputs(s) == [v for _, _, v in src.draw_log]
+
+
+def test_reconstruct_symmetric_inputs_refuses_an_invalid_sample():
+    s = symmetric_schur_sample(parse_word("<<"), (0.5, 0.5), 1, "even_rows", 3)
+    s.lambdas = (EMPTY, (1,), (1,), (1,), EMPTY)  # the free partition has an odd row
+    with pytest.raises(ValueError):
+        reconstruct_symmetric_inputs(s)
+
+
+def test_reconstruct_symmetric_inputs_is_certified_by_a_forward_replay(monkeypatch):
+    w = parse_word("<<")
+    s = symmetric_schur_sample(w, (0.9, 0.9), 1, "free", 2)
+    assert any(reconstruct_symmetric_inputs(s))
+    shrink_diag = rules.shrink_diag
+
+    def off_by_one(kind, mu, nu):
+        kap, g = shrink_diag(kind, mu, nu)
+        return kap, g + 1
+
+    monkeypatch.setattr(symmetric, "shrink_diag", off_by_one)
+    with pytest.raises(rules.GrowthError, match="do not regrow"):
+        reconstruct_symmetric_inputs(s)

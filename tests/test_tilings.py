@@ -9,11 +9,9 @@ from schursample.symmetric import symmetric_schur_sample
 from schursample.tilings import (
     CodecError,
     Domino,
+    DominoTiling,
     HeightMatrix,
-    apply_flip,
     aztec_region_dominoes,
-    enumerate_flips,
-    flip_distance_check,
     from_plane_overpartition,
     from_plane_partition,
     from_steep_tiling,
@@ -24,6 +22,43 @@ from schursample.tilings import (
     word_shifts,
 )
 from schursample.words import Rel, parse_word, q_volume_parameters
+
+
+# --- flips of steep tilings -------------------------------------------------
+
+def flip_distance_check(tiling):
+    """Number of flips from the minimal tiling: the volume of the decoded
+    sequence (each flip adds or removes one box on one diagonal)."""
+    return sum(sum(l) for l in from_steep_tiling(tiling))
+
+
+def enumerate_flips(tiling):
+    """All flippable 2x2 blocks, as the pair of dominoes to replace."""
+    have = frozenset(tiling.dominoes)
+    out = []
+    for d in tiling.dominoes:
+        if d.vertical:
+            partner = Domino(d.k + 1, d.pos2, True, -d.sign)
+        else:
+            partner = Domino(d.k + 1, d.pos2 + 2, False, -d.sign)
+        if partner in have:
+            out.append((d, partner))
+    return out
+
+
+def apply_flip(tiling, pair):
+    a, b = pair
+    assert b.k == a.k + 1
+    have = set(tiling.dominoes)
+    have.discard(a)
+    have.discard(b)
+    if a.vertical:
+        have.add(Domino(a.k, a.pos2, False, a.sign))
+        have.add(Domino(a.k + 1, a.pos2 + 2, False, b.sign))
+    else:
+        have.add(Domino(a.k, a.pos2, True, a.sign))
+        have.add(Domino(a.k + 1, a.pos2, True, b.sign))
+    return DominoTiling(tiling.word, tiling.window, tuple(sorted(have)))
 
 RPP_WORD = parse_word("<<<>><<>>")
 RPP_SEQ = (
@@ -163,7 +198,7 @@ def test_flips_change_volume_by_one_aztec2():
     window = (-7, 7)
     sup = enumerate_support(w, (1,) * 4, cap=100)
     tilings = {
-        to_steep_tiling(w, seq, window=window).domino_set(): sum(map(sum, seq))
+        frozenset(to_steep_tiling(w, seq, window=window).dominoes): sum(map(sum, seq))
         for seq in sup.entries
     }
     assert len(tilings) == 8
@@ -182,7 +217,7 @@ def test_aztec_codec_counts():
         sup = enumerate_support(w, (1,) * (2 * n), cap=100)
         window = (-2 * n - 3, 2 * n + 3)
         distinct = {
-            to_steep_tiling(w, seq, window=window).domino_set() for seq in sup.entries
+            frozenset(to_steep_tiling(w, seq, window=window).dominoes) for seq in sup.entries
         }
         assert len(distinct) == count == 2 ** (n * (n + 1) // 2)
 

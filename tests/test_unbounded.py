@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -144,6 +145,23 @@ def test_log_p_empty_plane_partitions_accuracy():
     exact = math.fsum(n * math.log1p(-(q**n)) for n in range(1, 2000))
     sampler = PyramidalSampler(PyramidalParameters.q_volume(q), WordConvention.plane_partitions())
     assert abs(sampler.log_p_empty() - exact) <= 1e-14 * abs(exact)
+
+
+@pytest.mark.parametrize("q", [0.99998, 0.99999, 0.999999])
+def test_non_converging_q_is_refused_before_the_table(q):
+    # filling the table to its cap of 2^20 + 1 anti-diagonals takes seconds
+    for conv in (WordConvention.plane_partitions(), WordConvention.pyramid()):
+        sampler = PyramidalSampler(PyramidalParameters.q_volume(q), conv)
+        t0 = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="tail bound fails to converge"):
+            sampler.log_p_empty()
+        assert time.perf_counter() - t0 < 0.5
+        assert sampler._diag is None
+
+
+def test_a_q_near_one_that_converges_is_not_refused():
+    sampler = PyramidalSampler(PyramidalParameters.q_volume(0.999), WordConvention.pyramid())
+    assert -1.1e6 < sampler.log_p_empty() < -1.0e6
 
 
 class FixedUniform(RandomSource):
