@@ -51,6 +51,8 @@ def _word_and_params(args):
 
 
 def _batch(count: int, seed: int, one):
+    if count < 1:
+        raise CliError(f"--count must be at least 1, got {count}")
     if count == 1:
         return [one(RandomSource(seed))]
     base = RandomSource(seed)
@@ -196,11 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, word=True):
+    def add_common(sp, word=True, count=True):
         if word:
             sp.add_argument("--word", required=True, help="e.g. \"(<'>)^4\" or \"<<>>\"")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--count", type=int, default=1)
+        if count:
+            sp.add_argument("--count", type=int, default=1)
 
     sp = sub.add_parser("sample", help="sample a finite Schur process")
     add_common(sp)
@@ -243,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_zfun)
 
     sp = sub.add_parser("verify", help="compare samples against the exact law")
-    add_common(sp)
+    add_common(sp, count=False)  # its sample count is --samples
     sp.add_argument("--z")
     sp.add_argument("--q")
     sp.add_argument("--cap", type=int, default=12)

@@ -110,7 +110,9 @@ def view_to_dict(view) -> Dict[str, Any]:
 def view_from_dict(d: Dict[str, Any]):
     kind = d.get("kind")
     if kind == "plane-partition":
-        return HeightMatrix(tuple(d["shape"]), tuple(tuple(r) for r in d["rows"]))
+        hm = HeightMatrix(tuple(d["shape"]), tuple(tuple(r) for r in d["rows"]))
+        hm.validate()
+        return hm
     if kind == "steep-tiling":
         return DominoTiling(
             parse_word(d["word"]),
@@ -123,10 +125,12 @@ def view_from_dict(d: Dict[str, Any]):
             ),
         )
     if kind == "plane-overpartition":
-        return OverpartitionTableau(
+        tab = OverpartitionTableau(
             tuple(d["shape"]),
             tuple(tuple((int(v), bool(o)) for v, o in row) for row in d["rows"]),
         )
+        tab.validate()
+        return tab
     raise ValueError(f"unknown view kind {kind!r}")
 
 

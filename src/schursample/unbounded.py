@@ -234,18 +234,34 @@ class PyramidalSampler:
         # -log(1 - c) <= ab / (1 - ab) for eps = -1 and <= ab for eps = +1
         return mass / (1 - cmax)
 
+    def _closed_mass(self, terms: int) -> float:
+        """Upper bound on -sum log(1 - c) over all boxes in the closed case:
+        each of the s + 1 boxes on anti-diagonal s has -log(1 - c) <= x / (1 - x),
+        x = a_0 b_s.  The first ``terms`` anti-diagonals are summed, the rest
+        bounded by a geometric tail, as x_s <= x_terms r^(s - terms)."""
+        a0, b, r = self.params.a[0], self.params.b, self.params.a.ratio
+        if a0 * b[0] >= 1:
+            return math.inf
+        head = math.fsum((s + 1) * x / (1 - x) for s in range(terms) for x in (a0 * b[s],))
+        x = a0 * b[terms]
+        return head + x / (1 - x) * ((terms + 1) / (1 - r) + r / (1 - r) ** 2)
+
     def log_p_empty(self) -> float:
         """log P(K = -infinity) = sum over all boxes of log(1 - c).
 
         In the closed case the tail bound falls with s and no partial sum
-        exceeds _mass_past(0), so a q whose bound at the cap is still above
+        exceeds _closed_mass, so a q whose bound at the cap is still above
         that sum's bracket cannot converge and is refused before the loop.
         """
         if self._log_all is not None:
             return self._log_all
         cap = (1 << 20) + 1
-        if self._closed and self._mass_past(cap) > K_BRACKET_REL * max(self._mass_past(0), 1e-6):
-            raise ArithmeticError("tail bound fails to converge")
+        if self._closed:
+            # the bulk of the mass sits on about 1/(1 - r) anti-diagonals; past
+            # cap/16 of them the geometric tail alone is tight enough to refuse
+            mass = self._closed_mass(min(math.ceil(1 / (1 - self.params.a.ratio)), cap >> 4))
+            if self._mass_past(cap) > K_BRACKET_REL * max(mass, 1e-6):
+                raise ArithmeticError("tail bound fails to converge")
         diag = [0.0]
         hi, lo = 0.0, 0.0  # compensated running sum, hi + lo
         while True:

@@ -285,3 +285,65 @@ def test_cli_pipeline_reproduces_the_demo_svg(capsys, monkeypatch):
         assert code == 0, err
     demo = Path(__file__).resolve().parents[1] / "demos" / "output" / "aztec_24.svg"
     assert text == demo.read_text() + "\n"
+
+
+@pytest.mark.parametrize("style", ["domino", "maya-particles", "lozenge"])
+def test_render_refuses_a_scale_that_overflows(capsys, tmp_path, style):
+    word = parse_word("(<'>)^4" if style != "lozenge" else "(<)^3(>)^3")
+    s = schur_sample(word, (1,) * 8 if style != "lozenge" else (0.5,) * 6, 3)
+    view = (to_plane_partition if style == "lozenge" else to_steep_tiling)(word, s.lambdas)
+    view_file = tmp_path / "view.json"
+    view_file.write_text(jsonio.dumps(view))
+    code, out, err = run_cli(
+        capsys, "render", "--style", style, "--scale", "1e308", "--input", str(view_file)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "scale 1e+308" in err
+    assert render_svg(view, RenderStyle(model=style, scale=1e300)).startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "view, named",
+    [
+        ({"shape": [2], "rows": [[1]]}, "row lengths do not match the shape"),
+        ({"shape": [2, 1], "rows": [[1, 0], [5]]}, "row 1 decreases at column 2"),
+        (
+            {"kind": "plane-overpartition", "shape": [2], "rows": [[[1, False], [2, False]]]},
+            "row 1 increases at column 2",
+        ),
+    ],
+)
+def test_render_refuses_a_malformed_tableau(capsys, tmp_path, view, named):
+    view_file = tmp_path / "view.json"
+    view_file.write_text(json.dumps({"format": jsonio.FORMAT, "kind": "plane-partition", **view}))
+    code, out, err = run_cli(
+        capsys, "render", "--style", "lozenge", "--input", str(view_file)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sample", "--word", "<>", "--q", "1/2", "--count", "0"],
+        ["sample", "--word", "<>", "--q", "1/2", "--count", "-3"],
+        ["sample-symmetric", "--word", "<<", "--z", "0.3,0.3", "--count", "0"],
+        ["sample-unbounded", "--q", "0.5", "--count", "-3"],
+        ["sample-plancherel", "--theta", "4", "--count", "0"],
+    ],
+)
+def test_sample_refuses_a_count_below_one(capsys, command):
+    code, out, err = run_cli(capsys, *command)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--count" in err
+
+
+def test_verify_has_no_count_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--word", "<>", "--z", "1/2,1/2", "--samples", "10", "--count", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --count 5" in capsys.readouterr().err

@@ -1,34 +1,43 @@
-"""The window-bounded steep codec and the one-format-per-domino renderer
-against the row-walk codec and the polygon renderer they replaced, which are
-kept here as the reference.
+"""The window-bounded steep codec and the grid-key SVG writer against the
+row-walk codec and the float polygon renderers they replaced, which are kept
+here as the reference.
 
 The reference codec walks a fixed number of rows per step, reading every
 mark through ``part()``, and sorts the dominoes at the end.  Its row count
 is the old one widened by the window's distance from the origin: the old
 count, max(len) + (hi - lo)/2 + len(word) + 2, missed vacuum rows of a
 window far below (particles) or above (holes) the sequence, and checked no
-row at all when lo > hi.  Three checks on random steep words: equal
-dominoes, windows and ``CodecError`` messages (default windows, windows
-widened and narrowed by up to 6 cells on each side, and sequences broken so
-they no longer interlace); equal SVG bytes at several scales; and the
-vacuum rows that the old row count missed.
+row at all when lo > hi.  The reference renderers send float points through
+a writer that tracks the view box point by point and formats every point.
+
+Checks: on random steep words, equal dominoes, windows and ``CodecError``
+messages (default windows, windows widened and narrowed by up to 6 cells on
+each side, and sequences broken so they no longer interlace); equal SVG
+bytes for all three renderers at several scales (random plane partitions
+for lozenges, random steep tilings for dominoes and particles) and on
+empty views; and the vacuum rows that the old row count missed.
 """
+import math
 import random
 
 import pytest
 
 from schursample.partitions import EMPTY, conjugate, part
-from schursample.render import DOMINO_PALETTE, RenderStyle, _Svg, render_svg
+from schursample.render import DOMINO_PALETTE, LOZENGE_PALETTE, RenderStyle, render_svg
 from schursample.sampler import schur_sample
 from schursample.tilings import (
     CodecError,
     Domino,
     DominoTiling,
+    HeightMatrix,
     is_steep_word,
+    to_plane_partition,
     to_steep_tiling,
     word_shifts,
 )
-from schursample.words import Rel, parse_word
+from schursample.words import Rel, parse_word, q_volume_parameters
+
+SCALES = (12.0, 9.0, 8.0, 1.0, 0.37, 3e-3)
 
 
 # --- the reference codec: one part() call per row --------------------------
@@ -83,7 +92,49 @@ def ref_to_steep_tiling(word, lambdas, window=None):
     return DominoTiling(word, window, tuple(sorted(dominoes)))
 
 
-# --- the reference renderer: one polygon() call per domino -----------------
+# --- the reference renderers: float points through a per-point writer -----
+
+def _fmt(x):
+    return f"{x:.2f}"
+
+
+class RefSvg:
+    def __init__(self):
+        self.elems = []
+        self.min_x = self.min_y = math.inf
+        self.max_x = self.max_y = -math.inf
+
+    def polygon(self, pts, fill, stroke="#222222", width=0.6):
+        for x, y in pts:
+            self.min_x, self.max_x = min(self.min_x, x), max(self.max_x, x)
+            self.min_y, self.max_y = min(self.min_y, y), max(self.max_y, y)
+        data = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+        self.elems.append(
+            f'<polygon points="{data}" fill="{fill}" stroke="{stroke}" '
+            f'stroke-width="{_fmt(width)}"/>'
+        )
+
+    def circle(self, x, y, r, fill):
+        self.min_x, self.max_x = min(self.min_x, x - r), max(self.max_x, x + r)
+        self.min_y, self.max_y = min(self.min_y, y - r), max(self.max_y, y + r)
+        self.elems.append(
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{fill}"/>'
+        )
+
+    def document(self):
+        if not self.elems:
+            self.min_x = self.min_y = 0.0
+            self.max_x = self.max_y = 1.0
+        pad = 4.0
+        w = self.max_x - self.min_x + 2 * pad
+        h = self.max_y - self.min_y + 2 * pad
+        head = (
+            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'viewBox="{_fmt(self.min_x - pad)} {_fmt(self.min_y - pad)} '
+            f'{_fmt(w)} {_fmt(h)}">'
+        )
+        return head + "".join(self.elems) + "</svg>"
+
 
 def ref_domino_rect(d, s):
     (k0, p0), (k1, p1) = d.cells()
@@ -102,11 +153,76 @@ def ref_domino_rect(d, s):
 
 
 def ref_render_domino(tiling, style):
-    svg = _Svg()
+    svg = RefSvg()
     for d in tiling.dominoes:
         key = ("v" if d.vertical else "h", d.sign)
         svg.polygon(ref_domino_rect(d, style.scale), DOMINO_PALETTE[key])
     return svg.document()
+
+
+def _iso(c, r, h, s):
+    """Axonometric projection of the cube-grid point (c, r, h)."""
+    x = (c - r) * s * math.cos(math.pi / 6)
+    y = -(h + (c + r) * 0.5) * s
+    return x, y
+
+
+def ref_render_lozenge(hm, style):
+    svg = RefSvg()
+    s = style.scale
+    cells = [
+        (c, r, hm.entry(c, r))
+        for r in range(1, len(hm.shape) + 1)
+        for c in range(1, hm.shape[r - 1] + 1)
+    ]
+    for c, r, h in sorted(cells, key=lambda t: (t[0] + t[1], t[2])):
+        top = [
+            _iso(c, r, h, s), _iso(c + 1, r, h, s),
+            _iso(c + 1, r + 1, h, s), _iso(c, r + 1, h, s),
+        ]
+        svg.polygon(top, LOZENGE_PALETTE["top"])
+        if h > 0:
+            left = [
+                _iso(c, r + 1, h, s), _iso(c + 1, r + 1, h, s),
+                _iso(c + 1, r + 1, 0, s), _iso(c, r + 1, 0, s),
+            ]
+            right = [
+                _iso(c + 1, r, h, s), _iso(c + 1, r + 1, h, s),
+                _iso(c + 1, r + 1, 0, s), _iso(c + 1, r, 0, s),
+            ]
+            svg.polygon(left, LOZENGE_PALETTE["left"])
+            svg.polygon(right, LOZENGE_PALETTE["right"])
+    return svg.document()
+
+
+def ref_render_maya_particles(tiling, style):
+    svg = RefSvg()
+    s = style.scale
+    seen = set()
+    for d in tiling.dominoes:
+        if d.sign >= 0:
+            continue
+        for k, p in d.cells():
+            if (k, p) in seen:
+                continue
+            seen.add((k, p))
+            y = p / 2.0
+            x = y - k
+            svg.circle(x * s, -y * s, 0.32 * s, "#111111")
+    return svg.document()
+
+
+REFERENCE = {
+    "lozenge": ref_render_lozenge,
+    "domino": ref_render_domino,
+    "maya-particles": ref_render_maya_particles,
+}
+
+
+def assert_same_svg(view, model, scales=SCALES):
+    for scale in scales:
+        style = RenderStyle(model=model, scale=scale)
+        assert render_svg(view, style) == REFERENCE[model](view, style), (model, scale)
 
 
 # --- random steep cases ----------------------------------------------------
@@ -161,22 +277,57 @@ def test_steep_codec_matches_reference_on_random_words():
     assert cases == 2400 and broken >= 150 and errors >= 100
 
 
-def test_domino_renderer_matches_reference_on_random_words():
-    rnd = random.Random(7)
-    for trial in range(500):
+def _random_tilings(seed, trials):
+    rnd = random.Random(seed)
+    for trial in range(trials):
         word, lambdas, _ = _random_case(rnd, trial)
         tiling = _outcome(to_steep_tiling, word, lambdas, None)
-        if isinstance(tiling, str):
-            continue
-        style = RenderStyle(model="domino", scale=rnd.choice((12.0, 8.0, 1.0, 0.37, 3e-3)))
-        assert render_svg(tiling, style) == ref_render_domino(tiling, style)
+        if not isinstance(tiling, str):
+            yield tiling, rnd.choice(SCALES)
+
+
+def test_domino_renderer_matches_reference_on_random_words():
+    for tiling, scale in _random_tilings(7, 500):
+        assert_same_svg(tiling, "domino", (scale,))
+
+
+def test_maya_renderer_matches_reference_on_random_words():
+    for tiling, scale in _random_tilings(8, 500):
+        assert_same_svg(tiling, "maya-particles", (scale,))
 
 
 def test_domino_renderer_matches_reference_on_a_large_aztec_diamond():
     word = parse_word("(<'>)^60")
     tiling = to_steep_tiling(word, schur_sample(word, (1,) * 120, 60).lambdas)
-    style = RenderStyle(model="domino", scale=12.0)
-    assert render_svg(tiling, style) == ref_render_domino(tiling, style)
+    assert_same_svg(tiling, "domino", (12.0,))
+    assert_same_svg(tiling, "maya-particles", (12.0,))
+
+
+def test_lozenge_renderer_matches_reference_on_random_plane_partitions():
+    rnd = random.Random(11)
+    for trial in range(60):
+        a, b = rnd.randrange(1, 7), rnd.randrange(1, 7)
+        word = parse_word(f"(<)^{a}(>)^{b}")
+        z = q_volume_parameters(word, rnd.uniform(0.3, 0.9))
+        hm = to_plane_partition(word, schur_sample(word, z, trial).lambdas)
+        assert_same_svg(hm, "lozenge")
+
+
+def test_renderers_match_reference_on_empty_views():
+    word = parse_word("(<'>)^3")
+    lambdas = schur_sample(word, (1,) * 6, 1).lambdas
+    blank = to_steep_tiling(word, lambdas, (1, -1))  # the window holds no domino
+    holes = to_steep_tiling(word, lambdas)
+    holes.dominoes = tuple(d for d in holes.dominoes if d.sign > 0)  # no particle
+    for view, model in [
+        (HeightMatrix((), ()), "lozenge"),
+        (blank, "domino"),
+        (blank, "maya-particles"),
+        (holes, "maya-particles"),
+    ]:
+        assert_same_svg(view, model)
+        assert 'viewBox="-4.00 -4.00 9.00 9.00"></svg>' in render_svg(view, RenderStyle(model))
+    assert blank.dominoes == () and holes.dominoes
 
 
 @pytest.mark.parametrize("text, window, count", [(">'>", (-15, -7), 6), ("<'>", (9, 17), 5)])

@@ -147,7 +147,7 @@ def test_log_p_empty_plane_partitions_accuracy():
     assert abs(sampler.log_p_empty() - exact) <= 1e-14 * abs(exact)
 
 
-@pytest.mark.parametrize("q", [0.99998, 0.99999, 0.999999])
+@pytest.mark.parametrize("q", [0.99997, 0.99998, 0.99999, 0.999999])
 def test_non_converging_q_is_refused_before_the_table(q):
     # filling the table to its cap of 2^20 + 1 anti-diagonals takes seconds
     for conv in (WordConvention.plane_partitions(), WordConvention.pyramid()):
@@ -162,6 +162,18 @@ def test_non_converging_q_is_refused_before_the_table(q):
 def test_a_q_near_one_that_converges_is_not_refused():
     sampler = PyramidalSampler(PyramidalParameters.q_volume(0.999), WordConvention.pyramid())
     assert -1.1e6 < sampler.log_p_empty() < -1.0e6
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+def test_closed_mass_bounds_the_whole_mass(q):
+    # the refusal compares the tail bound at the cap with this bound on the
+    # whole mass, so a q whose table converges is never refused
+    for conv in (WordConvention.plane_partitions(), WordConvention.pyramid()):
+        sampler = PyramidalSampler(PyramidalParameters.q_volume(q), conv)
+        mass = -sampler.log_p_empty()
+        for terms in (0, 1, math.ceil(1 / (1 - q)), 4 * math.ceil(1 / (1 - q))):
+            assert mass <= sampler._closed_mass(terms) < 2 * mass / (1 - q)
+        assert sampler._closed_mass(math.ceil(1 / (1 - q))) < 2 * mass
 
 
 class FixedUniform(RandomSource):
