@@ -110,28 +110,19 @@ def view_to_dict(view) -> Dict[str, Any]:
 def view_from_dict(d: Dict[str, Any]):
     kind = d.get("kind")
     if kind == "plane-partition":
-        hm = HeightMatrix(tuple(d["shape"]), tuple(tuple(r) for r in d["rows"]))
-        hm.validate()
-        return hm
-    if kind == "steep-tiling":
-        return DominoTiling(
-            parse_word(d["word"]),
-            tuple(d["window"]),
-            tuple(
-                sorted(
-                    Domino(e["k"], e["pos2"], bool(e["vertical"]), int(e["sign"]))
-                    for e in d["dominoes"]
-                )
-            ),
-        )
-    if kind == "plane-overpartition":
-        tab = OverpartitionTableau(
+        view = HeightMatrix(tuple(d["shape"]), tuple(tuple(r) for r in d["rows"]))
+    elif kind == "steep-tiling":
+        ds = (Domino(e["k"], e["pos2"], bool(e["vertical"]), int(e["sign"])) for e in d["dominoes"])
+        view = DominoTiling(parse_word(d["word"]), tuple(d["window"]), tuple(sorted(ds)))
+    elif kind == "plane-overpartition":
+        view = OverpartitionTableau(
             tuple(d["shape"]),
             tuple(tuple((int(v), bool(o)) for v, o in row) for row in d["rows"]),
         )
-        tab.validate()
-        return tab
-    raise ValueError(f"unknown view kind {kind!r}")
+    else:
+        raise ValueError(f"unknown view kind {kind!r}")
+    view.validate()
+    return view
 
 
 def dumps(obj) -> str:

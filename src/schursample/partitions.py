@@ -7,7 +7,8 @@ infinite tail of zero parts, so ``part(lam, i)`` is total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from itertools import zip_longest
+from typing import Iterable, Optional, Tuple
 
 Partition = Tuple[int, ...]
 
@@ -67,17 +68,12 @@ def contains(lam: Partition, mu: Partition) -> bool:
 
 def interlaces_h(lam: Partition, mu: Partition) -> bool:
     """lam >= mu in the horizontal-strip sense: lam1 >= mu1 >= lam2 >= mu2 ..."""
-    n = max(len(lam), len(mu))
-    for i in range(1, n + 1):
-        if part(lam, i) < part(mu, i) or part(mu, i) < part(lam, i + 1):
-            return False
-    return True
+    return all(x >= y >= z for x, y, z in zip_longest(lam, mu, lam[1:], fillvalue=0))
 
 
 def interlaces_v(lam: Partition, mu: Partition) -> bool:
     """lam/mu is a vertical strip: 0 <= lam_i - mu_i <= 1 for all i."""
-    n = max(len(lam), len(mu))
-    return all(0 <= part(lam, i) - part(mu, i) <= 1 for i in range(1, n + 1))
+    return all(y <= x <= y + 1 for x, y in zip_longest(lam, mu, fillvalue=0))
 
 
 def interlaces(lam: Partition, mu: Partition, rel) -> bool:
@@ -89,6 +85,13 @@ def interlaces(lam: Partition, mu: Partition, rel) -> bool:
     if rel.left:
         lam, mu = mu, lam
     return interlaces_v(lam, mu) if rel.primed else interlaces_h(lam, mu)
+
+
+def first_break(word, lambdas) -> Optional[int]:
+    """The first step i >= 1 where lambda(i - 1) and lambda(i) do not relate
+    by word[i - 1], or None."""
+    steps = zip(word, lambdas, lambdas[1:])
+    return next((i for i, (rel, a, b) in enumerate(steps, 1) if not interlaces(a, b, rel)), None)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import List, Optional, Sequence, Tuple
 
-from .partitions import EMPTY, Partition, has_even_parts, interlaces
+from .partitions import EMPTY, Partition, first_break, has_even_parts
 from .rng import ALGORITHM, RandomSource
 from .rules import (
     GrowthError,
@@ -64,9 +64,9 @@ class SymmetricSample:
         if self.mode != MODE_FREE and not has_even_parts(lam, self.mode == MODE_EVEN_COLUMNS):
             raise ValueError(f"free partition {lam} breaks the {self.mode} boundary mode")
         wsym, _ = symmetrize(self.word, self.z)
-        for i, rel in enumerate(wsym, start=1):
-            if not interlaces(self.lambdas[i - 1], self.lambdas[i], rel):
-                raise ValueError(f"interlacing fails at step {i}")
+        i = first_break(wsym, self.lambdas)
+        if i is not None:
+            raise ValueError(f"interlacing fails at step {i}")
 
 
 def fold_boundary_weight(word: Sequence[Rel], z: Sequence, t):

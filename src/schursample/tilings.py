@@ -15,12 +15,14 @@ width-5 pyramid reconstructions in the tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .partitions import (
     MayaWindow,
     Partition,
     conjugate,
+    first_break,
     from_maya,
 )
 from .words import Rel, Word, encoded_shape
@@ -40,6 +42,22 @@ def _require_closed(word: Word, lambdas: Sequence[Partition]) -> None:
         raise CodecError(f"the end slices must be empty, got {lambdas[0]} and {lambdas[-1]}")
 
 
+def _require_interlaced(word: Word, lambdas: Sequence[Partition]) -> None:
+    """At every step k, slice k - 1 relates to slice k by the k-th symbol."""
+    i = first_break(word, lambdas)
+    if i is not None:
+        a, rel, b = lambdas[i - 1], word[i - 1].value, lambdas[i]
+        raise CodecError(f"sequence does not interlace at step {i}: {a} {rel} {b} fails")
+
+
+def _require_tableau(shape: Partition, rows: tuple) -> None:
+    """The shape is a partition and the rows have its lengths."""
+    if any(a < b for a, b in zip(shape, shape[1:])) or (shape and shape[-1] < 1):
+        raise CodecError(f"shape {list(shape)} is not a partition")
+    if tuple(len(r) for r in rows) != shape:
+        raise CodecError("row lengths do not match the shape")
+
+
 # ---------------------------------------------------------------------------
 # reverse plane partitions
 
@@ -52,17 +70,15 @@ class HeightMatrix:
     shape: Partition
     rows: tuple  # tuple[tuple[int, ...], ...]
 
-    def entry(self, c: int, r: int) -> int:
-        return self.rows[r - 1][c - 1]
-
     def validate(self) -> None:
-        if tuple(len(r) for r in self.rows) != self.shape:
-            raise CodecError("row lengths do not match the shape")
+        _require_tableau(self.shape, self.rows)
         for r, row in enumerate(self.rows, start=1):
-            for c in range(1, len(row) + 1):
-                if c > 1 and row[c - 2] > row[c - 1]:
+            for c, (x, y) in enumerate(zip(row, row[1:]), start=2):
+                if x > y:
                     raise CodecError(f"row {r} decreases at column {c}")
-                if r > 1 and c <= len(self.rows[r - 2]) and self.rows[r - 2][c - 1] > row[c - 1]:
+        for r, (prev, row) in enumerate(zip(self.rows, self.rows[1:]), start=2):
+            for c, (x, y) in enumerate(zip(prev, row), start=1):
+                if x > y:
                     raise CodecError(f"column {c} decreases at row {r}")
 
 
@@ -73,18 +89,15 @@ def to_plane_partition(word: Sequence[Rel], lambdas: Sequence[Partition]) -> Hei
     if any(s.primed for s in word):
         raise CodecError("plane partitions need an unprimed word")
     _require_closed(word, lambdas)
+    _require_interlaced(word, lambdas)
     shape = encoded_shape(word)
     n = sum(1 for s in word if not s.left)
-    rows: List[List[int]] = [[0] * ln for ln in shape]
-    seen = [0] * len(lambdas)  # cells of each diagonal in the rows below
-    for r in range(len(shape) - 1, -1, -1):
-        row = rows[r]
-        for c in range(shape[r]):
-            k = c - r + n  # the diagonal of row r + 1, column c + 1
-            lam, i = lambdas[k], seen[k]
-            row[c] = lam[i] if i < len(lam) else 0
-            seen[k] = i + 1
-    hm = HeightMatrix(tuple(shape), tuple(tuple(r) for r in rows))
+    parts = [iter(lam) for lam in lambdas]  # diagonal k from its top cell down
+    rows = [  # top row first; cell (r + 1, c + 1) lies on diagonal c - r + n
+        tuple(next(parts[c - r + n], 0) for c in range(shape[r]))
+        for r in range(len(shape) - 1, -1, -1)
+    ]
+    hm = HeightMatrix(shape, tuple(reversed(rows)))
     hm.validate()
     return hm
 
@@ -93,18 +106,15 @@ def from_plane_partition(word: Sequence[Rel], hm: HeightMatrix) -> Tuple[Partiti
     """Read the diagonal slices back; inverse of :func:`to_plane_partition`."""
     word = tuple(word)
     hm.validate()
+    if hm.shape != encoded_shape(word):
+        raise CodecError(f"shape {list(hm.shape)} is not the shape of the word")
     n = sum(1 for s in word if not s.left)
-    out: List[Partition] = []
-    for k in range(len(word) + 1):
-        d = k - n
-        vals = []
-        for r in range(1, len(hm.shape) + 1):
-            c = r + d
-            if 1 <= c <= hm.shape[r - 1]:
-                vals.append(hm.entry(c, r))
-        vals.sort(reverse=True)
-        out.append(tuple(v for v in vals if v))
-    return tuple(out)
+    diagonals: List[List[int]] = [[] for _ in range(len(word) + 1)]  # rising along the rows
+    for r, row in enumerate(hm.rows):
+        for c, v in enumerate(row):
+            if v:
+                diagonals[c - r + n].append(v)
+    return tuple(tuple(reversed(d)) for d in diagonals)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +141,28 @@ class DominoTiling:
     window: Tuple[int, int]  # doubled positions [lo, hi] covered per diagonal
     dominoes: tuple  # tuple[Domino, ...], sorted
 
+    def validate(self) -> None:
+        """A steep word, odd window bounds, and dominoes on its steps at odd
+        positions, signed -1 on a primed step and +1 on a plain one, no two
+        on one cell.  Dominoes may lie outside the window."""
+        _require_steep(self.word, self.window)
+        n = len(self.word)
+        signs = [-1 if s.primed else 1 for s in self.word]
+        m = n + 1  # the cell (k, p), 0 <= k <= n, has the key p * m + k
+        cells = set()
+        for k, p, vertical, sign in self.dominoes:
+            if not (0 <= k < n and p % 2 and sign == signs[k]):
+                raise CodecError(f"domino {(k, p, vertical, sign)}: " + (
+                    f"step {k} is not in 0..{n - 1}" if not 0 <= k < n else
+                    f"pos2 {p} is even" if p % 2 == 0 else f"step {k} needs sign {signs[k]}"))
+            a = p * m + k
+            b = a + (2 * m + 1 if vertical else 1)  # (k + 1, p + 2 * vertical)
+            if a in cells or b in cells:
+                p, k = divmod(a if a in cells else b, m)
+                raise CodecError(f"two dominoes cover the cell at diagonal {k}, {p}")
+            cells.add(a)
+            cells.add(b)
+
 
 def word_shifts(word: Sequence[Rel]) -> Tuple[int, ...]:
     """sigma_k for k = 0..n: vertical steps of the minimal-tiling path."""
@@ -142,10 +174,15 @@ def word_shifts(word: Sequence[Rel]) -> Tuple[int, ...]:
 
 def is_steep_word(word: Sequence[Rel]) -> bool:
     """Odd positions primed, even positions plain (1-based), even length."""
-    word = tuple(word)
-    if len(word) % 2:
-        return False
-    return all(s.primed == (i % 2 == 0) for i, s in enumerate(word))
+    return len(word) % 2 == 0 and all(s.primed == (i % 2 == 0) for i, s in enumerate(word))
+
+
+def _require_steep(word: Word, window: Optional[Tuple[int, int]]) -> None:
+    """A steep word and, if given, a window with odd bounds."""
+    if not is_steep_word(word):
+        raise CodecError("not a steep word: needs alternating primed/plain symbols")
+    if window is not None and (window[0] % 2 == 0 or window[1] % 2 == 0):
+        raise CodecError("window bounds must be doubled half-integers (odd)")
 
 
 def _step_marks(k: int, a: Partition, b: Partition, s: int, t: int, flip: int,
@@ -199,8 +236,7 @@ def to_steep_tiling(
     sorted, by step and then by position.
     """
     word = tuple(word)
-    if not is_steep_word(word):
-        raise CodecError("not a steep word: needs alternating primed/plain symbols")
+    _require_steep(word, window)  # a default window has odd bounds
     _require_closed(word, lambdas)
     shifts = word_shifts(word)
     if window is None:
@@ -208,8 +244,6 @@ def to_steep_tiling(
         hi = max(2 * (s + (lam[0] if lam else 0)) + 1 for s, lam in zip(shifts, lambdas)) + 2
         window = (lo, hi)
     lo, hi = window
-    if lo % 2 == 0 or hi % 2 == 0:
-        raise CodecError("window bounds must be doubled half-integers (odd)")
     dominoes: List[Domino] = []
     for k, rel in enumerate(word):
         a, b = lambdas[k], lambdas[k + 1]
@@ -224,26 +258,20 @@ def to_steep_tiling(
 
 def from_steep_tiling(tiling: DominoTiling) -> Tuple[Partition, ...]:
     """Decode the per-diagonal Maya diagrams back into partitions."""
+    tiling.validate()
     lo, hi = tiling.window
     n = len(tiling.word)
     marks: List[Dict[int, bool]] = [dict() for _ in range(n + 1)]
     for d in tiling.dominoes:
         for k, p in d.cells():
-            if 0 <= k <= n and lo <= p <= hi:
-                if p in marks[k] and marks[k][p] != (d.sign < 0):
-                    raise CodecError(f"conflicting dominoes at diagonal {k}, {p}")
-                marks[k][p] = d.sign < 0
-    out = []
-    for k in range(n + 1):
-        # interior diagonals are fully covered (particles by the primed-step
-        # matching on one side, holes by the plain-step one on the other);
-        # diagonal 0 only stores its particles, diagonal n only its holes
-        default = k == n
-        cells = tuple(
-            marks[k].get(p, default) for p in range(lo, hi + 1, 2)
-        )
-        out.append(from_maya(MayaWindow(lo, cells)))
-    return tuple(out)
+            marks[k][p] = d.sign < 0
+    # interior diagonals are fully covered (particles by the primed-step
+    # matching on one side, holes by the plain-step one on the other);
+    # diagonal 0 only stores its particles, diagonal n only its holes
+    return tuple(
+        from_maya(MayaWindow(lo, tuple(marks[k].get(p, k == n) for p in range(lo, hi + 1, 2))))
+        for k in range(n + 1)
+    )
 
 
 def aztec_cell(n: int, k: int, pos2: int) -> bool:
@@ -270,40 +298,27 @@ def aztec_region_dominoes(tiling: DominoTiling, n: int) -> frozenset:
 @dataclass(frozen=True)
 class OverpartitionTableau:
     """Shape-filling by integers with overline flags; an overlined k stands
-    for the half-integer k - 1/2."""
+    for the half-integer k - 1/2, so a cell (v, over) compares by its key
+    2v - over."""
 
     shape: Partition
     rows: tuple  # tuple[tuple[(int, bool), ...], ...]
 
-    def numeric(self, c: int, r: int) -> float:
-        v, over = self.rows[r - 1][c - 1]
-        return v - 0.5 if over else float(v)
-
     def validate(self) -> None:
-        if tuple(len(r) for r in self.rows) != self.shape:
-            raise CodecError("row lengths do not match the shape")
-        for r, row in enumerate(self.rows, start=1):
-            for c in range(2, len(row) + 1):
-                if self.numeric(c - 1, r) < self.numeric(c, r):
+        _require_tableau(self.shape, self.rows)
+        keys = [[2 * v - over for v, over in row] for row in self.rows]
+        for r, row in enumerate(keys, start=1):
+            for c, (x, y) in enumerate(zip(row, row[1:]), start=2):
+                if x < y:
                     raise CodecError(f"row {r} increases at column {c}")
-            # only the last occurrence of an integer may be overlined
-            for c in range(1, len(row)):
-                v, over = row[c - 1]
-                if over and c < len(row) and row[c][0] == v:
-                    raise CodecError(f"non-final overline of {v} in row {r}")
-        ncols = self.shape[0] if self.shape else 0
-        for c in range(1, ncols + 1):
-            col = [
-                self.rows[r - 1][c - 1]
-                for r in range(1, len(self.shape) + 1)
-                if self.shape[r - 1] >= c
-            ]
-            for idx in range(1, len(col)):
-                if col[idx - 1][0] == col[idx][0] and not col[idx][1]:
-                    raise CodecError(f"repeated {col[idx][0]} in column {c} not overlined")
-            for idx in range(1, len(col)):
-                if self.numeric(c, idx) < self.numeric(c, idx + 1):
-                    raise CodecError(f"column {c} increases at row {idx + 1}")
+                if x == y and x % 2:  # of equal overlined entries only the last may be
+                    raise CodecError(f"non-final overline of {(x + 1) // 2} in row {r}")
+        for r, (prev, row) in enumerate(zip(keys, keys[1:]), start=2):
+            for c, (x, y) in enumerate(zip(prev, row), start=1):
+                if x < y:
+                    raise CodecError(f"column {c} increases at row {r}")
+                if x == y and x % 2 == 0:  # of equal entries the later must be overlined
+                    raise CodecError(f"repeated {x // 2} in column {c} not overlined")
 
 
 def overpartition_word(n: int) -> Word:
@@ -314,46 +329,40 @@ def to_plane_overpartition(
     word: Sequence[Rel], lambdas: Sequence[Partition]
 ) -> OverpartitionTableau:
     """Encode a right-free sequence of word (<, <')^n as a plane
-    overpartition: lambda(i) is the set of cells with value > n - i/2."""
+    overpartition: lambda(i) is the set of cells with value > n - i/2, so
+    the cells that lambda(i) adds to a row hold n - (i - 1)/2 for odd i and
+    an overlined n - i/2 + 1 for even i."""
     word = tuple(word)
-    n2 = len(word)
-    if n2 % 2 or word != overpartition_word(n2 // 2):
+    n = len(word) // 2
+    if word != overpartition_word(n):
         raise CodecError("plane overpartitions need the word (<<')^n")
-    n = n2 // 2
-    if len(lambdas) < n2 + 1:
+    if len(lambdas) < 2 * n + 1:
         raise CodecError("need the right-free sequence up to the free partition")
-    shape = lambdas[n2]
-    rows: List[List[Tuple[int, bool]]] = []
-    for r in range(1, len(shape) + 1):
-        row = []
-        for c in range(1, shape[r - 1] + 1):
-            first = next(
-                i for i in range(n2 + 1) if len(lambdas[i]) >= r and lambdas[i][r - 1] >= c
-            )
-            if first % 2:
-                row.append((n - (first - 1) // 2, False))
-            else:
-                row.append((n - first // 2 + 1, True))
-        rows.append(tuple(row))
-    tab = OverpartitionTableau(tuple(shape), tuple(rows))
+    if lambdas[0]:
+        raise CodecError(f"the first slice must be empty, got {lambdas[0]}")
+    _require_interlaced(word, lambdas)
+    shape = tuple(lambdas[2 * n])
+    rows: List[List[Tuple[int, bool]]] = [[] for _ in shape]
+    for i in range(1, 2 * n + 1):
+        cell = (n - (i - 1) // 2, False) if i % 2 else (n - i // 2 + 1, True)
+        for row, length in zip(rows, lambdas[i]):
+            row += [cell] * (length - len(row))
+    tab = OverpartitionTableau(shape, tuple(map(tuple, rows)))
     tab.validate()
     return tab
 
 
 def from_plane_overpartition(tab: OverpartitionTableau, n: int) -> Tuple[Partition, ...]:
-    """Level sets of the tableau: lambda(i) collects cells with numeric
-    value above n - i/2."""
+    """Level sets of the tableau: lambda(i) collects cells with value above
+    n - i/2.  A cell (v, over) enters at slice 2(n - v) + 1 + over, clamped
+    to [0, 2n + 1], and running sums per row give the slices."""
+    if n < 0:
+        raise CodecError(f"n must be at least 0, got {n}")
     tab.validate()
-    out = []
-    for i in range(2 * n + 1):
-        threshold = n - i / 2
-        rows = []
-        for r in range(1, len(tab.shape) + 1):
-            cnt = sum(
-                1
-                for c in range(1, tab.shape[r - 1] + 1)
-                if tab.numeric(c, r) > threshold
-            )
-            rows.append(cnt)
-        out.append(tuple(v for v in rows if v))
-    return tuple(out)
+    sums = []
+    for row in tab.rows:
+        enters = [0] * (2 * n + 2)
+        for v, over in row:
+            enters[min(max(2 * (n - v) + 1 + over, 0), 2 * n + 1)] += 1
+        sums.append(list(accumulate(enters)))
+    return tuple(tuple(s[i] for s in sums if s[i]) for i in range(2 * n + 1))

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,15 @@ from schursample.cli import main
 from schursample.render import RenderStyle, render_svg
 from schursample.rng import RandomSource
 from schursample.sampler import schur_sample
-from schursample.tilings import DominoTiling, to_plane_partition, to_steep_tiling
+from schursample.symmetric import symmetric_schur_sample
+from schursample.tilings import (
+    DominoTiling,
+    from_plane_overpartition,
+    overpartition_word,
+    to_plane_overpartition,
+    to_plane_partition,
+    to_steep_tiling,
+)
 from schursample.unbounded import PyramidalParameters, PyramidalSampler, WordConvention
 from schursample.words import parse_word
 
@@ -312,6 +321,7 @@ def test_render_refuses_a_scale_that_overflows(capsys, tmp_path, style):
             {"kind": "plane-overpartition", "shape": [2], "rows": [[[1, False], [2, False]]]},
             "row 1 increases at column 2",
         ),
+        ({"shape": [1, 2], "rows": [[0], [0, 0]]}, "shape [1, 2] is not a partition"),
     ],
 )
 def test_render_refuses_a_malformed_tableau(capsys, tmp_path, view, named):
@@ -323,6 +333,68 @@ def test_render_refuses_a_malformed_tableau(capsys, tmp_path, view, named):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and named in err
+
+
+def _domino(k, pos2, vertical, sign):
+    return {"k": k, "pos2": pos2, "vertical": vertical, "sign": sign}
+
+
+@pytest.mark.parametrize(
+    "style, dominoes, named",
+    [
+        (
+            "domino",
+            [_domino(0, 1, False, -1), _domino(0, 1, True, -1)],
+            "two dominoes cover the cell at diagonal 0, 1",
+        ),
+        ("domino", [_domino(0, 1, False, 5)], "step 0 needs sign -1"),
+        ("maya-particles", [_domino(0, 2, False, -1)], "pos2 2 is even"),
+    ],
+)
+def test_render_refuses_a_malformed_steep_tiling(capsys, tmp_path, style, dominoes, named):
+    view = {"format": jsonio.FORMAT, "kind": "steep-tiling", "word": "<'>",
+            "window": [-3, 3], "dominoes": dominoes}
+    view_file = tmp_path / "view.json"
+    view_file.write_text(json.dumps(view))
+    code, out, err = run_cli(capsys, "render", "--style", style, "--input", str(view_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize(
+    "kind, word, target, lambdas",
+    [
+        ("process-sample", "<>", "plane-partition", [[], [2, 1], []]),
+        ("symmetric-sample", "<<'", "overpartition", [[], [3, 1], [1], [3, 1], []]),
+    ],
+)
+def test_convert_refuses_a_sequence_that_does_not_interlace(
+    capsys, tmp_path, kind, word, target, lambdas
+):
+    sample = {"format": jsonio.FORMAT, "kind": kind, "word": word, "z": ["1/2"] * len(word),
+              "t": "1", "mode": "free", "seed": 0, "lambdas": lambdas}
+    sample_file = tmp_path / "sample.json"
+    sample_file.write_text(json.dumps(sample))
+    code, out, err = run_cli(capsys, "convert", "--to", target, "--input", str(sample_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "sequence does not interlace at step 1" in err
+
+
+def test_sample_symmetric_converts_to_the_library_overpartition(capsys, monkeypatch):
+    word = overpartition_word(5)
+    argv = ["sample-symmetric", "--word", "(<<')^5", "--z", ",".join(["3/4"] * 10),
+            "--t", "1/2", "--seed", "9"]
+    code, text, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, view_text, err = run_cli(capsys, "convert", "--to", "overpartition", "--input", "-")
+    assert code == 0, err
+    s = symmetric_schur_sample(word, (Fraction(3, 4),) * 10, Fraction(1, 2), "free", 9)
+    tab = to_plane_overpartition(word, s.lambdas)
+    assert jsonio.loads(view_text) == tab and sum(tab.shape) > 0
+    assert from_plane_overpartition(tab, 5) == s.lambdas[:11]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
-"""The window-bounded steep codec and the grid-key SVG writer against the
-row-walk codec and the float polygon renderers they replaced, which are kept
-here as the reference.
+"""The window-bounded steep codec, the grid-key SVG writer and the one-pass
+tableau codecs against the row-walk codec, the float polygon renderers and
+the per-cell tableau scans they replaced, which are kept here as the
+reference.
 
 The reference codec walks a fixed number of rows per step, reading every
 mark through ``part()``, and sorts the dominoes at the end.  Its row count
@@ -9,13 +10,19 @@ count, max(len) + (hi - lo)/2 + len(word) + 2, missed vacuum rows of a
 window far below (particles) or above (holes) the sequence, and checked no
 row at all when lo > hi.  The reference renderers send float points through
 a writer that tracks the view box point by point and formats every point.
+The reference overpartition encoder finds each cell's first slice by a scan
+over all slices, its decoder compares every cell with every slice's float
+threshold, its check builds each column as a list of float values, and the
+reference plane-partition decoder sorts each diagonal.
 
 Checks: on random steep words, equal dominoes, windows and ``CodecError``
 messages (default windows, windows widened and narrowed by up to 6 cells on
 each side, and sequences broken so they no longer interlace); equal SVG
 bytes for all three renderers at several scales (random plane partitions
 for lozenges, random steep tilings for dominoes and particles) and on
-empty views; and the vacuum rows that the old row count missed.
+empty views; the vacuum rows that the old row count missed; equal
+tableaux and slices on symmetric samples of (<<')^n and on random reverse
+plane partitions; and equal verdicts on corrupted overpartitions.
 """
 import math
 import random
@@ -25,12 +32,18 @@ import pytest
 from schursample.partitions import EMPTY, conjugate, part
 from schursample.render import DOMINO_PALETTE, LOZENGE_PALETTE, RenderStyle, render_svg
 from schursample.sampler import schur_sample
+from schursample.symmetric import symmetric_schur_sample
 from schursample.tilings import (
     CodecError,
     Domino,
     DominoTiling,
     HeightMatrix,
+    OverpartitionTableau,
+    from_plane_overpartition,
+    from_plane_partition,
     is_steep_word,
+    overpartition_word,
+    to_plane_overpartition,
     to_plane_partition,
     to_steep_tiling,
     word_shifts,
@@ -171,7 +184,7 @@ def ref_render_lozenge(hm, style):
     svg = RefSvg()
     s = style.scale
     cells = [
-        (c, r, hm.entry(c, r))
+        (c, r, hm.rows[r - 1][c - 1])
         for r in range(1, len(hm.shape) + 1)
         for c in range(1, hm.shape[r - 1] + 1)
     ]
@@ -341,3 +354,181 @@ def test_window_far_from_the_sequence_is_fully_covered(text, window, count):
     lo, hi = window
     covered = {p for d in tiling.dominoes for k, p in d.cells() if k == 1}
     assert covered >= set(range(lo, hi + 1, 2))
+
+
+# --- the reference tableau codecs: per-cell scans --------------------------
+
+def _numeric(tab, c, r):
+    v, over = tab.rows[r - 1][c - 1]
+    return v - 0.5 if over else float(v)
+
+
+def ref_validate_overpartition(tab):
+    if tuple(len(r) for r in tab.rows) != tab.shape:
+        raise CodecError("row lengths do not match the shape")
+    for r, row in enumerate(tab.rows, start=1):
+        for c in range(2, len(row) + 1):
+            if _numeric(tab, c - 1, r) < _numeric(tab, c, r):
+                raise CodecError(f"row {r} increases at column {c}")
+        # only the last occurrence of an integer may be overlined
+        for c in range(1, len(row)):
+            v, over = row[c - 1]
+            if over and c < len(row) and row[c][0] == v:
+                raise CodecError(f"non-final overline of {v} in row {r}")
+    ncols = tab.shape[0] if tab.shape else 0
+    for c in range(1, ncols + 1):
+        col = [
+            tab.rows[r - 1][c - 1]
+            for r in range(1, len(tab.shape) + 1)
+            if tab.shape[r - 1] >= c
+        ]
+        for idx in range(1, len(col)):
+            if col[idx - 1][0] == col[idx][0] and not col[idx][1]:
+                raise CodecError(f"repeated {col[idx][0]} in column {c} not overlined")
+        for idx in range(1, len(col)):
+            if _numeric(tab, c, idx) < _numeric(tab, c, idx + 1):
+                raise CodecError(f"column {c} increases at row {idx + 1}")
+
+
+def ref_to_plane_overpartition(word, lambdas):
+    word = tuple(word)
+    n2 = len(word)
+    if n2 % 2 or word != overpartition_word(n2 // 2):
+        raise CodecError("plane overpartitions need the word (<<')^n")
+    n = n2 // 2
+    if len(lambdas) < n2 + 1:
+        raise CodecError("need the right-free sequence up to the free partition")
+    shape = lambdas[n2]
+    rows = []
+    for r in range(1, len(shape) + 1):
+        row = []
+        for c in range(1, shape[r - 1] + 1):
+            first = next(
+                i for i in range(n2 + 1) if len(lambdas[i]) >= r and lambdas[i][r - 1] >= c
+            )
+            if first % 2:
+                row.append((n - (first - 1) // 2, False))
+            else:
+                row.append((n - first // 2 + 1, True))
+        rows.append(tuple(row))
+    tab = OverpartitionTableau(tuple(shape), tuple(rows))
+    ref_validate_overpartition(tab)
+    return tab
+
+
+def ref_from_plane_overpartition(tab, n):
+    ref_validate_overpartition(tab)
+    out = []
+    for i in range(2 * n + 1):
+        threshold = n - i / 2
+        rows = []
+        for r in range(1, len(tab.shape) + 1):
+            cnt = sum(
+                1
+                for c in range(1, tab.shape[r - 1] + 1)
+                if _numeric(tab, c, r) > threshold
+            )
+            rows.append(cnt)
+        out.append(tuple(v for v in rows if v))
+    return tuple(out)
+
+
+def ref_from_plane_partition(word, hm):
+    word = tuple(word)
+    hm.validate()
+    n = sum(1 for s in word if not s.left)
+    out = []
+    for k in range(len(word) + 1):
+        d = k - n
+        vals = []
+        for r in range(1, len(hm.shape) + 1):
+            c = r + d
+            if 1 <= c <= hm.shape[r - 1]:
+                vals.append(hm.rows[r - 1][c - 1])
+        vals.sort(reverse=True)
+        out.append(tuple(v for v in vals if v))
+    return tuple(out)
+
+
+def _verdict(check, tab):
+    try:
+        check(tab)
+    except CodecError:
+        return False
+    return True
+
+
+def assert_same_overpartition_codec(n, lambdas, extra=(1, 3)):
+    """Equal tableaux, and equal slices when decoded with n and with n + e
+    for each e in ``extra``."""
+    word = overpartition_word(n)
+    tab = to_plane_overpartition(word, lambdas)
+    assert tab == ref_to_plane_overpartition(word, lambdas)
+    for m in (n, *(n + e for e in extra)):
+        assert from_plane_overpartition(tab, m) == ref_from_plane_overpartition(tab, m)
+    assert from_plane_overpartition(tab, n) == tuple(lambdas[: 2 * n + 1])
+    return tab
+
+
+def test_overpartition_codec_matches_reference_on_symmetric_samples():
+    rnd = random.Random(13)
+    cells = 0
+    for n in range(1, 17):
+        word = overpartition_word(n)
+        for seed in range(4):
+            z = tuple(rnd.uniform(0.3, 0.9) for _ in word)
+            t = rnd.choice((1, 0.5, 0.8))
+            s = symmetric_schur_sample(word, z, t, "free", 100 * n + seed)
+            cells += sum(assert_same_overpartition_codec(n, s.lambdas).shape)
+    assert cells > 1000
+
+
+def test_overpartition_codec_matches_reference_at_n_60():
+    word = overpartition_word(60)
+    s = symmetric_schur_sample(word, (0.9,) * 120, 1, "free", 7)
+    tab = assert_same_overpartition_codec(60, s.lambdas, extra=())
+    assert sum(tab.shape) > 5000
+
+
+def _corrupt(rnd, tab):
+    """The tableau with one to three cells changed in value or overline."""
+    rows = [list(r) for r in tab.rows]
+    for _ in range(rnd.randrange(1, 4)):
+        r = rnd.randrange(len(rows))
+        c = rnd.randrange(len(rows[r]))
+        v, over = rows[r][c]
+        rows[r][c] = rnd.choice(
+            [(v, not over), (v + 1, over), (v - 1, over), (v + 1, not over), (v - 1, not over)]
+        )
+    return OverpartitionTableau(tab.shape, tuple(map(tuple, rows)))
+
+
+def test_overpartition_check_matches_reference_on_corrupted_tableaux():
+    rnd = random.Random(17)
+    verdicts = {True: 0, False: 0}
+    for trial in range(1500):
+        n = rnd.randrange(1, 6)
+        word = overpartition_word(n)
+        z = tuple(rnd.uniform(0.4, 0.9) for _ in word)
+        s = symmetric_schur_sample(word, z, 1, "free", trial)
+        tab = to_plane_overpartition(word, s.lambdas)
+        if not tab.shape:
+            continue
+        bad = _corrupt(rnd, tab)
+        want = _verdict(ref_validate_overpartition, bad)
+        assert _verdict(OverpartitionTableau.validate, bad) == want, bad
+        verdicts[want] += 1
+        if want:  # a corrupted tableau that is still valid decodes the same way
+            for m in (n, n + 1, n + 3):
+                assert from_plane_overpartition(bad, m) == ref_from_plane_overpartition(bad, m)
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+
+
+def test_plane_partition_decoder_matches_reference():
+    rnd = random.Random(19)
+    for trial in range(400):
+        word = tuple(rnd.choice((Rel.LH, Rel.RH)) for _ in range(rnd.randrange(1, 12)))
+        z = q_volume_parameters(word, rnd.uniform(0.3, 0.9))
+        s = schur_sample(word, z, trial)
+        hm = to_plane_partition(word, s.lambdas)
+        assert from_plane_partition(word, hm) == ref_from_plane_partition(word, hm) == s.lambdas

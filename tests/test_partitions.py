@@ -5,6 +5,7 @@ from schursample.partitions import (
     EMPTY,
     conjugate,
     contains,
+    first_break,
     from_maya,
     interlaces,
     interlaces_h,
@@ -15,7 +16,7 @@ from schursample.partitions import (
     partitions_up_to,
     to_maya,
 )
-from schursample.words import Rel
+from schursample.words import Rel, parse_word
 
 
 partition_strategy = st.lists(st.integers(1, 12), max_size=8).map(
@@ -61,6 +62,35 @@ def test_interlacing_conjugation_duality_weight_12():
     for lam in parts:
         for mu in parts:
             assert interlaces_h(lam, mu) == interlaces_v(conjugate(lam), conjugate(mu))
+
+
+def ref_interlaces_h(lam, mu):
+    """The part()-based walk that the zip pass replaced."""
+    n = max(len(lam), len(mu))
+    return all(part(lam, i) >= part(mu, i) >= part(lam, i + 1) for i in range(1, n + 1))
+
+
+def ref_interlaces_v(lam, mu):
+    n = max(len(lam), len(mu))
+    return all(0 <= part(lam, i) - part(mu, i) <= 1 for i in range(1, n + 1))
+
+
+def test_interlacing_matches_the_part_walk_exhaustively_weight_10():
+    parts = partitions_up_to(10)
+    for lam in parts:
+        for mu in parts:
+            assert interlaces_h(lam, mu) == ref_interlaces_h(lam, mu), (lam, mu)
+            assert interlaces_v(lam, mu) == ref_interlaces_v(lam, mu), (lam, mu)
+
+
+def test_first_break_names_the_first_failing_step():
+    word = parse_word("<<'>>'")
+    good = (EMPTY, (2,), (2, 1), (2,), (1,))
+    assert first_break(word, good) is None
+    assert first_break(word, (EMPTY, (2, 1), (2, 1), (2,), (1,))) == 1
+    assert first_break(word, (EMPTY, (2,), (2, 1), EMPTY, (1,))) == 3
+    assert first_break(word, (EMPTY, (2,), (2, 1), (2,), (3,))) == 4
+    assert first_break((), (EMPTY,)) is None
 
 
 def test_interlacing_implies_containment():

@@ -11,6 +11,7 @@ from schursample.tilings import (
     Domino,
     DominoTiling,
     HeightMatrix,
+    OverpartitionTableau,
     aztec_region_dominoes,
     from_plane_overpartition,
     from_plane_partition,
@@ -258,6 +259,13 @@ def test_overpartition_rejects_wrong_word():
         to_plane_overpartition(parse_word("<<"), (EMPTY, (1,), (1,)))
 
 
+def test_overpartition_decoder_refuses_a_negative_n():
+    tab = to_plane_overpartition(overpartition_word(1), (EMPTY, (1,), (1,)))
+    assert from_plane_overpartition(tab, 0) == ((1,),)
+    with pytest.raises(CodecError, match="n must be at least 0, got -1"):
+        from_plane_overpartition(tab, -1)
+
+
 def test_monotonicity_iff_interlacing():
     # a valid interlaced sequence gives a monotone filling; breaking the
     # interlacing at one slice breaks monotonicity
@@ -268,3 +276,108 @@ def test_monotonicity_iff_interlacing():
     broken[4] = (1,)  # (4,2) > (1) fails the horizontal-strip condition
     with pytest.raises(CodecError):
         to_plane_partition(w, tuple(broken))
+
+
+@pytest.mark.parametrize(
+    "codec,text,lambdas,named",
+    [
+        # the one-cell fold never reads part 2 of lambda(1)
+        (to_plane_partition, "<>", (EMPTY, (2, 1), EMPTY), "interlace at step 1"),
+        (to_plane_partition, "<<>>", (EMPTY, (1,), (2,), (1, 1), EMPTY), "interlace at step 3"),
+        (
+            to_plane_overpartition, "<<'", (EMPTY, (3, 1), (1,), (3, 1), EMPTY),
+            "interlace at step 1",
+        ),
+        (to_plane_overpartition, "<<'", (EMPTY, (3,), (1,)), "interlace at step 2"),
+        (to_plane_overpartition, "<<'", ((1,), (1,), (1,)), "first slice must be empty"),
+    ],
+)
+def test_tableau_encoders_refuse_a_sequence_that_does_not_interlace(codec, text, lambdas, named):
+    with pytest.raises(CodecError, match=named):
+        codec(parse_word(text), lambdas)
+
+
+def test_plane_partition_decoder_refuses_a_shape_the_word_does_not_encode():
+    # a valid 2x2 reverse plane partition once decoded to ((1,), (2, 1), (1,))
+    hm = HeightMatrix((2, 2), ((1, 1), (1, 2)))
+    hm.validate()
+    with pytest.raises(CodecError, match="shape"):
+        from_plane_partition(parse_word("<>"), hm)
+
+
+@pytest.mark.parametrize("shape, rows", [((1, 2), ((0,), (0, 0))), ((1, 0), ((0,), ()))])
+def test_tableaux_refuse_a_shape_that_is_not_a_partition(shape, rows):
+    with pytest.raises(CodecError, match="not a partition"):
+        HeightMatrix(shape, rows).validate()
+    over = tuple(tuple((1, False) for _ in row) for row in rows)
+    with pytest.raises(CodecError, match="not a partition"):
+        OverpartitionTableau(shape, over).validate()
+
+
+def test_steep_tiling_check_accepts_every_flip_of_small_aztec_diamonds():
+    # a flip may move a domino wholly outside the window; that is allowed
+    flips = outside = 0
+    for n in (1, 2, 3):
+        w = parse_word(f"(<'>)^{n}")
+        sup = enumerate_support(w, (1,) * (2 * n), cap=100)
+        for window in ((-2 * n - 3, 2 * n + 3), (-2 * n - 1, 2 * n + 1), (-1, 1), (1, 5)):
+            for seq in sup.entries:
+                t = to_steep_tiling(w, seq, window=window)
+                t.validate()
+                for pair in enumerate_flips(t):
+                    flipped = apply_flip(t, pair)
+                    flipped.validate()
+                    lo, hi = window
+                    flips += 1
+                    outside += any(
+                        not any(lo <= p <= hi for _, p in d.cells()) for d in flipped.dominoes
+                    )
+    assert flips > 500 and outside > 0
+
+
+W1 = parse_word("<'>")
+
+
+@pytest.mark.parametrize(
+    "tiling, named",
+    [
+        (DominoTiling(parse_word("<>"), (-3, 3), ()), "not a steep word"),
+        (DominoTiling(W1, (-3, 2), ()), "window bounds"),
+        (DominoTiling(W1, (-3, 3), (Domino(2, 1, False, 1),)), "step 2 is not in 0..1"),
+        (DominoTiling(W1, (-3, 3), (Domino(-1, 1, False, 1),)), "step -1 is not in 0..1"),
+        (DominoTiling(W1, (-3, 3), (Domino(0, 2, False, -1),)), "pos2 2 is even"),
+        (DominoTiling(W1, (-3, 3), (Domino(0, 1, False, 5),)), "step 0 needs sign -1"),
+        (DominoTiling(W1, (-3, 3), (Domino(1, 1, True, -1),)), "step 1 needs sign 1"),
+        (
+            DominoTiling(W1, (-3, 3), (Domino(0, 1, False, -1), Domino(0, 1, True, -1))),
+            "two dominoes cover the cell at diagonal 0, 1",
+        ),
+        (
+            DominoTiling(W1, (-3, 3), (Domino(0, -1, True, -1), Domino(1, 1, False, 1))),
+            "two dominoes cover the cell at diagonal 1, 1",
+        ),
+        (
+            DominoTiling(W1, (-3, 3), (Domino(1, 1, False, 1), Domino(1, 1, False, 1))),
+            "two dominoes cover the cell at diagonal 1, 1",
+        ),
+        (
+            DominoTiling(W1, (-3, 3), (Domino(0, -5, True, -1), Domino(1, -3, True, 1))),
+            "two dominoes cover the cell at diagonal 1, -3",
+        ),
+    ],
+)
+def test_steep_tiling_check_names_the_fault(tiling, named):
+    with pytest.raises(CodecError, match=named):
+        tiling.validate()
+    with pytest.raises(CodecError, match=named):
+        from_steep_tiling(tiling)
+
+
+@pytest.mark.parametrize(
+    "word, window, named",
+    [("<>", None, "not a steep word"), ("<>", (-3, 3), "not a steep word"),
+     ("<'>", (-2, 3), "window bounds"), ("<'>", None, "needs 3 slices")],
+)
+def test_steep_encoder_checks_the_word_before_the_slices(word, window, named):
+    with pytest.raises(CodecError, match=named):
+        to_steep_tiling(parse_word(word), [()], window=window)
