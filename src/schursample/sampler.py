@@ -111,20 +111,18 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> List[List[float]]:
     the boxes below the diagonal mirror those above it and are skipped.
     """
     x, y, v, kinds = plan.x, plan.y, plan.v, plan.row_kinds
-    rows = {}  # (type and repr of y_j, row symbol) -> (floats, failures) by column
+    rows = {}  # (type and repr of y_j, row symbol) -> floats by column
     table = []
     for j, row_len in enumerate(plan.pi, start=1):
         yj, row_kinds = y[j - 1], kinds[j - 1]
-        floats, bad = rows.setdefault((type(yj), repr(yj), v[j - 1]), ([], []))
+        floats = rows.setdefault((type(yj), repr(yj), v[j - 1]), [])
         stop = row_len if diagonal is None else min(row_len, j - 1)
-        for i in range(len(floats), stop):
+        for i in range(len(floats), stop):  # the entries before were checked
             xi = _product(x[i], yj)
-            finite = 0 <= xi <= _MAX
-            floats.append(float(xi) if finite else _INF)
-            bad.append(not finite or (floats[i] >= 1 and row_kinds[i] in ("HH", "VV")))
-        if True in bad[:stop]:
-            i = bad.index(True) + 1
-            _refuse((i, j), row_kinds[i - 1], _product(x[i - 1], yj))
+            f = float(xi) if 0 <= xi <= _MAX else _INF
+            if f == _INF or (f >= 1 and row_kinds[i] in ("HH", "VV")):
+                _refuse((i + 1, j), row_kinds[i], xi)
+            floats.append(f)
         table.append(floats)
         if diagonal is not None and j <= row_len:
             xi = diagonal(j, row_kinds[j - 1])

@@ -80,6 +80,8 @@ class HeightMatrix:
             for c, (x, y) in enumerate(zip(prev, row), start=1):
                 if x > y:
                     raise CodecError(f"column {c} decreases at row {r}")
+        if self.rows and self.rows[0][0] < 0:  # the smallest entry, rows being monotone
+            raise CodecError(f"entry {self.rows[0][0]} at row 1, column 1 is negative")
 
 
 def to_plane_partition(word: Sequence[Rel], lambdas: Sequence[Partition]) -> HeightMatrix:
@@ -319,6 +321,8 @@ class OverpartitionTableau:
                     raise CodecError(f"column {c} increases at row {r}")
                 if x == y and x % 2 == 0:  # of equal entries the later must be overlined
                     raise CodecError(f"repeated {x // 2} in column {c} not overlined")
+        if any(row[-1][0] < 1 for row in self.rows):  # a row's smallest entry is its last
+            raise CodecError(f"entries must be at least 1, got {min(r[-1][0] for r in self.rows)}")
 
 
 def overpartition_word(n: int) -> Word:
@@ -353,16 +357,18 @@ def to_plane_overpartition(
 
 
 def from_plane_overpartition(tab: OverpartitionTableau, n: int) -> Tuple[Partition, ...]:
-    """Level sets of the tableau: lambda(i) collects cells with value above
-    n - i/2.  A cell (v, over) enters at slice 2(n - v) + 1 + over, clamped
-    to [0, 2n + 1], and running sums per row give the slices."""
+    """Level sets of the tableau, whose values must lie in 1..n: lambda(i)
+    collects cells with value above n - i/2.  A cell (v, over) enters at
+    slice 2(n - v) + 1 + over, and running sums per row give the slices."""
     if n < 0:
         raise CodecError(f"n must be at least 0, got {n}")
     tab.validate()
+    if tab.rows and tab.rows[0][0][0] > n:  # the largest entry
+        raise CodecError(f"entry {tab.rows[0][0][0]} in row 1 is above n = {n}")
     sums = []
     for row in tab.rows:
-        enters = [0] * (2 * n + 2)
+        enters = [0] * (2 * n + 1)
         for v, over in row:
-            enters[min(max(2 * (n - v) + 1 + over, 0), 2 * n + 1)] += 1
+            enters[2 * (n - v) + 1 + over] += 1
         sums.append(list(accumulate(enters)))
     return tuple(tuple(s[i] for s in sums if s[i]) for i in range(2 * n + 1))

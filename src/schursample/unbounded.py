@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Dict, Optional, Tuple
 
-from .partitions import EMPTY, Partition, interlaces
+from . import words
+from .partitions import EMPTY, Partition, first_break
 from .rng import RandomSource
 from .sampler import DivergenceError, grow_profile
 from .words import Rel, Word, precompute_par
@@ -109,48 +110,35 @@ class PyramidalParameters:
 
 @dataclass(frozen=True)
 class WordConvention:
-    """Chooses the relation (plain vs primed) on each side of the center.
+    """The relation symbols on each side of the center, with period 2:
+    ``left[i % 2]`` relates lambda(-i-1) to lambda(-i) and ``right[j % 2]``
+    relates lambda(j) to lambda(j+1).  Box (i, j) pairs left symbol i with
+    right symbol j: its kind and sign are words.box_kind and words.epsilon."""
 
-    The pattern has period 2: ``left[i % 2]`` says whether the relation
-    between lambda(-i-1) and lambda(-i) is primed, ``right[j % 2]`` whether
-    the one between lambda(j) and lambda(j+1) is.
-    """
-
-    left: Tuple[bool, bool]
-    right: Tuple[bool, bool]
+    left: Tuple[Rel, Rel]
+    right: Tuple[Rel, Rel]
     name: str = "custom"
 
-    def left_primed(self, i: int) -> bool:
-        return self.left[i % 2]
-
-    def right_primed(self, j: int) -> bool:
-        return self.right[j % 2]
-
     def epsilon(self, i: int, j: int) -> int:
-        return 1 if self.left_primed(i) != self.right_primed(j) else -1
+        return words.epsilon(self.left[i % 2], self.right[j % 2])
 
     def box_kind(self, i: int, j: int) -> str:
-        lp, rp = self.left_primed(i), self.right_primed(j)
-        if not lp:
-            return "HH" if not rp else "HV"
-        return "VH" if not rp else "VV"
+        return words.box_kind(self.left[i % 2], self.right[j % 2])
 
     def plus_count(self, s: int) -> int:
         """Number of boxes with epsilon = +1 on the anti-diagonal i + j = s."""
         per_parity = (s // 2 + 1, (s + 1) // 2)  # boxes with j even, j odd
-        return sum(
-            n for p, n in enumerate(per_parity) if self.left[(s - p) % 2] != self.right[p]
-        )
+        return sum(n for j, n in enumerate(per_parity) if self.epsilon(s - j, j) == 1)
 
     @staticmethod
     def plane_partitions() -> "WordConvention":
-        return WordConvention((False, False), (False, False), "plane-partitions")
+        return WordConvention((Rel.LH, Rel.LH), (Rel.RH, Rel.RH), "plane-partitions")
 
     @staticmethod
     def pyramid() -> "WordConvention":
         """Alternating relations: the innermost left relation is primed,
         the innermost right one plain."""
-        return WordConvention((True, False), (False, True), "pyramid")
+        return WordConvention((Rel.LV, Rel.LH), (Rel.RH, Rel.RV), "pyramid")
 
 
 @dataclass
@@ -171,9 +159,10 @@ class PyramidalSample:
     def validate(self) -> None:
         lo, hi = self.support()
         m = max(hi, -lo) + 1
-        for i, rel in enumerate(truncation_word(self.convention, m), -m):
-            if not interlaces(self.lam(i), self.lam(i + 1), rel):
-                raise ValueError(f"interlacing fails between lambda({i}) and lambda({i+1})")
+        lambdas = [self.lam(k) for k in range(-m, m + 1)]
+        i = first_break(truncation_word(self.convention, m), lambdas)
+        if i is not None:
+            raise ValueError(f"interlacing fails between lambda({i - m - 1}) and lambda({i - m})")
 
 
 class PyramidalSampler:
@@ -304,16 +293,15 @@ class PyramidalSampler:
         if k is None:
             return PyramidalSample({}, self.params, self.conv, src.seed, None)
         i0, j0 = cantor_unpair(k)
-        inputs: Dict[Tuple[int, int], int] = {}
         eps0 = self.conv.epsilon(i0, j0)
-        c0 = self.params.c(i0, j0, eps0)
-        inputs[(i0, j0)] = 1 if eps0 == 1 else 1 + src.geometric(c0)
-        for kk in range(k):
-            i, j = cantor_unpair(kk)
-            eps = self.conv.epsilon(i, j)
-            c = self.params.c(i, j, eps)
-            inputs[(i, j)] = src.bernoulli(c) if eps == 1 else src.geometric(c)
-        lambdas = grow_pyramidal(self.conv, inputs, i0 + j0 + 1)
+        inputs = {(i0, j0): 1 if eps0 == 1 else 1 + src.geometric(self.params.c(i0, j0, eps0))}
+        s0 = i0 + j0
+        for s in range(s0 + 1):  # the boxes before K in Cantor order: j rising
+            for j in range(s + 1 if s < s0 else j0):
+                eps = self.conv.epsilon(s - j, j)
+                x = self.params.c(s - j, j, eps)
+                inputs[(s - j, j)] = src.bernoulli(x) if eps == 1 else src.geometric(x)
+        lambdas = grow_pyramidal(self.conv, inputs, s0 + 1)
         return PyramidalSample(lambdas, self.params, self.conv, src.seed, k)
 
 
@@ -341,13 +329,8 @@ def unbounded_schur_sample(
 def truncation_word(convention: WordConvention, m: int) -> Word:
     """The 2m-symbol finite word of the process truncated at a_i = b_i = 0
     for i >= m."""
-    lefts = tuple(
-        Rel.LV if convention.left_primed(i) else Rel.LH for i in range(m - 1, -1, -1)
-    )
-    rights = tuple(
-        Rel.RV if convention.right_primed(j) else Rel.RH for j in range(m)
-    )
-    return lefts + rights
+    lefts = (convention.left[i % 2] for i in range(m - 1, -1, -1))
+    return (*lefts, *(convention.right[j % 2] for j in range(m)))
 
 
 def truncation_params(params: PyramidalParameters, m: int) -> tuple:

@@ -17,20 +17,17 @@ from .partitions import Partition, make
 
 
 class Rel(Enum):
-    """One of the four interlacing relation symbols."""
+    """One of the four interlacing relation symbols.  Each member sets
+    ``left`` (a ``<``) and ``primed`` (a ``'`` suffix) once, when made."""
 
     LH = "<"
     RH = ">"
     LV = "<'"
     RV = ">'"
 
-    @property
-    def left(self) -> bool:
-        return self in (Rel.LH, Rel.LV)
-
-    @property
-    def primed(self) -> bool:
-        return self in (Rel.LV, Rel.RV)
+    def __init__(self, value: str):
+        self.left = value[0] == "<"
+        self.primed = value[-1] == "'"
 
     @property
     def inverse(self) -> "Rel":
@@ -103,27 +100,23 @@ def encoded_shape(w: Sequence[Rel]) -> Partition:
     return make(parts)
 
 
-BOX_HH = "HH"
-BOX_HV = "HV"
-BOX_VH = "VH"
-BOX_VV = "VV"
+_KINDS = (("HH", "HV"), ("VH", "VV"))  # [left.primed][right.primed]
 
 
 def box_kind(left: Rel, right: Rel) -> str:
     """Local-rule type of a box whose column symbol is ``left`` and row
-    symbol is ``right``."""
-    if left == Rel.LH:
-        return BOX_HH if right == Rel.RH else BOX_HV
-    return BOX_VH if right == Rel.RH else BOX_VV
+    symbol is ``right``: H for a plain symbol, V for a primed one."""
+    return _KINDS[left.primed][right.primed]
 
 
 def epsilon(left: Rel, right: Rel) -> int:
     """+1 for the Bernoulli (mixed) pairs, -1 for the geometric pairs.
 
-    This one predicate feeds both the samplers (via box_kind) and the
+    This one predicate, with box_kind, feeds the finite and symmetric
+    samplers, the pyramidal sampler (through its WordConvention) and the
     partition-function evaluators, so the sign conventions cannot drift.
     """
-    return 1 if box_kind(left, right) in (BOX_HV, BOX_VH) else -1
+    return 1 if left.primed != right.primed else -1
 
 
 @dataclass(frozen=True)

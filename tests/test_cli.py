@@ -322,6 +322,7 @@ def test_render_refuses_a_scale_that_overflows(capsys, tmp_path, style):
             "row 1 increases at column 2",
         ),
         ({"shape": [1, 2], "rows": [[0], [0, 0]]}, "shape [1, 2] is not a partition"),
+        ({"shape": [1], "rows": [[-2]]}, "entry -2 at row 1, column 1 is negative"),
     ],
 )
 def test_render_refuses_a_malformed_tableau(capsys, tmp_path, view, named):

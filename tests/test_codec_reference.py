@@ -515,12 +515,18 @@ def test_overpartition_check_matches_reference_on_corrupted_tableaux():
         if not tab.shape:
             continue
         bad = _corrupt(rnd, tab)
-        want = _verdict(ref_validate_overpartition, bad)
+        # the reference checks the order only; a tableau also holds values >= 1
+        entries = [v for row in bad.rows for v, _ in row]
+        want = _verdict(ref_validate_overpartition, bad) and min(entries) >= 1
         assert _verdict(OverpartitionTableau.validate, bad) == want, bad
         verdicts[want] += 1
         if want:  # a corrupted tableau that is still valid decodes the same way
-            for m in (n, n + 1, n + 3):
-                assert from_plane_overpartition(bad, m) == ref_from_plane_overpartition(bad, m)
+            for m in (n, n + 1, n + 3):  # up to n, when its values lie in 1..m
+                if m >= max(entries):
+                    assert from_plane_overpartition(bad, m) == ref_from_plane_overpartition(bad, m)
+                else:
+                    with pytest.raises(CodecError, match="above n"):
+                        from_plane_overpartition(bad, m)
     assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
 
 

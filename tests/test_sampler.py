@@ -16,7 +16,7 @@ from schursample.sampler import (
     run_growth,
     schur_sample,
 )
-from schursample.words import Rel, parse_word, precompute_par, q_volume_parameters
+from schursample.words import Rel, parse_word, precompute_par, q_volume_parameters, symmetrize
 
 
 def random_word(rnd, max_len=10):
@@ -92,6 +92,30 @@ def test_parameter_table_shares_equal_rows():
     table = check_parameters(plan)
     assert table == [[1.0, 0.5, 1.0], [1.0, 0.5, 1.0], [2.0]]
     assert table[0] is table[1]
+
+
+def test_bad_far_column_of_a_shared_row_names_its_first_box():
+    # x = (0.5, 0.5, 3); y = (0.5, 0.5): rows 1 and 2 share one list, and
+    # box (3, 1) is the first with x_i y_j >= 1 in row-major order
+    plan = precompute_par(parse_word("<<<>>"), (0.5, 0.5, 3.0, 0.5, 0.5))
+    with pytest.raises(DivergenceError) as err:
+        check_parameters(plan)
+    assert err.value.box == (3, 1) and err.value.kind == "HH"
+    plan = precompute_par(parse_word("<<<>>"), (0.5, 0.5, 1.5, 0.5, 0.5))
+    table = check_parameters(plan)
+    assert table == [[0.25, 0.25, 0.75]] * 2 and table[0] is table[1]
+
+
+def test_symmetric_row_that_extends_a_shared_list_names_its_box():
+    # x = y = (1/4, 2, 2), boxes i < j only: row 2 checks (1, 2) = 1/2 and
+    # row 3 shares its list and extends it with (2, 3) = 4, the first bad box
+    plan = precompute_par(*symmetrize(parse_word("<<<"), (0.25, 2.0, 2.0)))
+    with pytest.raises(DivergenceError) as err:
+        check_parameters(plan, lambda i, kind: None)
+    assert err.value.box == (2, 3) and err.value.kind == "HH"
+    plan = precompute_par(*symmetrize(parse_word("<<<"), (0.25, 0.25, 0.25)))
+    table = check_parameters(plan, lambda i, kind: None)
+    assert table == [[0.0625, 0.0625]] * 3 and table[0] is table[2]
 
 
 @pytest.mark.parametrize(

@@ -261,7 +261,9 @@ def test_overpartition_rejects_wrong_word():
 
 def test_overpartition_decoder_refuses_a_negative_n():
     tab = to_plane_overpartition(overpartition_word(1), (EMPTY, (1,), (1,)))
-    assert from_plane_overpartition(tab, 0) == ((1,),)
+    assert from_plane_overpartition(OverpartitionTableau((), ()), 0) == (EMPTY,)
+    with pytest.raises(CodecError, match="entry 1 in row 1 is above n = 0"):
+        from_plane_overpartition(tab, 0)  # once decoded to ((1,),), a non-empty slice 0
     with pytest.raises(CodecError, match="n must be at least 0, got -1"):
         from_plane_overpartition(tab, -1)
 
@@ -303,6 +305,38 @@ def test_plane_partition_decoder_refuses_a_shape_the_word_does_not_encode():
     hm.validate()
     with pytest.raises(CodecError, match="shape"):
         from_plane_partition(parse_word("<>"), hm)
+
+
+def test_height_matrix_refuses_a_negative_entry():
+    # once decoded to ((), (-2,), ()), a slice with a negative part
+    with pytest.raises(CodecError, match="entry -2 at row 1, column 1 is negative"):
+        from_plane_partition(parse_word("<>"), HeightMatrix((1,), ((-2,),)))
+    with pytest.raises(CodecError, match="entry -1 at row 1, column 1 is negative"):
+        HeightMatrix((2, 1), ((-1, 0), (0,))).validate()
+    HeightMatrix((2, 1), ((0, 0), (0,))).validate()
+
+
+def test_overpartition_tableau_refuses_an_entry_below_one():
+    # (0, False) once decoded to ((), (), ()), its cell dropped
+    with pytest.raises(CodecError, match="entries must be at least 1, got 0"):
+        from_plane_overpartition(OverpartitionTableau((1,), (((0, False),),)), 1)
+    # the smallest entry of the tableau ends a row, here not the last one
+    tab = OverpartitionTableau((2, 1), (((2, False), (0, True)), ((1, False),)))
+    with pytest.raises(CodecError, match="at least 1"):
+        tab.validate()
+    OverpartitionTableau((2, 1), (((2, False), (1, True)), ((1, False),))).validate()
+
+
+def test_overpartition_decoder_refuses_an_entry_above_n():
+    # (3, False) with n = 1 once decoded to ((1,), (1,), (1,)): a non-empty slice 0
+    tab = OverpartitionTableau((1,), (((3, False),),))
+    with pytest.raises(CodecError, match="entry 3 in row 1 is above n = 1"):
+        from_plane_overpartition(tab, 1)
+    over = OverpartitionTableau((1,), (((2, True),),))  # 3/2 lies above 1 as well
+    with pytest.raises(CodecError, match="above n = 1"):
+        from_plane_overpartition(over, 1)
+    assert from_plane_overpartition(tab, 3) == (EMPTY, (1,), (1,), (1,), (1,), (1,), (1,))
+    assert from_plane_overpartition(over, 2) == (EMPTY, EMPTY, (1,), (1,), (1,))
 
 
 @pytest.mark.parametrize("shape, rows", [((1, 2), ((0,), (0, 0))), ((1, 0), ((0,), ()))])

@@ -13,6 +13,7 @@ from schursample.sampler import DivergenceError, boundary_lambdas, run_growth
 from schursample.unbounded import (
     ParamSeq,
     PyramidalParameters,
+    PyramidalSample,
     PyramidalSampler,
     WordConvention,
     cantor_pair,
@@ -25,7 +26,7 @@ from schursample.unbounded import (
     truncation_word,
     unbounded_schur_sample,
 )
-from schursample.words import precompute_par
+from schursample.words import format_word, precompute_par
 
 
 def test_cantor_pairing():
@@ -36,6 +37,36 @@ def test_cantor_pairing():
     for i in range(101):
         for j in range(101):
             assert cantor_unpair(cantor_pair(i, j)) == (i, j)
+
+
+def test_truncation_words_of_both_conventions():
+    words = {
+        "pyramid": ["<'>", "<<'>>'", "<'<<'>>'>"],
+        "plane-partitions": ["<>", "<<>>", "<<<>>>"],
+    }
+    for conv in (WordConvention.pyramid(), WordConvention.plane_partitions()):
+        got = [format_word(truncation_word(conv, m)) for m in (1, 2, 3)]
+        assert got == words[conv.name]
+
+
+def test_box_kinds_and_signs_of_both_conventions():
+    # box (i, j) for i, j < 4, rows i
+    pyramid = WordConvention.pyramid()
+    assert [[pyramid.box_kind(i, j) for j in range(4)] for i in range(4)] == [
+        ["VH", "VV", "VH", "VV"],
+        ["HH", "HV", "HH", "HV"],
+        ["VH", "VV", "VH", "VV"],
+        ["HH", "HV", "HH", "HV"],
+    ]
+    assert [[pyramid.epsilon(i, j) for j in range(4)] for i in range(4)] == [
+        [1, -1, 1, -1],
+        [-1, 1, -1, 1],
+        [1, -1, 1, -1],
+        [-1, 1, -1, 1],
+    ]
+    plane = WordConvention.plane_partitions()
+    assert {plane.box_kind(i, j) for i in range(4) for j in range(4)} == {"HH"}
+    assert {plane.epsilon(i, j) for i in range(4) for j in range(4)} == {-1}
 
 
 def test_truncation_index_all_zero():
@@ -232,6 +263,53 @@ def test_rsk_shape_matches_growth_diagram():
         rows = rnd.randint(1, 5)
         word = [rnd.randrange(rows) for _ in range(rnd.randrange(40))]
         assert rsk_shape(word) == growth_diagram_shape(word, rows)
+
+
+def ref_pyramidal_sample(sampler, src):
+    """The sampling loop the anti-diagonal walk replaced: the conditioned
+    box at K, then every box before K in Cantor order, each found by
+    cantor_unpair.  Returns K and the nonempty slices."""
+    k = sampler.sample_truncation_index(src)
+    if k is None:
+        return None, {}
+    i0, j0 = cantor_unpair(k)
+    inputs = {}
+    eps0 = sampler.conv.epsilon(i0, j0)
+    c0 = sampler.params.c(i0, j0, eps0)
+    inputs[(i0, j0)] = 1 if eps0 == 1 else 1 + src.geometric(c0)
+    for kk in range(k):
+        i, j = cantor_unpair(kk)
+        eps = sampler.conv.epsilon(i, j)
+        c = sampler.params.c(i, j, eps)
+        inputs[(i, j)] = src.bernoulli(c) if eps == 1 else src.geometric(c)
+    return k, grow_pyramidal(sampler.conv, inputs, i0 + j0 + 1)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+def test_sample_matches_the_cantor_order_loop(q):
+    params = PyramidalParameters.q_volume(q)
+    for conv in (WordConvention.plane_partitions(), WordConvention.pyramid()):
+        sampler = PyramidalSampler(params, conv)
+        for seed in range(40):
+            src, src_ref = RandomSource(seed, log_draws=True), RandomSource(seed, log_draws=True)
+            s = sampler.sample(src)
+            assert (s.truncation_index, s.lambdas) == ref_pyramidal_sample(sampler, src_ref)
+            assert src.draw_log == src_ref.draw_log
+
+
+def test_validate_refuses_slices_that_do_not_interlace():
+    params = PyramidalParameters.q_volume(0.5)
+    conv = WordConvention.plane_partitions()
+    # lambda(0) > lambda(1) needs a horizontal strip (1)/(3), which fails
+    bad = PyramidalSample({0: (1,), 1: (3,)}, params, conv, None, 0)
+    with pytest.raises(ValueError, match=r"between lambda\(0\) and lambda\(1\)"):
+        bad.validate()
+    # lambda(-1) <' lambda(0) in the pyramid needs a vertical strip (3)/(1);
+    # the plane-partition relation < takes the horizontal strip
+    bad = PyramidalSample({-1: (1,), 0: (3,)}, params, WordConvention.pyramid(), None, 0)
+    with pytest.raises(ValueError, match=r"between lambda\(-1\) and lambda\(0\)"):
+        bad.validate()
+    PyramidalSample({-1: (1,), 0: (3,)}, params, conv, None, 0).validate()
 
 
 def test_outputs_interlace():

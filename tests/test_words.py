@@ -6,6 +6,7 @@ import pytest
 from schursample.partitions import conjugate
 from schursample.words import (
     Rel,
+    box_kind,
     encoded_shape,
     epsilon,
     format_word,
@@ -165,3 +166,27 @@ def test_encoded_shape_weight_counts_left_right_pairs():
 def test_epsilon_table():
     assert epsilon(LH, RV) == 1 and epsilon(LV, RH) == 1
     assert epsilon(LH, RH) == -1 and epsilon(LV, RV) == -1
+
+
+def test_symbols_carry_their_side_and_prime():
+    assert [(s.left, s.primed) for s in (LH, RH, LV, RV)] == [
+        (True, False), (False, False), (True, True), (False, True)
+    ]
+
+
+def test_box_kind_and_sign_read_the_two_primes():
+    # rows: the column symbol, columns: the row symbol, both in order LH, RH, LV, RV
+    kinds = [[box_kind(a, b) for b in (LH, RH, LV, RV)] for a in (LH, RH, LV, RV)]
+    assert kinds == [
+        ["HH", "HH", "HV", "HV"],
+        ["HH", "HH", "HV", "HV"],
+        ["VH", "VH", "VV", "VV"],
+        ["VH", "VH", "VV", "VV"],
+    ]
+    signs = [[epsilon(a, b) for b in (LH, RH, LV, RV)] for a in (LH, RH, LV, RV)]
+    assert signs == [
+        [-1, -1, 1, 1],
+        [-1, -1, 1, 1],
+        [1, 1, -1, -1],
+        [1, 1, -1, -1],
+    ]
