@@ -17,8 +17,9 @@ from . import jsonio
 from .oracle import chi_square_pvalue, chi_square_statistic, enumerate_support, tv_distance
 from .render import RenderStyle, render_svg
 from .rng import RandomSource
-from .sampler import schur_sample
-from .symmetric import symmetric_schur_sample
+from .rules import MODES
+from .sampler import ProcessSample, schur_sample
+from .symmetric import SymmetricSample, symmetric_schur_sample
 from .tilings import (
     to_plane_overpartition,
     to_plane_partition,
@@ -168,6 +169,8 @@ def _first_record(args):
 
 def cmd_convert(args) -> int:
     obj = _first_record(args)
+    if not isinstance(obj, (ProcessSample, SymmetricSample)):
+        raise CliError(f"convert needs a sample record, got a {type(obj).__name__} view")
     if args.to == "plane-partition":
         view = to_plane_partition(obj.word, obj.lambdas)
     elif args.to == "steep-tiling":
@@ -197,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact sampling of Schur processes and their tiling models.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    modes = [mode.replace("_", "-") for mode in MODES]  # as --mode spells them
 
     def add_common(sp, word=True, count=True):
         if word:
@@ -220,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--z", required=True)
     sp.add_argument("--t", default="1")
-    sp.add_argument(
-        "--mode", choices=["free", "even-rows", "even-columns"], default="free"
-    )
+    sp.add_argument("--mode", choices=modes, default="free")
     sp.set_defaults(func=cmd_sample_symmetric)
 
     sp = sub.add_parser("sample-unbounded", help="sample a pyramidal Schur process")
@@ -240,9 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--word", required=True)
     sp.add_argument("--z", required=True)
     sp.add_argument("--t", default=None)
-    sp.add_argument(
-        "--mode", choices=["free", "even-rows", "even-columns"], default="free"
-    )
+    sp.add_argument("--mode", choices=modes, default="free")
     sp.set_defaults(func=cmd_zfun)
 
     sp = sub.add_parser("verify", help="compare samples against the exact law")

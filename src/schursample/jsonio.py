@@ -117,7 +117,7 @@ def view_from_dict(d: Dict[str, Any]):
     elif kind == "plane-overpartition":
         view = OverpartitionTableau(
             tuple(d["shape"]),
-            tuple(tuple((int(v), bool(o)) for v, o in row) for row in d["rows"]),
+            tuple(tuple((v, bool(o)) for v, o in row) for row in d["rows"]),
         )
     else:
         raise ValueError(f"unknown view kind {kind!r}")
@@ -135,6 +135,8 @@ def dumps(obj) -> str:
 
 def loads(text: str):
     d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ValueError(f"a record must be a JSON object, got {text.strip()[:40]!r}")
     kind = d.get("kind", "process-sample")
     if kind == "process-sample":
         return sample_from_dict(d)

@@ -28,7 +28,6 @@ from .partitions import (
 )
 from . import rules
 from .words import Rel, Word, q_volume_parameters
-from .zfun import MODE_EVEN_COLUMNS, MODE_FREE
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +138,14 @@ def word_has_finite_support(word: Word) -> bool:
 # the slice walk behind every support: a forward DP and an enumerator, both
 # taking the end condition ``free``.  None is the closed end: the last slice
 # is empty, so each slice must fit the hook of the right steps after it.  A
-# pair (t, mode) is the free end: a last slice lam obeying the mode weighs
-# t^|lam|.
+# pair (t, parity) is the free end: a last slice lam with the parity of the
+# boundary mode weighs t^|lam|.
 
 def _end_weight(lam: Partition, free):
     if free is None:
         return int(lam == EMPTY)
-    t, mode = free
-    if mode != MODE_FREE and not has_even_parts(lam, mode == MODE_EVEN_COLUMNS):
-        return 0
-    return t ** sum(lam)
+    t, parity = free
+    return t ** sum(lam) if has_even_parts(lam, parity) else 0
 
 
 def _steps(word: Word, zz: tuple, cap: int, free):
@@ -202,9 +199,9 @@ class Support:
     """Exact weights of the word-interlaced sequences with every slice
     within the weight cap, plus a rational upper bound on the mass that the
     cap missed.  ``free`` is the end condition of the slice walk: None for
-    the closed end, or (t, mode) for the free end, where a last slice lam
-    obeying the mode weighs t^|lam|.  The total comes from the slice DP and
-    the entries are enumerated on first access."""
+    the closed end, or (t, parity) for the free end, where a last slice lam
+    with the parity of the boundary mode weighs t^|lam|.  The total comes
+    from the slice DP and the entries are enumerated on first access."""
 
     word: Word
     z: tuple
@@ -277,13 +274,14 @@ def sum_weights_dp(word: Sequence[Rel], z: Sequence, cap: int) -> Fraction:
 
 
 def enumerate_symmetric_support(
-    word: Sequence[Rel], z: Sequence, t, cap: int, mode: str = MODE_FREE
+    word: Sequence[Rel], z: Sequence, t, cap: int, mode: str = "free"
 ) -> Support:
     """All right-free word-interlaced sequences (the free end included) with
     slices at most ``cap``; the tail bound needs all z_i < 1 and t <= 1."""
+    parity, _ = rules.boundary_mode(mode)
     word = tuple(word)
     zz = _as_fractions(z)
-    free = (Fraction(t), mode)
+    free = (Fraction(t), parity)
     return Support(word, zz, cap, free, _tail_bound(word, zz, cap, free))
 
 
@@ -606,18 +604,19 @@ def _verify_box_type(kind: str, max_weight: int, report: BijectionReport) -> Non
             )
 
 
-def _verify_diagonal(kind: str, max_weight: int, report: BijectionReport) -> None:
-    parts = partitions_up_to(max_weight)
-    parity_ok = lambda lam: kind == "H" or has_even_parts(lam, kind == "HEC")
-    gs = (0,) if kind == "HEC" else range(2 * max_weight + 1)
-    for mu in parts:
+def _verify_diagonal(mode: str, max_weight: int, report: BijectionReport) -> None:
+    parity, diagonal = rules.boundary_mode(mode)
+    _, kind, power = diagonal["HH"]
+    parity_ok = lambda lam: has_even_parts(lam, parity)
+    gs = range(2 * max_weight + 1) if power else (0,)
+    for mu in partitions_up_to(max_weight):
         _certify(
             f"diag {kind} at {mu}",
             lambda kap, g: rules.grow_diag(kind, mu, kap, g),
             lambda nu: rules.shrink_diag(kind, mu, nu),
             [(kap, g) for kap in horizontal_strips_below(mu) if parity_ok(kap) for g in gs],
             [nu for nu in horizontal_strips_above(mu, 2 * max_weight - sum(mu)) if parity_ok(nu)],
-            2 * sum(mu), rules._DIAG_RULES[kind][3], report,
+            2 * sum(mu), power, report,
         )
 
 
@@ -631,6 +630,6 @@ def verify_bijections(max_weight: int = 6) -> BijectionReport:
     report = BijectionReport()
     for kind in ("HH", "HV", "VH", "VV"):
         _verify_box_type(kind, max_weight, report)
-    for kind in ("H", "HER", "HEC"):
-        _verify_diagonal(kind, max_weight, report)
+    for mode in rules.MODES:
+        _verify_diagonal(mode, max_weight, report)
     return report

@@ -56,9 +56,11 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(out)
 
 
-def has_even_parts(lam: Partition, columns: bool) -> bool:
-    """Every row of lam (every column, with ``columns``) has even length."""
-    return all(v % 2 == 0 for v in (conjugate(lam) if columns else lam))
+def has_even_parts(lam: Partition, parity: Optional[str]) -> bool:
+    """Every row of lam (every column, with parity "columns") has even
+    length; parity None asks nothing."""
+    parts = conjugate(lam) if parity == "columns" else lam
+    return parity is None or all(v % 2 == 0 for v in parts)
 
 
 def contains(lam: Partition, mu: Partition) -> bool:
@@ -92,6 +94,26 @@ def first_break(word, lambdas) -> Optional[int]:
     by word[i - 1], or None."""
     steps = zip(word, lambdas, lambdas[1:])
     return next((i for i, (rel, a, b) in enumerate(steps, 1) if not interlaces(a, b, rel)), None)
+
+
+def require_closed(word, lambdas, error) -> None:
+    """A finite sequence has one slice more than its word and empty ends;
+    raises ``error`` otherwise."""
+    if len(lambdas) != len(word) + 1:
+        raise error(
+            f"a word of {len(word)} symbols needs {len(word) + 1} slices, got {len(lambdas)}"
+        )
+    if lambdas[0] or lambdas[-1]:
+        raise error(f"the end slices must be empty, got {lambdas[0]} and {lambdas[-1]}")
+
+
+def require_interlaced(word, lambdas, error) -> None:
+    """At every step k, slice k - 1 relates to slice k by the k-th symbol;
+    raises ``error`` at the first step that fails."""
+    i = first_break(word, lambdas)
+    if i is not None:
+        a, rel, b = lambdas[i - 1], word[i - 1].value, lambdas[i]
+        raise error(f"sequence does not interlace at step {i}: {a} {rel} {b} fails")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ recovered pair and regrow nu from it.
 """
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Optional, Tuple
 
 from .partitions import (
     Partition,
@@ -297,9 +297,9 @@ def grow_diag_v_ec(mu: Partition, kap: Partition, g: int) -> Partition:
     return conjugate(grow_diag_h_er(conjugate(mu), conjugate(kap), g))
 
 
-# kind -> (kernel, strip relation of mu over kappa and of nu over mu,
-#          parity constraint on kappa and nu, multiple of G in the balance;
-#          0 marks a deterministic rule, which takes no G)
+# kind -> (kernel, strip relation of mu over kappa and of nu over mu, parity
+#          of kappa and nu, power p of the draw G ~ Geom(x^p), which the
+#          balance counts p times; 0 marks a deterministic rule, with no G)
 _DIAG_RULES = {
     "H": (grow_diag_h, interlaces_h, None, 1),
     "HER": (grow_diag_h_er, interlaces_h, "rows", 2),
@@ -308,6 +308,23 @@ _DIAG_RULES = {
     "VER": (grow_diag_v_er, interlaces_v, "rows", 0),
     "VEC": (grow_diag_v_ec, interlaces_v, "columns", 2),
 }
+
+# Boundary mode -> the diagonal rule kinds of its HH and VV boxes: the
+# diagonal box of a plain left symbol is HH, that of a primed one VV.  The
+# three modes are the three Littlewood identities.
+_MODES = {"free": ("H", "V"), "even_rows": ("HER", "VER"), "even_columns": ("HEC", "VEC")}
+MODES = tuple(_MODES)
+
+
+def boundary_mode(mode: str) -> Tuple[Optional[str], Dict[str, tuple]]:
+    """The parity that ``mode`` asks of the free partition (None, "rows" or
+    "columns") and its diagonal rules, box kind (HH or VV) -> (kernel, rule
+    kind, draw power).  Raises ValueError for an unknown mode."""
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    hh, vv = _MODES[mode]
+    rule = lambda kind: (_DIAG_RULES[kind][0], kind, _DIAG_RULES[kind][3])
+    return _DIAG_RULES[hh][2], {"HH": rule(hh), "VV": rule(vv)}
 
 
 def grow_diag(kind: str, mu: Partition, kap: Partition, g: int) -> Partition:
@@ -320,12 +337,9 @@ def grow_diag(kind: str, mu: Partition, kap: Partition, g: int) -> Partition:
     else:
         _require(g == 0, f"diag-{kind} is deterministic, got G = {g}")
     _require(strip(mu, kap), f"diag-{kind} precondition on mu, kappa fails: {mu} {kap}")
-    if parity:
-        columns = parity == "columns"
-        _require(has_even_parts(kap, columns), f"kappa must have even {parity}, got {kap}")
+    _require(has_even_parts(kap, parity), f"kappa must have even {parity}, got {kap}")
     nu = kernel(mu, kap, g) if g_weight else kernel(mu, kap)
-    if parity:
-        _require(has_even_parts(nu, columns), f"diag-{kind} output must have even {parity}")
+    _require(has_even_parts(nu, parity), f"diag-{kind} output must have even {parity}")
     _require(strip(nu, mu), f"diag-{kind} output interlacing")
     _require(2 * sum(mu) + g_weight * g == sum(kap) + sum(nu), f"diag-{kind} weight balance")
     return nu

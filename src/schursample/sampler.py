@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .partitions import EMPTY, Partition, first_break
+from .partitions import EMPTY, Partition, require_closed, require_interlaced
 from .rng import ALGORITHM, RandomSource
 from .rules import GROW, SHRINK, GrowthError
 from .words import Rel, ShapePlan, Word, precompute_par
@@ -64,14 +64,8 @@ class ProcessSample:
     draw_log: Optional[list] = None
 
     def validate(self) -> None:
-        if len(self.lambdas) != len(self.word) + 1:
-            raise ValueError("lambda sequence has wrong length")
-        if self.lambdas[0] != EMPTY or self.lambdas[-1] != EMPTY:
-            raise ValueError("sequence must start and end empty")
-        i = first_break(self.word, self.lambdas)
-        if i is not None:
-            a, rel, b = self.lambdas[i - 1], self.word[i - 1].value, self.lambdas[i]
-            raise ValueError(f"lambda({i - 1}) {rel} lambda({i}) fails: {a} vs {b}")
+        require_closed(self.word, self.lambdas, ValueError)
+        require_interlaced(self.word, self.lambdas, ValueError)
 
     @property
     def volume(self) -> int:

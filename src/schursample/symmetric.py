@@ -4,11 +4,11 @@ The word is reflected into w . w*, the boundary weight t is folded into the
 parameters (z_i -> t^{+-1} z_i), and the growth sweep
 :func:`~schursample.sampler.grow_profile` fills the i <= j triangle of the
 square shape: an off-diagonal box and its mirror image share one draw, and
-a diagonal box runs the one-sided reflection rule selected by the boundary
-mode (free, even rows, or even columns).  The sampler reads those rules from
-this module's ``grow_diag_*`` names on each call, so a caller may
-substitute them.  :func:`reconstruct_symmetric_inputs` runs the inverse
-sweep on the same triangle and recovers the draws.
+a diagonal box runs the one-sided reflection rule that the mode table in
+``rules`` gives the boundary mode (free, even rows, or even columns).  The
+sampler reads those rules from this module's ``grow_diag_*`` names on each
+call, so a caller may substitute them.  :func:`reconstruct_symmetric_inputs`
+runs the inverse sweep on the same triangle and recovers the draws.
 """
 from __future__ import annotations
 
@@ -17,11 +17,12 @@ from fractions import Fraction
 from numbers import Rational
 from typing import List, Optional, Sequence, Tuple
 
-from .partitions import EMPTY, Partition, first_break, has_even_parts
+from .partitions import Partition, has_even_parts, require_closed, require_interlaced
 from .rng import ALGORITHM, RandomSource
 from .rules import (
     GrowthError,
-    grow_diag_h,
+    boundary_mode,
+    grow_diag_h,  # the grow_diag_* names are read by _diagonal_rules
     grow_diag_h_ec,
     grow_diag_h_er,
     grow_diag_v,
@@ -31,7 +32,6 @@ from .rules import (
 )
 from .sampler import box_draw, check_parameters, grow_profile, shrink_profile
 from .words import Rel, ShapePlan, Word, precompute_par, symmetrize
-from .zfun import MODE_EVEN_COLUMNS, MODE_EVEN_ROWS, MODE_FREE, MODES
 
 
 @dataclass
@@ -52,21 +52,15 @@ class SymmetricSample:
         return self.lambdas[len(self.word)]
 
     def validate(self) -> None:
-        n = len(self.word)
-        if len(self.lambdas) != 2 * n + 1:
-            raise ValueError("symmetric sequence has wrong length")
-        if self.lambdas[0] != EMPTY or self.lambdas[-1] != EMPTY:
-            raise ValueError("sequence must start and end empty")
-        for i in range(2 * n + 1):
-            if self.lambdas[i] != self.lambdas[2 * n - i]:
-                raise ValueError("sequence is not palindromic")
-        lam = self.free_partition
-        if self.mode != MODE_FREE and not has_even_parts(lam, self.mode == MODE_EVEN_COLUMNS):
-            raise ValueError(f"free partition {lam} breaks the {self.mode} boundary mode")
+        parity, _ = boundary_mode(self.mode)
         wsym, _ = symmetrize(self.word, self.z)
-        i = first_break(wsym, self.lambdas)
-        if i is not None:
-            raise ValueError(f"interlacing fails at step {i}")
+        require_closed(wsym, self.lambdas, ValueError)
+        if self.lambdas[::-1] != self.lambdas:
+            raise ValueError("sequence is not palindromic")
+        lam = self.free_partition
+        if not has_even_parts(lam, parity):
+            raise ValueError(f"free partition {lam} breaks the {self.mode} boundary mode")
+        require_interlaced(wsym, self.lambdas, ValueError)
 
 
 def fold_boundary_weight(word: Sequence[Rel], z: Sequence, t):
@@ -86,15 +80,13 @@ def symmetric_schur_sample(
 ) -> SymmetricSample:
     """One exact sample of the right-free Schur process of ``word`` with
     parameters (z; t) and the given boundary mode."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    rules = _diagonal_rules(mode)
     if t <= 0:
         raise ValueError("the boundary weight t must be positive")
     if isinstance(src, int):
         src = RandomSource(src)
     word = tuple(word)
     plan = _symmetric_plan(word, z, t)
-    rules = _diagonal_rules(mode)
 
     def diagonal_param(i: int, kind: str):
         power = rules[kind][2]
@@ -115,12 +107,11 @@ def _symmetric_plan(word: Word, z: Sequence, t) -> ShapePlan:
 
 def _diagonal_rules(mode: str):
     """Diagonal box kind -> (grow rule, shrink_diag kind, power p of its
-    Geom(x^p) draw; 0: no draw), read from this module's names."""
-    if mode == MODE_FREE:
-        return {"HH": (grow_diag_h, "H", 1), "VV": (grow_diag_v, "V", 1)}
-    if mode == MODE_EVEN_ROWS:
-        return {"HH": (grow_diag_h_er, "HER", 2), "VV": (grow_diag_v_er, "VER", 0)}
-    return {"HH": (grow_diag_h_ec, "HEC", 0), "VV": (grow_diag_v_ec, "VEC", 2)}
+    Geom(x^p) draw; 0: no draw) of the boundary mode.  Each grow rule is
+    read from this module's name of the kernel on every call."""
+    _, rules = boundary_mode(mode)
+    return {box: (globals()[kernel.__name__], kind, power)
+            for box, (kernel, kind, power) in rules.items()}
 
 
 def _grow(plan: ShapePlan, rules, box_input, draw) -> Tuple[Partition, ...]:

@@ -22,8 +22,9 @@ from .partitions import (
     MayaWindow,
     Partition,
     conjugate,
-    first_break,
     from_maya,
+    require_closed,
+    require_interlaced,
 )
 from .words import Rel, Word, encoded_shape
 
@@ -32,30 +33,17 @@ class CodecError(ValueError):
     pass
 
 
-def _require_closed(word: Word, lambdas: Sequence[Partition]) -> None:
-    """A finite sequence has one slice more than its word and empty ends."""
-    if len(lambdas) != len(word) + 1:
-        raise CodecError(
-            f"a word of {len(word)} symbols needs {len(word) + 1} slices, got {len(lambdas)}"
-        )
-    if lambdas[0] or lambdas[-1]:
-        raise CodecError(f"the end slices must be empty, got {lambdas[0]} and {lambdas[-1]}")
-
-
-def _require_interlaced(word: Word, lambdas: Sequence[Partition]) -> None:
-    """At every step k, slice k - 1 relates to slice k by the k-th symbol."""
-    i = first_break(word, lambdas)
-    if i is not None:
-        a, rel, b = lambdas[i - 1], word[i - 1].value, lambdas[i]
-        raise CodecError(f"sequence does not interlace at step {i}: {a} {rel} {b} fails")
-
-
-def _require_tableau(shape: Partition, rows: tuple) -> None:
-    """The shape is a partition and the rows have its lengths."""
+def _require_tableau(shape: Partition, rows: tuple, values) -> None:
+    """The shape is a partition, the rows have its lengths, and ``values``,
+    the rows of entry values, hold integers."""
     if any(a < b for a, b in zip(shape, shape[1:])) or (shape and shape[-1] < 1):
         raise CodecError(f"shape {list(shape)} is not a partition")
     if tuple(len(r) for r in rows) != shape:
         raise CodecError("row lengths do not match the shape")
+    for r, row in enumerate(values, start=1):
+        for c, v in enumerate(row, start=1):
+            if not isinstance(v, int):
+                raise CodecError(f"entry {v!r} at row {r}, column {c} is not an integer")
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +59,7 @@ class HeightMatrix:
     rows: tuple  # tuple[tuple[int, ...], ...]
 
     def validate(self) -> None:
-        _require_tableau(self.shape, self.rows)
+        _require_tableau(self.shape, self.rows, self.rows)
         for r, row in enumerate(self.rows, start=1):
             for c, (x, y) in enumerate(zip(row, row[1:]), start=2):
                 if x > y:
@@ -90,8 +78,8 @@ def to_plane_partition(word: Sequence[Rel], lambdas: Sequence[Partition]) -> Hei
     word = tuple(word)
     if any(s.primed for s in word):
         raise CodecError("plane partitions need an unprimed word")
-    _require_closed(word, lambdas)
-    _require_interlaced(word, lambdas)
+    require_closed(word, lambdas, CodecError)
+    require_interlaced(word, lambdas, CodecError)
     shape = encoded_shape(word)
     n = sum(1 for s in word if not s.left)
     parts = [iter(lam) for lam in lambdas]  # diagonal k from its top cell down
@@ -239,7 +227,7 @@ def to_steep_tiling(
     """
     word = tuple(word)
     _require_steep(word, window)  # a default window has odd bounds
-    _require_closed(word, lambdas)
+    require_closed(word, lambdas, CodecError)
     shifts = word_shifts(word)
     if window is None:
         lo = min(2 * (s - len(lam)) - 1 for s, lam in zip(shifts, lambdas)) - 2
@@ -307,7 +295,7 @@ class OverpartitionTableau:
     rows: tuple  # tuple[tuple[(int, bool), ...], ...]
 
     def validate(self) -> None:
-        _require_tableau(self.shape, self.rows)
+        _require_tableau(self.shape, self.rows, ([v for v, _ in row] for row in self.rows))
         keys = [[2 * v - over for v, over in row] for row in self.rows]
         for r, row in enumerate(keys, start=1):
             for c, (x, y) in enumerate(zip(row, row[1:]), start=2):
@@ -344,7 +332,7 @@ def to_plane_overpartition(
         raise CodecError("need the right-free sequence up to the free partition")
     if lambdas[0]:
         raise CodecError(f"the first slice must be empty, got {lambdas[0]}")
-    _require_interlaced(word, lambdas)
+    require_interlaced(word, lambdas, CodecError)
     shape = tuple(lambdas[2 * n])
     rows: List[List[Tuple[int, bool]]] = [[] for _ in shape]
     for i in range(1, 2 * n + 1):

@@ -29,11 +29,9 @@ def cantor_pair(i: int, j: int) -> int:
 
 
 def cantor_unpair(k: int) -> Tuple[int, int]:
-    t = int((math.isqrt(8 * k + 1) - 1) // 2)
-    while t * (t + 1) // 2 > k:
-        t -= 1
-    while (t + 1) * (t + 2) // 2 <= k:
-        t += 1
+    """The inverse of cantor_pair.  The anti-diagonal t = i + j is exact: with
+    k = t(t + 1)/2 + j and 0 <= j <= t, 8k + 1 = (2t + 1)^2 + 8j < (2t + 3)^2."""
+    t = (math.isqrt(8 * k + 1) - 1) // 2
     j = k - t * (t + 1) // 2
     return t - j, j
 

@@ -12,14 +12,10 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Sequence
 
+from .rules import MODES, boundary_mode  # zfun.MODES names the modes for callers
 from .sampler import DivergenceError
 from .unbounded import PyramidalSampler
 from .words import Rel, epsilon
-
-MODE_FREE = "free"
-MODE_EVEN_ROWS = "even_rows"
-MODE_EVEN_COLUMNS = "even_columns"
-MODES = (MODE_FREE, MODE_EVEN_ROWS, MODE_EVEN_COLUMNS)
 
 EXACT_WORD_LIMIT = 40
 
@@ -55,10 +51,10 @@ def _all_rational(values) -> bool:
     return all(isinstance(v, Rational) for v in values)
 
 
-def _require_finite(values) -> None:
+def _require_parameters(values) -> None:
     for v in values:
-        if not isinstance(v, Rational) and not math.isfinite(v):
-            raise ValueError(f"parameters must be finite, got {v!r}")
+        if not (isinstance(v, Rational) or math.isfinite(v)) or v < 0:
+            raise ValueError(f"parameters must be finite and nonnegative, got {v}")
 
 
 class _Accumulator:
@@ -94,7 +90,7 @@ def z_finite(word: Sequence[Rel], z: Sequence) -> ZValue:
     word = tuple(word)
     if len(z) != len(word):
         raise ValueError("parameter list does not match word length")
-    _require_finite(z)
+    _require_parameters(z)
     acc = _Accumulator(_all_rational(z) and len(word) <= EXACT_WORD_LIMIT)
     for i in range(len(word)):
         if not word[i].left:
@@ -106,27 +102,21 @@ def z_finite(word: Sequence[Rel], z: Sequence) -> ZValue:
     return acc.result()
 
 
-def z_symmetric(word: Sequence[Rel], z: Sequence, t, mode: str = MODE_FREE) -> ZValue:
+def z_symmetric(word: Sequence[Rel], z: Sequence, t, mode: str = "free") -> ZValue:
     """Partition function of the right-free Schur process with boundary
-    weight t^|free partition|, in the plain, even-rows, or even-columns
-    flavor."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    weight t^|free partition|: a left symbol whose diagonal rule draws
+    Geom(x^p) in the mode adds the factor 1 / (1 - (t z_i)^p)."""
+    _, rules = boundary_mode(mode)
     word = tuple(word)
     if len(z) != len(word):
         raise ValueError("parameter list does not match word length")
-    _require_finite((*z, t))
+    _require_parameters((*z, t))
     acc = _Accumulator(_all_rational(z) and isinstance(t, Rational)
                        and len(word) <= EXACT_WORD_LIMIT)
     for i, s in enumerate(word):
-        if not s.left:
-            continue
-        if mode == MODE_FREE:
-            acc.mul(t * z[i], -1)
-        elif mode == MODE_EVEN_ROWS and s == Rel.LH:
-            acc.mul((t * z[i]) ** 2, -1)
-        elif mode == MODE_EVEN_COLUMNS and s == Rel.LV:
-            acc.mul((t * z[i]) ** 2, -1)
+        power = rules["VV" if s.primed else "HH"][2] if s.left else 0
+        if power:
+            acc.mul((t * z[i]) ** power, -1)
     for i in range(len(word)):
         if not word[i].left:
             continue

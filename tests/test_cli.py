@@ -323,6 +323,11 @@ def test_render_refuses_a_scale_that_overflows(capsys, tmp_path, style):
         ),
         ({"shape": [1, 2], "rows": [[0], [0, 0]]}, "shape [1, 2] is not a partition"),
         ({"shape": [1], "rows": [[-2]]}, "entry -2 at row 1, column 1 is negative"),
+        ({"shape": [1], "rows": [[1.5]]}, "entry 1.5 at row 1, column 1 is not an integer"),
+        (
+            {"kind": "plane-overpartition", "shape": [2], "rows": [[[2, False], [1.5, False]]]},
+            "entry 1.5 at row 1, column 2 is not an integer",
+        ),
     ],
 )
 def test_render_refuses_a_malformed_tableau(capsys, tmp_path, view, named):
@@ -420,3 +425,41 @@ def test_verify_has_no_count_option(capsys):
         main(["verify", "--word", "<>", "--z", "1/2,1/2", "--samples", "10", "--count", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --count 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record", ["[1]", "null", '"plane-partition"'])
+@pytest.mark.parametrize("command", [["convert", "--to", "overpartition"], ["render"]])
+def test_a_record_that_is_not_a_json_object_exits_with_an_error_line(
+    capsys, tmp_path, command, record
+):
+    record_file = tmp_path / "record.json"
+    record_file.write_text(record + "\n")
+    code, out, err = run_cli(capsys, *command, "--input", str(record_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "a record must be a JSON object" in err
+
+
+def test_convert_refuses_a_view_record(capsys, tmp_path):
+    view = to_plane_partition(parse_word("<>"), ((), (2,), ()))
+    view_file = tmp_path / "view.json"
+    view_file.write_text(jsonio.dumps(view))
+    code, out, err = run_cli(capsys, "convert", "--to", "steep-tiling", "--input", str(view_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "convert needs a sample record" in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--word", "<>", "--z=-1/2,1/2"], "parameters must be finite and nonnegative, got -1/2"),
+        (["--word", "<'>", "--z=-2,1"], "parameters must be finite and nonnegative, got -2"),
+        (["--word", "<", "--z", "1/3", "--t=-1/2"], "finite and nonnegative, got -1/2"),
+    ],
+)
+def test_zfun_refuses_negative_parameters(capsys, argv, named):
+    code, out, err = run_cli(capsys, "zfun", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and named in err

@@ -1,5 +1,6 @@
-"""The demos that write no files run to completion; the fast demos that
-write SVGs reproduce the committed ones byte for byte."""
+"""The demos that write no files print the committed text of
+``demos/output/<demo>.txt`` byte for byte; the fast demos that write SVGs
+reproduce the committed ones byte for byte.  Every demo is seeded."""
 import os
 import shutil
 import subprocess
@@ -37,6 +38,8 @@ def run_demo(path: Path) -> subprocess.CompletedProcess:
 def test_demo_runs(demo):
     proc = run_demo(ROOT / "demos" / demo)
     assert proc.returncode == 0, proc.stderr
+    expected = (ROOT / "demos" / "output" / demo).with_suffix(".txt").read_text()
+    assert proc.stdout == expected
 
 
 @pytest.mark.parametrize("demo", sorted(SVG_DEMOS))

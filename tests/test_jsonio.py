@@ -1,12 +1,15 @@
+import json
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from schursample import jsonio
 from schursample.rng import RandomSource
 from schursample.sampler import ProcessSample, schur_sample
 from schursample.symmetric import SymmetricSample
+from schursample.tilings import CodecError
 from schursample.words import Rel, parse_word
 from schursample.zfun import MODES
 
@@ -57,3 +60,15 @@ def test_logged_sample_json_round_trip():
     back = jsonio.loads(jsonio.dumps(s))
     assert back.draw_log == s.draw_log
     assert back.lambdas == s.lambdas
+
+
+@pytest.mark.parametrize("text", ["[1]", "null", "3", '"process-sample"'])
+def test_loads_refuses_a_line_that_is_not_a_json_object(text):
+    with pytest.raises(ValueError, match="a record must be a JSON object"):
+        jsonio.loads(text)
+
+
+def test_loads_keeps_an_overpartition_entry_as_written():
+    record = {"kind": "plane-overpartition", "shape": [1], "rows": [[[1.5, False]]]}
+    with pytest.raises(CodecError, match="entry 1.5 at row 1, column 1 is not an integer"):
+        jsonio.loads(json.dumps(record))

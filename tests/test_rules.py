@@ -11,7 +11,21 @@ from schursample.partitions import (
     part,
     partitions_up_to,
 )
-from schursample.rules import GrowthError, grow, grow_diag, shrink, shrink_diag
+from schursample.rules import (
+    MODES,
+    GrowthError,
+    boundary_mode,
+    grow,
+    grow_diag,
+    grow_diag_h as kernel_h,
+    grow_diag_h_ec as kernel_h_ec,
+    grow_diag_h_er as kernel_h_er,
+    grow_diag_v as kernel_v,
+    grow_diag_v_ec as kernel_v_ec,
+    grow_diag_v_er as kernel_v_er,
+    shrink,
+    shrink_diag,
+)
 
 # every rule under test runs through the checked entry points
 grow_hh = functools.partial(grow, "HH")
@@ -238,3 +252,16 @@ def test_weight_conservation_randomized():
         out_l, out_m = outs[kind]
         assert out_l(nu, lam) and out_m(nu, mu)
         n_checked += 1
+
+
+def test_the_boundary_mode_table():
+    # mode -> (parity of the free partition, {box: (kernel, rule kind, draw power)});
+    # the three modes are the three Littlewood identities
+    assert {mode: boundary_mode(mode) for mode in MODES} == {
+        "free": (None, {"HH": (kernel_h, "H", 1), "VV": (kernel_v, "V", 1)}),
+        "even_rows": ("rows", {"HH": (kernel_h_er, "HER", 2), "VV": (kernel_v_er, "VER", 0)}),
+        "even_columns": (
+            "columns", {"HH": (kernel_h_ec, "HEC", 0), "VV": (kernel_v_ec, "VEC", 2)}
+        ),
+    }
+    assert MODES == ("free", "even_rows", "even_columns")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from schursample import rules, symmetric
+from schursample import jsonio, rules, symmetric
 from schursample.oracle import enumerate_symmetric_support, horizontal_strips_above
 from schursample.partitions import EMPTY, conjugate, partitions_up_to
 from schursample.rng import RandomSource
@@ -327,3 +327,25 @@ def test_reconstruct_symmetric_inputs_is_certified_by_a_forward_replay(monkeypat
     monkeypatch.setattr(symmetric, "shrink_diag", off_by_one)
     with pytest.raises(rules.GrowthError, match="do not regrow"):
         reconstruct_symmetric_inputs(s)
+
+
+UNKNOWN_MODE = r"mode must be one of \('free', 'even_rows', 'even_columns'\), got '"
+
+
+def test_an_unknown_mode_is_refused_by_every_entry_point():
+    w, z, t = parse_word("<<'"), (Fraction(1, 3), Fraction(1, 4)), Fraction(1, 2)
+    s = symmetric_schur_sample(w, z, t, "even_rows", 5)
+    record = jsonio.loads(jsonio.dumps(s).replace('"even_rows"', '"bogus"'))
+    assert record.mode == "bogus" and record.lambdas == s.lambdas
+    calls = [
+        lambda: symmetric_schur_sample(w, z, t, "bogus", 5),
+        record.validate,
+        lambda: reconstruct_symmetric_inputs(record),
+        lambda: z_symmetric(w, z, t, "bogus"),
+        lambda: enumerate_symmetric_support(w, z, t, cap=4, mode="bogus"),
+        # the spelling of the CLI option is not a mode name
+        lambda: enumerate_symmetric_support(w, z, t, cap=4, mode="even-columns"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=UNKNOWN_MODE):
+            call()

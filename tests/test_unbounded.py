@@ -440,3 +440,13 @@ def test_param_seq_refuses_non_finite_values():
         ParamSeq.finite([math.nan])
     with pytest.raises(ValueError, match="finite"):
         ParamSeq.geometric(math.nan, 0.5)
+
+
+def test_cantor_unpair_is_exact_at_every_anti_diagonal_edge():
+    # k = T(t) - 1, T(t) and T(t) + t with T(t) = t(t + 1)/2: the last box of
+    # anti-diagonal t - 1 and the first and last boxes of anti-diagonal t
+    for t in [1, 2, 3, 10**6, 2**52 - 1, 2**53, 2**53 + 1, 10**15 + 7, 10**20, 10**20 + 1]:
+        T = t * (t + 1) // 2
+        assert cantor_unpair(T - 1) == (0, t - 1)
+        assert cantor_unpair(T) == (t, 0)
+        assert cantor_unpair(T + t) == (0, t)

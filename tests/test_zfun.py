@@ -108,3 +108,17 @@ def test_z_refuses_non_finite_parameters(text, z):
         z_symmetric(w, z, 0.5)
     with pytest.raises(ValueError, match="finite"):
         z_symmetric(w, (0.5, 0.5), math.nan)
+
+
+@pytest.mark.parametrize("text,z", [("<>", (Fraction(-1, 2), 0.5)), ("<'>", (-2.0, 1.0))])
+def test_z_refuses_negative_parameters(text, z):
+    w = parse_word(text)
+    with pytest.raises(ValueError, match="parameters must be finite and nonnegative"):
+        z_finite(w, z)
+    with pytest.raises(ValueError, match="parameters must be finite and nonnegative"):
+        z_symmetric(w, z, 1)
+
+
+def test_z_symmetric_refuses_a_negative_boundary_weight():
+    with pytest.raises(ValueError, match="parameters must be finite and nonnegative, got -1/2"):
+        z_symmetric(parse_word("<"), (Fraction(1, 3),), Fraction(-1, 2))
