@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Dict
 
 from .partitions import make
 from .sampler import ProcessSample
 from .symmetric import SymmetricSample
-from .tilings import Domino, DominoTiling, HeightMatrix, OverpartitionTableau
+from .tilings import DominoTiling, HeightMatrix, OverpartitionTableau
 from .words import format_word, parse_number, parse_word
 
 FORMAT = "schursample/1"
@@ -86,17 +87,6 @@ def view_to_dict(view) -> Dict[str, Any]:
             "shape": list(view.shape),
             "rows": [list(r) for r in view.rows],
         }
-    if isinstance(view, DominoTiling):
-        return {
-            "format": FORMAT,
-            "kind": "steep-tiling",
-            "word": format_word(view.word),
-            "window": list(view.window),
-            "dominoes": [
-                {"k": d.k, "pos2": d.pos2, "vertical": d.vertical, "sign": d.sign}
-                for d in view.dominoes
-            ],
-        }
     if isinstance(view, OverpartitionTableau):
         return {
             "format": FORMAT,
@@ -111,9 +101,9 @@ def view_from_dict(d: Dict[str, Any]):
     kind = d.get("kind")
     if kind == "plane-partition":
         view = HeightMatrix(tuple(d["shape"]), tuple(tuple(r) for r in d["rows"]))
-    elif kind == "steep-tiling":
-        ds = (Domino(e["k"], e["pos2"], bool(e["vertical"]), int(e["sign"])) for e in d["dominoes"])
-        view = DominoTiling(parse_word(d["word"]), tuple(d["window"]), tuple(sorted(ds)))
+    elif kind == "steep-tiling":  # validate() below checks each field's type
+        dominoes = sorted(map(_DOMINO_FIELDS, d["dominoes"]))
+        view = DominoTiling(parse_word(d["word"]), tuple(d["window"]), tuple(dominoes))
     elif kind == "plane-overpartition":
         view = OverpartitionTableau(
             tuple(d["shape"]),
@@ -125,11 +115,29 @@ def view_from_dict(d: Dict[str, Any]):
     return view
 
 
+# a steep tiling's record, written as json.dumps writes the equivalent dict
+_STEEP_HEAD = (
+    '{"format": %s, "kind": "steep-tiling", "word": %s, "window": [%d, %d], "dominoes": ['
+)
+_DOMINO = '{"k": %d, "pos2": %d, "vertical": %s, "sign": %d}'
+_JSON_BOOL = ("false", "true")
+_DOMINO_FIELDS = itemgetter("k", "pos2", "vertical", "sign")
+
+
+def _steep_tiling_json(view: DominoTiling) -> str:
+    lo, hi = view.window
+    head = _STEEP_HEAD % (json.dumps(FORMAT), json.dumps(format_word(view.word)), lo, hi)
+    body = ", ".join([_DOMINO % (k, p, _JSON_BOOL[v], s) for k, p, v, s in view.dominoes])
+    return head + body + "]}"
+
+
 def dumps(obj) -> str:
     if isinstance(obj, ProcessSample):
         return json.dumps(sample_to_dict(obj))
     if isinstance(obj, SymmetricSample):
         return json.dumps(symmetric_to_dict(obj))
+    if isinstance(obj, DominoTiling):
+        return _steep_tiling_json(obj)
     return json.dumps(view_to_dict(obj))
 
 

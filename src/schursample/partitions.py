@@ -19,12 +19,14 @@ def make(parts: Iterable[int]) -> Partition:
     """Normalize an iterable of row lengths into a partition tuple.
 
     Trailing zeros are trimmed; raises ValueError if the remaining parts are
-    not weakly decreasing positive integers.
+    not weakly decreasing positive integers (bools are not integers here).
     """
     p = list(parts)
-    while p and p[-1] == 0:
+    while p and type(p[-1]) is int and p[-1] == 0:
         p.pop()
     for i, v in enumerate(p):
+        if type(v) is not int:
+            raise ValueError(f"parts must be integers, got {v!r}")
         if v <= 0:
             raise ValueError(f"parts must be positive, got {v}")
         if i and p[i - 1] < v:

@@ -137,9 +137,11 @@ def render_maya_particles(tiling: DominoTiling, style: RenderStyle) -> str:
     svg = _half_units(style.scale, 0.32 * style.scale)
     xs, ys = svg.xs, svg.ys
     tail = f'" r="{_fmt(svg.reach)}" fill="#111111"/>'
-    # a particle is a cell of a negative domino; each is drawn once
-    cells = (c for d in tiling.dominoes if d.sign < 0 for c in d.cells())
-    keys = dict.fromkeys((p - 2 * k, p) for k, p in cells)
+    keys = {}  # a particle is a cell of a negative domino; each is drawn once
+    for k, p, vertical, sign in tiling.dominoes:
+        if sign < 0:
+            u = p - 2 * k
+            keys[u, p] = keys[(u, p + 2) if vertical else (u - 2, p)] = None
     svg.elems += [f'<circle cx="{xs[u]}" cy="{ys[p]}' + tail for u, p in keys]
     return svg.document()
 

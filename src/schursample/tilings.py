@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .partitions import (
     MayaWindow,
@@ -110,41 +110,47 @@ def from_plane_partition(word: Sequence[Rel], hm: HeightMatrix) -> Tuple[Partiti
 # ---------------------------------------------------------------------------
 # steep tilings
 
-class Domino(NamedTuple):
-    """One domino in diagonal coordinates: it covers the cell at doubled
-    Maya position ``pos2`` on diagonal ``k`` and the cell at ``pos2 + 2``
-    (vertical) or ``pos2`` (horizontal) on diagonal k + 1.  Dominoes order
-    as the tuples (k, pos2, vertical, sign)."""
-
-    k: int
-    pos2: int
-    vertical: bool
-    sign: int  # +1: both cells are holes; -1: both are particles
-
-    def cells(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        return (self.k, self.pos2), (self.k + 1, self.pos2 + (2 if self.vertical else 0))
+def _domino_fault(domino, signs) -> str:
+    """What makes ``domino`` no domino of a tiling whose steps have
+    ``signs``."""
+    k, p, vertical, sign = domino
+    for name, v in (("k", k), ("pos2", p), ("sign", sign)):
+        if type(v) is not int:
+            return f"{name} {v!r} is not an integer"
+    if type(vertical) is not bool:
+        return f"vertical {vertical!r} is not a bool"
+    if not 0 <= k < len(signs):
+        return f"step {k} is not in 0..{len(signs) - 1}"
+    return f"pos2 {p} is even" if p % 2 == 0 else f"step {k} needs sign {signs[k]}"
 
 
 @dataclass
 class DominoTiling:
+    """A steep tiling, its dominoes the plain tuples (k, pos2, vertical,
+    sign) in sorted order.  A domino covers the cell at doubled Maya
+    position pos2 on diagonal k and the cell at pos2 + 2 (vertical) or
+    pos2 (horizontal) on diagonal k + 1; its sign is +1 when both cells
+    are holes and -1 when both are particles."""
+
     word: Word
     window: Tuple[int, int]  # doubled positions [lo, hi] covered per diagonal
-    dominoes: tuple  # tuple[Domino, ...], sorted
+    dominoes: tuple  # tuple[(int, int, bool, int), ...], sorted
 
     def validate(self) -> None:
-        """A steep word, odd window bounds, and dominoes on its steps at odd
-        positions, signed -1 on a primed step and +1 on a plain one, no two
-        on one cell.  Dominoes may lie outside the window."""
+        """A steep word, odd integer window bounds, and dominoes of integer
+        k, pos2 and sign and bool vertical on its steps at odd positions,
+        signed -1 on a primed step and +1 on a plain one, no two on one
+        cell.  Dominoes may lie outside the window."""
         _require_steep(self.word, self.window)
         n = len(self.word)
         signs = [-1 if s.primed else 1 for s in self.word]
         m = n + 1  # the cell (k, p), 0 <= k <= n, has the key p * m + k
         cells = set()
         for k, p, vertical, sign in self.dominoes:
-            if not (0 <= k < n and p % 2 and sign == signs[k]):
-                raise CodecError(f"domino {(k, p, vertical, sign)}: " + (
-                    f"step {k} is not in 0..{n - 1}" if not 0 <= k < n else
-                    f"pos2 {p} is even" if p % 2 == 0 else f"step {k} needs sign {signs[k]}"))
+            if not (type(k) is type(p) is type(sign) is int and type(vertical) is bool
+                    and 0 <= k < n and p % 2 and sign == signs[k]):
+                d = (k, p, vertical, sign)
+                raise CodecError(f"domino {d}: {_domino_fault(d, signs)}")
             a = p * m + k
             b = a + (2 * m + 1 if vertical else 1)  # (k + 1, p + 2 * vertical)
             if a in cells or b in cells:
@@ -168,17 +174,21 @@ def is_steep_word(word: Sequence[Rel]) -> bool:
 
 
 def _require_steep(word: Word, window: Optional[Tuple[int, int]]) -> None:
-    """A steep word and, if given, a window with odd bounds."""
+    """A steep word and, if given, a window with odd integer bounds."""
     if not is_steep_word(word):
         raise CodecError("not a steep word: needs alternating primed/plain symbols")
-    if window is not None and (window[0] % 2 == 0 or window[1] % 2 == 0):
+    if window is None:
+        return
+    if not all(type(b) is int for b in window):
+        raise CodecError(f"window bounds must be integers, got {list(window)}")
+    if window[0] % 2 == 0 or window[1] % 2 == 0:
         raise CodecError("window bounds must be doubled half-integers (odd)")
 
 
-def _step_marks(k: int, a: Partition, b: Partition, s: int, t: int, flip: int,
-                lo: int, hi: int) -> List[Tuple[int, int]]:
-    """The marks (p, q) that row i of step k + 1 links, for the rows whose
-    marks reach the window [lo, hi], in increasing p.
+def _step_dominoes(k: int, a: Partition, b: Partition, s: int, t: int, flip: int,
+                   lo: int, hi: int) -> List[Tuple[int, int, bool, int]]:
+    """The dominoes (k, p, q != p, -flip) of step k + 1, one for each row i
+    whose marks p and q reach the window [lo, hi], in increasing p.
 
     With ``flip`` = 1 row i is the particle at 2(a_i - i + s) + 1 on the
     left diagonal and 2(b_i - i + t) + 1 on the right one; with ``flip`` =
@@ -210,7 +220,8 @@ def _step_marks(k: int, a: Partition, b: Partition, s: int, t: int, flip: int,
     ]
     if flip == 1:
         marks.reverse()
-    return [(p, q) for p, q in marks if lo <= p <= hi or lo <= q <= hi]
+    sign = -flip
+    return [(k, p, q != p, sign) for p, q in marks if lo <= p <= hi or lo <= q <= hi]
 
 
 def to_steep_tiling(
@@ -234,15 +245,14 @@ def to_steep_tiling(
         hi = max(2 * (s + (lam[0] if lam else 0)) + 1 for s, lam in zip(shifts, lambdas)) + 2
         window = (lo, hi)
     lo, hi = window
-    dominoes: List[Domino] = []
+    dominoes: List[Tuple[int, int, bool, int]] = []
     for k, rel in enumerate(word):
         a, b = lambdas[k], lambdas[k + 1]
         if rel.primed:  # a primed step pairs the particles, a plain one the holes
             flip = 1
         else:
             flip, a, b = -1, conjugate(a), conjugate(b)
-        marks = _step_marks(k, a, b, shifts[k], shifts[k + 1], flip, lo, hi)
-        dominoes += [Domino(k, p, q != p, -flip) for p, q in marks]
+        dominoes += _step_dominoes(k, a, b, shifts[k], shifts[k + 1], flip, lo, hi)
     return DominoTiling(word, window, tuple(dominoes))
 
 
@@ -252,9 +262,8 @@ def from_steep_tiling(tiling: DominoTiling) -> Tuple[Partition, ...]:
     lo, hi = tiling.window
     n = len(tiling.word)
     marks: List[Dict[int, bool]] = [dict() for _ in range(n + 1)]
-    for d in tiling.dominoes:
-        for k, p in d.cells():
-            marks[k][p] = d.sign < 0
+    for k, p, vertical, sign in tiling.dominoes:
+        marks[k][p] = marks[k + 1][p + 2 if vertical else p] = sign < 0
     # interior diagonals are fully covered (particles by the primed-step
     # matching on one side, holes by the plain-step one on the other);
     # diagonal 0 only stores its particles, diagonal n only its holes
@@ -276,9 +285,9 @@ def aztec_cell(n: int, k: int, pos2: int) -> bool:
 
 def aztec_region_dominoes(tiling: DominoTiling, n: int) -> frozenset:
     return frozenset(
-        d
-        for d in tiling.dominoes
-        if all(aztec_cell(n, k, p) for k, p in d.cells())
+        (k, p, vertical, sign)
+        for k, p, vertical, sign in tiling.dominoes
+        if aztec_cell(n, k, p) and aztec_cell(n, k + 1, p + 2 * vertical)
     )
 
 

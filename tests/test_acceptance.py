@@ -182,15 +182,16 @@ def test_criterion_5b_reconstruction_at_scale():
         bad.lambdas = (EMPTY, (2, 1), EMPTY)
         with pytest.raises(ValueError):
             reconstruct_inputs(bad)
-        # cost: Aztec 200 reconstruction within 2.5x its forward sample
+        # cost: Aztec 200 reconstruction within 2.5x its forward sample, in
+        # CPU time of this process, which other processes' load moves less
         w, z = words[0], (1,) * 400
         sample_s = reconstruct_s = math.inf
         for _ in range(3):
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             sample = schur_sample(w, z, 501)
-            t1 = time.perf_counter()
+            t1 = time.process_time()
             reconstruct_inputs(sample)
-            t2 = time.perf_counter()
+            t2 = time.process_time()
             sample_s, reconstruct_s = min(sample_s, t1 - t0), min(reconstruct_s, t2 - t1)
         print(f"  Aztec 200: sample {sample_s:.3f}s, reconstruct {reconstruct_s:.3f}s")
         assert reconstruct_s <= 2.5 * sample_s

@@ -355,11 +355,19 @@ def _domino(k, pos2, vertical, sign):
         ),
         ("domino", [_domino(0, 1, False, 5)], "step 0 needs sign -1"),
         ("maya-particles", [_domino(0, 2, False, -1)], "pos2 2 is even"),
+        # these loaded and rendered while the reader coerced with bool() and int()
+        ("domino", [_domino(0, 1.0, False, -1)], "pos2 1.0 is not an integer"),
+        ("maya-particles", [_domino(0, 1, False, -1.5)], "sign -1.5 is not an integer"),
+        ("domino", [_domino(0, 1, 1, -1)], "vertical 1 is not a bool"),
+        ("domino", {"window": [-3.0, 3]}, "window bounds must be integers, got [-3.0, 3]"),
     ],
 )
 def test_render_refuses_a_malformed_steep_tiling(capsys, tmp_path, style, dominoes, named):
+    # ``dominoes`` is the record's list of dominoes, or a dict of fields that
+    # replace those of a record holding one valid domino
     view = {"format": jsonio.FORMAT, "kind": "steep-tiling", "word": "<'>",
-            "window": [-3, 3], "dominoes": dominoes}
+            "window": [-3, 3], "dominoes": [_domino(0, 1, False, -1)]}
+    view.update(dominoes if isinstance(dominoes, dict) else {"dominoes": dominoes})
     view_file = tmp_path / "view.json"
     view_file.write_text(json.dumps(view))
     code, out, err = run_cli(capsys, "render", "--style", style, "--input", str(view_file))
@@ -386,6 +394,18 @@ def test_convert_refuses_a_sequence_that_does_not_interlace(
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "sequence does not interlace at step 1" in err
+
+
+def test_convert_refuses_a_part_that_is_not_an_integer(capsys, tmp_path):
+    # the part 1.5 once loaded and failed later, as "mark moves from -1 to 2.0"
+    sample = {"format": jsonio.FORMAT, "kind": "process-sample", "word": "<'>",
+              "z": ["1", "1"], "seed": 0, "lambdas": [[], [1.5], []]}
+    sample_file = tmp_path / "sample.json"
+    sample_file.write_text(json.dumps(sample))
+    code, out, err = run_cli(capsys, "convert", "--to", "steep-tiling", "--input", str(sample_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "parts must be integers, got 1.5" in err
 
 
 def test_sample_symmetric_converts_to_the_library_overpartition(capsys, monkeypatch):

@@ -1,14 +1,20 @@
-"""The window-bounded steep codec, the grid-key SVG writer and the one-pass
-tableau codecs against the row-walk codec, the float polygon renderers and
-the per-cell tableau scans they replaced, which are kept here as the
-reference.
+"""The window-bounded steep codec, the templated steep-tiling JSON codec,
+the grid-key SVG writer and the one-pass tableau codecs against the
+row-walk codec, the dict-building JSON codec, the float polygon renderers
+and the per-cell tableau scans they replaced, which are kept here as the
+reference.  Dominoes are plain tuples (k, pos2, vertical, sign); the
+reference reads them through the named tuple ``Domino``, to which they
+compare equal.
 
 The reference codec walks a fixed number of rows per step, reading every
 mark through ``part()``, and sorts the dominoes at the end.  Its row count
 is the old one widened by the window's distance from the origin: the old
 count, max(len) + (hi - lo)/2 + len(word) + 2, missed vacuum rows of a
 window far below (particles) or above (holes) the sequence, and checked no
-row at all when lo > hi.  The reference renderers send float points through
+row at all when lo > hi.  The reference JSON writer builds one dict per
+domino for ``json.dumps``; the reference reader rebuilds each domino as a
+``Domino``, coercing ``vertical`` with ``bool()`` and ``sign`` with
+``int()``, and sorts them.  The reference renderers send float points through
 a writer that tracks the view box point by point and formats every point.
 The reference overpartition encoder finds each cell's first slice by a scan
 over all slices, its decoder compares every cell with every slice's float
@@ -17,25 +23,32 @@ reference plane-partition decoder sorts each diagonal.
 
 Checks: on random steep words, equal dominoes, windows and ``CodecError``
 messages (default windows, windows widened and narrowed by up to 6 cells on
-each side, and sequences broken so they no longer interlace); equal SVG
+each side, and sequences broken so they no longer interlace); equal JSON
+bytes and equal loaded views on random steep words and samples, also from
+records written out of order and with other spacing, and the pinned bytes
+of the Aztec 200 record at seed 501; equal SVG
 bytes for all three renderers at several scales (random plane partitions
 for lozenges, random steep tilings for dominoes and particles) and on
 empty views; the vacuum rows that the old row count missed; equal
 tableaux and slices on symmetric samples of (<<')^n and on random reverse
 plane partitions; and equal verdicts on corrupted overpartitions.
 """
+import hashlib
+import json
 import math
 import random
+from typing import NamedTuple, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from schursample import jsonio
 from schursample.partitions import EMPTY, conjugate, part
 from schursample.render import DOMINO_PALETTE, LOZENGE_PALETTE, RenderStyle, render_svg
 from schursample.sampler import schur_sample
 from schursample.symmetric import symmetric_schur_sample
 from schursample.tilings import (
     CodecError,
-    Domino,
     DominoTiling,
     HeightMatrix,
     OverpartitionTableau,
@@ -48,9 +61,24 @@ from schursample.tilings import (
     to_steep_tiling,
     word_shifts,
 )
-from schursample.words import Rel, parse_word, q_volume_parameters
+from schursample.words import Rel, format_word, parse_word, q_volume_parameters
 
 SCALES = (12.0, 9.0, 8.0, 1.0, 0.37, 3e-3)
+
+
+class Domino(NamedTuple):
+    """One domino in diagonal coordinates: it covers the cell at doubled
+    Maya position ``pos2`` on diagonal ``k`` and the cell at ``pos2 + 2``
+    (vertical) or ``pos2`` (horizontal) on diagonal k + 1.  Dominoes order
+    as the tuples (k, pos2, vertical, sign)."""
+
+    k: int
+    pos2: int
+    vertical: bool
+    sign: int  # +1: both cells are holes; -1: both are particles
+
+    def cells(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        return (self.k, self.pos2), (self.k + 1, self.pos2 + (2 if self.vertical else 0))
 
 
 # --- the reference codec: one part() call per row --------------------------
@@ -167,7 +195,7 @@ def ref_domino_rect(d, s):
 
 def ref_render_domino(tiling, style):
     svg = RefSvg()
-    for d in tiling.dominoes:
+    for d in map(Domino._make, tiling.dominoes):
         key = ("v" if d.vertical else "h", d.sign)
         svg.polygon(ref_domino_rect(d, style.scale), DOMINO_PALETTE[key])
     return svg.document()
@@ -212,7 +240,7 @@ def ref_render_maya_particles(tiling, style):
     svg = RefSvg()
     s = style.scale
     seen = set()
-    for d in tiling.dominoes:
+    for d in map(Domino._make, tiling.dominoes):
         if d.sign >= 0:
             continue
         for k, p in d.cells():
@@ -236,6 +264,29 @@ def assert_same_svg(view, model, scales=SCALES):
     for scale in scales:
         style = RenderStyle(model=model, scale=scale)
         assert render_svg(view, style) == REFERENCE[model](view, style), (model, scale)
+
+
+# --- the reference steep-tiling JSON codec: one dict per domino -----------
+
+def ref_steep_dumps(view):
+    return json.dumps({
+        "format": jsonio.FORMAT,
+        "kind": "steep-tiling",
+        "word": format_word(view.word),
+        "window": list(view.window),
+        "dominoes": [
+            {"k": d.k, "pos2": d.pos2, "vertical": d.vertical, "sign": d.sign}
+            for d in map(Domino._make, view.dominoes)
+        ],
+    })
+
+
+def ref_steep_loads(text):
+    d = json.loads(text)
+    ds = (Domino(e["k"], e["pos2"], bool(e["vertical"]), int(e["sign"])) for e in d["dominoes"])
+    view = DominoTiling(parse_word(d["word"]), tuple(d["window"]), tuple(sorted(ds)))
+    view.validate()
+    return view
 
 
 # --- random steep cases ----------------------------------------------------
@@ -331,7 +382,7 @@ def test_renderers_match_reference_on_empty_views():
     lambdas = schur_sample(word, (1,) * 6, 1).lambdas
     blank = to_steep_tiling(word, lambdas, (1, -1))  # the window holds no domino
     holes = to_steep_tiling(word, lambdas)
-    holes.dominoes = tuple(d for d in holes.dominoes if d.sign > 0)  # no particle
+    holes.dominoes = tuple(d for d in holes.dominoes if Domino(*d).sign > 0)  # no particle
     for view, model in [
         (HeightMatrix((), ()), "lozenge"),
         (blank, "domino"),
@@ -352,8 +403,52 @@ def test_window_far_from_the_sequence_is_fully_covered(text, window, count):
     tiling = to_steep_tiling(word, (EMPTY,) * 3, window)
     assert len(tiling.dominoes) == count
     lo, hi = window
-    covered = {p for d in tiling.dominoes for k, p in d.cells() if k == 1}
+    covered = {p for d in tiling.dominoes for k, p in Domino(*d).cells() if k == 1}
     assert covered >= set(range(lo, hi + 1, 2))
+
+
+@st.composite
+def steep_views(draw):
+    """A steep tiling of a random steep word's sample, in its default window
+    or in one widened or narrowed by up to 6 cells on each side."""
+    n = draw(st.integers(1, 6))
+    word = tuple(
+        s for _ in range(n)
+        for s in (draw(st.sampled_from((Rel.LV, Rel.RV))), draw(st.sampled_from((Rel.LH, Rel.RH))))
+    )
+    z = tuple(draw(st.sampled_from((0.3, 0.6, 0.9, 0.95))) for _ in word)
+    lambdas = schur_sample(word, z, draw(st.integers(0, 2**32))).lambdas
+    view = to_steep_tiling(word, lambdas)
+    if draw(st.booleans()):
+        lo, hi = view.window
+        window = (lo + 2 * draw(st.integers(-6, 6)), hi + 2 * draw(st.integers(-6, 6)))
+        view = to_steep_tiling(word, lambdas, window)
+    return view
+
+
+@settings(max_examples=300, deadline=None)
+@given(steep_views(), st.randoms(use_true_random=False))
+def test_steep_json_codec_matches_reference(view, rnd):
+    text = jsonio.dumps(view)
+    assert text == ref_steep_dumps(view)
+    assert jsonio.loads(text) == ref_steep_loads(text) == view
+    # a hand-written record: dominoes out of order, keys reordered, other spacing
+    record = json.loads(text)
+    rnd.shuffle(record["dominoes"])
+    record["dominoes"] = [dict(reversed(e.items())) for e in record["dominoes"]]
+    hand = json.dumps(record, indent=1)
+    assert jsonio.loads(hand) == ref_steep_loads(hand) == view
+
+
+def test_steep_json_codec_matches_reference_on_the_aztec_200_record():
+    word = parse_word("(<'>)^200")
+    view = to_steep_tiling(word, schur_sample(word, (1,) * 400, 501).lambdas)
+    text = jsonio.dumps(view)
+    assert text == ref_steep_dumps(view)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4e537f697e3009aa5271acad8998a73a18ff2d498808e22ee9681d91b6266243"
+    )
+    assert jsonio.loads(text) == ref_steep_loads(text) == view
 
 
 # --- the reference tableau codecs: per-cell scans --------------------------

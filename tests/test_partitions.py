@@ -33,6 +33,13 @@ def test_make_trims_and_validates():
         make([2, -1])
 
 
+@pytest.mark.parametrize("parts, bad", [([1.5], "1.5"), ([2, 1.0], "1.0"), ([True], "True"),
+                                        ([1, False], "False"), ([2, 0.0], "0.0")])
+def test_make_refuses_a_part_that_is_not_an_integer(parts, bad):
+    with pytest.raises(ValueError, match=f"parts must be integers, got {bad}$"):
+        make(parts)
+
+
 def test_part_accessor_is_total():
     lam = (5, 2)
     assert [part(lam, i) for i in range(1, 5)] == [5, 2, 0, 0]

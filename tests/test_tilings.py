@@ -8,7 +8,6 @@ from schursample.sampler import schur_sample
 from schursample.symmetric import symmetric_schur_sample
 from schursample.tilings import (
     CodecError,
-    Domino,
     DominoTiling,
     HeightMatrix,
     OverpartitionTableau,
@@ -34,14 +33,16 @@ def flip_distance_check(tiling):
 
 
 def enumerate_flips(tiling):
-    """All flippable 2x2 blocks, as the pair of dominoes to replace."""
+    """All flippable 2x2 blocks, as the pair of dominoes (k, pos2,
+    vertical, sign) to replace."""
     have = frozenset(tiling.dominoes)
     out = []
     for d in tiling.dominoes:
-        if d.vertical:
-            partner = Domino(d.k + 1, d.pos2, True, -d.sign)
+        k, p, vertical, sign = d
+        if vertical:
+            partner = (k + 1, p, True, -sign)
         else:
-            partner = Domino(d.k + 1, d.pos2 + 2, False, -d.sign)
+            partner = (k + 1, p + 2, False, -sign)
         if partner in have:
             out.append((d, partner))
     return out
@@ -49,16 +50,17 @@ def enumerate_flips(tiling):
 
 def apply_flip(tiling, pair):
     a, b = pair
-    assert b.k == a.k + 1
+    k, p, vertical, sign = a
+    assert b[0] == k + 1
     have = set(tiling.dominoes)
     have.discard(a)
     have.discard(b)
-    if a.vertical:
-        have.add(Domino(a.k, a.pos2, False, a.sign))
-        have.add(Domino(a.k + 1, a.pos2 + 2, False, b.sign))
+    if vertical:
+        have.add((k, p, False, sign))
+        have.add((k + 1, p + 2, False, b[3]))
     else:
-        have.add(Domino(a.k, a.pos2, True, a.sign))
-        have.add(Domino(a.k + 1, a.pos2, True, b.sign))
+        have.add((k, p, True, sign))
+        have.add((k + 1, p, True, b[3]))
     return DominoTiling(tiling.word, tiling.window, tuple(sorted(have)))
 
 RPP_WORD = parse_word("<<<>><<>>")
@@ -123,14 +125,14 @@ def test_word_shifts():
 def test_aztec2_known_tiling():
     w = parse_word("(<'>)^2")
     tiling = to_steep_tiling(w, AZTEC2_SEQ)
-    expected = frozenset(
+    expected = frozenset(  # (k, pos2, vertical, sign)
         [
-            Domino(0, -3, True, -1),
-            Domino(0, -1, True, -1),
-            Domino(1, -3, True, 1),
-            Domino(2, 1, True, -1),
-            Domino(3, -1, True, 1),
-            Domino(3, 1, True, 1),
+            (0, -3, True, -1),
+            (0, -1, True, -1),
+            (1, -3, True, 1),
+            (2, 1, True, -1),
+            (3, -1, True, 1),
+            (3, 1, True, 1),
         ]
     )
     assert aztec_region_dominoes(tiling, 2) == expected
@@ -143,8 +145,8 @@ def test_minimal_tiling_structure():
     w = PYRAMID5_WORD
     tiling = to_steep_tiling(w, (EMPTY,) * 11, window=(-9, 9))
     shifts = word_shifts(w)
-    for d in tiling.dominoes:
-        assert d.vertical == (shifts[d.k + 1] - shifts[d.k] == 1)
+    for k, _, vertical, _ in tiling.dominoes:
+        assert vertical == (shifts[k + 1] - shifts[k] == 1)
     assert flip_distance_check(tiling) == 0
     assert from_steep_tiling(tiling) == (EMPTY,) * 11
 
@@ -364,7 +366,8 @@ def test_steep_tiling_check_accepts_every_flip_of_small_aztec_diamonds():
                     lo, hi = window
                     flips += 1
                     outside += any(
-                        not any(lo <= p <= hi for _, p in d.cells()) for d in flipped.dominoes
+                        not (lo <= p <= hi or lo <= p + 2 * vertical <= hi)
+                        for _, p, vertical, _ in flipped.dominoes
                     )
     assert flips > 500 and outside > 0
 
@@ -377,27 +380,33 @@ W1 = parse_word("<'>")
     [
         (DominoTiling(parse_word("<>"), (-3, 3), ()), "not a steep word"),
         (DominoTiling(W1, (-3, 2), ()), "window bounds"),
-        (DominoTiling(W1, (-3, 3), (Domino(2, 1, False, 1),)), "step 2 is not in 0..1"),
-        (DominoTiling(W1, (-3, 3), (Domino(-1, 1, False, 1),)), "step -1 is not in 0..1"),
-        (DominoTiling(W1, (-3, 3), (Domino(0, 2, False, -1),)), "pos2 2 is even"),
-        (DominoTiling(W1, (-3, 3), (Domino(0, 1, False, 5),)), "step 0 needs sign -1"),
-        (DominoTiling(W1, (-3, 3), (Domino(1, 1, True, -1),)), "step 1 needs sign 1"),
+        (DominoTiling(W1, (-3, 3), ((2, 1, False, 1),)), "step 2 is not in 0..1"),
+        (DominoTiling(W1, (-3, 3), ((-1, 1, False, 1),)), "step -1 is not in 0..1"),
+        (DominoTiling(W1, (-3, 3), ((0, 2, False, -1),)), "pos2 2 is even"),
+        (DominoTiling(W1, (-3, 3), ((0, 1, False, 5),)), "step 0 needs sign -1"),
+        (DominoTiling(W1, (-3, 3), ((1, 1, True, -1),)), "step 1 needs sign 1"),
         (
-            DominoTiling(W1, (-3, 3), (Domino(0, 1, False, -1), Domino(0, 1, True, -1))),
+            DominoTiling(W1, (-3, 3), ((0, 1, False, -1), (0, 1, True, -1))),
             "two dominoes cover the cell at diagonal 0, 1",
         ),
         (
-            DominoTiling(W1, (-3, 3), (Domino(0, -1, True, -1), Domino(1, 1, False, 1))),
+            DominoTiling(W1, (-3, 3), ((0, -1, True, -1), (1, 1, False, 1))),
             "two dominoes cover the cell at diagonal 1, 1",
         ),
         (
-            DominoTiling(W1, (-3, 3), (Domino(1, 1, False, 1), Domino(1, 1, False, 1))),
+            DominoTiling(W1, (-3, 3), ((1, 1, False, 1), (1, 1, False, 1))),
             "two dominoes cover the cell at diagonal 1, 1",
         ),
         (
-            DominoTiling(W1, (-3, 3), (Domino(0, -5, True, -1), Domino(1, -3, True, 1))),
+            DominoTiling(W1, (-3, 3), ((0, -5, True, -1), (1, -3, True, 1))),
             "two dominoes cover the cell at diagonal 1, -3",
         ),
+        (DominoTiling(W1, (-3, 3), ((0, 1.0, False, -1),)), "pos2 1.0 is not an integer"),
+        (DominoTiling(W1, (-3, 3), ((0.0, 1, False, -1),)), "k 0.0 is not an integer"),
+        (DominoTiling(W1, (-3, 3), ((False, 1, False, -1),)), "k False is not an integer"),
+        (DominoTiling(W1, (-3, 3), ((0, 1, False, -1.0),)), "sign -1.0 is not an integer"),
+        (DominoTiling(W1, (-3, 3), ((0, 1, 1, -1),)), "vertical 1 is not a bool"),
+        (DominoTiling(W1, (-3.0, 3), ()), r"window bounds must be integers, got \[-3.0, 3\]"),
     ],
 )
 def test_steep_tiling_check_names_the_fault(tiling, named):
