@@ -5,7 +5,7 @@ local rules, so samples follow the target Boltzmann measure exactly and the
 consumed randomness can be reconstructed from the output.
 """
 
-from .partitions import EMPTY, Partition, conjugate, from_maya, interlaces, to_maya
+from .partitions import EMPTY, Partition, conjugate, from_maya, interlaces
 from .rng import RandomSource
 from .sampler import (
     DivergenceError,
@@ -68,7 +68,6 @@ __all__ = [
     "symmetric_schur_sample",
     "symmetric_weight",
     "symmetrize",
-    "to_maya",
     "unbounded_schur_sample",
     "z_finite",
     "z_pyramidal",

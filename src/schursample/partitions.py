@@ -1,4 +1,5 @@
-"""Integer partitions as plain tuples, plus interlacing and Maya diagrams.
+"""Integer partitions as plain tuples, plus interlacing, Maya diagrams and
+Maya bitsets.
 
 A partition is a tuple of weakly decreasing positive integers; ``()`` is the
 empty partition.  All functions treat partitions as having an implicit
@@ -7,7 +8,8 @@ infinite tail of zero parts, so ``part(lam, i)`` is total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
+from operator import sub
 from typing import Iterable, Optional, Tuple
 
 Partition = Tuple[int, ...]
@@ -63,11 +65,6 @@ def has_even_parts(lam: Partition, parity: Optional[str]) -> bool:
     length; parity None asks nothing."""
     parts = conjugate(lam) if parity == "columns" else lam
     return parity is None or all(v % 2 == 0 for v in parts)
-
-
-def contains(lam: Partition, mu: Partition) -> bool:
-    """mu is a subdiagram of lam."""
-    return len(mu) <= len(lam) and all(lam[i] >= mu[i] for i in range(len(mu)))
 
 
 def interlaces_h(lam: Partition, mu: Partition) -> bool:
@@ -134,32 +131,6 @@ class MayaWindow:
         return [self.offset + 2 * k for k in range(len(self.cells))]
 
 
-def to_maya(lam: Partition, shift: int = 0, window: tuple | None = None) -> MayaWindow:
-    """Maya diagram of ``lam``: particles at lam_i - i + 1/2 + shift.
-
-    ``window`` is an optional (lo, hi) pair of doubled half-integer positions
-    (odd integers, inclusive); it must cover every position where the diagram
-    differs from the vacuum, otherwise ValueError is raised.
-    """
-    lo_dev = 2 * (shift - len(lam)) + 1
-    hi_dev = 2 * (shift + part(lam, 1)) - 1
-    if window is None:
-        lo, hi = (lo_dev, hi_dev) if lam else (2 * shift - 1, 2 * shift + 1)
-    else:
-        lo, hi = window
-        if lo % 2 == 0 or hi % 2 == 0:
-            raise ValueError("window bounds must be doubled half-integers (odd)")
-        if lam and (lo > lo_dev or hi < hi_dev):
-            raise ValueError("window too small: Maya diagram would be truncated")
-    particles = {2 * (lam[i] - (i + 1)) + 1 + 2 * shift for i in range(len(lam))}
-    # below the stored parts the diagram is the vacuum: particles at -i+1/2+shift
-    vacuum_top = 2 * (shift - len(lam)) - 1
-    cells = tuple(
-        pos in particles or pos <= vacuum_top for pos in range(lo, hi + 1, 2)
-    )
-    return MayaWindow(lo, cells)
-
-
 def from_maya(m: MayaWindow) -> Partition:
     """Recover the partition by counting holes to the left of each particle."""
     holes = 0
@@ -171,6 +142,44 @@ def from_maya(m: MayaWindow) -> Partition:
             holes += 1
     rows.reverse()
     return make(rows)
+
+
+def to_bits(lam: Partition, c: int) -> int:
+    """Maya bitset of lam with offset c > lam_1: bit i - lam_i + c is set for
+    every row i >= 1, so row 1 is the lowest particle, and the rows past
+    len(lam) are the sign-extended ones of a negative int.
+
+    Read from the top, the bits below that tail are lam_len zeros, a one,
+    lam_{len-1} - lam_len zeros, ..., the one of row 1 and c + 1 - lam_1
+    zeros.
+    """
+    runs = ["0" * g for g in map(sub, lam[::-1], (0,) + lam[:0:-1])]
+    runs.append("0" * (c + 1 - (lam[0] if lam else 0)))
+    return int("1".join(runs), 2) - (1 << (len(lam) + c + 1))
+
+
+def from_bits(v: int) -> Partition:
+    """The partition of a Maya bitset made by :func:`to_bits` with any offset:
+    lam_i is the number of holes above row i's particle and below the tail,
+    which starts at bit (~v).bit_length()."""
+    tail = (~v).bit_length()
+    # [3:] drops "0b" and the tail's lowest particle, which keeps the holes
+    # just below it as leading zeros
+    runs = bin(v & ((2 << tail) - 1))[3:].split("1")
+    runs.pop()  # the holes below row 1
+    return tuple(accumulate(map(len, runs)))[::-1]
+
+
+def turned_bits(lam: Partition, a: int, b: int) -> int:
+    """to_bits, with offset b + 1, of the complement of lam in the a x b
+    rectangle turned 180 degrees: (b - lam_a, ..., b - lam_1).  Needs
+    len(lam) <= a and lam_1 <= b.  Turning reverses the window of bits
+    2 .. a + b + 1 of lam's bitset, below which both have holes and above
+    which particles.
+    """
+    width = a + b
+    window = format((to_bits(lam, b + 1) >> 2) & ((1 << width) - 1), f"0{width}b")
+    return (int(window[::-1], 2) << 2) - (1 << (width + 2))
 
 
 def partitions_of(n: int):

@@ -21,6 +21,11 @@ row up).  ``grow_vv`` walks the columns of its inputs and conjugates only
 its output; ``shrink_vv`` and ``grow_diag_v_ec`` conjugate in
 O(len + largest part).  A grow kernel whose corner is empty returns at once.
 
+On Maya bitsets (:func:`~schursample.partitions.to_bits`) ``grow_hv_bits``
+runs the HV rule, and its inverse on complements turned in a rectangle, in
+a dozen big-int operations per box with no loop over the rows; the sweeps
+hold bitsets on a plan whose boxes are all HV or VH.
+
 The checked entry points :func:`grow` and :func:`grow_diag` assert the input
 range, strip preconditions, output interlacing and weight balance around a
 kernel (the HV block interleaving follows from the strip preconditions; the
@@ -140,6 +145,60 @@ def grow_vh(lam: Partition, mu: Partition, kap: Partition, b: int) -> Partition:
     return grow_hv(mu, lam, kap, b)
 
 
+def grow_hv_bits(L: int, M: int, K: int, b: int, inverse: bool = False):
+    """grow_hv on the Maya bitsets L, M, K of lam, mu, kappa (one offset c
+    above every first part, :func:`~schursample.partitions.to_bits`), in a
+    fixed number of big-int operations; returns the bitset of nu.
+
+    Bit p is the row i with i - part_i + c = p, so each row of grow_hv is a
+    particle.  T holds the kappa particles of the rows lam_i = kap_i + 1;
+    those of them where mu has a particle too (mu_i = kap_i) are the rows
+    A with lam_i > mu_i, where nu takes lam's particle.  The other T rows
+    are i-positions that emit 1 (S1); a row lam_i = kap_i emits 0, one bit
+    above kappa's particle, and is an i-position when mu has no particle
+    there.  The cascading bit is a segmented fill done with one carry: F
+    marks the positions whose last i-position at or below them emitted 1
+    (the input bit sits at bit 0), and each j-position in F (Jr) moves its
+    mu particle one bit down, which is nu_j = mu_j + 1.
+
+    With ``inverse`` the same body runs shrink_hv on complements turned 180
+    degrees in a rectangle (:func:`~schursample.partitions.turned_bits`),
+    whose parts and lengths exceed those of lam, mu and nu: called as
+    (mu^c, lam^c, nu^c, 0) it returns (kappa^c, b): turning puts the bottom
+    row, where the pass of shrink_hv starts, at the low bits, where the fill
+    starts.  The fill is cut below the topmost i-position, and the bit it
+    carried past that position is the input b.
+    """
+    T = (K - L) << 1  # K - L is (K & ~L) - (L & ~K): lam's moved particles
+    A = M & T
+    MB = M ^ A
+    S1 = T ^ A | b  # i-positions emitting 1, and the input bit
+    IM = S1 | ((K ^ T) << 1) & ~M  # every i-position
+    F = ((~IM + (S1 << 1)) & IM) - S1
+    if inverse:
+        b = int(F < 0)
+        F &= (1 << (IM.bit_length() - 1)) - 1
+    Jr = MB & ~(L << 1) & F
+    nu = (MB ^ Jr) | ((A | Jr) >> 1)
+    return (nu, b) if inverse else nu
+
+
+def grow_vh_bits(L: int, M: int, K: int, b: int) -> int:
+    """grow_vh on Maya bitsets: grow_hv_bits with lam and mu exchanged."""
+    return grow_hv_bits(M, L, K, b)
+
+
+def shrink_hv_bits(Lc: int, Nc: int, Mc: int) -> Tuple[int, int]:
+    """shrink_hv on turned complements: (kappa^c, b) from lam^c, nu^c, mu^c."""
+    return grow_hv_bits(Mc, Lc, Nc, 0, True)
+
+
+def shrink_vh_bits(Lc: int, Nc: int, Mc: int) -> Tuple[int, int]:
+    """shrink_vh on turned complements: shrink_hv_bits with lam and mu
+    exchanged."""
+    return grow_hv_bits(Lc, Mc, Nc, 0, True)
+
+
 def shrink_hh(lam: Partition, nu: Partition, mu: Partition) -> Tuple[Partition, int]:
     """Inverse of grow_hh: G = nu_1 - max(lam_1, mu_1) and
     kap_i = max(lam_{i+1}, mu_{i+1}) + min(lam_i, mu_i) - nu_{i+1}."""
@@ -196,13 +255,17 @@ def shrink_vh(lam: Partition, nu: Partition, mu: Partition) -> Tuple[Partition, 
     return shrink_hv(mu, nu, lam)
 
 
-# The sweep calls the kernels through GROW, so a caller may substitute them;
-# the checked entry points use their own table.  SHRINK[kind](lam, nu, mu)
-# is the unchecked inverse of the same kernel: (kappa, rand), valid only when
-# nu has a preimage.
+# The sweep calls the tuple kernels through GROW, so a caller may substitute
+# them on a plan that holds tuples; the checked entry points use their own
+# table.  SHRINK[kind](lam, nu, mu) is the unchecked inverse of the same
+# kernel: (kappa, rand), valid only when nu has a preimage.  A plan whose
+# boxes are all HV or VH holds Maya bitsets (ShapePlan.bit_offset), and its
+# sweeps call GROW_BITS and SHRINK_BITS instead, which no caller substitutes.
 _KERNELS = {"HH": grow_hh, "HV": grow_hv, "VH": grow_vh, "VV": grow_vv}
 GROW = dict(_KERNELS)
 SHRINK = {"HH": shrink_hh, "HV": shrink_hv, "VH": shrink_vh, "VV": shrink_vv}
+GROW_BITS = {"HV": grow_hv_bits, "VH": grow_vh_bits}
+SHRINK_BITS = {"HV": shrink_hv_bits, "VH": shrink_vh_bits}
 
 # Strip relations of a box: BOX_PRE[kind] = (lam vs kappa, mu vs kappa) for
 # the inputs, BOX_POST[kind] = (nu vs lam, nu vs mu) for the output; nu/lam

@@ -11,8 +11,16 @@ finite truncation word).  ``in_place_boundary_sample`` is another name for
 :func:`shrink_profile` is the same sweep run backwards: it peels the shape
 off the boundary with one profile and recovers every box's input.
 
-:func:`run_growth` keeps the whole grid and takes any traversal order; it
-is the reference that the tests compare the sweep against.  Its
+Both sweeps choose the representation from the plan.  On a plan whose boxes
+are all HV or VH (``ShapePlan.bit_offset``, as on Aztec and other steep
+words) the profile holds Maya bitsets (``partitions.to_bits``) and each box
+is one call of ``rules.grow_hv_bits``, a dozen big-int operations; the
+growth sweep decodes only the m + n + 1 boundary partitions, and the
+inverse sweep encodes only them, as complements turned in a rectangle, and
+decodes nothing.  Every other plan holds tuples and calls ``rules.GROW``.
+
+:func:`run_growth` keeps the whole grid of tuples and takes any traversal
+order; it is the reference that the tests compare the sweep against.  Its
 ``"diagonal"`` order is domino shuffling on Aztec words, and it grows the
 same grid as the sweep from the same inputs.
 """
@@ -22,9 +30,17 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .partitions import EMPTY, Partition, require_closed, require_interlaced
+from .partitions import (
+    EMPTY,
+    Partition,
+    from_bits,
+    require_closed,
+    require_interlaced,
+    to_bits,
+    turned_bits,
+)
 from .rng import ALGORITHM, RandomSource
-from .rules import GROW, SHRINK, GrowthError
+from .rules import GROW, GROW_BITS, SHRINK, SHRINK_BITS, GrowthError
 from .words import Rel, ShapePlan, Word, precompute_par
 
 Box = Tuple[int, int]
@@ -153,31 +169,43 @@ def grow_profile(plan: ShapePlan, box_input, diagonal=None, stats=None):
     is ``diagonal(i, kind, mu, kap)`` with mu = tau(i - 1, i) and
     kap = tau(i - 1, i - 1), and the boundary after the diagonal point
     mirrors the boundary before it.
+
+    The profile holds Maya bitsets when the plan has a ``bit_offset`` and
+    tuples otherwise (a symmetric plan has HH or VV boxes on its diagonal);
+    the boundary partitions are returned as tuples either way.
     """
     pi, m, n = plan.pi, plan.m, plan.n
     nrows = len(pi)
     kinds = plan.row_kinds
-    profile = [EMPTY] * (m + 1)
+    c = plan.bit_offset
+    if c is None:
+        grow, empty = GROW, EMPTY
+        box_work = lambda lam, mu: max(len(lam), len(mu)) + 1
+    else:
+        grow, empty = GROW_BITS, to_bits(EMPTY, c)
+        # max(len(lam), len(mu)) + 1: the tail of a bitset starts at len + c + 1
+        box_work = lambda lam, mu: (~(lam & mu)).bit_length() - c
+    profile = [empty] * (m + 1)
     segments = []  # per-row boundary pieces, assembled at the end
     for j in range(1, nrows + 1):
         row_len = pi[j - 1]
         stop = row_len if diagonal is None else min(row_len, j)
-        prev_diag = EMPTY  # tau(i - 1, j - 1)
+        prev_diag = empty  # tau(i - 1, j - 1)
         for i, kind in enumerate(kinds[j - 1][:stop], start=1):
             lam, above = profile[i - 1], profile[i]  # tau(i - 1, j), tau(i, j - 1)
             if i == j and diagonal is not None:
                 nu = diagonal(i, kind, lam, prev_diag)
             else:
-                nu = GROW[kind](lam, above, prev_diag, box_input(i, j, kind))
+                nu = grow[kind](lam, above, prev_diag, box_input(i, j, kind))
             if stats is not None:
                 stats.boxes += 1
-                stats.work += max(len(lam), len(above)) + 1
+                stats.work += box_work(lam, above)
             profile[i] = nu
             prev_diag = above
         segments.append(profile[pi[j] if j < nrows else 0 : row_len + 1])
     lambdas = [EMPTY] * (n - nrows)  # padded empty rows on the vertical axis
     for seg in reversed(segments):
-        lambdas.extend(seg)
+        lambdas.extend(seg if c is None else map(from_bits, seg))
     lambdas.extend([EMPTY] * (m - (pi[0] if pi else 0) + 1))
     if diagonal is not None:
         lambdas[n + 1 :] = reversed(lambdas[:n])
@@ -249,23 +277,35 @@ def shrink_profile(plan: ShapePlan, lambdas: Sequence[Partition], diagonal=None)
     j - 1 make the next profile.  With ``diagonal`` only the boxes i <= j are
     shrunk; box (i, i) gives ``diagonal(i, kind, mu, nu)`` = (kappa, input)
     with mu = tau(i - 1, i).
+
+    On a plan with a ``bit_offset`` the profile holds the Maya bitsets of
+    complements turned in an a x b rectangle (``partitions.turned_bits``)
+    and each box runs ``rules.SHRINK_BITS``; only the boundary is encoded.
     """
     pi, nrows = plan.pi, len(plan.pi)
+    if plan.bit_offset is None:
+        shrink, encode = SHRINK, lambda lam: lam
+    else:
+        # every tau(i, j) lies inside a boundary partition, so the rectangle
+        # reaches one row and one column past the largest boundary ones
+        a = max(map(len, lambdas)) + 1
+        b = max((lam[0] for lam in lambdas if lam), default=0) + 1
+        shrink, encode = SHRINK_BITS, lambda lam: turned_bits(lam, a, b)
     rows = [[] for _ in range(nrows + 1)]  # rows[j]: boundary tau(i, j), i rising
     for (i, j), lam in zip(plan.boundary_points(), lambdas):
         if j <= nrows and (diagonal is None or i <= j):
-            rows[j].append(lam)
+            rows[j].append(encode(lam))
     profile = rows[nrows]
     for j in range(nrows, 0, -1):
         stop = pi[j - 1] if diagonal is None else min(pi[j - 1], j)
         kinds = plan.row_kinds[j - 1]
         kaps = []
-        mu = rows[j - 1][0] if rows[j - 1] else EMPTY  # tau(stop, j - 1)
+        mu = rows[j - 1][0] if rows[j - 1] else encode(EMPTY)  # tau(stop, j - 1)
         for i in range(stop, 0, -1):
             if i == j and diagonal is not None:
                 mu, rand = diagonal(i, kinds[i - 1], profile[i - 1], profile[i])
             else:
-                mu, rand = SHRINK[kinds[i - 1]](profile[i - 1], profile[i], mu)
+                mu, rand = shrink[kinds[i - 1]](profile[i - 1], profile[i], mu)
             kaps.append(mu)  # tau(i - 1, j - 1), the mu of the next box
             yield (i, j), rand
         kaps.reverse()

@@ -174,11 +174,13 @@ def is_steep_word(word: Sequence[Rel]) -> bool:
 
 
 def _require_steep(word: Word, window: Optional[Tuple[int, int]]) -> None:
-    """A steep word and, if given, a window with odd integer bounds."""
+    """A steep word and, if given, a window of two odd integer bounds."""
     if not is_steep_word(word):
         raise CodecError("not a steep word: needs alternating primed/plain symbols")
     if window is None:
         return
+    if len(window) != 2:
+        raise CodecError(f"window must be two bounds, got {list(window)}")
     if not all(type(b) is int for b in window):
         raise CodecError(f"window bounds must be integers, got {list(window)}")
     if window[0] % 2 == 0 or window[1] % 2 == 0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .partitions import Partition, make
 
@@ -156,8 +156,21 @@ class ShapePlan:
         by_symbol = {s: [box_kind(u, s) for u in self.u] for s in set(self.v)}
         return [by_symbol[s] for s in self.v]
 
-    def param(self, i: int, j: int):
-        return self.x[i - 1] * self.y[j - 1]
+    @property
+    def bit_offset(self) -> Optional[int]:
+        """The offset c of the Maya bitsets (partitions.to_bits) that the
+        sweeps hold instead of tuples, or None to hold tuples.
+
+        Bitsets need every box to be HV or VH: the left symbols share one
+        prime and the right symbols the other.  Each box is then a vertical
+        strip over one neighbour, so a first part grows by at most one per
+        column (VH) or per row (HV), and c = max(m, n) + 1 exceeds them all.
+        """
+        u, v = self.u, self.v
+        if u and v and u.count(u[0]) == len(u) and v.count(v[0]) == len(v):
+            if u[0].primed != v[0].primed:
+                return max(len(u), len(v)) + 1
+        return None
 
     def boxes(self):
         """Row-major box order (the default fill order)."""

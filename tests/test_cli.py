@@ -360,6 +360,9 @@ def _domino(k, pos2, vertical, sign):
         ("maya-particles", [_domino(0, 1, False, -1.5)], "sign -1.5 is not an integer"),
         ("domino", [_domino(0, 1, 1, -1)], "vertical 1 is not a bool"),
         ("domino", {"window": [-3.0, 3]}, "window bounds must be integers, got [-3.0, 3]"),
+        # an IndexError traceback, and a drawing with exit 0, while the length went unchecked
+        ("domino", {"window": [-3]}, "window must be two bounds, got [-3]"),
+        ("domino", {"window": [-3, 3, 5]}, "window must be two bounds, got [-3, 3, 5]"),
     ],
 )
 def test_render_refuses_a_malformed_steep_tiling(capsys, tmp_path, style, dominoes, named):

@@ -90,12 +90,18 @@ def test_plan_totals():
 
 
 def test_maya_particle_positions_match_definition():
-    from schursample.partitions import to_maya
+    # a Maya window with particles at doubled lam_i - i + 1/2 + shift for
+    # every row i >= 1 decodes to lam; the bitset holds row i at i - lam_i + c
+    from schursample.partitions import MayaWindow, from_maya, to_bits
 
     lam, shift = (3, 1, 1), 2
-    m = to_maya(lam, shift)
-    got = {p for p, c in zip(m.positions(), m.cells) if c}
     expected = {2 * (lam[i] - (i + 1) + shift) + 1 for i in range(len(lam))}
-    assert expected <= got | {p for p in expected if p < m.offset}
-    for i, v in enumerate(lam):
-        assert 2 * (v - (i + 1) + shift) + 1 in got
+    vacuum_top = 2 * (shift - len(lam)) - 1  # row len(lam) + 1
+    lo, hi = vacuum_top - 6, max(expected) + 4
+    cells = tuple(p in expected or p <= vacuum_top for p in range(lo, hi + 1, 2))
+    assert from_maya(MayaWindow(lo, cells)) == lam
+    c = 4
+    v = to_bits(lam, c)
+    got = {p for p in range(len(lam) + c + 1) if v >> p & 1}
+    assert got == {i + 1 - lam[i] + c for i in range(len(lam))}
+    assert all(v >> p & 1 for p in range(len(lam) + c + 1, len(lam) + c + 40))

@@ -6,7 +6,8 @@ the kernel calls recorded from an Aztec sample and a pyramid sample with
 long partitions; and hypothesis-drawn triples with up to about 60 rows,
 which must also round-trip through ``shrink`` / ``shrink_diag``.  On the
 last two the shrink kernels must equal the reference shrinks, and every
-HV/VH triple must have interleaving block positions.
+HV/VH triple must have interleaving block positions.  The Maya-bitset HV
+and VH kernels and their inverses face the reference on the same three.
 """
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,16 +20,18 @@ from schursample.partitions import (
     make,
     part,
     partitions_up_to,
+    to_bits,
+    turned_bits,
 )
 from schursample.rng import RandomSource
 from schursample.rules import grow, grow_diag, shrink, shrink_diag
-from schursample.sampler import schur_sample
+from schursample.sampler import run_growth, schur_sample
 from schursample.unbounded import (
     PyramidalParameters,
     WordConvention,
     unbounded_schur_sample,
 )
-from schursample.words import parse_word
+from schursample.words import parse_word, precompute_par
 
 _INF = float("inf")
 
@@ -182,6 +185,20 @@ def check_shrink(kind, lam, mu, kap, r, nu):
     elif kind == "VH":
         assert_hv_blocks_interleave(mu, lam)
 
+
+def check_bits(kind, lam, mu, kap, r, nu):
+    """The bitset kernel grows nu's bitset, at the smallest offset, and its
+    inverse recovers (kappa, r) from complements turned in the smallest
+    rectangle that the sweep allows."""
+    corner = (lam, mu, kap, nu)
+    a = max(map(len, corner)) + 1
+    b = max(p[0] for p in corner if p) + 1 if nu else 1
+    bits = lambda p: to_bits(p, b)
+    assert rules.GROW_BITS[kind](bits(lam), bits(mu), bits(kap), r) == bits(nu)
+    turned = lambda p: turned_bits(p, a, b)
+    assert rules.SHRINK_BITS[kind](turned(lam), turned(nu), turned(mu)) == (turned(kap), r)
+
+
 # diagonal kind -> (new kernel, reference kernel) as functions of (mu, kap, g);
 # the deterministic HEC and VER rules take g = 0
 DIAG = {
@@ -233,6 +250,19 @@ def test_box_kernels_match_reference_exhaustive(kind, over):
     assert checked == {"HH": 14844, "HV": 9546, "VH": 9546, "VV": 14844}[kind]
 
 
+@pytest.mark.parametrize("kind", ["HV", "VH"])
+def test_bitset_kernels_match_reference_exhaustive(kind, over):
+    strips = {"HV": "vh", "VH": "hv"}[kind]
+    checked = 0
+    for kap in over["h"]:
+        for lam in over[strips[0]][kap]:
+            for mu in over[strips[1]][kap]:
+                for r in (0, 1):
+                    check_bits(kind, lam, mu, kap, r, REF_BOX[kind](lam, mu, kap, r))
+                    checked += 1
+    assert checked == 9546
+
+
 def _even(lam, parity):
     return all(v % 2 == 0 for v in (lam if parity == "rows" else conjugate(lam)))
 
@@ -274,8 +304,14 @@ def _record_calls(monkeypatch, run):
 
 
 def test_box_kernels_match_reference_on_recorded_samples(monkeypatch):
+    # the sweep holds Maya bitsets on the Aztec word, so its box calls are
+    # recorded from the tuple reference sweep fed by the sample's draw log
     word = parse_word("(<'>)^40")
-    aztec = _record_calls(monkeypatch, lambda: schur_sample(word, (1,) * 80, 40))
+    src = RandomSource(40, log_draws=True)
+    schur_sample(word, (1,) * 80, src)
+    plan = precompute_par(word, (1,) * 80)
+    drawn = dict(zip(plan.boxes(), (v for _, _, v in src.draw_log)))
+    aztec = _record_calls(monkeypatch, lambda: run_growth(plan, drawn))
     # q = 0.95, seed 1 reaches 81 rows; q = 0.9 stays near 30
     pyramid = _record_calls(
         monkeypatch,
@@ -290,6 +326,8 @@ def test_box_kernels_match_reference_on_recorded_samples(monkeypatch):
         nu = BOX[kind](lam, mu, kap, r)
         assert nu == REF_BOX[kind](lam, mu, kap, r)
         check_shrink(kind, lam, mu, kap, r, nu)
+        if kind in ("HV", "VH"):
+            check_bits(kind, lam, mu, kap, r, nu)
 
 
 # --- hypothesis: long valid triples, and the shrink round trips ------------
@@ -350,6 +388,14 @@ def test_box_grow_shrink_round_trip(kind, data):
     assert nu == REF_BOX[kind](lam, mu, kap, r)
     assert shrink(kind, lam, nu, mu) == (kap, r)
     check_shrink(kind, lam, mu, kap, r, nu)
+
+
+@pytest.mark.parametrize("kind", ["HV", "VH"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_bitset_kernels_match_reference_on_long_triples(kind, data):
+    lam, mu, kap, r = data.draw(box_triples(kind))
+    check_bits(kind, lam, mu, kap, r, REF_BOX[kind](lam, mu, kap, r))
 
 
 @st.composite

@@ -3,9 +3,11 @@ from hypothesis import given, strategies as st
 
 from schursample.partitions import (
     EMPTY,
+    MayaWindow,
+    Partition,
     conjugate,
-    contains,
     first_break,
+    from_bits,
     from_maya,
     interlaces,
     interlaces_h,
@@ -14,7 +16,8 @@ from schursample.partitions import (
     part,
     partitions_of,
     partitions_up_to,
-    to_maya,
+    to_bits,
+    turned_bits,
 )
 from schursample.words import Rel, parse_word
 
@@ -22,6 +25,39 @@ from schursample.words import Rel, parse_word
 partition_strategy = st.lists(st.integers(1, 12), max_size=8).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
+
+
+# --- helpers that only these tests use --------------------------------------
+
+def contains(lam: Partition, mu: Partition) -> bool:
+    """mu is a subdiagram of lam."""
+    return len(mu) <= len(lam) and all(lam[i] >= mu[i] for i in range(len(mu)))
+
+
+def to_maya(lam: Partition, shift: int = 0, window: tuple | None = None) -> MayaWindow:
+    """Maya diagram of ``lam``: particles at lam_i - i + 1/2 + shift.
+
+    ``window`` is an optional (lo, hi) pair of doubled half-integer positions
+    (odd integers, inclusive); it must cover every position where the diagram
+    differs from the vacuum, otherwise ValueError is raised.
+    """
+    lo_dev = 2 * (shift - len(lam)) + 1
+    hi_dev = 2 * (shift + part(lam, 1)) - 1
+    if window is None:
+        lo, hi = (lo_dev, hi_dev) if lam else (2 * shift - 1, 2 * shift + 1)
+    else:
+        lo, hi = window
+        if lo % 2 == 0 or hi % 2 == 0:
+            raise ValueError("window bounds must be doubled half-integers (odd)")
+        if lam and (lo > lo_dev or hi < hi_dev):
+            raise ValueError("window too small: Maya diagram would be truncated")
+    particles = {2 * (lam[i] - (i + 1)) + 1 + 2 * shift for i in range(len(lam))}
+    # below the stored parts the diagram is the vacuum: particles at -i+1/2+shift
+    vacuum_top = 2 * (shift - len(lam)) - 1
+    cells = tuple(
+        pos in particles or pos <= vacuum_top for pos in range(lo, hi + 1, 2)
+    )
+    return MayaWindow(lo, cells)
 
 
 def test_make_trims_and_validates():
@@ -135,6 +171,31 @@ def test_maya_round_trip(lam, shift):
     assert from_maya(to_maya(lam, shift)) == lam
     wide = to_maya(lam, shift, window=(2 * shift - 31, 2 * shift + 31))
     assert from_maya(wide) == lam
+
+
+@given(partition_strategy, st.integers(1, 20))
+def test_maya_bitset_round_trip(lam, extra):
+    c = (lam[0] if lam else 0) + extra
+    v = to_bits(lam, c)
+    assert v == sum(1 << (i - p + c) for i, p in enumerate(lam, 1)) - (1 << (len(lam) + 1 + c))
+    assert from_bits(v) == lam
+    assert (~v).bit_length() - 1 - c == len(lam)
+
+
+def test_maya_bitset_known_values():
+    assert to_bits(EMPTY, 3) == -1 << 4
+    # (2, 1): rows 1 and 2 at bits 1 - 2 + 3 = 2 and 2 - 1 + 3 = 4, tail from bit 6
+    assert to_bits((2, 1), 3) == 0b10100 - (1 << 6)
+    assert from_bits(-1) == EMPTY == from_bits(-1 << 9)
+
+
+@given(partition_strategy, st.integers(0, 3), st.integers(0, 3))
+def test_turned_bits_is_the_bitset_of_the_turned_complement(lam, da, db):
+    a = len(lam) + da
+    b = (lam[0] if lam else 0) + db
+    explicit = make(b - part(lam, a + 1 - i) for i in range(1, a + 1))
+    assert turned_bits(lam, a, b) == to_bits(explicit, b + 1)
+    assert from_bits(turned_bits(lam, a, b)) == explicit
 
 
 def test_partitions_of_counts():

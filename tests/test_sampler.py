@@ -9,6 +9,7 @@ from schursample.partitions import EMPTY
 from schursample.rng import RandomSource
 from schursample.sampler import (
     DivergenceError,
+    SampleStats,
     boundary_lambdas,
     check_parameters,
     in_place_boundary_sample,
@@ -245,3 +246,57 @@ def test_complexity_guard_aztec():
                 max((len(l) for l in s.lambdas), default=0))
     boxes = 30 * 31 // 2
     assert s.stats.work <= 4 * boxes * max(big_l, 1)
+
+
+def _reference_stats(plan, grid):
+    """SampleStats counted on the tuple grid: per box, the longer of the
+    two partitions it grows from, plus one."""
+    rows = [
+        max(len(grid.get((i - 1, j), EMPTY)), len(grid.get((i, j - 1), EMPTY))) + 1
+        for i, j in plan.boxes()
+    ]
+    return SampleStats(boxes=len(rows), work=sum(rows))
+
+
+def _check_against_tuple_reference(word, z, seed):
+    """The sample of an all-mixed word (the sweep holds Maya bitsets) equals
+    the tuple reference grown from its draw log, with equal SampleStats, and
+    reconstruct_inputs returns that log."""
+    src = RandomSource(seed, log_draws=True)
+    s = schur_sample(word, z, src)
+    plan = precompute_par(word, z)
+    drawn = dict(zip(plan.boxes(), (v for _, _, v in src.draw_log)))
+    grid = run_growth(plan, drawn)
+    assert s.lambdas == boundary_lambdas(plan, grid)
+    assert s.stats == _reference_stats(plan, grid)
+    assert reconstruct_inputs(s) == drawn
+    return plan
+
+
+@pytest.mark.parametrize("left, right", [(Rel.LV, Rel.RH), (Rel.LH, Rel.RV)])
+def test_bitset_sweep_matches_the_tuple_reference(left, right):
+    rnd = random.Random(left.value)
+    values = (0, Fraction(1, 3), Fraction(5, 2), 0.7, 1, 3)
+    for trial in range(200):
+        word = tuple(rnd.choice((left, right)) for _ in range(rnd.randrange(1, 25)))
+        z = tuple(rnd.choice(values) for _ in word)
+        plan = _check_against_tuple_reference(word, z, trial)
+        if word.count(left) and word.count(right):
+            assert plan.bit_offset == max(plan.m, plan.n) + 1
+    plan = _check_against_tuple_reference((left,) * 9 + (right,) * 14, (1,) * 23, 5)
+    assert plan.bit_offset == 15
+
+
+def test_bitset_sweep_matches_the_tuple_reference_on_aztec_120():
+    plan = _check_against_tuple_reference(parse_word("(<'>)^120"), (1,) * 240, 120)
+    assert plan.row_kinds[0][0] == "VH" and plan.bit_offset == 121
+
+
+def test_plans_with_geometric_boxes_hold_tuples():
+    for text in ("<>", "<'>'", "<'<>", "<>'>", "(<<'>>')^3"):
+        assert precompute_par(parse_word(text), (1,) * len(parse_word(text))).bit_offset is None
+
+
+def test_aztec_200_sample_stats_are_pinned():
+    s = schur_sample(parse_word("(<'>)^200"), (1,) * 400, 501)
+    assert s.stats == SampleStats(boxes=20100, work=1185452)

@@ -257,7 +257,7 @@ def _reference_symmetric_lambdas(word, z, t, mode, seed):
             continue
         kind = plan.box_type(i, j)
         if j > i:
-            xi = float(plan.param(i, j))
+            xi = float(plan.x[i - 1] * plan.y[j - 1])
             if kind in ("HH", "VV"):
                 u = src.geometric(xi)
             else:

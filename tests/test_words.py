@@ -110,7 +110,7 @@ def test_q_volume_parameters():
     q = Fraction(9, 10)
     assert zq == (1 / q, 1 / q**2, q**3, q**4)
     plan = precompute_par((LH, LH, RH, RH), zq)
-    assert all(0 < plan.param(i, j) < 1 for i, j in plan.boxes())
+    assert all(0 < plan.x[i - 1] * plan.y[j - 1] < 1 for i, j in plan.boxes())
     with pytest.raises(ValueError):
         q_volume_parameters((LH, RH), 1.5)
 
