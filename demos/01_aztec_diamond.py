@@ -11,7 +11,7 @@ from pathlib import Path
 
 from schursample import RandomSource, parse_word, precompute_par, schur_sample
 from schursample.render import RenderStyle, render_svg
-from schursample.sampler import boundary_lambdas, run_growth
+from schursample.sampler import run_growth
 from schursample.tilings import to_steep_tiling
 
 OUT = Path(__file__).parent / "output"
@@ -32,7 +32,8 @@ z = (1,) * (2 * n)
 sample = schur_sample(word, z, RandomSource(2024, log_draws=True))
 plan = precompute_par(word, z)
 bits = {box: bit for box, (_, _, bit) in zip(plan.boxes(), sample.draw_log)}
-shuffled = boundary_lambdas(plan, run_growth(plan, bits, "diagonal"))
+grid = run_growth(plan, bits, "diagonal")
+shuffled = tuple(grid.get(point, ()) for point in plan.boundary_points())
 print(f"\ndomino shuffling on the same {len(bits)} bits gives the same tiling: "
       f"{shuffled == sample.lambdas}")
 tiling = to_steep_tiling(word, sample.lambdas)

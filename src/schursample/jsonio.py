@@ -13,7 +13,7 @@ from typing import Any, Dict
 from .partitions import make
 from .sampler import ProcessSample
 from .symmetric import SymmetricSample
-from .tilings import DominoTiling, HeightMatrix, OverpartitionTableau
+from .tilings import CodecError, DominoTiling, HeightMatrix, OverpartitionTableau
 from .words import format_word, parse_number, parse_word
 
 FORMAT = "schursample/1"
@@ -102,8 +102,17 @@ def view_from_dict(d: Dict[str, Any]):
     if kind == "plane-partition":
         view = HeightMatrix(tuple(d["shape"]), tuple(tuple(r) for r in d["rows"]))
     elif kind == "steep-tiling":  # validate() below checks each field's type
-        dominoes = sorted(map(_DOMINO_FIELDS, d["dominoes"]))
-        view = DominoTiling(parse_word(d["word"]), tuple(d["window"]), tuple(dominoes))
+        window, dominoes = d["window"], d["dominoes"]
+        if type(window) is not list:
+            raise CodecError(f"window must be a list of two bounds, got {json.dumps(window)}")
+        if type(dominoes) is not list:
+            raise CodecError(f"dominoes must be a list, got {json.dumps(dominoes)}")
+        try:
+            fields = list(map(_DOMINO_FIELDS, dominoes))
+        except (TypeError, KeyError):
+            raise CodecError(_bad_domino(dominoes)) from None
+        fields.sort()
+        view = DominoTiling(parse_word(d["word"]), tuple(window), tuple(fields))
     elif kind == "plane-overpartition":
         view = OverpartitionTableau(
             tuple(d["shape"]),
@@ -122,6 +131,16 @@ _STEEP_HEAD = (
 _DOMINO = '{"k": %d, "pos2": %d, "vertical": %s, "sign": %d}'
 _JSON_BOOL = ("false", "true")
 _DOMINO_FIELDS = itemgetter("k", "pos2", "vertical", "sign")
+
+
+def _bad_domino(dominoes: list) -> str:
+    """The error of the first domino that is not an object with the four
+    fields."""
+    i, bad = next(
+        (i, x) for i, x in enumerate(dominoes)
+        if type(x) is not dict or not {"k", "pos2", "vertical", "sign"} <= x.keys()
+    )
+    return f"domino {i} must be an object with k, pos2, vertical and sign, got {json.dumps(bad)}"
 
 
 def _steep_tiling_json(view: DominoTiling) -> str:

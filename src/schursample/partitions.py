@@ -173,12 +173,16 @@ def from_bits(v: int) -> Partition:
 def turned_bits(lam: Partition, a: int, b: int) -> int:
     """to_bits, with offset b + 1, of the complement of lam in the a x b
     rectangle turned 180 degrees: (b - lam_a, ..., b - lam_1).  Needs
-    len(lam) <= a and lam_1 <= b.  Turning reverses the window of bits
-    2 .. a + b + 1 of lam's bitset, below which both have holes and above
-    which particles.
-    """
+    len(lam) <= a and lam_1 <= b."""
+    return turn(to_bits(lam, b + 1), a, b)
+
+
+def turn(v: int, a: int, b: int) -> int:
+    """turned_bits from lam's bitset v = to_bits(lam, b + 1).  Turning
+    reverses the window of bits 2 .. a + b + 1, below which both have holes
+    and above which particles."""
     width = a + b
-    window = format((to_bits(lam, b + 1) >> 2) & ((1 << width) - 1), f"0{width}b")
+    window = format((v >> 2) & ((1 << width) - 1), f"0{width}b")
     return (int(window[::-1], 2) << 2) - (1 << (width + 2))
 
 

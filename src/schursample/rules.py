@@ -21,10 +21,12 @@ row up).  ``grow_vv`` walks the columns of its inputs and conjugates only
 its output; ``shrink_vv`` and ``grow_diag_v_ec`` conjugate in
 O(len + largest part).  A grow kernel whose corner is empty returns at once.
 
-On Maya bitsets (:func:`~schursample.partitions.to_bits`) ``grow_hv_bits``
-runs the HV rule, and its inverse on complements turned in a rectangle, in
-a dozen big-int operations per box with no loop over the rows; the sweeps
-hold bitsets on a plan whose boxes are all HV or VH.
+On Maya bitsets (:func:`~schursample.partitions.to_bits`)
+``grow_hv_lanes`` runs the HV rule, and its inverse on complements turned
+in a rectangle, in a score of big-int operations with no loop over the
+rows, on many boxes at once: each box is one lane of the ints.  The sweeps
+run it once per anti-diagonal of a plan whose boxes are all HV or VH, and
+``grow_hv_bits`` is its one-lane case.
 
 The checked entry points :func:`grow` and :func:`grow_diag` assert the input
 range, strip preconditions, output interlacing and weight balance around a
@@ -145,42 +147,76 @@ def grow_vh(lam: Partition, mu: Partition, kap: Partition, b: int) -> Partition:
     return grow_hv(mu, lam, kap, b)
 
 
-def grow_hv_bits(L: int, M: int, K: int, b: int, inverse: bool = False):
-    """grow_hv on the Maya bitsets L, M, K of lam, mu, kappa (one offset c
-    above every first part, :func:`~schursample.partitions.to_bits`), in a
-    fixed number of big-int operations; returns the bitset of nu.
+def grow_hv_lanes(L: int, M: int, K: int, b: int, masks, inverse: bool = False):
+    """grow_hv on Maya bitsets packed as lanes of one int: lane k of L, M
+    and K holds the bitsets of lam, mu and kappa of one box, and lane k of
+    the result the bitset of its nu; bit 0 of lane k of ``b`` is its input.
 
-    Bit p is the row i with i - part_i + c = p, so each row of grow_hv is a
-    particle.  T holds the kappa particles of the rows lam_i = kap_i + 1;
-    those of them where mu has a particle too (mu_i = kap_i) are the rows
-    A with lam_i > mu_i, where nu takes lam's particle.  The other T rows
-    are i-positions that emit 1 (S1); a row lam_i = kap_i emits 0, one bit
-    above kappa's particle, and is an i-position when mu has no particle
-    there.  The cascading bit is a segmented fill done with one carry: F
-    marks the positions whose last i-position at or below them emitted 1
-    (the input bit sits at bit 0), and each j-position in F (Jr) moves its
-    mu particle one bit down, which is nu_j = mu_j + 1.
+    ``masks`` is (G, D, DJ).  Every lane is W bits wide: G holds the top
+    bit of each lane, a guard that is 0 in every argument, and D the W - 1
+    bits below it.  A lane holds the low W - 1 bits of a bitset
+    (:func:`~schursample.partitions.to_bits`) whose tail of particles
+    starts at least three bits below the guard.  The lanes do not mix: a
+    subtraction first sets the guards of its minuend, so no borrow crosses
+    them; an addition carries at most into a guard; a left shift by one
+    moves guards across lanes, 0 in every shifted value, and the right
+    shift moves bits 0, which are 0 in T and M and so in A and Jr; and ~x
+    is x ^ D.  DJ is D when growing.
+
+    Bit p of a lane is the row i with i - part_i + c = p, so each row of
+    grow_hv is a particle.  T holds the kappa particles of the rows
+    lam_i = kap_i + 1; those of them where mu has a particle too
+    (mu_i = kap_i) are the rows A with lam_i > mu_i, where nu takes lam's
+    particle.  The other T rows are i-positions that emit 1 (S1); a row
+    lam_i = kap_i emits 0, one bit above kappa's particle, and is an
+    i-position when mu has no particle there.  The cascading bit is a
+    segmented fill done with one carry: F marks the positions whose last
+    i-position at or below them emitted 1 (the input bit sits at bit 0),
+    and each j-position in F (Jr) moves its mu particle one bit down, which
+    is nu_j = mu_j + 1.
 
     With ``inverse`` the same body runs shrink_hv on complements turned 180
-    degrees in a rectangle (:func:`~schursample.partitions.turned_bits`),
-    whose parts and lengths exceed those of lam, mu and nu: called as
-    (mu^c, lam^c, nu^c, 0) it returns (kappa^c, b): turning puts the bottom
-    row, where the pass of shrink_hv starts, at the low bits, where the fill
-    starts.  The fill is cut below the topmost i-position, and the bit it
-    carried past that position is the input b.
+    degrees in an a x b rectangle
+    (:func:`~schursample.partitions.turned_bits`), whose parts and lengths
+    exceed those of lam, mu and nu: called as (mu^c, lam^c, nu^c, 0) it
+    returns kappa^c and F & (G >> 1), the sign bits of F.  Turning puts the
+    bottom row, where the pass of shrink_hv starts, at the low bits, where
+    the fill starts, and the bit the fill carries past the topmost
+    i-position is the input b, the sign of F.  A turned complement has
+    length a, so M's tail starts at bit a + b + 2, a j-position the fill
+    must not reach; j- and i-positions interleave, so that is the only
+    j-position above the topmost i-position, and DJ is D without it.
     """
-    T = (K - L) << 1  # K - L is (K & ~L) - (L & ~K): lam's moved particles
+    G, D, DJ = masks
+    # K - L is (K & ~L) - (L & ~K): lam's moved particles
+    T = ((((K | G) - L) & D) << 1) & D
     A = M & T
     MB = M ^ A
     S1 = T ^ A | b  # i-positions emitting 1, and the input bit
-    IM = S1 | ((K ^ T) << 1) & ~M  # every i-position
-    F = ((~IM + (S1 << 1)) & IM) - S1
-    if inverse:
-        b = int(F < 0)
-        F &= (1 << (IM.bit_length() - 1)) - 1
-    Jr = MB & ~(L << 1) & F
+    IM = S1 | ((K ^ T) << 1) & (M ^ D)  # every i-position
+    F = ((((IM ^ D) + (S1 << 1)) & IM) | G) - S1
+    Jr = MB & ((L << 1) ^ DJ) & F
     nu = (MB ^ Jr) | ((A | Jr) >> 1)
-    return (nu, b) if inverse else nu
+    return (nu, F & (G >> 1)) if inverse else nu
+
+
+def grow_hv_bits(L: int, M: int, K: int, b: int, inverse: bool = False):
+    """grow_hv on the Maya bitsets L, M, K of lam, mu, kappa (one offset c
+    above every first part, :func:`~schursample.partitions.to_bits`);
+    returns the bitset of nu.  This is :func:`grow_hv_lanes` on one lane,
+    three bits wider than the longest of the three.
+
+    With ``inverse``, called as (mu^c, lam^c, nu^c, 0) on complements
+    turned in a rectangle, it returns (kappa^c, b).
+    """
+    tail = max((~L).bit_length(), (~M).bit_length(), (~K).bit_length())
+    G = 1 << (tail + 2)
+    D = G - 1
+    DJ = D ^ (1 << (~M).bit_length()) if inverse else D
+    out = grow_hv_lanes(L & D, M & D, K & D, b, (G, D, DJ), inverse)
+    if inverse:
+        return out[0] - G, int(out[1] != 0)
+    return out - G
 
 
 def grow_vh_bits(L: int, M: int, K: int, b: int) -> int:
@@ -260,7 +296,8 @@ def shrink_vh(lam: Partition, nu: Partition, mu: Partition) -> Tuple[Partition, 
 # table.  SHRINK[kind](lam, nu, mu) is the unchecked inverse of the same
 # kernel: (kappa, rand), valid only when nu has a preimage.  A plan whose
 # boxes are all HV or VH holds Maya bitsets (ShapePlan.bit_offset), and its
-# sweeps call GROW_BITS and SHRINK_BITS instead, which no caller substitutes.
+# sweeps run grow_hv_lanes on whole anti-diagonals instead; GROW_BITS and
+# SHRINK_BITS are its one-lane case, one box at a time.
 _KERNELS = {"HH": grow_hh, "HV": grow_hv, "VH": grow_vh, "VV": grow_vv}
 GROW = dict(_KERNELS)
 SHRINK = {"HH": shrink_hh, "HV": shrink_hv, "VH": shrink_vh, "VV": shrink_vv}

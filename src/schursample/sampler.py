@@ -1,23 +1,27 @@
 """Exact sampling of Schur processes by growth of the encoded shape.
 
-:func:`grow_profile` is the one growth sweep.  It fills the encoded shape
-row by row with the local rules, stores one profile of m + 1 partitions and
+:func:`grow_profile` is the one growth sweep.  It asks for the random
+inputs one row at a time, ``row_input(j, stop)``, in row-major order, and
 returns the m + n + 1 boundary partitions.  The finite sampler
-``schur_sample`` runs on it, and so do the symmetric sampler (which passes a
-diagonal rule and grows one triangle) and the pyramidal one (which grows its
-finite truncation word).  ``in_place_boundary_sample`` is another name for
-``schur_sample``.
+``schur_sample`` runs on it with :func:`row_draw`, and so do the symmetric
+sampler (which passes a diagonal rule and grows one triangle) and the
+pyramidal one (which grows its finite truncation word).
+``in_place_boundary_sample`` is another name for ``schur_sample``.
 
 :func:`shrink_profile` is the same sweep run backwards: it peels the shape
-off the boundary with one profile and recovers every box's input.
+off the boundary and recovers every box's input, row by row.
 
 Both sweeps choose the representation from the plan.  On a plan whose boxes
 are all HV or VH (``ShapePlan.bit_offset``, as on Aztec and other steep
-words) the profile holds Maya bitsets (``partitions.to_bits``) and each box
-is one call of ``rules.grow_hv_bits``, a dozen big-int operations; the
-growth sweep decodes only the m + n + 1 boundary partitions, and the
+words) the sweep is domino shuffling: the boxes of one anti-diagonal do not
+depend on each other, so each anti-diagonal is one call of
+``rules.grow_hv_lanes`` on Maya bitsets (``partitions.to_bits``) packed as
+lanes of one int, one lane per point.  The inputs are staged one byte per
+box first, and only two anti-diagonals and the boundary's lanes are kept;
+the growth sweep decodes only the m + n + 1 boundary partitions, and the
 inverse sweep encodes only them, as complements turned in a rectangle, and
-decodes nothing.  Every other plan holds tuples and calls ``rules.GROW``.
+decodes nothing.  Every other plan is grown row by row on one profile of
+tuples with ``rules.GROW``.
 
 :func:`run_growth` keeps the whole grid of tuples and takes any traversal
 order; it is the reference that the tests compare the sweep against.  Its
@@ -26,8 +30,12 @@ same grid as the sweep from the same inputs.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
+from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .partitions import (
@@ -37,10 +45,10 @@ from .partitions import (
     require_closed,
     require_interlaced,
     to_bits,
-    turned_bits,
+    turn,
 )
 from .rng import ALGORITHM, RandomSource
-from .rules import GROW, GROW_BITS, SHRINK, SHRINK_BITS, GrowthError
+from .rules import GROW, SHRINK, GrowthError, grow_hv_lanes
 from .words import Rel, ShapePlan, Word, precompute_par
 
 Box = Tuple[int, int]
@@ -141,75 +149,319 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> List[List[float]]:
     return table
 
 
-def box_draw(table: List[List[float]], src: RandomSource):
-    """The per-box draw from ``src``, as a function (i, j, kind) -> input:
-    Geom(x_i y_j) on HH/VV boxes, Bernoulli(x_i y_j / (1 + x_i y_j)) on
-    HV/VH boxes, with the products from the table of
-    :func:`check_parameters`."""
-    geom, bern = src.geometric, src.bernoulli
+@lru_cache(maxsize=64)
+def _row_draws(floats: tuple, kinds: tuple):
+    """The draws of a table row: (a, g) per box, Bernoulli(a) if g is None,
+    Geom with log(xi) = g if a is None, else the constant a; the (kind,
+    parameter) pairs of the draw log; and the number of geometric boxes
+    among the first k, for every k."""
+    draws, logged, geoms = [], [], [0]
+    for xi, kind in zip(floats, kinds):
+        if kind in ("HH", "VV"):
+            draws.append((None, math.log(xi)) if xi else (0, 0.0))
+            logged.append(("geom", xi))
+        else:
+            p = xi / (1.0 + xi)
+            draws.append((p, None) if 0.0 < p < 1.0 else (int(p), 0.0))
+            logged.append(("bern", p))
+        geoms.append(geoms[-1] + (kind in ("HH", "VV")))
+    return tuple(draws), tuple(logged), tuple(geoms)
 
-    def draw(i: int, j: int, kind: str) -> int:
-        xi = table[j - 1][i - 1]
-        return geom(xi) if kind in ("HH", "VV") else bern(xi / (1.0 + xi))
+
+def row_draw(plan: ShapePlan, table: List[List[float]], src: RandomSource):
+    """The draws from ``src`` one row at a time, as a function
+    (j, stop) -> the inputs of boxes (1, j) .. (stop, j): Geom(x_i y_j) on
+    HH/VV boxes, Bernoulli(x_i y_j / (1 + x_i y_j)) on HV/VH boxes, with the
+    products from the table of :func:`check_parameters`.
+
+    Each distinct table row is turned into its draws once.  One
+    comprehension then draws a row as ``src.bernoulli`` and
+    ``src.geometric`` draw each box, with the same variates, ledger counts
+    and draw log: a parameter 0 or 1 is a constant that reads no entropy,
+    and a uniform of 0.0 is drawn again by ``src.uniform``.
+    """
+    rand, uniform, ledger, draw_log = src._rng.random, src.uniform, src.ledger, src.draw_log
+    log, kinds = math.log, plan.row_kinds
+    rows = {}  # id of a table row -> its draws
+
+    def draw(j: int, stop: int) -> List[int]:
+        row = table[j - 1]
+        spec = rows.get(id(row))
+        if spec is None:
+            spec = rows[id(row)] = _row_draws(tuple(row), tuple(kinds[j - 1][: len(row)]))
+        draws, logged, geoms = spec
+        values = [
+            (1 if (rand() or uniform()) < a else 0) if g is None
+            else a if a is not None else int(log(rand() or uniform()) / g)
+            for a, g in draws[:stop]
+        ]
+        ledger.geometric_draws += geoms[stop]
+        ledger.bernoulli_draws += stop - geoms[stop]
+        if draw_log is not None:
+            draw_log.extend([(name, p, v) for (name, p), v in zip(logged, values)])
+        return values
 
     return draw
 
 
-def grow_profile(plan: ShapePlan, box_input, diagonal=None, stats=None):
-    """The growth sweep: fill the encoded shape of ``plan`` row by row and
-    return the m + n + 1 boundary partitions (entry k is lambda(k)).
+def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
+    """The growth sweep: fill the encoded shape of ``plan`` and return the
+    m + n + 1 boundary partitions (entry k is lambda(k)).
 
-    ``box_input(i, j, kind)`` gives the random input of box (i, j); it is
-    called in row-major order, the canonical draw order.  Only one profile
-    of m + 1 partitions is kept: entry i holds tau(i, j) for the last row j
-    that reached column i.
+    ``row_input(j, stop)`` gives the random inputs of boxes (1, j) ..
+    (stop, j); it is called once per row, rows rising, the canonical draw
+    order.  A plan with a ``bit_offset`` (every box HV or every box VH) is
+    grown one anti-diagonal at a time by :func:`_grow_diagonals`.  Any
+    other plan is grown row by row, keeping one profile of m + 1 tuples:
+    entry i holds tau(i, j) for the last row j that reached column i.
 
     With ``diagonal`` the sweep is symmetric and the shape must be
-    self-conjugate: only boxes with i <= j are grown, diagonal box (i, i)
-    is ``diagonal(i, kind, mu, kap)`` with mu = tau(i - 1, i) and
+    self-conjugate: only boxes with i <= j are grown, row j asks for the
+    inputs of its boxes i < j, diagonal box (i, i) is
+    ``diagonal(i, kind, mu, kap)`` with mu = tau(i - 1, i) and
     kap = tau(i - 1, i - 1), and the boundary after the diagonal point
-    mirrors the boundary before it.
-
-    The profile holds Maya bitsets when the plan has a ``bit_offset`` and
-    tuples otherwise (a symmetric plan has HH or VV boxes on its diagonal);
-    the boundary partitions are returned as tuples either way.
+    mirrors the boundary before it.  A symmetric plan has HH or VV boxes on
+    its diagonal, so it holds tuples.
     """
+    if plan.bit_offset is not None:
+        stage = _stage(plan)
+        for j, row_len in enumerate(plan.pi, start=1):
+            stage[_row(plan, j)] = bytes(row_input(j, row_len)).translate(_PRESENT)
+        lambdas = [EMPTY] * (plan.m + plan.n + 1)
+        for k, bits in _grow_diagonals(plan, stage, stats).items():
+            lambdas[k] = from_bits(bits)
+        return tuple(lambdas)
     pi, m, n = plan.pi, plan.m, plan.n
     nrows = len(pi)
     kinds = plan.row_kinds
-    c = plan.bit_offset
-    if c is None:
-        grow, empty = GROW, EMPTY
-        box_work = lambda lam, mu: max(len(lam), len(mu)) + 1
-    else:
-        grow, empty = GROW_BITS, to_bits(EMPTY, c)
-        # max(len(lam), len(mu)) + 1: the tail of a bitset starts at len + c + 1
-        box_work = lambda lam, mu: (~(lam & mu)).bit_length() - c
+    grow, empty = GROW, EMPTY
     profile = [empty] * (m + 1)
     segments = []  # per-row boundary pieces, assembled at the end
     for j in range(1, nrows + 1):
         row_len = pi[j - 1]
         stop = row_len if diagonal is None else min(row_len, j)
+        inputs = row_input(j, row_len if diagonal is None else min(row_len, j - 1))
         prev_diag = empty  # tau(i - 1, j - 1)
         for i, kind in enumerate(kinds[j - 1][:stop], start=1):
             lam, above = profile[i - 1], profile[i]  # tau(i - 1, j), tau(i, j - 1)
             if i == j and diagonal is not None:
                 nu = diagonal(i, kind, lam, prev_diag)
             else:
-                nu = grow[kind](lam, above, prev_diag, box_input(i, j, kind))
+                nu = grow[kind](lam, above, prev_diag, inputs[i - 1])
             if stats is not None:
                 stats.boxes += 1
-                stats.work += box_work(lam, above)
+                stats.work += max(len(lam), len(above)) + 1
             profile[i] = nu
             prev_diag = above
         segments.append(profile[pi[j] if j < nrows else 0 : row_len + 1])
     lambdas = [EMPTY] * (n - nrows)  # padded empty rows on the vertical axis
     for seg in reversed(segments):
-        lambdas.extend(seg if c is None else map(from_bits, seg))
+        lambdas.extend(seg)
     lambdas.extend([EMPTY] * (m - (pi[0] if pi else 0) + 1))
     if diagonal is not None:
         lambdas[n + 1 :] = reversed(lambdas[:n])
     return tuple(lambdas)
+
+
+# The anti-diagonal sweeps of bitset plans.  The inputs are staged one byte
+# per box, in column-major order with columns of len(pi) + 1 bytes, so that
+# a row and an anti-diagonal are both slices with a step: box (i, j) is at
+# byte i * (len(pi) + 1) + j and holds 2 | input, and every other point
+# holds 0.  Anti-diagonal d holds the points (i, d - i) for i from
+# max(0, d - len(pi)) to min(pi_1, d), each one lane of a packed int.
+
+_PRESENT = bytes(2 | v & 1 for v in range(256))
+_INPUT = bytes(v & 1 for v in range(256))
+
+
+def _stage(plan: ShapePlan) -> bytearray:
+    return bytearray((plan.pi[0] + 1) * (len(plan.pi) + 1) if plan.pi else 0)
+
+
+def _row(plan: ShapePlan, j: int) -> slice:
+    """The bytes of row j's boxes in the stage."""
+    step = len(plan.pi) + 1
+    return slice(step + j, plan.pi[j - 1] * step + j + 1, step)
+
+
+def _shift(x: int, s: int) -> int:
+    return x << s if s >= 0 else x >> -s
+
+
+def _lanes(plan: ShapePlan, stage: bytearray, W: int):
+    """The lanes of W bits of the plan's anti-diagonals, as a function
+    d -> (lo, hi, G, D, B, box): the first and last lane, the guards and
+    the data bits of the lanes, the staged bytes in bits 0..7 of the lanes,
+    and the data bits of the lanes of boxes."""
+    nrows, count, Wb = len(plan.pi), plan.pi[0] + 1, W // 8
+    data = int.from_bytes((b"\xff" * (Wb - 1) + b"\x7f") * count, "little")
+    ones = int.from_bytes((b"\x01" + bytes(Wb - 1)) * count, "little")
+
+    def lanes(d: int):
+        lo, hi = max(0, d - nrows), min(count - 1, d)
+        D = data >> (count - 1 - hi + lo) * W
+        low = ones & D
+        buf = bytearray((hi - lo + 1) * Wb)
+        buf[::Wb] = stage[lo * nrows + d : hi * nrows + d + 1 : nrows]
+        B = int.from_bytes(buf, "little")
+        P = (B >> 1) & low
+        return lo, hi, D + low, D, B, (P << (W - 1)) - P
+
+    return lanes
+
+
+def _boundary_boxes(plan: ShapePlan) -> List[Tuple[int, int, int]]:
+    """(k, i, j) for every box (i, j) on the boundary: tau(i, j) is
+    lambda(k), k = i + n - j."""
+    pi, n = plan.pi, plan.n
+    return [
+        (i + n - j, i, j)
+        for j, (row, below) in enumerate(zip(pi, pi[1:] + (0,)), start=1)
+        for i in range(below or 1, row + 1)
+    ]
+
+
+def _grow_diagonals(plan: ShapePlan, stage: bytearray, stats=None) -> Dict[int, int]:
+    """The growth of a bitset plan from its staged inputs, one call of
+    ``rules.grow_hv_lanes`` per anti-diagonal, each box a lane: returns
+    {k: the bitset of lambda(k)} for the boundary's boxes; the other
+    boundary points are empty.
+
+    Point (i, j) holds the bitset of tau(i, j) at the offset j + 1 on an HV
+    plan and i + 1 on a VH plan.  The offset exceeds the first part, since
+    a first part grows by one at most per row (column) and the length by
+    one at most per column (row); so every tail starts below bit i + j + 3,
+    and lanes of max(pi_j + j) + 5 bits or more hold every point.  A box
+    reads two lanes of anti-diagonal d - 1 and one of d - 2, shifted by
+    whole lanes and, where the offset is one less, by one bit.  The axes'
+    lanes are reset to empty bitsets and the lanes of points outside the
+    shape to 0.
+
+    ``SampleStats.work`` adds max(len lam, len mu) + 1 per box.  The tail
+    of lam & mu starts at bit max(len lam, len mu) + c + 1, so the work is
+    read from the tails: ``tails`` holds the tail of every point's bitset,
+    the tail of lam & mu is tails(lam) & tails(mu), and that of nu is
+    nu & tails(lam & mu), as nu is at most one row longer than both.
+    """
+    pi, nrows = plan.pi, len(plan.pi)
+    if not pi:
+        return {}
+    hv = plan.row_kinds[0][0] == "HV"
+    last = max(map(add, pi, range(1, nrows + 1)))
+    W = (last + 12) // 8 * 8
+    full = 1 << (W - 1)
+    lanes = _lanes(plan, stage, W)
+    wanted = {}  # anti-diagonal -> (k, i) of the boundary boxes on it
+    for k, i, j in _boundary_boxes(plan):
+        wanted.setdefault(i + j, []).append((k, i))
+    # the empty bitsets at the offsets 1 (E) and d + 1 (full - (4 << d))
+    E = full - 4
+    D2, lo2, D1, lo1 = E, 0, full - 8 | E << W if hv else E | full - 8 << W, 0
+    tails, ones = D1, 0
+    found = {}
+    for d in range(2, last + 1):
+        lo, hi, G, D, B, box = lanes(d)
+        sL, sM, sK = (lo1 + 1 - lo) * W + (not hv), (lo1 - lo) * W + hv, (lo2 + 1 - lo) * W + 1
+        L, M, K = D1 << sL & D, _shift(D1, sM) & D, _shift(D2, sK) & D
+        b = B & G >> W - 1
+        nu = grow_hv_lanes(L, M, K, b, (G, D, D)) if hv else grow_hv_lanes(M, L, K, b, (G, D, D))
+        # tau(0, d) in lane 0 and tau(d, 0) in lane d
+        axes = (full - (4 << d) if hv else E) if lo == 0 else 0
+        if hi == d:
+            axes |= (E if hv else full - (4 << d)) << (d - lo) * W
+        nu = nu & box | axes
+        if stats is not None:
+            Y = tails << sL & _shift(tails, sM) & box
+            ones += Y.bit_count()  # W - 1 - (the tail's first bit) per box
+            tails = nu & Y | axes
+        for k, i in wanted.get(d, ()):
+            found[k] = (nu >> (i - lo) * W & full - 1) - full
+        D2, lo2, D1, lo1 = D1, lo1, nu, lo
+    if stats is not None:
+        # minus the offsets, j + 1 (HV) or i + 1 (VH), summed over the boxes
+        boxes = sum(pi)
+        offsets = sum(map(mul, pi, range(2, nrows + 2)) if hv else map(mul, pi, pi))
+        stats.boxes += boxes
+        stats.work += boxes * (W - 1) - ones - (offsets if hv else (offsets + 3 * boxes) // 2)
+    return found
+
+
+def _shrink_diagonals(plan: ShapePlan, bits: Dict[int, int]) -> bytearray:
+    """The inverse of _grow_diagonals: the staged inputs recovered from the
+    bitsets ``bits`` of the boundary's boxes, one call of
+    ``rules.grow_hv_lanes`` with ``inverse`` per anti-diagonal, from the
+    last one down.
+
+    Point (i, j) holds the complement of tau(i, j) turned in the rectangle
+    of (i + 1) rows and j + 1 columns on an HV plan, (j + 1) x (i + 1) on a
+    VH plan (``partitions.turn``), which reaches past its length and its
+    first part; so every tail on anti-diagonal d starts at bit d + 4.  Box
+    (i, j) runs in the rectangle of its nu: the lam or mu that has one row
+    fewer gains the turned row, a shift by one bit and bit 2, and the
+    other, one column fewer, turns bit d + 3 into a hole; kappa loses both.
+    Anti-diagonals d and d - 1 give the kappas of d's boxes, which with the
+    boundary points on d - 2 make anti-diagonal d - 2; the recovered bits
+    go to the stage.
+    """
+    stage = _stage(plan)
+    if not plan.pi:
+        return stage
+    pi, nrows = plan.pi, len(plan.pi)
+    for j in range(1, nrows + 1):
+        stage[_row(plan, j)] = b"\x02" * pi[j - 1]
+    hv = plan.row_kinds[0][0] == "HV"
+    last = max(map(add, pi, range(1, nrows + 1)))
+    W = (last + 14) // 8 * 8
+    Wb = W // 8
+    lanes = _lanes(plan, stage, W)
+    edge = {}  # anti-diagonal -> (i, lane bytes) of the boundary points on it
+    points = [(i, j, bits[k]) for k, i, j in _boundary_boxes(plan)]
+    # and the two points of the boundary on the axes that no box shrinks to
+    points += [(0, nrows, to_bits(EMPTY, nrows + 1 if hv else 1))]
+    points += [(pi[0], 0, to_bits(EMPTY, 1 if hv else pi[0] + 1))]
+    for i, j, v in points:
+        # v has the offset b = j + 1 (i + 1) of the rectangle, v << 1 has b + 1
+        lane = turn(v << 1, i + 1, j + 1) if hv else turn(v << 1, j + 1, i + 1)
+        edge.setdefault(i + j, []).append((i, (lane & (1 << (W - 1)) - 1).to_bytes(Wb, "little")))
+
+    def boundary(d: int) -> int:
+        if d not in edge:
+            return 0
+        lo, hi = max(0, d - nrows), min(pi[0], d)
+        buf = bytearray((hi - lo + 1) * Wb)
+        for i, lane in edge[d]:
+            buf[(i - lo) * Wb : (i - lo + 1) * Wb] = lane
+        return int.from_bytes(buf, "little")
+
+    N, D1, lo1 = boundary(last), boundary(last - 1), max(0, last - 1 - nrows)
+    for d in range(last, 1, -1):
+        lo, hi, G, D, B, box = lanes(d)
+        low = G >> W - 1
+        # lam (lane i - 1) and mu (lane i) in the rectangle of nu
+        sL, sM = (lo1 + 1 - lo) * W, (lo1 - lo) * W
+        if hv:
+            Lc, Mc = D1 << sL + 1 & D | low << 2, _shift(D1, sM) & D ^ low << d + 3
+        else:
+            Lc, Mc = D1 << sL & D ^ low << d + 3, _shift(D1, sM + 1) & D | low << 2
+        masks = (G, D, D ^ low << d + 4)  # without the tail's first bit
+        kap, signs = grow_hv_lanes(Mc, Lc, N, 0, masks, True) if hv else grow_hv_lanes(
+            Lc, Mc, N, 0, masks, True
+        )
+        inputs = B | (signs >> W - 2) & low
+        stage[lo * nrows + d : hi * nrows + d + 1 : nrows] = inputs.to_bytes(
+            (hi - lo + 1) * Wb, "little"
+        )[::Wb]
+        kap = ((kap ^ low << 2) >> 1 & D | low << d + 2) & box  # in its own rectangle
+        lo2 = max(0, d - 2 - nrows)
+        N, D1, lo1 = D1, boundary(d - 2) | _shift(kap, (lo - 1 - lo2) * W), lo2
+    return stage
+
+
+def _boundary_bits(plan: ShapePlan, lambdas: Sequence[Partition]) -> Dict[int, int]:
+    """The bitsets, at the offsets of _grow_diagonals, of the partitions of
+    the boundary's boxes."""
+    hv = plan.row_kinds[0][0] == "HV"
+    return {k: to_bits(lambdas[k], j + 1 if hv else i + 1) for k, i, j in _boundary_boxes(plan)}
 
 
 def run_growth(
@@ -237,10 +489,6 @@ def run_growth(
     return tau
 
 
-def boundary_lambdas(plan: ShapePlan, grid: Dict[Box, Partition]) -> Tuple[Partition, ...]:
-    return tuple(grid.get(pt, EMPTY) for pt in plan.boundary_points())
-
-
 def schur_sample(
     word: Sequence[Rel], z: Sequence, src: RandomSource | int
 ) -> ProcessSample:
@@ -251,7 +499,7 @@ def schur_sample(
     plan = precompute_par(word, z)
     table = check_parameters(plan)
     stats = SampleStats()
-    lambdas = grow_profile(plan, box_draw(table, src), stats=stats)
+    lambdas = grow_profile(plan, row_draw(plan, table, src), stats=stats)
     return ProcessSample(
         word=plan.word,
         z=tuple(z),
@@ -269,47 +517,44 @@ in_place_boundary_sample = schur_sample
 
 def shrink_profile(plan: ShapePlan, lambdas: Sequence[Partition], diagonal=None):
     """The inverse of grow_profile: from its boundary partitions ``lambdas``,
-    which must be a valid sequence (the kernels are unchecked), yield
-    ((i, j), input) for every box in reverse row-major order.
+    which must be a valid sequence (the kernels are unchecked), the inputs
+    of every box, row by row: entry j - 1 lists those of (1, j), (2, j), ...
 
-    One profile of tau(i, j) is kept: row j is shrunk right to left, each box
-    giving tau(i - 1, j - 1), and those kappas with the boundary of row
-    j - 1 make the next profile.  With ``diagonal`` only the boxes i <= j are
-    shrunk; box (i, i) gives ``diagonal(i, kind, mu, nu)`` = (kappa, input)
-    with mu = tau(i - 1, i).
-
-    On a plan with a ``bit_offset`` the profile holds the Maya bitsets of
-    complements turned in an a x b rectangle (``partitions.turned_bits``)
-    and each box runs ``rules.SHRINK_BITS``; only the boundary is encoded.
+    A bitset plan is shrunk one anti-diagonal at a time by
+    :func:`_shrink_diagonals`.  Any other plan keeps one profile of
+    tau(i, j): row j is shrunk right to left, each box giving
+    tau(i - 1, j - 1), and those kappas with the boundary of row j - 1 make
+    the next profile.  With ``diagonal`` only the boxes i <= j are shrunk;
+    box (i, i) gives ``diagonal(i, kind, mu, nu)`` = (kappa, input) with
+    mu = tau(i - 1, i).
     """
     pi, nrows = plan.pi, len(plan.pi)
-    if plan.bit_offset is None:
-        shrink, encode = SHRINK, lambda lam: lam
-    else:
-        # every tau(i, j) lies inside a boundary partition, so the rectangle
-        # reaches one row and one column past the largest boundary ones
-        a = max(map(len, lambdas)) + 1
-        b = max((lam[0] for lam in lambdas if lam), default=0) + 1
-        shrink, encode = SHRINK_BITS, lambda lam: turned_bits(lam, a, b)
+    if plan.bit_offset is not None:
+        stage = _shrink_diagonals(plan, _boundary_bits(plan, lambdas))
+        return [list(stage[_row(plan, j)].translate(_INPUT)) for j in range(1, nrows + 1)]
     rows = [[] for _ in range(nrows + 1)]  # rows[j]: boundary tau(i, j), i rising
     for (i, j), lam in zip(plan.boundary_points(), lambdas):
         if j <= nrows and (diagonal is None or i <= j):
-            rows[j].append(encode(lam))
+            rows[j].append(lam)
+    inputs = [None] * nrows
     profile = rows[nrows]
     for j in range(nrows, 0, -1):
         stop = pi[j - 1] if diagonal is None else min(pi[j - 1], j)
         kinds = plan.row_kinds[j - 1]
-        kaps = []
-        mu = rows[j - 1][0] if rows[j - 1] else encode(EMPTY)  # tau(stop, j - 1)
+        kaps, row = [], []
+        mu = rows[j - 1][0] if rows[j - 1] else EMPTY  # tau(stop, j - 1)
         for i in range(stop, 0, -1):
             if i == j and diagonal is not None:
                 mu, rand = diagonal(i, kinds[i - 1], profile[i - 1], profile[i])
             else:
-                mu, rand = shrink[kinds[i - 1]](profile[i - 1], profile[i], mu)
+                mu, rand = SHRINK[kinds[i - 1]](profile[i - 1], profile[i], mu)
             kaps.append(mu)  # tau(i - 1, j - 1), the mu of the next box
-            yield (i, j), rand
+            row.append(rand)
         kaps.reverse()
+        row.reverse()
+        inputs[j - 1] = row
         profile = kaps + rows[j - 1]
+    return inputs
 
 
 def reconstruct_inputs(sample: ProcessSample) -> Dict[Box, int]:
@@ -317,11 +562,29 @@ def reconstruct_inputs(sample: ProcessSample) -> Dict[Box, int]:
     draw log of the forward run, keyed by box in row-major order.
 
     The inverse sweep :func:`shrink_profile` recovers them, and one forward
-    replay certifies them: they must regrow the sample, else GrowthError.
+    replay certifies them: they must regrow the sample.  A regrown sequence
+    interlaces, so the certificate also checks the interlacing; only when
+    it fails is the sample checked step by step, which names the first step
+    that does not interlace, and else GrowthError is raised.  A bitset plan
+    is shrunk and regrown on the bitsets of the boundary's boxes, which the
+    replay compares without decoding them.
     """
-    sample.validate()
+    lambdas = tuple(sample.lambdas)
+    require_closed(sample.word, lambdas, ValueError)
     plan = precompute_par(sample.word, sample.z)
-    inputs = dict(reversed(list(shrink_profile(plan, sample.lambdas))))
-    if grow_profile(plan, lambda i, j, kind: inputs[i, j]) != tuple(sample.lambdas):
+    if plan.bit_offset is None:
+        rows = shrink_profile(plan, lambdas)
+        regrown = grow_profile(plan, lambda j, stop: rows[j - 1]) == lambdas
+        inputs = chain.from_iterable(rows)
+    else:
+        bits = _boundary_bits(plan, lambdas)
+        stage = _shrink_diagonals(plan, bits)
+        empty = set(range(len(lambdas))) - bits.keys()
+        regrown = _grow_diagonals(plan, stage) == bits and not any(lambdas[k] for k in empty)
+        inputs = chain.from_iterable(
+            stage[_row(plan, j)].translate(_INPUT) for j in range(1, len(plan.pi) + 1)
+        )
+    if not regrown:
+        sample.validate()
         raise GrowthError("the recovered inputs do not regrow the sample")
-    return inputs
+    return dict(zip(plan.boxes(), inputs))

@@ -30,7 +30,7 @@ from .rules import (
     grow_diag_v_er,
     shrink_diag,
 )
-from .sampler import box_draw, check_parameters, grow_profile, shrink_profile
+from .sampler import check_parameters, grow_profile, row_draw, shrink_profile
 from .words import Rel, ShapePlan, Word, precompute_par, symmetrize
 
 
@@ -93,7 +93,7 @@ def symmetric_schur_sample(
         return float(plan.x[i - 1]) ** power if power else None
 
     table = check_parameters(plan, diagonal_param)
-    draw = box_draw(table, src)
+    draw = row_draw(plan, table, src)
     lambdas = _grow(plan, rules, draw, lambda i, kind: src.geometric(diagonal_param(i, kind)))
     return SymmetricSample(
         word=word, z=tuple(z), t=t, mode=mode, seed=src.seed, lambdas=lambdas
@@ -114,7 +114,7 @@ def _diagonal_rules(mode: str):
             for box, (kernel, kind, power) in rules.items()}
 
 
-def _grow(plan: ShapePlan, rules, box_input, draw) -> Tuple[Partition, ...]:
+def _grow(plan: ShapePlan, rules, row_input, draw) -> Tuple[Partition, ...]:
     """grow_profile over the i <= j triangle: diagonal box (i, i) runs its
     rule, with G = draw(i, kind) where the rule draws."""
 
@@ -122,7 +122,7 @@ def _grow(plan: ShapePlan, rules, box_input, draw) -> Tuple[Partition, ...]:
         rule, _, power = rules[kind]
         return rule(mu, kap, draw(i, kind)) if power else rule(mu, kap)
 
-    return grow_profile(plan, box_input, diagonal)
+    return grow_profile(plan, row_input, diagonal)
 
 
 def reconstruct_symmetric_inputs(sample: SymmetricSample) -> List[int]:
@@ -132,15 +132,17 @@ def reconstruct_symmetric_inputs(sample: SymmetricSample) -> List[int]:
     sample.validate()
     plan = _symmetric_plan(sample.word, sample.z, sample.t)
     rules = _diagonal_rules(sample.mode)
-    shrunk = shrink_profile(
+    rows = shrink_profile(
         plan, sample.lambdas, lambda i, kind, mu, nu: shrink_diag(rules[kind][1], mu, nu)
     )
     inputs = [
-        rand for (i, j), rand in reversed(list(shrunk))
+        rand for j, row in enumerate(rows, start=1) for i, rand in enumerate(row, start=1)
         if i < j or rules[plan.row_kinds[i - 1][i - 1]][2]
     ]
     take = iter(inputs).__next__
-    replay = _grow(plan, rules, lambda i, j, kind: take(), lambda i, kind: take())
+    replay = _grow(
+        plan, rules, lambda j, stop: [take() for _ in range(stop)], lambda i, kind: take()
+    )
     if replay != tuple(sample.lambdas):
         raise GrowthError("the recovered inputs do not regrow the sample")
     return inputs

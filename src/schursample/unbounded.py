@@ -311,7 +311,9 @@ def grow_pyramidal(
     (m - u, m - v).  Boxes without an entry in ``inputs`` take input 0.
     Returns the nonempty lambda(k), keyed by k."""
     plan = precompute_par(truncation_word(convention, m), (0,) * (2 * m))
-    lambdas = grow_profile(plan, lambda u, v, kind: inputs.get((m - u, m - v), 0))
+    lambdas = grow_profile(
+        plan, lambda v, stop: [inputs.get((m - u, m - v), 0) for u in range(1, stop + 1)]
+    )
     return {k - m: lam for k, lam in enumerate(lambdas) if lam}
 
 

@@ -10,6 +10,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain, repeat
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -158,13 +159,15 @@ class ShapePlan:
 
     @property
     def bit_offset(self) -> Optional[int]:
-        """The offset c of the Maya bitsets (partitions.to_bits) that the
-        sweeps hold instead of tuples, or None to hold tuples.
+        """An offset c of Maya bitsets (partitions.to_bits) that exceeds
+        every first part of the plan's growth diagram, when the sweeps hold
+        bitsets instead of tuples; else None.
 
         Bitsets need every box to be HV or VH: the left symbols share one
         prime and the right symbols the other.  Each box is then a vertical
         strip over one neighbour, so a first part grows by at most one per
         column (VH) or per row (HV), and c = max(m, n) + 1 exceeds them all.
+        The sweeps hold each point at its own offset, at most c.
         """
         u, v = self.u, self.v
         if u and v and u.count(u[0]) == len(u) and v.count(v[0]) == len(v):
@@ -173,10 +176,11 @@ class ShapePlan:
         return None
 
     def boxes(self):
-        """Row-major box order (the default fill order)."""
-        for j in range(1, len(self.pi) + 1):
-            for i in range(1, self.pi[j - 1] + 1):
-                yield i, j
+        """Row-major box order (the default fill order), as an iterator of
+        (i, j)."""
+        return chain.from_iterable(
+            zip(range(1, p + 1), repeat(j)) for j, p in enumerate(self.pi, start=1)
+        )
 
     def boxes_diagonal(self):
         """Boxes by increasing i+j; realizes domino shuffling on Aztec words."""

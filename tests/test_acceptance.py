@@ -28,7 +28,6 @@ from schursample.oracle import (
 from schursample.partitions import EMPTY, conjugate, partitions_up_to
 from schursample.rng import RandomSource
 from schursample.sampler import (
-    boundary_lambdas,
     in_place_boundary_sample,
     reconstruct_inputs,
     run_growth,
@@ -46,6 +45,8 @@ from schursample.unbounded import (
 )
 from schursample.words import Rel, parse_word, precompute_par, q_volume_parameters
 from schursample.zfun import z_finite, z_symmetric
+
+from grid_reference import boundary_lambdas
 
 
 class Budget:

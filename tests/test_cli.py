@@ -363,6 +363,15 @@ def _domino(k, pos2, vertical, sign):
         # an IndexError traceback, and a drawing with exit 0, while the length went unchecked
         ("domino", {"window": [-3]}, "window must be two bounds, got [-3]"),
         ("domino", {"window": [-3, 3, 5]}, "window must be two bounds, got [-3, 3, 5]"),
+        # a TypeError that named neither the field nor the record
+        ("domino", {"window": 3}, "window must be a list of two bounds, got 3"),
+        ("domino", {"window": None}, "window must be a list of two bounds, got null"),
+        ("domino", {"dominoes": 5}, "dominoes must be a list, got 5"),
+        (
+            "domino",
+            [_domino(0, 1, False, -1), [1, 2, 3, 4]],
+            "domino 1 must be an object with k, pos2, vertical and sign, got [1, 2, 3, 4]",
+        ),
     ],
 )
 def test_render_refuses_a_malformed_steep_tiling(capsys, tmp_path, style, dominoes, named):

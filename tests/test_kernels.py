@@ -9,6 +9,8 @@ last two the shrink kernels must equal the reference shrinks, and every
 HV/VH triple must have interleaving block positions.  The Maya-bitset HV
 and VH kernels and their inverses face the reference on the same three.
 """
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -261,6 +263,65 @@ def test_bitset_kernels_match_reference_exhaustive(kind, over):
                     check_bits(kind, lam, mu, kap, r, REF_BOX[kind](lam, mu, kap, r))
                     checked += 1
     assert checked == 9546
+
+
+def _lanes(values, W):
+    """Pack values of W - 1 bits into lanes of W bits, value k in lane k."""
+    return sum(v << k * W for k, v in enumerate(values))
+
+
+def _lane(x, k, W):
+    return x >> k * W & (1 << (W - 1)) - 1
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["grow", "shrink"])
+@pytest.mark.parametrize("kind", ["HV", "VH"])
+def test_packed_kernel_keeps_its_lanes_apart(kind, inverse, over):
+    """Every triple of the exhaustive fixture, packed 48 to a call of
+    grow_hv_lanes in a shuffled order with lanes of random bits between
+    them, comes out as the one-lane kernel grows (or shrinks) it alone."""
+    strips = {"HV": "vh", "VH": "hv"}[kind]
+    a = b = WEIGHT + 1  # reaches past every length and part of the fixture
+    W = 24  # three bits past every tail, at bit a + b + 2 = 20 at most
+    data = (1 << (W - 1)) - 1
+    calls = []  # (kernel arguments, one-lane result)
+    for kap in over["h"]:
+        for lam in over[strips[0]][kap]:
+            for mu in over[strips[1]][kap]:
+                for r in (0, 1):
+                    if inverse:
+                        nu = REF_BOX[kind](lam, mu, kap, r)
+                        t = lambda p: turned_bits(p, a, b)
+                        args = (t(mu), t(lam), t(nu), 0) if kind == "HV" else (t(lam), t(mu), t(nu), 0)
+                        one = rules.SHRINK_BITS[kind](t(lam), t(nu), t(mu))
+                    else:
+                        c = lambda p: to_bits(p, b)
+                        args = (c(lam), c(mu), c(kap), r) if kind == "HV" else (c(mu), c(lam), c(kap), r)
+                        one = rules.GROW_BITS[kind](c(lam), c(mu), c(kap), r)
+                    calls.append((args, one))
+    rnd = random.Random(kind + str(inverse))
+    rnd.shuffle(calls)
+    garbage = lambda: (rnd.getrandbits(W - 1), rnd.getrandbits(W - 1), rnd.getrandbits(W - 1), rnd.getrandbits(1))
+    for start in range(0, len(calls), 48):
+        batch = calls[start : start + 48]
+        lanes = []  # kernel arguments per lane, None marking garbage
+        for call in batch:
+            while rnd.random() < 0.3:
+                lanes.append((garbage(), None))
+            lanes.append(call)
+        L, M, K, bits = (_lanes([args[q] & data for args, _ in lanes], W) for q in range(4))
+        G = _lanes([1 << (W - 1)] * len(lanes), W)  # the guards
+        D = G - _lanes([1] * len(lanes), W)
+        DJ = D ^ _lanes([1 << (a + b + 2)] * len(lanes), W) if inverse else D
+        out = rules.grow_hv_lanes(L, M, K, bits, (G, D, DJ), inverse)
+        nu, signs = out if inverse else (out, 0)
+        for k, (args, one) in enumerate(lanes):
+            if one is None:
+                continue
+            if inverse:
+                assert (_lane(nu, k, W), signs >> k * W + W - 2 & 1) == (one[0] & data, one[1])
+            else:
+                assert _lane(nu, k, W) == one & data
 
 
 def _even(lam, parity):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from schursample import rules, symmetric, unbounded
+from schursample import rng, rules, symmetric, unbounded
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -34,3 +34,8 @@ def test_the_counted_kernels_exist(tracing):
         "grow_diag_v", "grow_diag_v_ec", "grow_diag_v_er",
     ]
     assert all(callable(vars(symmetric)[n]) for n in tracing.DIAG_RULES)
+
+
+def test_the_recorded_draw_methods_exist(tracing):
+    # the tracer records the draws through these RandomSource methods
+    assert all(callable(vars(rng.RandomSource).get(n)) for n in tracing.RNG_METHODS)

@@ -10,14 +10,17 @@ from schursample.rng import RandomSource
 from schursample.sampler import (
     DivergenceError,
     SampleStats,
-    boundary_lambdas,
     check_parameters,
     in_place_boundary_sample,
     reconstruct_inputs,
+    row_draw,
     run_growth,
     schur_sample,
+    shrink_profile,
 )
 from schursample.words import Rel, parse_word, precompute_par, q_volume_parameters, symmetrize
+
+from grid_reference import boundary_lambdas
 
 
 def random_word(rnd, max_len=10):
@@ -292,6 +295,36 @@ def test_bitset_sweep_matches_the_tuple_reference_on_aztec_120():
     assert plan.row_kinds[0][0] == "VH" and plan.bit_offset == 121
 
 
+@pytest.mark.parametrize("text", ["<'>><'<'>", "<>'>'<<>'"])
+def test_bitset_sweep_on_an_anti_diagonal_with_a_gap(text):
+    # pi = (3, 1, 1): anti-diagonal 4 holds the boxes (3, 1) and (1, 3) and
+    # between them the point (2, 2), outside the shape, whose lane the
+    # packed kernel fills with whatever its neighbours give
+    for seed in range(30):
+        plan = _check_against_tuple_reference(parse_word(text), (1, 0.5, 2, 1, 3, 1), seed)
+    assert plan.pi == (3, 1, 1) and plan.bit_offset is not None
+
+
+@pytest.mark.parametrize("text", ["><'", ">'<", ">'>'<<"])
+def test_bitset_sweep_on_an_empty_shape(text):
+    word = parse_word(text)
+    plan = _check_against_tuple_reference(word, (1,) * len(word), 3)
+    assert plan.pi == () and plan.bit_offset is not None
+
+
+def test_shrink_profile_of_a_bitset_plan_gives_the_rows_of_the_draw_log():
+    # shrink_profile packs the anti-diagonals of an all-HV/VH plan, as
+    # reconstruct_inputs does, and returns the inputs row by row
+    for text in ("(<'>)^9", "<'>><'<'>", "(<)^4(>')^3"):
+        word = parse_word(text)
+        src = RandomSource(len(text), log_draws=True)
+        s = schur_sample(word, (1,) * len(word), src)
+        plan = precompute_par(word, (1,) * len(word))
+        drawn = iter(v for _, _, v in src.draw_log)
+        assert plan.bit_offset is not None
+        assert shrink_profile(plan, s.lambdas) == [[next(drawn) for _ in range(p)] for p in plan.pi]
+
+
 def test_plans_with_geometric_boxes_hold_tuples():
     for text in ("<>", "<'>'", "<'<>", "<>'>", "(<<'>>')^3"):
         assert precompute_par(parse_word(text), (1,) * len(parse_word(text))).bit_offset is None
@@ -300,3 +333,59 @@ def test_plans_with_geometric_boxes_hold_tuples():
 def test_aztec_200_sample_stats_are_pinned():
     s = schur_sample(parse_word("(<'>)^200"), (1,) * 400, 501)
     assert s.stats == SampleStats(boxes=20100, work=1185452)
+
+
+def _per_box_draws(plan, table, src):
+    """The draws of every row, one RandomSource call per box."""
+    rows = []
+    for j, row_len in enumerate(plan.pi, start=1):
+        row = []
+        for xi, kind in zip(table[j - 1][:row_len], plan.row_kinds[j - 1]):
+            row.append(src.geometric(xi) if kind in ("HH", "VV") else src.bernoulli(xi / (1.0 + xi)))
+        rows.append(row)
+    return rows
+
+
+def _zero_once(src, at, fired):
+    """Make call ``at`` of src's generator return 0.0 in place of its value,
+    and append to ``fired`` when it does."""
+    random_ = src._rng.random
+    calls = iter(range(10**9))
+
+    def patched():
+        u = random_()
+        if next(calls) != at:
+            return u
+        fired.append(at)
+        return 0.0
+
+    src._rng.random = patched
+
+
+@pytest.mark.parametrize("zero_at", [None, 0, 1, 4])
+def test_row_draw_equals_one_call_per_box(zero_at):
+    """A row draw gives the values, ledger, draw log and generator state of
+    one bernoulli or geometric call per box, with parameters 0 and 1 drawn
+    without entropy and a uniform of 0.0 drawn again."""
+    rnd = random.Random(zero_at)
+    values = (0, 0.0, 0.3, 1, 2.5, Fraction(1, 7), 1e300)
+    fired = []
+    for trial in range(60):
+        word = random_word(rnd, max_len=12)
+        z = [rnd.choice(values) for _ in word]
+        plan = precompute_par(word, z)
+        try:
+            table = check_parameters(plan)
+        except ValueError:  # a geometric box with a parameter >= 1
+            continue
+        one, row = RandomSource(trial, log_draws=True), RandomSource(trial, log_draws=True)
+        if zero_at is not None:
+            _zero_once(one, zero_at, [])
+            _zero_once(row, zero_at, fired)
+        expected = _per_box_draws(plan, table, one)
+        draw = row_draw(plan, table, row)
+        assert [draw(j, p) for j, p in enumerate(plan.pi, start=1)] == expected
+        assert row.ledger == one.ledger
+        assert row.draw_log == one.draw_log
+        assert row._rng.getstate() == one._rng.getstate()
+    assert zero_at is None or len(fired) >= 3

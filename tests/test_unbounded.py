@@ -9,7 +9,7 @@ from schursample.oracle import hook_length_f
 from schursample.partitions import EMPTY
 from schursample.rng import RandomSource
 from schursample.rules import grow_hh
-from schursample.sampler import DivergenceError, boundary_lambdas, run_growth
+from schursample.sampler import DivergenceError, run_growth
 from schursample.unbounded import (
     ParamSeq,
     PyramidalParameters,
@@ -27,6 +27,8 @@ from schursample.unbounded import (
     unbounded_schur_sample,
 )
 from schursample.words import format_word, precompute_par
+
+from grid_reference import boundary_lambdas
 
 
 def test_cantor_pairing():
