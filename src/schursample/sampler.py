@@ -152,20 +152,18 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> List[List[float]]:
 @lru_cache(maxsize=64)
 def _row_draws(floats: tuple, kinds: tuple):
     """The draws of a table row: (a, g) per box, Bernoulli(a) if g is None,
-    Geom with log(xi) = g if a is None, else the constant a; the (kind,
-    parameter) pairs of the draw log; and the number of geometric boxes
-    among the first k, for every k."""
-    draws, logged, geoms = [], [], [0]
+    Geom with log(xi) = g if a is None, else the constant a; and the number
+    of geometric boxes among the first k, for every k.  Equal rows give
+    equal draws (a parameter -0.0 draws as 0.0)."""
+    draws, geoms = [], [0]
     for xi, kind in zip(floats, kinds):
         if kind in ("HH", "VV"):
             draws.append((None, math.log(xi)) if xi else (0, 0.0))
-            logged.append(("geom", xi))
         else:
             p = xi / (1.0 + xi)
             draws.append((p, None) if 0.0 < p < 1.0 else (int(p), 0.0))
-            logged.append(("bern", p))
         geoms.append(geoms[-1] + (kind in ("HH", "VV")))
-    return tuple(draws), tuple(logged), tuple(geoms)
+    return tuple(draws), tuple(geoms)
 
 
 def row_draw(plan: ShapePlan, table: List[List[float]], src: RandomSource):
@@ -189,7 +187,7 @@ def row_draw(plan: ShapePlan, table: List[List[float]], src: RandomSource):
         spec = rows.get(id(row))
         if spec is None:
             spec = rows[id(row)] = _row_draws(tuple(row), tuple(kinds[j - 1][: len(row)]))
-        draws, logged, geoms = spec
+        draws, geoms = spec
         values = [
             (1 if (rand() or uniform()) < a else 0) if g is None
             else a if a is not None else int(log(rand() or uniform()) / g)
@@ -198,7 +196,10 @@ def row_draw(plan: ShapePlan, table: List[List[float]], src: RandomSource):
         ledger.geometric_draws += geoms[stop]
         ledger.bernoulli_draws += stop - geoms[stop]
         if draw_log is not None:
-            draw_log.extend([(name, p, v) for (name, p), v in zip(logged, values)])
+            draw_log.extend([
+                ("geom", xi, v) if kind in ("HH", "VV") else ("bern", xi / (1.0 + xi), v)
+                for xi, kind, v in zip(row, kinds[j - 1], values)
+            ])
         return values
 
     return draw
@@ -288,16 +289,16 @@ def _shift(x: int, s: int) -> int:
     return x << s if s >= 0 else x >> -s
 
 
-def _lanes(plan: ShapePlan, stage: bytearray, W: int):
-    """The lanes of W bits of the plan's anti-diagonals, as a function
-    d -> (lo, hi, G, D, B, box): the first and last lane, the guards and
-    the data bits of the lanes, the staged bytes in bits 0..7 of the lanes,
-    and the data bits of the lanes of boxes."""
+def _lanes(plan: ShapePlan, stage: bytearray, W: int, diagonals):
+    """The lanes of W bits of the plan's anti-diagonals: yields, for each
+    anti-diagonal d of ``diagonals``, (d, lo, hi, D, low, B, box): its
+    first and last lane, the data bits (all but the top guard bit) and the
+    bits 0 of its lanes, its staged bytes in bits 0..7 of the lanes, and
+    the data bits of its boxes' lanes."""
     nrows, count, Wb = len(plan.pi), plan.pi[0] + 1, W // 8
     data = int.from_bytes((b"\xff" * (Wb - 1) + b"\x7f") * count, "little")
     ones = int.from_bytes((b"\x01" + bytes(Wb - 1)) * count, "little")
-
-    def lanes(d: int):
+    for d in diagonals:
         lo, hi = max(0, d - nrows), min(count - 1, d)
         D = data >> (count - 1 - hi + lo) * W
         low = ones & D
@@ -305,9 +306,7 @@ def _lanes(plan: ShapePlan, stage: bytearray, W: int):
         buf[::Wb] = stage[lo * nrows + d : hi * nrows + d + 1 : nrows]
         B = int.from_bytes(buf, "little")
         P = (B >> 1) & low
-        return lo, hi, D + low, D, B, (P << (W - 1)) - P
-
-    return lanes
+        yield d, lo, hi, D, low, B, (P << (W - 1)) - P
 
 
 def _boundary_boxes(plan: ShapePlan) -> List[Tuple[int, int, int]]:
@@ -350,7 +349,6 @@ def _grow_diagonals(plan: ShapePlan, stage: bytearray, stats=None) -> Dict[int, 
     last = max(map(add, pi, range(1, nrows + 1)))
     W = (last + 12) // 8 * 8
     full = 1 << (W - 1)
-    lanes = _lanes(plan, stage, W)
     wanted = {}  # anti-diagonal -> (k, i) of the boundary boxes on it
     for k, i, j in _boundary_boxes(plan):
         wanted.setdefault(i + j, []).append((k, i))
@@ -359,12 +357,11 @@ def _grow_diagonals(plan: ShapePlan, stage: bytearray, stats=None) -> Dict[int, 
     D2, lo2, D1, lo1 = E, 0, full - 8 | E << W if hv else E | full - 8 << W, 0
     tails, ones = D1, 0
     found = {}
-    for d in range(2, last + 1):
-        lo, hi, G, D, B, box = lanes(d)
+    for d, lo, hi, D, low, B, box in _lanes(plan, stage, W, range(2, last + 1)):
         sL, sM, sK = (lo1 + 1 - lo) * W + (not hv), (lo1 - lo) * W + hv, (lo2 + 1 - lo) * W + 1
         L, M, K = D1 << sL & D, _shift(D1, sM) & D, _shift(D2, sK) & D
-        b = B & G >> W - 1
-        nu = grow_hv_lanes(L, M, K, b, (G, D, D)) if hv else grow_hv_lanes(M, L, K, b, (G, D, D))
+        masks = (D + low, D, D)
+        nu = grow_hv_lanes(L, M, K, B & low, masks) if hv else grow_hv_lanes(M, L, K, B & low, masks)
         # tau(0, d) in lane 0 and tau(d, 0) in lane d
         axes = (full - (4 << d) if hv else E) if lo == 0 else 0
         if hi == d:
@@ -413,7 +410,6 @@ def _shrink_diagonals(plan: ShapePlan, bits: Dict[int, int]) -> bytearray:
     last = max(map(add, pi, range(1, nrows + 1)))
     W = (last + 14) // 8 * 8
     Wb = W // 8
-    lanes = _lanes(plan, stage, W)
     edge = {}  # anti-diagonal -> (i, lane bytes) of the boundary points on it
     points = [(i, j, bits[k]) for k, i, j in _boundary_boxes(plan)]
     # and the two points of the boundary on the axes that no box shrinks to
@@ -434,16 +430,14 @@ def _shrink_diagonals(plan: ShapePlan, bits: Dict[int, int]) -> bytearray:
         return int.from_bytes(buf, "little")
 
     N, D1, lo1 = boundary(last), boundary(last - 1), max(0, last - 1 - nrows)
-    for d in range(last, 1, -1):
-        lo, hi, G, D, B, box = lanes(d)
-        low = G >> W - 1
+    for d, lo, hi, D, low, B, box in _lanes(plan, stage, W, range(last, 1, -1)):
         # lam (lane i - 1) and mu (lane i) in the rectangle of nu
         sL, sM = (lo1 + 1 - lo) * W, (lo1 - lo) * W
         if hv:
             Lc, Mc = D1 << sL + 1 & D | low << 2, _shift(D1, sM) & D ^ low << d + 3
         else:
             Lc, Mc = D1 << sL & D ^ low << d + 3, _shift(D1, sM + 1) & D | low << 2
-        masks = (G, D, D ^ low << d + 4)  # without the tail's first bit
+        masks = (D + low, D, D ^ low << d + 4)  # DJ without the tail's first bit
         kap, signs = grow_hv_lanes(Mc, Lc, N, 0, masks, True) if hv else grow_hv_lanes(
             Lc, Mc, N, 0, masks, True
         )

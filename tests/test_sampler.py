@@ -368,7 +368,7 @@ def test_row_draw_equals_one_call_per_box(zero_at):
     one bernoulli or geometric call per box, with parameters 0 and 1 drawn
     without entropy and a uniform of 0.0 drawn again."""
     rnd = random.Random(zero_at)
-    values = (0, 0.0, 0.3, 1, 2.5, Fraction(1, 7), 1e300)
+    values = (0, 0.0, -0.0, 0.3, 1, 2.5, Fraction(1, 7), 1e300)
     fired = []
     for trial in range(60):
         word = random_word(rnd, max_len=12)
@@ -386,6 +386,6 @@ def test_row_draw_equals_one_call_per_box(zero_at):
         draw = row_draw(plan, table, row)
         assert [draw(j, p) for j, p in enumerate(plan.pi, start=1)] == expected
         assert row.ledger == one.ledger
-        assert row.draw_log == one.draw_log
+        assert repr(row.draw_log) == repr(one.draw_log)  # -0.0 logged as -0.0
         assert row._rng.getstate() == one._rng.getstate()
-    assert zero_at is None or len(fired) >= 3
+    assert zero_at is None or fired  # the 0.0 was drawn at least once
