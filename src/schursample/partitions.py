@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, zip_longest
-from operator import sub
+from operator import ge, sub
 from typing import Iterable, Optional, Tuple
 
 Partition = Tuple[int, ...]
@@ -34,6 +34,12 @@ def make(parts: Iterable[int]) -> Partition:
         if i and p[i - 1] < v:
             raise ValueError(f"parts must be weakly decreasing, got {p}")
     return tuple(p)
+
+
+def is_partition(lam: Partition) -> bool:
+    """lam is weakly decreasing and its parts are positive, with no
+    trailing zeros: the form that :func:`make` returns."""
+    return not lam or (lam[-1] > 0 and all(map(ge, lam, lam[1:])))
 
 
 def part(lam: Partition, i: int) -> int:
@@ -170,17 +176,12 @@ def from_bits(v: int) -> Partition:
     return tuple(accumulate(map(len, runs)))[::-1]
 
 
-def turned_bits(lam: Partition, a: int, b: int) -> int:
-    """to_bits, with offset b + 1, of the complement of lam in the a x b
-    rectangle turned 180 degrees: (b - lam_a, ..., b - lam_1).  Needs
-    len(lam) <= a and lam_1 <= b."""
-    return turn(to_bits(lam, b + 1), a, b)
-
-
 def turn(v: int, a: int, b: int) -> int:
-    """turned_bits from lam's bitset v = to_bits(lam, b + 1).  Turning
-    reverses the window of bits 2 .. a + b + 1, below which both have holes
-    and above which particles."""
+    """From lam's bitset v = to_bits(lam, b + 1), the bitset with the same
+    offset of the complement of lam in the a x b rectangle turned 180
+    degrees: (b - lam_a, ..., b - lam_1).  Needs len(lam) <= a and
+    lam_1 <= b.  Turning reverses the window of bits 2 .. a + b + 1, below
+    which both have holes and above which particles."""
     width = a + b
     window = format((v >> 2) & ((1 << width) - 1), f"0{width}b")
     return (int(window[::-1], 2) << 2) - (1 << (width + 2))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Tuple
 
 ALGORITHM = "mt19937"
@@ -27,6 +28,20 @@ class EntropyLedger:
     @property
     def total(self) -> int:
         return self.geometric_draws + self.bernoulli_draws
+
+
+def variates(odds: List[float], geometric: List[bool]) -> tuple:
+    """A row of variates for :meth:`RandomSource.row_drawer`: Geom(xi)
+    where geometric[k] is true and else Bernoulli(xi / (1 + xi)), for
+    xi = odds[k].  Unchecked: the parameters must be floats that
+    ``geometric`` and ``bernoulli`` accept.
+
+    Variate k is one float a: Bernoulli(a) if 0 < a < 1, a geometric with
+    log(xi) = a if a < 0, else the constant int(a), which reads no entropy
+    (p in {0, 1}, xi = 0).  A row is made once and drawn from many times.
+    """
+    steps = [(math.log(x) if x else 0) if g else x / (1.0 + x) for x, g in zip(odds, geometric)]
+    return steps, list(accumulate(geometric, initial=0)), odds, geometric
 
 
 class RandomSource:
@@ -86,6 +101,36 @@ class RandomSource:
             self.draw_log.append(("bern", p, b))
         return b
 
+    def row_drawer(self):
+        """A function (row, stop) -> the first ``stop`` variates of a row
+        made by :func:`variates`, each drawn, counted and logged as one
+        ``geometric`` or ``bernoulli`` call would draw, count and log it.
+
+        The uniforms come from ``uniform``: the stock one is inlined as its
+        generator call, with a draw of 0.0 drawn again, and an overridden
+        or wrapped one is called."""
+        uniform = self.uniform
+        rand = self._rng.random if type(self).uniform is _UNIFORM else uniform
+        ledger, draw_log, ln = self.ledger, self.draw_log, math.log
+
+        def draw(row: tuple, stop: int) -> List[int]:
+            steps, geoms, odds, geometric = row
+            values = [
+                (1 if (rand() or uniform()) < a else 0) if 0.0 < a < 1.0
+                else int(ln(rand() or uniform()) / a) if a < 0.0 else int(a)
+                for a in steps[:stop]
+            ]
+            ledger.geometric_draws += geoms[stop]
+            ledger.bernoulli_draws += stop - geoms[stop]
+            if draw_log is not None:
+                draw_log.extend([
+                    ("geom", x, v) if g else ("bern", x / (1.0 + x), v)
+                    for x, g, v in zip(odds, geometric, values)
+                ])
+            return values
+
+        return draw
+
     def poisson(self, theta: float) -> int:
         """Poisson variate by CDF inversion; large means are split additively
         (a Poisson(a+b) is a sum of independent Poisson(a) and Poisson(b))."""
@@ -115,3 +160,6 @@ class RandomSource:
 
     def permutation(self, n: int) -> list:
         return self.shuffle(list(range(n)))
+
+
+_UNIFORM = RandomSource.uniform  # the stock uniform, which row_drawer inlines

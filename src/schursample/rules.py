@@ -25,8 +25,7 @@ On Maya bitsets (:func:`~schursample.partitions.to_bits`)
 ``grow_hv_lanes`` runs the HV rule, and its inverse on complements turned
 in a rectangle, in a score of big-int operations with no loop over the
 rows, on many boxes at once: each box is one lane of the ints.  The sweeps
-run it once per anti-diagonal of a plan whose boxes are all HV or VH, and
-``grow_hv_bits`` is its one-lane case.
+run it once per anti-diagonal of a plan whose boxes are all HV or VH.
 
 The checked entry points :func:`grow` and :func:`grow_diag` assert the input
 range, strip preconditions, output interlacing and weight balance around a
@@ -176,9 +175,8 @@ def grow_hv_lanes(L: int, M: int, K: int, b: int, masks, inverse: bool = False):
     is nu_j = mu_j + 1.
 
     With ``inverse`` the same body runs shrink_hv on complements turned 180
-    degrees in an a x b rectangle
-    (:func:`~schursample.partitions.turned_bits`), whose parts and lengths
-    exceed those of lam, mu and nu: called as (mu^c, lam^c, nu^c, 0) it
+    degrees in an a x b rectangle (:func:`~schursample.partitions.turn`),
+    whose parts and lengths exceed those of lam, mu and nu: called as (mu^c, lam^c, nu^c, 0) it
     returns kappa^c and F & (G >> 1), the sign bits of F.  Turning puts the
     bottom row, where the pass of shrink_hv starts, at the low bits, where
     the fill starts, and the bit the fill carries past the topmost
@@ -198,41 +196,6 @@ def grow_hv_lanes(L: int, M: int, K: int, b: int, masks, inverse: bool = False):
     Jr = MB & ((L << 1) ^ DJ) & F
     nu = (MB ^ Jr) | ((A | Jr) >> 1)
     return (nu, F & (G >> 1)) if inverse else nu
-
-
-def grow_hv_bits(L: int, M: int, K: int, b: int, inverse: bool = False):
-    """grow_hv on the Maya bitsets L, M, K of lam, mu, kappa (one offset c
-    above every first part, :func:`~schursample.partitions.to_bits`);
-    returns the bitset of nu.  This is :func:`grow_hv_lanes` on one lane,
-    three bits wider than the longest of the three.
-
-    With ``inverse``, called as (mu^c, lam^c, nu^c, 0) on complements
-    turned in a rectangle, it returns (kappa^c, b).
-    """
-    tail = max((~L).bit_length(), (~M).bit_length(), (~K).bit_length())
-    G = 1 << (tail + 2)
-    D = G - 1
-    DJ = D ^ (1 << (~M).bit_length()) if inverse else D
-    out = grow_hv_lanes(L & D, M & D, K & D, b, (G, D, DJ), inverse)
-    if inverse:
-        return out[0] - G, int(out[1] != 0)
-    return out - G
-
-
-def grow_vh_bits(L: int, M: int, K: int, b: int) -> int:
-    """grow_vh on Maya bitsets: grow_hv_bits with lam and mu exchanged."""
-    return grow_hv_bits(M, L, K, b)
-
-
-def shrink_hv_bits(Lc: int, Nc: int, Mc: int) -> Tuple[int, int]:
-    """shrink_hv on turned complements: (kappa^c, b) from lam^c, nu^c, mu^c."""
-    return grow_hv_bits(Mc, Lc, Nc, 0, True)
-
-
-def shrink_vh_bits(Lc: int, Nc: int, Mc: int) -> Tuple[int, int]:
-    """shrink_vh on turned complements: shrink_hv_bits with lam and mu
-    exchanged."""
-    return grow_hv_bits(Lc, Mc, Nc, 0, True)
 
 
 def shrink_hh(lam: Partition, nu: Partition, mu: Partition) -> Tuple[Partition, int]:
@@ -296,13 +259,10 @@ def shrink_vh(lam: Partition, nu: Partition, mu: Partition) -> Tuple[Partition, 
 # table.  SHRINK[kind](lam, nu, mu) is the unchecked inverse of the same
 # kernel: (kappa, rand), valid only when nu has a preimage.  A plan whose
 # boxes are all HV or VH holds Maya bitsets (ShapePlan.bit_offset), and its
-# sweeps run grow_hv_lanes on whole anti-diagonals instead; GROW_BITS and
-# SHRINK_BITS are its one-lane case, one box at a time.
+# sweeps run grow_hv_lanes on whole anti-diagonals instead.
 _KERNELS = {"HH": grow_hh, "HV": grow_hv, "VH": grow_vh, "VV": grow_vv}
 GROW = dict(_KERNELS)
 SHRINK = {"HH": shrink_hh, "HV": shrink_hv, "VH": shrink_vh, "VV": shrink_vv}
-GROW_BITS = {"HV": grow_hv_bits, "VH": grow_vh_bits}
-SHRINK_BITS = {"HV": shrink_hv_bits, "VH": shrink_vh_bits}
 
 # Strip relations of a box: BOX_PRE[kind] = (lam vs kappa, mu vs kappa) for
 # the inputs, BOX_POST[kind] = (nu vs lam, nu vs mu) for the output; nu/lam

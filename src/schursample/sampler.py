@@ -8,20 +8,22 @@ sampler (which passes a diagonal rule and grows one triangle) and the
 pyramidal one (which grows its finite truncation word).
 ``in_place_boundary_sample`` is another name for ``schur_sample``.
 
-:func:`shrink_profile` is the same sweep run backwards: it peels the shape
-off the boundary and recovers every box's input, row by row.
+:func:`shrink_profile` is the same sweep run backwards on tuples: it peels
+the shape off the boundary and recovers every box's input, row by row.
+Each row of draws is one ``RandomSource.row_drawer`` call, which draws,
+counts and logs as one ``bernoulli`` or ``geometric`` call per box.
 
-Both sweeps choose the representation from the plan.  On a plan whose boxes
-are all HV or VH (``ShapePlan.bit_offset``, as on Aztec and other steep
-words) the sweep is domino shuffling: the boxes of one anti-diagonal do not
-depend on each other, so each anti-diagonal is one call of
-``rules.grow_hv_lanes`` on Maya bitsets (``partitions.to_bits``) packed as
-lanes of one int, one lane per point.  The inputs are staged one byte per
-box first, and only two anti-diagonals and the boundary's lanes are kept;
-the growth sweep decodes only the m + n + 1 boundary partitions, and the
-inverse sweep encodes only them, as complements turned in a rectangle, and
-decodes nothing.  Every other plan is grown row by row on one profile of
-tuples with ``rules.GROW``.
+On a plan whose boxes are all HV or VH (``ShapePlan.bit_offset``, as on
+Aztec and other steep words) the growth sweep is domino shuffling: the
+boxes of one anti-diagonal do not depend on each other, so each
+anti-diagonal is one call of ``rules.grow_hv_lanes`` on Maya bitsets
+(``partitions.to_bits``) packed as lanes of one int, one lane per point.
+The inputs are staged one byte per box first, and only two anti-diagonals
+and the boundary's lanes are kept; the sweep decodes only the m + n + 1
+boundary partitions.  :func:`reconstruct_inputs` inverts it the same way
+(:func:`_shrink_diagonals`), on the boundary's partitions encoded as
+complements turned in a rectangle, and decodes nothing.  Every other plan
+is grown row by row on one profile of tuples with ``rules.GROW``.
 
 :func:`run_growth` keeps the whole grid of tuples and takes any traversal
 order; it is the reference that the tests compare the sweep against.  Its
@@ -30,10 +32,8 @@ same grid as the sweep from the same inputs.
 """
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -42,19 +42,24 @@ from .partitions import (
     EMPTY,
     Partition,
     from_bits,
+    is_partition,
     require_closed,
     require_interlaced,
     to_bits,
     turn,
 )
-from .rng import ALGORITHM, RandomSource
+from .rng import ALGORITHM, RandomSource, variates
 from .rules import GROW, SHRINK, GrowthError, grow_hv_lanes
 from .words import Rel, ShapePlan, Word, precompute_par
 
 Box = Tuple[int, int]
 
 _INF = float("inf")
-_MAX = sys.float_info.max
+# The largest float, as an int: a comparison with it is exact for ints,
+# floats and Fractions alike, and a Fraction compares with an int without
+# turning the float into a Fraction first.
+_MAX = int(sys.float_info.max)
+_GEOMETRIC = frozenset(("HH", "VV"))  # the box kinds that draw a geometric
 
 
 class DivergenceError(ValueError):
@@ -96,14 +101,6 @@ class ProcessSample:
         return sum(sum(l) for l in self.lambdas)
 
 
-def _product(a, b):
-    """a * b, or inf where a float operand makes an exact one overflow."""
-    try:
-        return a * b
-    except OverflowError:
-        return _INF
-
-
 def _refuse(box: Box, kind: str, xi) -> None:
     """Raise the error of a box whose parameter xi fails the check."""
     if not 0 <= xi < _INF or (xi > _MAX and kind not in ("HH", "VV")):
@@ -129,14 +126,17 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> List[List[float]]:
     the boxes below the diagonal mirror those above it and are skipped.
     """
     x, y, v, kinds = plan.x, plan.y, plan.v, plan.row_kinds
-    rows = {}  # (type and repr of y_j, row symbol) -> floats by column
+    rows = {}  # (type and repr of y_j, prime of the row symbol) -> floats by column
     table = []
     for j, row_len in enumerate(plan.pi, start=1):
         yj, row_kinds = y[j - 1], kinds[j - 1]
-        floats = rows.setdefault((type(yj), repr(yj), v[j - 1]), [])
+        floats = rows.setdefault((type(yj), repr(yj), v[j - 1].primed), [])
         stop = row_len if diagonal is None else min(row_len, j - 1)
         for i in range(len(floats), stop):  # the entries before were checked
-            xi = _product(x[i], yj)
+            try:
+                xi = x[i] * yj
+            except OverflowError:  # a float operand makes an exact product overflow
+                xi = _INF
             f = float(xi) if 0 <= xi <= _MAX else _INF
             if f == _INF or (f >= 1 and row_kinds[i] in ("HH", "VV")):
                 _refuse((i + 1, j), row_kinds[i], xi)
@@ -149,60 +149,26 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> List[List[float]]:
     return table
 
 
-@lru_cache(maxsize=64)
-def _row_draws(floats: tuple, kinds: tuple):
-    """The draws of a table row: (a, g) per box, Bernoulli(a) if g is None,
-    Geom with log(xi) = g if a is None, else the constant a; and the number
-    of geometric boxes among the first k, for every k.  Equal rows give
-    equal draws (a parameter -0.0 draws as 0.0)."""
-    draws, geoms = [], [0]
-    for xi, kind in zip(floats, kinds):
-        if kind in ("HH", "VV"):
-            draws.append((None, math.log(xi)) if xi else (0, 0.0))
-        else:
-            p = xi / (1.0 + xi)
-            draws.append((p, None) if 0.0 < p < 1.0 else (int(p), 0.0))
-        geoms.append(geoms[-1] + (kind in ("HH", "VV")))
-    return tuple(draws), tuple(geoms)
-
-
 def row_draw(plan: ShapePlan, table: List[List[float]], src: RandomSource):
     """The draws from ``src`` one row at a time, as a function
     (j, stop) -> the inputs of boxes (1, j) .. (stop, j): Geom(x_i y_j) on
     HH/VV boxes, Bernoulli(x_i y_j / (1 + x_i y_j)) on HV/VH boxes, with the
-    products from the table of :func:`check_parameters`.
-
-    Each distinct table row is turned into its draws once.  One
-    comprehension then draws a row as ``src.bernoulli`` and
-    ``src.geometric`` draw each box, with the same variates, ledger counts
-    and draw log: a parameter 0 or 1 is a constant that reads no entropy,
-    and a uniform of 0.0 is drawn again by ``src.uniform``.
+    products from the table of :func:`check_parameters`, which also checks
+    them.  Each distinct table row is made into variates once
+    (``rng.variates``), and each row is one call of ``src.row_drawer()``.
     """
-    rand, uniform, ledger, draw_log = src._rng.random, src.uniform, src.ledger, src.draw_log
-    log, kinds = math.log, plan.row_kinds
-    rows = {}  # id of a table row -> its draws
+    kinds, draw = plan.row_kinds, src.row_drawer()
+    rows = {}  # id of a table row -> its variates
 
-    def draw(j: int, stop: int) -> List[int]:
+    def draw_row(j: int, stop: int) -> List[int]:
         row = table[j - 1]
-        spec = rows.get(id(row))
-        if spec is None:
-            spec = rows[id(row)] = _row_draws(tuple(row), tuple(kinds[j - 1][: len(row)]))
-        draws, geoms = spec
-        values = [
-            (1 if (rand() or uniform()) < a else 0) if g is None
-            else a if a is not None else int(log(rand() or uniform()) / g)
-            for a, g in draws[:stop]
-        ]
-        ledger.geometric_draws += geoms[stop]
-        ledger.bernoulli_draws += stop - geoms[stop]
-        if draw_log is not None:
-            draw_log.extend([
-                ("geom", xi, v) if kind in ("HH", "VV") else ("bern", xi / (1.0 + xi), v)
-                for xi, kind, v in zip(row, kinds[j - 1], values)
-            ])
-        return values
+        made = rows.get(id(row))
+        if made is None:
+            geometric = list(map(_GEOMETRIC.__contains__, kinds[j - 1][: len(row)]))
+            made = rows[id(row)] = variates(row, geometric)
+        return draw(made, stop)
 
-    return draw
+    return draw_row
 
 
 def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
@@ -289,35 +255,47 @@ def _shift(x: int, s: int) -> int:
     return x << s if s >= 0 else x >> -s
 
 
+def _last(plan: ShapePlan) -> int:
+    """The last anti-diagonal that holds a box, max(pi_j + j)."""
+    return max(map(add, plan.pi, range(1, len(plan.pi) + 1)))
+
+
+def _boundary(plan: ShapePlan, last: int) -> list:
+    """Entry d lists (k, i) for the boxes (i, d - i) on the boundary, whose
+    tau is lambda(k), k = i + n - j; None where there are none.  The other
+    boundary points are on the axes and empty."""
+    pi, n = plan.pi, plan.n
+    out = [None] * (last + 1)
+    below = 0
+    for j in range(len(pi), 0, -1):
+        for i in range(below or 1, pi[j - 1] + 1):
+            if out[i + j] is None:
+                out[i + j] = []
+            out[i + j].append((i + n - j, i))
+        below = pi[j - 1]
+    return out
+
+
 def _lanes(plan: ShapePlan, stage: bytearray, W: int, diagonals):
     """The lanes of W bits of the plan's anti-diagonals: yields, for each
     anti-diagonal d of ``diagonals``, (d, lo, hi, D, low, B, box): its
     first and last lane, the data bits (all but the top guard bit) and the
     bits 0 of its lanes, its staged bytes in bits 0..7 of the lanes, and
     the data bits of its boxes' lanes."""
-    nrows, count, Wb = len(plan.pi), plan.pi[0] + 1, W // 8
-    data = int.from_bytes((b"\xff" * (Wb - 1) + b"\x7f") * count, "little")
-    ones = int.from_bytes((b"\x01" + bytes(Wb - 1)) * count, "little")
+    nrows, top, Wb = len(plan.pi), plan.pi[0], W // 8
+    data = int.from_bytes((b"\xff" * (Wb - 1) + b"\x7f") * (top + 1), "little")
+    ones = int.from_bytes((b"\x01" + bytes(Wb - 1)) * (top + 1), "little")
+    buf = bytearray((top + 1) * Wb)  # only the first byte of a lane is written
+    view = memoryview(buf)
     for d in diagonals:
-        lo, hi = max(0, d - nrows), min(count - 1, d)
-        D = data >> (count - 1 - hi + lo) * W
+        lo, hi = d - nrows if d > nrows else 0, d if d < top else top
+        D = data >> (top - hi + lo) * W
         low = ones & D
-        buf = bytearray((hi - lo + 1) * Wb)
-        buf[::Wb] = stage[lo * nrows + d : hi * nrows + d + 1 : nrows]
-        B = int.from_bytes(buf, "little")
+        size = (hi - lo + 1) * Wb
+        buf[:size:Wb] = stage[lo * nrows + d : hi * nrows + d + 1 : nrows]
+        B = int.from_bytes(view[:size], "little")
         P = (B >> 1) & low
         yield d, lo, hi, D, low, B, (P << (W - 1)) - P
-
-
-def _boundary_boxes(plan: ShapePlan) -> List[Tuple[int, int, int]]:
-    """(k, i, j) for every box (i, j) on the boundary: tau(i, j) is
-    lambda(k), k = i + n - j."""
-    pi, n = plan.pi, plan.n
-    return [
-        (i + n - j, i, j)
-        for j, (row, below) in enumerate(zip(pi, pi[1:] + (0,)), start=1)
-        for i in range(below or 1, row + 1)
-    ]
 
 
 def _grow_diagonals(plan: ShapePlan, stage: bytearray, stats=None) -> Dict[int, int]:
@@ -346,12 +324,10 @@ def _grow_diagonals(plan: ShapePlan, stage: bytearray, stats=None) -> Dict[int, 
     if not pi:
         return {}
     hv = plan.row_kinds[0][0] == "HV"
-    last = max(map(add, pi, range(1, nrows + 1)))
+    last = _last(plan)
     W = (last + 12) // 8 * 8
     full = 1 << (W - 1)
-    wanted = {}  # anti-diagonal -> (k, i) of the boundary boxes on it
-    for k, i, j in _boundary_boxes(plan):
-        wanted.setdefault(i + j, []).append((k, i))
+    wanted = _boundary(plan, last)
     # the empty bitsets at the offsets 1 (E) and d + 1 (full - (4 << d))
     E = full - 4
     D2, lo2, D1, lo1 = E, 0, full - 8 | E << W if hv else E | full - 8 << W, 0
@@ -371,8 +347,9 @@ def _grow_diagonals(plan: ShapePlan, stage: bytearray, stats=None) -> Dict[int, 
             Y = tails << sL & _shift(tails, sM) & box
             ones += Y.bit_count()  # W - 1 - (the tail's first bit) per box
             tails = nu & Y | axes
-        for k, i in wanted.get(d, ()):
-            found[k] = (nu >> (i - lo) * W & full - 1) - full
+        if wanted[d] is not None:
+            for k, i in wanted[d]:
+                found[k] = (nu >> (i - lo) * W & full - 1) - full
         D2, lo2, D1, lo1 = D1, lo1, nu, lo
     if stats is not None:
         # minus the offsets, j + 1 (HV) or i + 1 (VH), summed over the boxes
@@ -407,11 +384,11 @@ def _shrink_diagonals(plan: ShapePlan, bits: Dict[int, int]) -> bytearray:
     for j in range(1, nrows + 1):
         stage[_row(plan, j)] = b"\x02" * pi[j - 1]
     hv = plan.row_kinds[0][0] == "HV"
-    last = max(map(add, pi, range(1, nrows + 1)))
+    last = _last(plan)
     W = (last + 14) // 8 * 8
     Wb = W // 8
     edge = {}  # anti-diagonal -> (i, lane bytes) of the boundary points on it
-    points = [(i, j, bits[k]) for k, i, j in _boundary_boxes(plan)]
+    points = [(i, d - i, bits[k]) for d, on in enumerate(_boundary(plan, last)) if on for k, i in on]
     # and the two points of the boundary on the axes that no box shrinks to
     points += [(0, nrows, to_bits(EMPTY, nrows + 1 if hv else 1))]
     points += [(pi[0], 0, to_bits(EMPTY, 1 if hv else pi[0] + 1))]
@@ -455,7 +432,12 @@ def _boundary_bits(plan: ShapePlan, lambdas: Sequence[Partition]) -> Dict[int, i
     """The bitsets, at the offsets of _grow_diagonals, of the partitions of
     the boundary's boxes."""
     hv = plan.row_kinds[0][0] == "HV"
-    return {k: to_bits(lambdas[k], j + 1 if hv else i + 1) for k, i, j in _boundary_boxes(plan)}
+    return {
+        k: to_bits(lambdas[k], d - i + 1 if hv else i + 1)
+        for d, on in enumerate(_boundary(plan, _last(plan)) if plan.pi else ())
+        if on
+        for k, i in on
+    }
 
 
 def run_growth(
@@ -514,18 +496,15 @@ def shrink_profile(plan: ShapePlan, lambdas: Sequence[Partition], diagonal=None)
     which must be a valid sequence (the kernels are unchecked), the inputs
     of every box, row by row: entry j - 1 lists those of (1, j), (2, j), ...
 
-    A bitset plan is shrunk one anti-diagonal at a time by
-    :func:`_shrink_diagonals`.  Any other plan keeps one profile of
-    tau(i, j): row j is shrunk right to left, each box giving
-    tau(i - 1, j - 1), and those kappas with the boundary of row j - 1 make
-    the next profile.  With ``diagonal`` only the boxes i <= j are shrunk;
+    It keeps one profile of tau(i, j) as tuples on every plan: row j is
+    shrunk right to left, each box giving tau(i - 1, j - 1), and those
+    kappas with the boundary of row j - 1 make the next profile.  (On a
+    bitset plan :func:`reconstruct_inputs` runs :func:`_shrink_diagonals`
+    instead.)  With ``diagonal`` only the boxes i <= j are shrunk;
     box (i, i) gives ``diagonal(i, kind, mu, nu)`` = (kappa, input) with
     mu = tau(i - 1, i).
     """
     pi, nrows = plan.pi, len(plan.pi)
-    if plan.bit_offset is not None:
-        stage = _shrink_diagonals(plan, _boundary_bits(plan, lambdas))
-        return [list(stage[_row(plan, j)].translate(_INPUT)) for j in range(1, nrows + 1)]
     rows = [[] for _ in range(nrows + 1)]  # rows[j]: boundary tau(i, j), i rising
     for (i, j), lam in zip(plan.boundary_points(), lambdas):
         if j <= nrows and (diagonal is None or i <= j):
@@ -561,7 +540,9 @@ def reconstruct_inputs(sample: ProcessSample) -> Dict[Box, int]:
     it fails is the sample checked step by step, which names the first step
     that does not interlace, and else GrowthError is raised.  A bitset plan
     is shrunk and regrown on the bitsets of the boundary's boxes, which the
-    replay compares without decoding them.
+    replay compares without decoding them; since tuples that are not
+    partitions, such as (2, 0), can have the bitset of one, every slice
+    must also be a partition.
     """
     lambdas = tuple(sample.lambdas)
     require_closed(sample.word, lambdas, ValueError)
@@ -574,7 +555,11 @@ def reconstruct_inputs(sample: ProcessSample) -> Dict[Box, int]:
         bits = _boundary_bits(plan, lambdas)
         stage = _shrink_diagonals(plan, bits)
         empty = set(range(len(lambdas))) - bits.keys()
-        regrown = _grow_diagonals(plan, stage) == bits and not any(lambdas[k] for k in empty)
+        regrown = (
+            _grow_diagonals(plan, stage) == bits
+            and not any(lambdas[k] for k in empty)
+            and all(map(is_partition, lambdas))
+        )
         inputs = chain.from_iterable(
             stage[_row(plan, j)].translate(_INPUT) for j in range(1, len(plan.pi) + 1)
         )

@@ -32,11 +32,14 @@ class Rel(Enum):
 
     @property
     def inverse(self) -> "Rel":
-        return {Rel.LH: Rel.RH, Rel.RH: Rel.LH, Rel.LV: Rel.RV, Rel.RV: Rel.LV}[self]
+        """The symbol with the same prime that points the other way."""
+        return _INVERSE[self]
 
     def __repr__(self):
         return f"Rel({self.value!r})"
 
+
+_INVERSE = {Rel.LH: Rel.RH, Rel.RH: Rel.LH, Rel.LV: Rel.RV, Rel.RV: Rel.LV}
 
 Word = Tuple[Rel, ...]
 
@@ -154,8 +157,9 @@ class ShapePlan:
         """kinds[j - 1][i - 1] == box_type(i, j) for every column i <= m;
         rows with the same symbol share one list.  Computed once per plan,
         for the parameter check and the growth sweep."""
-        by_symbol = {s: [box_kind(u, s) for u in self.u] for s in set(self.v)}
-        return [by_symbol[s] for s in self.v]
+        # keyed by the prime, which alone sets the kinds of a row symbol
+        by_prime = {p: [_KINDS[u.primed][p] for u in self.u] for p in {s.primed for s in self.v}}
+        return [by_prime[s.primed] for s in self.v]
 
     @property
     def bit_offset(self) -> Optional[int]:

@@ -1,6 +1,8 @@
 """Cross-module identities: commutation sums, weight forms, factorization."""
 from fractions import Fraction
 
+import pytest
+
 from schursample.oracle import (
     horizontal_strips_above,
     horizontal_strips_below,
@@ -8,6 +10,7 @@ from schursample.oracle import (
     vertical_strips_above,
     vertical_strips_below,
 )
+from schursample.rules import GrowthError
 from schursample.sampler import reconstruct_inputs, schur_sample
 from schursample.words import parse_word, precompute_par, q_volume_parameters
 from schursample.zfun import z_finite
@@ -80,6 +83,22 @@ def test_reconstruct_bits_of_the_max_aztec2_tiling():
     s = schur_sample(w, (1, 1, 1, 1), 0)
     s.lambdas = ((), (1, 1), (1,), (2,), ())
     assert reconstruct_inputs(s) == {(1, 1): 1, (2, 1): 1, (1, 2): 1}
+
+
+def test_reconstruct_refuses_slices_that_are_not_partitions():
+    # (2, 0) and (2, 0, 1) have the Maya bitset of (2,), and (1, 1, 0) that
+    # of (1, 1), so the bitset certificate alone would take each for the
+    # tiling above
+    w = parse_word("(<'>)^2")
+    s = schur_sample(w, (1, 1, 1, 1), 0)
+    for lambdas, error in [
+        (((), (1, 1), (1,), (2, 0), ()), GrowthError),
+        (((), (1, 1, 0), (1,), (2,), ()), GrowthError),
+        (((), (1, 1), (1,), (2, 0, 1), ()), ValueError),  # does not interlace with ()
+    ]:
+        s.lambdas = lambdas
+        with pytest.raises(error):
+            reconstruct_inputs(s)
 
 
 def test_plan_totals():

@@ -23,7 +23,6 @@ from schursample.partitions import (
     part,
     partitions_up_to,
     to_bits,
-    turned_bits,
 )
 from schursample.rng import RandomSource
 from schursample.rules import grow, grow_diag, shrink, shrink_diag
@@ -34,6 +33,8 @@ from schursample.unbounded import (
     unbounded_schur_sample,
 )
 from schursample.words import parse_word, precompute_par
+
+from bits_reference import GROW_BITS, SHRINK_BITS, turned_bits
 
 _INF = float("inf")
 
@@ -196,9 +197,9 @@ def check_bits(kind, lam, mu, kap, r, nu):
     a = max(map(len, corner)) + 1
     b = max(p[0] for p in corner if p) + 1 if nu else 1
     bits = lambda p: to_bits(p, b)
-    assert rules.GROW_BITS[kind](bits(lam), bits(mu), bits(kap), r) == bits(nu)
+    assert GROW_BITS[kind](bits(lam), bits(mu), bits(kap), r) == bits(nu)
     turned = lambda p: turned_bits(p, a, b)
-    assert rules.SHRINK_BITS[kind](turned(lam), turned(nu), turned(mu)) == (turned(kap), r)
+    assert SHRINK_BITS[kind](turned(lam), turned(nu), turned(mu)) == (turned(kap), r)
 
 
 # diagonal kind -> (new kernel, reference kernel) as functions of (mu, kap, g);
@@ -293,11 +294,11 @@ def test_packed_kernel_keeps_its_lanes_apart(kind, inverse, over):
                         nu = REF_BOX[kind](lam, mu, kap, r)
                         t = lambda p: turned_bits(p, a, b)
                         args = (t(mu), t(lam), t(nu), 0) if kind == "HV" else (t(lam), t(mu), t(nu), 0)
-                        one = rules.SHRINK_BITS[kind](t(lam), t(nu), t(mu))
+                        one = SHRINK_BITS[kind](t(lam), t(nu), t(mu))
                     else:
                         c = lambda p: to_bits(p, b)
                         args = (c(lam), c(mu), c(kap), r) if kind == "HV" else (c(mu), c(lam), c(kap), r)
-                        one = rules.GROW_BITS[kind](c(lam), c(mu), c(kap), r)
+                        one = GROW_BITS[kind](c(lam), c(mu), c(kap), r)
                     calls.append((args, one))
     rnd = random.Random(kind + str(inverse))
     rnd.shuffle(calls)

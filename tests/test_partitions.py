@@ -17,9 +17,10 @@ from schursample.partitions import (
     partitions_of,
     partitions_up_to,
     to_bits,
-    turned_bits,
 )
 from schursample.words import Rel, parse_word
+
+from bits_reference import turned_bits
 
 
 partition_strategy = st.lists(st.integers(1, 12), max_size=8).map(

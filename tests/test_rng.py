@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from schursample.rng import RandomSource
+from schursample.rng import RandomSource, variates
 
 
 def test_determinism():
@@ -69,3 +70,50 @@ def test_draw_log():
     src.bernoulli(0.5)
     assert [entry[0] for entry in src.draw_log] == ["geom", "bern"]
     assert src.ledger.total == 2
+
+
+def _one_call_each(src, odds, geometric):
+    return [
+        src.geometric(x) if g else src.bernoulli(x / (1.0 + x)) for x, g in zip(odds, geometric)
+    ]
+
+
+def test_row_draw_equals_one_call_per_variate():
+    rnd = random.Random(4)
+    for trial in range(200):
+        n = rnd.randrange(12)
+        geometric = [rnd.random() < 0.5 for _ in range(n)]
+        odds = [
+            rnd.choice((0.0, -0.0, 0.3, 0.9, 1e-300)) if g else rnd.choice((0.0, -0.0, 0.5, 2.5, 1e300))
+            for g in geometric
+        ]
+        stop = rnd.randrange(n + 1)
+        one, row = RandomSource(trial, log_draws=True), RandomSource(trial, log_draws=True)
+        expected = _one_call_each(one, odds[:stop], geometric[:stop])
+        assert row.row_drawer()(variates(odds, geometric), stop) == expected
+        assert row.ledger == one.ledger
+        assert repr(row.draw_log) == repr(one.draw_log)  # -0.0 logged as -0.0
+        assert row._rng.getstate() == one._rng.getstate()
+
+
+class CountedUniform(RandomSource):
+    """A source whose uniform is its own: every other uniform is 0.5."""
+
+    def uniform(self):
+        self.calls = getattr(self, "calls", 0) + 1
+        return 0.5 if self.calls % 2 else super().uniform()
+
+
+def test_row_draw_takes_an_overridden_or_wrapped_uniform(monkeypatch):
+    odds, geometric = [1.0, 0.25, 3.0, 0.5], [False, True, False, True]
+    one, row = CountedUniform(9), CountedUniform(9)
+    expected = _one_call_each(one, odds, geometric)
+    assert row.row_drawer()(variates(odds, geometric), 4) == expected
+    assert row.calls == one.calls == 4
+    # the stock uniform wrapped on the class, as a tracer wraps it
+    expected = _one_call_each(RandomSource(9), odds, geometric)
+    calls = []
+    stock = RandomSource.uniform
+    monkeypatch.setattr(RandomSource, "uniform", lambda self: calls.append(1) or stock(self))
+    assert RandomSource(9).row_drawer()(variates(odds, geometric), 4) == expected
+    assert len(calls) == 4
