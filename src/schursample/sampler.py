@@ -126,11 +126,13 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> List[List[float]]:
     the boxes below the diagonal mirror those above it and are skipped.
     """
     x, y, v, kinds = plan.x, plan.y, plan.v, plan.row_kinds
-    rows = {}  # (type and repr of y_j, prime of the row symbol) -> floats by column
+    # (type and value of y_j, its repr if 0, which tells -0.0 from 0.0, and
+    # the prime of the row symbol) -> floats by column
+    rows = {}
     table = []
     for j, row_len in enumerate(plan.pi, start=1):
         yj, row_kinds = y[j - 1], kinds[j - 1]
-        floats = rows.setdefault((type(yj), repr(yj), v[j - 1].primed), [])
+        floats = rows.setdefault((type(yj), yj or repr(yj), v[j - 1].primed), [])
         stop = row_len if diagonal is None else min(row_len, j - 1)
         for i in range(len(floats), stop):  # the entries before were checked
             try:
@@ -191,10 +193,12 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
     its diagonal, so it holds tuples.
     """
     if plan.bit_offset is not None:
-        stage = _stage(plan)
-        for j, row_len in enumerate(plan.pi, start=1):
-            stage[_row(plan, j)] = bytes(row_input(j, row_len)).translate(_PRESENT)
-        lambdas = [EMPTY] * (plan.m + plan.n + 1)
+        stage, step = _stage(plan), len(plan.pi) + 1
+        for j, row_len in enumerate(plan.pi, start=1):  # the bytes of _row(plan, j)
+            stage[step + j : row_len * step + j + 1 : step] = bytes(row_input(j, row_len)).translate(
+                _PRESENT
+            )
+        lambdas = [EMPTY] * (len(plan.word) + 1)
         for k, bits in _grow_diagonals(plan, stage, stats).items():
             lambdas[k] = from_bits(bits)
         return tuple(lambdas)
@@ -255,17 +259,13 @@ def _shift(x: int, s: int) -> int:
     return x << s if s >= 0 else x >> -s
 
 
-def _last(plan: ShapePlan) -> int:
-    """The last anti-diagonal that holds a box, max(pi_j + j)."""
-    return max(map(add, plan.pi, range(1, len(plan.pi) + 1)))
-
-
-def _boundary(plan: ShapePlan, last: int) -> list:
+def _boundary(plan: ShapePlan) -> list:
     """Entry d lists (k, i) for the boxes (i, d - i) on the boundary, whose
-    tau is lambda(k), k = i + n - j; None where there are none.  The other
-    boundary points are on the axes and empty."""
+    tau is lambda(k), k = i + n - j; None where there are none.  Its last
+    entry is the last anti-diagonal that holds a box, max(pi_j + j).  The
+    other boundary points are on the axes and empty."""
     pi, n = plan.pi, plan.n
-    out = [None] * (last + 1)
+    out = [None] * (max(map(add, pi, range(1, len(pi) + 1))) + 1)
     below = 0
     for j in range(len(pi), 0, -1):
         for i in range(below or 1, pi[j - 1] + 1):
@@ -324,10 +324,10 @@ def _grow_diagonals(plan: ShapePlan, stage: bytearray, stats=None) -> Dict[int, 
     if not pi:
         return {}
     hv = plan.row_kinds[0][0] == "HV"
-    last = _last(plan)
+    wanted = _boundary(plan)
+    last = len(wanted) - 1
     W = (last + 12) // 8 * 8
     full = 1 << (W - 1)
-    wanted = _boundary(plan, last)
     # the empty bitsets at the offsets 1 (E) and d + 1 (full - (4 << d))
     E = full - 4
     D2, lo2, D1, lo1 = E, 0, full - 8 | E << W if hv else E | full - 8 << W, 0
@@ -335,7 +335,9 @@ def _grow_diagonals(plan: ShapePlan, stage: bytearray, stats=None) -> Dict[int, 
     found = {}
     for d, lo, hi, D, low, B, box in _lanes(plan, stage, W, range(2, last + 1)):
         sL, sM, sK = (lo1 + 1 - lo) * W + (not hv), (lo1 - lo) * W + hv, (lo2 + 1 - lo) * W + 1
-        L, M, K = D1 << sL & D, _shift(D1, sM) & D, _shift(D2, sK) & D
+        L = D1 << sL & D
+        M = (D1 << sM if sM >= 0 else D1 >> -sM) & D
+        K = (D2 << sK if sK >= 0 else D2 >> -sK) & D
         masks = (D + low, D, D)
         nu = grow_hv_lanes(L, M, K, B & low, masks) if hv else grow_hv_lanes(M, L, K, B & low, masks)
         # tau(0, d) in lane 0 and tau(d, 0) in lane d
@@ -344,7 +346,7 @@ def _grow_diagonals(plan: ShapePlan, stage: bytearray, stats=None) -> Dict[int, 
             axes |= (E if hv else full - (4 << d)) << (d - lo) * W
         nu = nu & box | axes
         if stats is not None:
-            Y = tails << sL & _shift(tails, sM) & box
+            Y = tails << sL & (tails << sM if sM >= 0 else tails >> -sM) & box
             ones += Y.bit_count()  # W - 1 - (the tail's first bit) per box
             tails = nu & Y | axes
         if wanted[d] is not None:
@@ -384,11 +386,12 @@ def _shrink_diagonals(plan: ShapePlan, bits: Dict[int, int]) -> bytearray:
     for j in range(1, nrows + 1):
         stage[_row(plan, j)] = b"\x02" * pi[j - 1]
     hv = plan.row_kinds[0][0] == "HV"
-    last = _last(plan)
+    on_diagonals = _boundary(plan)
+    last = len(on_diagonals) - 1
     W = (last + 14) // 8 * 8
     Wb = W // 8
     edge = {}  # anti-diagonal -> (i, lane bytes) of the boundary points on it
-    points = [(i, d - i, bits[k]) for d, on in enumerate(_boundary(plan, last)) if on for k, i in on]
+    points = [(i, d - i, bits[k]) for d, on in enumerate(on_diagonals) if on for k, i in on]
     # and the two points of the boundary on the axes that no box shrinks to
     points += [(0, nrows, to_bits(EMPTY, nrows + 1 if hv else 1))]
     points += [(pi[0], 0, to_bits(EMPTY, 1 if hv else pi[0] + 1))]
@@ -434,7 +437,7 @@ def _boundary_bits(plan: ShapePlan, lambdas: Sequence[Partition]) -> Dict[int, i
     hv = plan.row_kinds[0][0] == "HV"
     return {
         k: to_bits(lambdas[k], d - i + 1 if hv else i + 1)
-        for d, on in enumerate(_boundary(plan, _last(plan)) if plan.pi else ())
+        for d, on in enumerate(_boundary(plan) if plan.pi else ())
         if on
         for k, i in on
     }

@@ -313,8 +313,8 @@ def test_bitset_sweep_on_an_empty_shape(text):
 
 
 def test_shrink_profile_of_a_bitset_plan_gives_the_rows_of_the_draw_log():
-    # shrink_profile packs the anti-diagonals of an all-HV/VH plan, as
-    # reconstruct_inputs does, and returns the inputs row by row
+    # the tuple inverse sweep also runs on an all-HV/VH plan, whose
+    # reconstruct_inputs packs the anti-diagonals instead
     for text in ("(<'>)^9", "<'>><'<'>", "(<)^4(>')^3"):
         word = parse_word(text)
         src = RandomSource(len(text), log_draws=True)
