@@ -194,10 +194,9 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
     """
     if plan.bit_offset is not None:
         stage, step = _stage(plan), len(plan.pi) + 1
-        for j, row_len in enumerate(plan.pi, start=1):  # the bytes of _row(plan, j)
-            stage[step + j : row_len * step + j + 1 : step] = bytes(row_input(j, row_len)).translate(
-                _PRESENT
-            )
+        for j, row_len in enumerate(plan.pi, start=1):
+            row = bytes(row_input(j, row_len)).translate(_PRESENT)
+            stage[step + j : row_len * step + j + 1 : step] = row  # _row(plan, j)
         lambdas = [EMPTY] * (len(plan.word) + 1)
         for k, bits in _grow_diagonals(plan, stage, stats).items():
             lambdas[k] = from_bits(bits)
