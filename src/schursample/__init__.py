@@ -14,7 +14,7 @@ from .sampler import (
     reconstruct_inputs,
     schur_sample,
 )
-from .symmetric import SymmetricSample, symmetric_schur_sample, symmetric_weight
+from .symmetric import SymmetricSample, symmetric_schur_sample
 from .unbounded import (
     ParamSeq,
     PyramidalParameters,
@@ -66,7 +66,6 @@ __all__ = [
     "reconstruct_inputs",
     "schur_sample",
     "symmetric_schur_sample",
-    "symmetric_weight",
     "symmetrize",
     "unbounded_schur_sample",
     "z_finite",

@@ -111,11 +111,13 @@ def cmd_sample_plancherel(args) -> int:
 def cmd_zfun(args) -> int:
     from .zfun import z_finite, z_symmetric
 
+    if args.t is None and args.mode is not None:
+        raise CliError(f"--mode {args.mode} needs --t, as it is a symmetric boundary mode")
     word = parse_word(args.word)
     z = parse_params(args.z, len(word))
     if args.t is not None:
         t = parse_params(args.t, 1)[0]
-        out = z_symmetric(word, z, t, args.mode.replace("-", "_"))
+        out = z_symmetric(word, z, t, (args.mode or "free").replace("-", "_"))
     else:
         out = z_finite(word, z)
     print(str(out))
@@ -242,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--word", required=True)
     sp.add_argument("--z", required=True)
     sp.add_argument("--t", default=None)
-    sp.add_argument("--mode", choices=modes, default="free")
+    sp.add_argument("--mode", choices=modes, help="boundary mode with --t (default free)")
     sp.set_defaults(func=cmd_zfun)
 
     sp = sub.add_parser("verify", help="compare samples against the exact law")

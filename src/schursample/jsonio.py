@@ -119,7 +119,11 @@ def view_from_dict(d: Dict[str, Any]):
             tuple(tuple((v, bool(o)) for v, o in row) for row in d["rows"]),
         )
     else:
-        raise ValueError(f"unknown view kind {kind!r}")
+        raise ValueError(
+            f"cannot read a record of kind {kind!r}: only samples (process-sample, "
+            "symmetric-sample) and views (plane-partition, steep-tiling, "
+            "plane-overpartition) are read"
+        )
     view.validate()
     return view
 

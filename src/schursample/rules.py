@@ -258,7 +258,7 @@ def shrink_vh(lam: Partition, nu: Partition, mu: Partition) -> Tuple[Partition, 
 # them on a plan that holds tuples; the checked entry points use their own
 # table.  SHRINK[kind](lam, nu, mu) is the unchecked inverse of the same
 # kernel: (kappa, rand), valid only when nu has a preimage.  A plan whose
-# boxes are all HV or VH holds Maya bitsets (ShapePlan.bit_offset), and its
+# boxes are all HV or VH holds Maya bitsets (ShapePlan.bitsets), and its
 # sweeps run grow_hv_lanes on whole anti-diagonals instead.
 _KERNELS = {"HH": grow_hh, "HV": grow_hv, "VH": grow_vh, "VV": grow_vv}
 GROW = dict(_KERNELS)

@@ -1,19 +1,23 @@
 """Exact sampling of Schur processes by growth of the encoded shape.
 
 :func:`grow_profile` is the one growth sweep.  It asks for the random
-inputs one row at a time, ``row_input(j, stop)``, in row-major order, and
-returns the m + n + 1 boundary partitions.  The finite sampler
-``schur_sample`` runs on it with :func:`row_draw`, and so do the symmetric
-sampler (which passes a diagonal rule and grows one triangle) and the
-pyramidal one (which grows its finite truncation word).
-``in_place_boundary_sample`` is another name for ``schur_sample``.
+inputs one row at a time, ``row_input(j, stop)`` for the boxes (1, j) ..
+(stop, j) of the rows it grows, in row-major order, and returns the
+m + n + 1 boundary partitions.  Every box's input comes from its own row,
+a symmetric diagonal box's too.  :func:`check_parameters` checks every
+parameter and returns the prepared rows of the draws, one per distinct
+row; the finite sampler ``schur_sample`` draws row j as one call of
+``RandomSource.row_drawer`` on row j - 1 of that table, which draws,
+counts and logs as one ``bernoulli`` or ``geometric`` call per box.  The
+symmetric sampler (which passes a diagonal rule and grows one triangle)
+and the pyramidal one (which grows its finite truncation word) run on the
+same sweep.  ``in_place_boundary_sample`` is another name for
+``schur_sample``.
 
 :func:`shrink_profile` is the same sweep run backwards on tuples: it peels
 the shape off the boundary and recovers every box's input, row by row.
-Each row of draws is one ``RandomSource.row_drawer`` call, which draws,
-counts and logs as one ``bernoulli`` or ``geometric`` call per box.
 
-On a plan whose boxes are all HV or VH (``ShapePlan.bit_offset``, as on
+On a plan whose boxes are all HV or VH (``ShapePlan.bitsets``, as on
 Aztec and other steep words) the growth sweep is domino shuffling: the
 boxes of one anti-diagonal do not depend on each other, so each
 anti-diagonal is one call of ``rules.grow_hv_lanes`` on Maya bitsets
@@ -22,7 +26,8 @@ The inputs are staged one byte per box first, and only two anti-diagonals
 and the boundary's lanes are kept; the sweep decodes only the m + n + 1
 boundary partitions.  :func:`reconstruct_inputs` inverts it the same way
 (:func:`_shrink_diagonals`), on the boundary's partitions encoded as
-complements turned in a rectangle, and decodes nothing.  Every other plan
+complements turned in a rectangle, and decodes nothing; both read the
+boundary's boxes from ``ShapePlan.boundary_points``.  Every other plan
 is grown row by row on one profile of tuples with ``rules.GROW``.
 
 :func:`run_growth` keeps the whole grid of tuples and takes any traversal
@@ -35,7 +40,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from operator import add, mul
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .partitions import (
@@ -103,7 +108,7 @@ class ProcessSample:
 
 def _refuse(box: Box, kind: str, xi) -> None:
     """Raise the error of a box whose parameter xi fails the check."""
-    if not 0 <= xi < _INF or (xi > _MAX and kind not in ("HH", "VV")):
+    if not 0 <= xi < _INF or (xi > _MAX and kind not in _GEOMETRIC):
         raise ValueError(
             f"box {box} of type {kind} has parameter {xi}; "
             "parameters must be finite and nonnegative, also as floats"
@@ -111,28 +116,32 @@ def _refuse(box: Box, kind: str, xi) -> None:
     raise DivergenceError(box, kind, xi if xi >= 1 else float(xi))
 
 
-def check_parameters(plan: ShapePlan, diagonal=None) -> List[List[float]]:
+def check_parameters(plan: ShapePlan, diagonal=None) -> List[tuple]:
     """Check every parameter before any draw, naming the first bad box, and
-    return the float parameters of the draws: ``table[j - 1][i - 1]`` is
-    float(x_i y_j).
+    return the prepared rows of the draws: ``table[j - 1]`` is the row of
+    variates (``rng.variates``) of boxes (1, j), (2, j), ..., Geom(x_i y_j)
+    on HH/VV boxes and Bernoulli(x_i y_j / (1 + x_i y_j)) on HV/VH boxes,
+    for ``RandomSource.row_drawer``.
 
     A negative or non-finite parameter (or one past the float range) raises
     ValueError; a geometric (HH/VV) parameter whose float is >= 1 raises
     DivergenceError, which covers an exact parameter >= 1 and one that
-    rounds up to 1.0.  Rows with equal y_j and symbol share one list, so
-    each product is formed and checked once per distinct (y_j, symbol).  A
-    symmetric sampler passes ``diagonal(i, kind)``, the geometric parameter
-    drawn at the diagonal box (i, i), or None where that box draws nothing;
-    the boxes below the diagonal mirror those above it and are skipped.
+    rounds up to 1.0.  Rows with equal y_j and symbol share one prepared
+    row, so each product is formed and checked once per distinct
+    (y_j, symbol).  A symmetric sampler passes ``diagonal(i, kind)``, the
+    geometric parameter drawn at the diagonal box (i, i), or None where
+    that box draws nothing; the boxes below the diagonal mirror those above
+    it and are skipped, and so is the diagonal, which the row does not hold.
     """
     x, y, v, kinds = plan.x, plan.y, plan.v, plan.row_kinds
     # (type and value of y_j, its repr if 0, which tells -0.0 from 0.0, and
-    # the prime of the row symbol) -> floats by column
+    # the prime of the row symbol) -> (floats by column, the row's kinds)
     rows = {}
-    table = []
+    keys = []
     for j, row_len in enumerate(plan.pi, start=1):
         yj, row_kinds = y[j - 1], kinds[j - 1]
-        floats = rows.setdefault((type(yj), yj or repr(yj), v[j - 1].primed), [])
+        key = (type(yj), yj or repr(yj), v[j - 1].primed)
+        floats = rows.setdefault(key, ([], row_kinds))[0]
         stop = row_len if diagonal is None else min(row_len, j - 1)
         for i in range(len(floats), stop):  # the entries before were checked
             try:
@@ -140,37 +149,20 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> List[List[float]]:
             except OverflowError:  # a float operand makes an exact product overflow
                 xi = _INF
             f = float(xi) if 0 <= xi <= _MAX else _INF
-            if f == _INF or (f >= 1 and row_kinds[i] in ("HH", "VV")):
+            if f == _INF or (f >= 1 and row_kinds[i] in _GEOMETRIC):
                 _refuse((i + 1, j), row_kinds[i], xi)
             floats.append(f)
-        table.append(floats)
+        keys.append(key)
         if diagonal is not None and j <= row_len:
             xi = diagonal(j, row_kinds[j - 1])
             if xi is not None and not 0 <= xi < 1:
                 _refuse((j, j), row_kinds[j - 1], xi)
-    return table
-
-
-def row_draw(plan: ShapePlan, table: List[List[float]], src: RandomSource):
-    """The draws from ``src`` one row at a time, as a function
-    (j, stop) -> the inputs of boxes (1, j) .. (stop, j): Geom(x_i y_j) on
-    HH/VV boxes, Bernoulli(x_i y_j / (1 + x_i y_j)) on HV/VH boxes, with the
-    products from the table of :func:`check_parameters`, which also checks
-    them.  Each distinct table row is made into variates once
-    (``rng.variates``), and each row is one call of ``src.row_drawer()``.
-    """
-    kinds, draw = plan.row_kinds, src.row_drawer()
-    rows = {}  # id of a table row -> its variates
-
-    def draw_row(j: int, stop: int) -> List[int]:
-        row = table[j - 1]
-        made = rows.get(id(row))
-        if made is None:
-            geometric = list(map(_GEOMETRIC.__contains__, kinds[j - 1][: len(row)]))
-            made = rows[id(row)] = variates(row, geometric)
-        return draw(made, stop)
-
-    return draw_row
+    # made once the loop is over, since a later row may extend a shared list
+    made = {
+        key: variates(floats, list(map(_GEOMETRIC.__contains__, row_kinds[: len(floats)])))
+        for key, (floats, row_kinds) in rows.items()
+    }
+    return [made[key] for key in keys]
 
 
 def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
@@ -179,20 +171,21 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
 
     ``row_input(j, stop)`` gives the random inputs of boxes (1, j) ..
     (stop, j); it is called once per row, rows rising, the canonical draw
-    order.  A plan with a ``bit_offset`` (every box HV or every box VH) is
-    grown one anti-diagonal at a time by :func:`_grow_diagonals`.  Any
-    other plan is grown row by row, keeping one profile of m + 1 tuples:
-    entry i holds tau(i, j) for the last row j that reached column i.
+    order.  A plan whose sweeps hold bitsets (``ShapePlan.bitsets``: every
+    box HV or every box VH) is grown one anti-diagonal at a time by
+    :func:`_grow_diagonals`.  Any other plan is grown row by row, keeping
+    one profile of m + 1 tuples: entry i holds tau(i, j) for the last row j
+    that reached column i.
 
     With ``diagonal`` the sweep is symmetric and the shape must be
-    self-conjugate: only boxes with i <= j are grown, row j asks for the
-    inputs of its boxes i < j, diagonal box (i, i) is
-    ``diagonal(i, kind, mu, kap)`` with mu = tau(i - 1, i) and
-    kap = tau(i - 1, i - 1), and the boundary after the diagonal point
-    mirrors the boundary before it.  A symmetric plan has HH or VV boxes on
-    its diagonal, so it holds tuples.
+    self-conjugate: only boxes with i <= j are grown, so row j asks for
+    stop = min(pi_j, j) inputs, and diagonal box (i, i) is
+    ``diagonal(i, kind, mu, kap, g)`` with mu = tau(i - 1, i),
+    kap = tau(i - 1, i - 1) and g the last input of row i; the boundary
+    after the diagonal point mirrors the boundary before it.  A symmetric
+    plan has HH or VV boxes on its diagonal, so it holds tuples.
     """
-    if plan.bit_offset is not None:
+    if plan.bitsets:
         stage, step = _stage(plan), len(plan.pi) + 1
         for j, row_len in enumerate(plan.pi, start=1):
             row = bytes(row_input(j, row_len)).translate(_PRESENT)
@@ -210,12 +203,12 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
     for j in range(1, nrows + 1):
         row_len = pi[j - 1]
         stop = row_len if diagonal is None else min(row_len, j)
-        inputs = row_input(j, row_len if diagonal is None else min(row_len, j - 1))
+        inputs = row_input(j, stop)
         prev_diag = empty  # tau(i - 1, j - 1)
         for i, kind in enumerate(kinds[j - 1][:stop], start=1):
             lam, above = profile[i - 1], profile[i]  # tau(i - 1, j), tau(i, j - 1)
             if i == j and diagonal is not None:
-                nu = diagonal(i, kind, lam, prev_diag)
+                nu = diagonal(i, kind, lam, prev_diag, inputs[i - 1])
             else:
                 nu = grow[kind](lam, above, prev_diag, inputs[i - 1])
             if stats is not None:
@@ -258,20 +251,15 @@ def _shift(x: int, s: int) -> int:
     return x << s if s >= 0 else x >> -s
 
 
-def _boundary(plan: ShapePlan) -> list:
-    """Entry d lists (k, i) for the boxes (i, d - i) on the boundary, whose
-    tau is lambda(k), k = i + n - j; None where there are none.  Its last
-    entry is the last anti-diagonal that holds a box, max(pi_j + j).  The
-    other boundary points are on the axes and empty."""
-    pi, n = plan.pi, plan.n
-    out = [None] * (max(map(add, pi, range(1, len(pi) + 1))) + 1)
-    below = 0
-    for j in range(len(pi), 0, -1):
-        for i in range(below or 1, pi[j - 1] + 1):
-            if out[i + j] is None:
-                out[i + j] = []
-            out[i + j].append((i + n - j, i))
-        below = pi[j - 1]
+def _boundary(plan: ShapePlan) -> Dict[int, list]:
+    """Anti-diagonal d -> the list of (k, i) for the boundary points
+    (i, d - i) with i, j >= 1, which are boxes, whose tau is lambda(k); the
+    other boundary points are on the axes and empty.  Its largest key is
+    the last anti-diagonal that holds a box."""
+    out = {}
+    for k, (i, j) in enumerate(plan.boundary_points()):
+        if i and j:
+            out.setdefault(i + j, []).append((k, i))
     return out
 
 
@@ -305,26 +293,26 @@ def _grow_diagonals(plan: ShapePlan, stage: bytearray, stats=None) -> Dict[int, 
 
     Point (i, j) holds the bitset of tau(i, j) at the offset j + 1 on an HV
     plan and i + 1 on a VH plan.  The offset exceeds the first part, since
-    a first part grows by one at most per row (column) and the length by
-    one at most per column (row); so every tail starts below bit i + j + 3,
-    and lanes of max(pi_j + j) + 5 bits or more hold every point.  A box
-    reads two lanes of anti-diagonal d - 1 and one of d - 2, shifted by
-    whole lanes and, where the offset is one less, by one bit.  The axes'
-    lanes are reset to empty bitsets and the lanes of points outside the
-    shape to 0.
+    each box is a vertical strip over one neighbour: a first part grows by
+    one at most per row (column) and the length by one at most per column
+    (row).  So every tail starts below bit i + j + 3, and lanes of
+    max(pi_j + j) + 5 bits or more hold every point.  A box reads two
+    lanes of anti-diagonal d - 1 and one of d - 2, shifted by whole lanes
+    and, where the offset is one less, by one bit.  The axes' lanes are
+    reset to empty bitsets and the lanes of points outside the shape to 0.
 
-    ``SampleStats.work`` adds max(len lam, len mu) + 1 per box.  The tail
-    of lam & mu starts at bit max(len lam, len mu) + c + 1, so the work is
-    read from the tails: ``tails`` holds the tail of every point's bitset,
-    the tail of lam & mu is tails(lam) & tails(mu), and that of nu is
-    nu & tails(lam & mu), as nu is at most one row longer than both.
+    ``SampleStats.work`` adds max(len lam, len mu) + 1 per box.  At the
+    offset c, the tail of lam & mu starts at bit max(len lam, len mu) + c + 1,
+    so the work is read from the tails: ``tails`` holds the tail of every
+    point's bitset, the tail of lam & mu is tails(lam) & tails(mu), and that
+    of nu is nu & tails(lam & mu), as nu is at most one row longer than both.
     """
     pi, nrows = plan.pi, len(plan.pi)
     if not pi:
         return {}
     hv = plan.row_kinds[0][0] == "HV"
     wanted = _boundary(plan)
-    last = len(wanted) - 1
+    last = max(wanted)
     W = (last + 12) // 8 * 8
     full = 1 << (W - 1)
     # the empty bitsets at the offsets 1 (E) and d + 1 (full - (4 << d))
@@ -348,9 +336,8 @@ def _grow_diagonals(plan: ShapePlan, stage: bytearray, stats=None) -> Dict[int, 
             Y = tails << sL & (tails << sM if sM >= 0 else tails >> -sM) & box
             ones += Y.bit_count()  # W - 1 - (the tail's first bit) per box
             tails = nu & Y | axes
-        if wanted[d] is not None:
-            for k, i in wanted[d]:
-                found[k] = (nu >> (i - lo) * W & full - 1) - full
+        for k, i in wanted.get(d, ()):
+            found[k] = (nu >> (i - lo) * W & full - 1) - full
         D2, lo2, D1, lo1 = D1, lo1, nu, lo
     if stats is not None:
         # minus the offsets, j + 1 (HV) or i + 1 (VH), summed over the boxes
@@ -361,9 +348,11 @@ def _grow_diagonals(plan: ShapePlan, stage: bytearray, stats=None) -> Dict[int, 
     return found
 
 
-def _shrink_diagonals(plan: ShapePlan, bits: Dict[int, int]) -> bytearray:
-    """The inverse of _grow_diagonals: the staged inputs recovered from the
-    bitsets ``bits`` of the boundary's boxes, one call of
+def _shrink_diagonals(plan: ShapePlan, lambdas: Sequence[Partition]):
+    """The inverse of _grow_diagonals: (stage, bits), the staged inputs
+    recovered from the boundary partitions ``lambdas`` and the bitsets
+    ``bits`` of the boundary's boxes at the offsets of _grow_diagonals,
+    which a forward replay must give again.  One call of
     ``rules.grow_hv_lanes`` with ``inverse`` per anti-diagonal, from the
     last one down.
 
@@ -380,20 +369,24 @@ def _shrink_diagonals(plan: ShapePlan, bits: Dict[int, int]) -> bytearray:
     """
     stage = _stage(plan)
     if not plan.pi:
-        return stage
+        return stage, {}
     pi, nrows = plan.pi, len(plan.pi)
     for j in range(1, nrows + 1):
         stage[_row(plan, j)] = b"\x02" * pi[j - 1]
     hv = plan.row_kinds[0][0] == "HV"
     on_diagonals = _boundary(plan)
-    last = len(on_diagonals) - 1
+    last = max(on_diagonals)
     W = (last + 14) // 8 * 8
     Wb = W // 8
-    edge = {}  # anti-diagonal -> (i, lane bytes) of the boundary points on it
-    points = [(i, d - i, bits[k]) for d, on in enumerate(on_diagonals) if on for k, i in on]
+    bits, points = {}, []
+    for d, on in on_diagonals.items():
+        for k, i in on:
+            bits[k] = v = to_bits(lambdas[k], d - i + 1 if hv else i + 1)
+            points.append((i, d - i, v))
     # and the two points of the boundary on the axes that no box shrinks to
     points += [(0, nrows, to_bits(EMPTY, nrows + 1 if hv else 1))]
     points += [(pi[0], 0, to_bits(EMPTY, 1 if hv else pi[0] + 1))]
+    edge = {}  # anti-diagonal -> (i, lane bytes) of the boundary points on it
     for i, j, v in points:
         # v has the offset b = j + 1 (i + 1) of the rectangle, v << 1 has b + 1
         lane = turn(v << 1, i + 1, j + 1) if hv else turn(v << 1, j + 1, i + 1)
@@ -427,19 +420,7 @@ def _shrink_diagonals(plan: ShapePlan, bits: Dict[int, int]) -> bytearray:
         kap = ((kap ^ low << 2) >> 1 & D | low << d + 2) & box  # in its own rectangle
         lo2 = max(0, d - 2 - nrows)
         N, D1, lo1 = D1, boundary(d - 2) | _shift(kap, (lo - 1 - lo2) * W), lo2
-    return stage
-
-
-def _boundary_bits(plan: ShapePlan, lambdas: Sequence[Partition]) -> Dict[int, int]:
-    """The bitsets, at the offsets of _grow_diagonals, of the partitions of
-    the boundary's boxes."""
-    hv = plan.row_kinds[0][0] == "HV"
-    return {
-        k: to_bits(lambdas[k], d - i + 1 if hv else i + 1)
-        for d, on in enumerate(_boundary(plan) if plan.pi else ())
-        if on
-        for k, i in on
-    }
+    return stage, bits
 
 
 def run_growth(
@@ -454,7 +435,7 @@ def run_growth(
     if order == "row_major":
         boxes: Iterable[Box] = plan.boxes()
     elif order == "diagonal":
-        boxes = plan.boxes_diagonal()
+        boxes = sorted(plan.boxes(), key=sum)
     else:
         raise ValueError(f"unknown traversal order {order!r}")
     tau: Dict[Box, Partition] = {}
@@ -475,9 +456,9 @@ def schur_sample(
     if isinstance(src, int):
         src = RandomSource(src)
     plan = precompute_par(word, z)
-    table = check_parameters(plan)
+    table, draw = check_parameters(plan), src.row_drawer()
     stats = SampleStats()
-    lambdas = grow_profile(plan, row_draw(plan, table, src), stats=stats)
+    lambdas = grow_profile(plan, lambda j, stop: draw(table[j - 1], stop), stats=stats)
     return ProcessSample(
         word=plan.word,
         z=tuple(z),
@@ -549,13 +530,12 @@ def reconstruct_inputs(sample: ProcessSample) -> Dict[Box, int]:
     lambdas = tuple(sample.lambdas)
     require_closed(sample.word, lambdas, ValueError)
     plan = precompute_par(sample.word, sample.z)
-    if plan.bit_offset is None:
+    if not plan.bitsets:
         rows = shrink_profile(plan, lambdas)
         regrown = grow_profile(plan, lambda j, stop: rows[j - 1]) == lambdas
         inputs = chain.from_iterable(rows)
     else:
-        bits = _boundary_bits(plan, lambdas)
-        stage = _shrink_diagonals(plan, bits)
+        stage, bits = _shrink_diagonals(plan, lambdas)
         empty = set(range(len(lambdas))) - bits.keys()
         regrown = (
             _grow_diagonals(plan, stage) == bits

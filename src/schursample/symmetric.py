@@ -5,16 +5,17 @@ parameters (z_i -> t^{+-1} z_i), and the growth sweep
 :func:`~schursample.sampler.grow_profile` fills the i <= j triangle of the
 square shape: an off-diagonal box and its mirror image share one draw, and
 a diagonal box runs the one-sided reflection rule that the mode table in
-``rules`` gives the boundary mode (free, even rows, or even columns).  The
-sampler reads those rules from this module's ``grow_diag_*`` names on each
-call, so a caller may substitute them.  :func:`reconstruct_symmetric_inputs`
-runs the inverse sweep on the same triangle and recovers the draws.
+``rules`` gives the boundary mode (free, even rows, or even columns).  Row
+j's inputs are its off-diagonal draws and then its diagonal box's input:
+a Geom(x_j^p) draw, or 0 where the rule is deterministic and draws
+nothing.  The sampler reads those rules from this module's ``grow_diag_*``
+names on each call, so a caller may substitute them.
+:func:`reconstruct_symmetric_inputs` runs the inverse sweep on the same
+triangle, recovers the rows of inputs and replays them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Rational
 from typing import List, Optional, Sequence, Tuple
 
 from .partitions import Partition, has_even_parts, require_closed, require_interlaced
@@ -30,7 +31,7 @@ from .rules import (
     grow_diag_v_er,
     shrink_diag,
 )
-from .sampler import check_parameters, grow_profile, row_draw, shrink_profile
+from .sampler import check_parameters, grow_profile, shrink_profile
 from .words import Rel, ShapePlan, Word, precompute_par, symmetrize
 
 
@@ -92,9 +93,16 @@ def symmetric_schur_sample(
         power = rules[kind][2]
         return float(plan.x[i - 1]) ** power if power else None
 
-    table = check_parameters(plan, diagonal_param)
-    draw = row_draw(plan, table, src)
-    lambdas = _grow(plan, rules, draw, lambda i, kind: src.geometric(diagonal_param(i, kind)))
+    table, draw, kinds = check_parameters(plan, diagonal_param), src.row_drawer(), plan.row_kinds
+
+    def row_input(j: int, stop: int) -> List[int]:
+        row = draw(table[j - 1], min(stop, j - 1))
+        if stop == j:  # and the diagonal box (j, j) last
+            xi = diagonal_param(j, kinds[j - 1][j - 1])
+            row.append(0 if xi is None else src.geometric(xi))
+        return row
+
+    lambdas = _grow(plan, rules, row_input)
     return SymmetricSample(
         word=word, z=tuple(z), t=t, mode=mode, seed=src.seed, lambdas=lambdas
     )
@@ -114,13 +122,13 @@ def _diagonal_rules(mode: str):
             for box, (kernel, kind, power) in rules.items()}
 
 
-def _grow(plan: ShapePlan, rules, row_input, draw) -> Tuple[Partition, ...]:
+def _grow(plan: ShapePlan, rules, row_input) -> Tuple[Partition, ...]:
     """grow_profile over the i <= j triangle: diagonal box (i, i) runs its
-    rule, with G = draw(i, kind) where the rule draws."""
+    rule, with G the last input of row i where the rule draws."""
 
-    def diagonal(i: int, kind: str, mu: Partition, kap: Partition) -> Partition:
+    def diagonal(i: int, kind: str, mu: Partition, kap: Partition, g: int) -> Partition:
         rule, _, power = rules[kind]
-        return rule(mu, kap, draw(i, kind)) if power else rule(mu, kap)
+        return rule(mu, kap, g) if power else rule(mu, kap)
 
     return grow_profile(plan, row_input, diagonal)
 
@@ -139,26 +147,8 @@ def reconstruct_symmetric_inputs(sample: SymmetricSample) -> List[int]:
         rand for j, row in enumerate(rows, start=1) for i, rand in enumerate(row, start=1)
         if i < j or rules[plan.row_kinds[i - 1][i - 1]][2]
     ]
-    take = iter(inputs).__next__
-    replay = _grow(
-        plan, rules, lambda j, stop: [take() for _ in range(stop)], lambda i, kind: take()
-    )
+    replay = _grow(plan, rules, lambda j, stop: rows[j - 1])
     if replay != tuple(sample.lambdas):
         raise GrowthError("the recovered inputs do not regrow the sample")
     return inputs
 
-
-def symmetric_weight(sample: SymmetricSample):
-    """Unnormalized weight t^|free| * prod z_i^(|weight changes|) over the
-    first n steps; exact when the parameters are."""
-    n = len(sample.word)
-    exact = all(isinstance(v, Rational) for v in sample.z) and isinstance(
-        sample.t, Rational
-    )
-    w = Fraction(1) if exact else 1.0
-    tt = Fraction(sample.t) if exact else float(sample.t)
-    w *= tt ** sum(sample.free_partition)
-    for i in range(1, n + 1):
-        zz = Fraction(sample.z[i - 1]) if exact else float(sample.z[i - 1])
-        w *= zz ** abs(sum(sample.lambdas[i]) - sum(sample.lambdas[i - 1]))
-    return w

@@ -12,7 +12,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, repeat
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .partitions import Partition, make
 
@@ -162,22 +162,13 @@ class ShapePlan:
         return [by_prime[s.primed] for s in self.v]
 
     @property
-    def bit_offset(self) -> Optional[int]:
-        """An offset c of Maya bitsets (partitions.to_bits) that exceeds
-        every first part of the plan's growth diagram, when the sweeps hold
-        bitsets instead of tuples; else None.
-
-        Bitsets need every box to be HV or VH: the left symbols share one
-        prime and the right symbols the other.  Each box is then a vertical
-        strip over one neighbour, so a first part grows by at most one per
-        column (VH) or per row (HV), and c = max(m, n) + 1 exceeds them all.
-        The sweeps hold each point at its own offset, at most c.
-        """
+    def bitsets(self) -> bool:
+        """Whether the sweeps hold Maya bitsets (partitions.to_bits) in
+        place of tuples: every box is HV, or every box is VH, that is, the
+        left symbols share one prime and the right symbols the other."""
         u, v = self.u, self.v
-        if u and v and u.count(u[0]) == len(u) and v.count(v[0]) == len(v):
-            if u[0].primed != v[0].primed:
-                return max(len(u), len(v)) + 1
-        return None
+        alike = u and v and u.count(u[0]) == len(u) and v.count(v[0]) == len(v)
+        return bool(alike) and u[0].primed != v[0].primed
 
     def boxes(self):
         """Row-major box order (the default fill order), as an iterator of
@@ -185,11 +176,6 @@ class ShapePlan:
         return chain.from_iterable(
             zip(range(1, p + 1), repeat(j)) for j, p in enumerate(self.pi, start=1)
         )
-
-    def boxes_diagonal(self):
-        """Boxes by increasing i+j; realizes domino shuffling on Aztec words."""
-        order = sorted(self.boxes(), key=lambda b: (b[0] + b[1], b[1]))
-        yield from order
 
     def boundary_points(self):
         """Lattice points on the boundary of pi (padded with empty rows up to

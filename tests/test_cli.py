@@ -102,6 +102,16 @@ def test_zfun_symmetric_cli(capsys):
     assert out.strip() == "36/35"
 
 
+def test_zfun_refuses_a_mode_without_t(capsys):
+    code, out, err = run_cli(capsys, "zfun", "--word", "<>", "--z", "1,1", "--mode", "even-rows")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--mode even-rows needs --t" in err
+    # with --t alone the mode is free
+    free = run_cli(capsys, "zfun", "--word", "<", "--z", "1/3", "--t", "1/2", "--mode", "free")
+    assert run_cli(capsys, "zfun", "--word", "<", "--z", "1/3", "--t", "1/2") == free
+
+
 def test_cli_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "sample", "--word", "<>", "--z", "1,1")
     assert code == 1
@@ -480,6 +490,27 @@ def test_convert_refuses_a_view_record(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "convert needs a sample record" in err
+
+
+@pytest.mark.parametrize(
+    "sample, command, kind",
+    [
+        (["sample-unbounded", "--q", "0.5"], ["convert", "--to=steep-tiling"], "pyramidal-sample"),
+        (["sample-plancherel", "--theta", "5"], ["render"], "partition"),
+    ],
+)
+def test_a_sample_with_no_view_is_refused_by_its_record_kind(
+    capsys, tmp_path, sample, command, kind
+):
+    code, record, _ = run_cli(capsys, *sample)
+    assert code == 0
+    record_file = tmp_path / "record.json"
+    record_file.write_text(record)
+    code, out, err = run_cli(capsys, *command, "--input", str(record_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and f"record of kind {kind!r}" in err
+    assert "view kind" not in err
 
 
 @pytest.mark.parametrize(

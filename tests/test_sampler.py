@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,7 +15,6 @@ from schursample.sampler import (
     check_parameters,
     in_place_boundary_sample,
     reconstruct_inputs,
-    row_draw,
     run_growth,
     schur_sample,
     shrink_profile,
@@ -94,7 +95,7 @@ def test_parameter_table_shares_equal_rows():
     # x = (1, 1/2, 1); y = (1, 1, 2), row 1 first; rows 1 and 2 share a list
     plan = precompute_par(parse_word("(<'>)^3"), (1, 2, Fraction(1, 2), 1, 1, 1))
     table = check_parameters(plan)
-    assert table == [[1.0, 0.5, 1.0], [1.0, 0.5, 1.0], [2.0]]
+    assert [row[2] for row in table] == [[1.0, 0.5, 1.0], [1.0, 0.5, 1.0], [2.0]]
     assert table[0] is table[1]
 
 
@@ -107,7 +108,7 @@ def test_bad_far_column_of_a_shared_row_names_its_first_box():
     assert err.value.box == (3, 1) and err.value.kind == "HH"
     plan = precompute_par(parse_word("<<<>>"), (0.5, 0.5, 1.5, 0.5, 0.5))
     table = check_parameters(plan)
-    assert table == [[0.25, 0.25, 0.75]] * 2 and table[0] is table[1]
+    assert [row[2] for row in table] == [[0.25, 0.25, 0.75]] * 2 and table[0] is table[1]
 
 
 def test_symmetric_row_that_extends_a_shared_list_names_its_box():
@@ -119,7 +120,7 @@ def test_symmetric_row_that_extends_a_shared_list_names_its_box():
     assert err.value.box == (2, 3) and err.value.kind == "HH"
     plan = precompute_par(*symmetrize(parse_word("<<<"), (0.25, 0.25, 0.25)))
     table = check_parameters(plan, lambda i, kind: None)
-    assert table == [[0.0625, 0.0625]] * 3 and table[0] is table[2]
+    assert [row[2] for row in table] == [[0.0625, 0.0625]] * 3 and table[0] is table[2]
 
 
 @pytest.mark.parametrize(
@@ -285,14 +286,14 @@ def test_bitset_sweep_matches_the_tuple_reference(left, right):
         z = tuple(rnd.choice(values) for _ in word)
         plan = _check_against_tuple_reference(word, z, trial)
         if word.count(left) and word.count(right):
-            assert plan.bit_offset == max(plan.m, plan.n) + 1
+            assert plan.bitsets
     plan = _check_against_tuple_reference((left,) * 9 + (right,) * 14, (1,) * 23, 5)
-    assert plan.bit_offset == 15
+    assert plan.bitsets
 
 
 def test_bitset_sweep_matches_the_tuple_reference_on_aztec_120():
     plan = _check_against_tuple_reference(parse_word("(<'>)^120"), (1,) * 240, 120)
-    assert plan.row_kinds[0][0] == "VH" and plan.bit_offset == 121
+    assert plan.row_kinds[0][0] == "VH" and plan.bitsets
 
 
 @pytest.mark.parametrize("text", ["<'>><'<'>", "<>'>'<<>'"])
@@ -302,14 +303,14 @@ def test_bitset_sweep_on_an_anti_diagonal_with_a_gap(text):
     # packed kernel fills with whatever its neighbours give
     for seed in range(30):
         plan = _check_against_tuple_reference(parse_word(text), (1, 0.5, 2, 1, 3, 1), seed)
-    assert plan.pi == (3, 1, 1) and plan.bit_offset is not None
+    assert plan.pi == (3, 1, 1) and plan.bitsets
 
 
 @pytest.mark.parametrize("text", ["><'", ">'<", ">'>'<<"])
 def test_bitset_sweep_on_an_empty_shape(text):
     word = parse_word(text)
     plan = _check_against_tuple_reference(word, (1,) * len(word), 3)
-    assert plan.pi == () and plan.bit_offset is not None
+    assert plan.pi == () and plan.bitsets
 
 
 def test_shrink_profile_of_a_bitset_plan_gives_the_rows_of_the_draw_log():
@@ -321,13 +322,13 @@ def test_shrink_profile_of_a_bitset_plan_gives_the_rows_of_the_draw_log():
         s = schur_sample(word, (1,) * len(word), src)
         plan = precompute_par(word, (1,) * len(word))
         drawn = iter(v for _, _, v in src.draw_log)
-        assert plan.bit_offset is not None
+        assert plan.bitsets
         assert shrink_profile(plan, s.lambdas) == [[next(drawn) for _ in range(p)] for p in plan.pi]
 
 
 def test_plans_with_geometric_boxes_hold_tuples():
     for text in ("<>", "<'>'", "<'<>", "<>'>", "(<<'>>')^3"):
-        assert precompute_par(parse_word(text), (1,) * len(parse_word(text))).bit_offset is None
+        assert not precompute_par(parse_word(text), (1,) * len(parse_word(text))).bitsets
 
 
 def test_aztec_200_sample_stats_are_pinned():
@@ -335,12 +336,29 @@ def test_aztec_200_sample_stats_are_pinned():
     assert s.stats == SampleStats(boxes=20100, work=1185452)
 
 
+def test_mixed_words_keep_their_samples_and_draw_logs():
+    """Samples and draw logs of a geometric word with a parameter > 1 and
+    of a word with all four box kinds, for seeds 0-99, pinned by digest."""
+    digest = hashlib.sha256()
+    for text, z in [
+        ("(<)^2(>)^2", (2.0, 4.0, 0.125, 0.0625)),
+        ("<'<>>'<>", (0.5, 0.25, 0.3, 0.7, 0.2, 0.9)),
+    ]:
+        for seed in range(100):
+            src = RandomSource(seed, log_draws=True)
+            s = schur_sample(parse_word(text), z, src)
+            digest.update(json.dumps([s.lambdas, src.draw_log]).encode())
+    assert digest.hexdigest() == (
+        "654faa81a903f9241d92eb2718b2192a62db94074a280695b8bd231e457d6947"
+    )
+
+
 def _per_box_draws(plan, table, src):
     """The draws of every row, one RandomSource call per box."""
     rows = []
     for j, row_len in enumerate(plan.pi, start=1):
         row = []
-        for xi, kind in zip(table[j - 1][:row_len], plan.row_kinds[j - 1]):
+        for xi, kind in zip(table[j - 1][2][:row_len], plan.row_kinds[j - 1]):
             row.append(src.geometric(xi) if kind in ("HH", "VV") else src.bernoulli(xi / (1.0 + xi)))
         rows.append(row)
     return rows
@@ -383,8 +401,8 @@ def test_row_draw_equals_one_call_per_box(zero_at):
             _zero_once(one, zero_at, [])
             _zero_once(row, zero_at, fired)
         expected = _per_box_draws(plan, table, one)
-        draw = row_draw(plan, table, row)
-        assert [draw(j, p) for j, p in enumerate(plan.pi, start=1)] == expected
+        draw = row.row_drawer()
+        assert [draw(table[j - 1], p) for j, p in enumerate(plan.pi, start=1)] == expected
         assert row.ledger == one.ledger
         assert repr(row.draw_log) == repr(one.draw_log)  # -0.0 logged as -0.0
         assert row._rng.getstate() == one._rng.getstate()

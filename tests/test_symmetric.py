@@ -1,7 +1,10 @@
 import functools
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
+from numbers import Rational
 
 import pytest
 
@@ -15,7 +18,6 @@ from schursample.symmetric import (
     fold_boundary_weight,
     reconstruct_symmetric_inputs,
     symmetric_schur_sample,
-    symmetric_weight,
 )
 from schursample.words import Rel, parse_word, precompute_par, symmetrize
 from schursample.zfun import z_symmetric
@@ -76,6 +78,22 @@ def test_even_rows_vv_diagonal_word():
         s = symmetric_schur_sample(w, (0.5, 0.4), 0.6, "even_rows", seed)
         s.validate()
         assert all(v % 2 == 0 for v in s.free_partition)
+
+
+def symmetric_weight(sample: SymmetricSample):
+    """Unnormalized weight t^|free| * prod z_i^(|weight changes|) over the
+    first n steps; exact when the parameters are."""
+    n = len(sample.word)
+    exact = all(isinstance(v, Rational) for v in sample.z) and isinstance(
+        sample.t, Rational
+    )
+    w = Fraction(1) if exact else 1.0
+    tt = Fraction(sample.t) if exact else float(sample.t)
+    w *= tt ** sum(sample.free_partition)
+    for i in range(1, n + 1):
+        zz = Fraction(sample.z[i - 1]) if exact else float(sample.z[i - 1])
+        w *= zz ** abs(sum(sample.lambdas[i]) - sum(sample.lambdas[i - 1]))
+    return w
 
 
 def test_symmetric_weight_examples():
@@ -305,6 +323,20 @@ def test_reconstruct_symmetric_inputs_equals_the_draw_log():
         src = RandomSource(trial, log_draws=True)
         s = symmetric_schur_sample(w, z, t, mode, src)
         assert reconstruct_symmetric_inputs(s) == [v for _, _, v in src.draw_log]
+
+
+def test_symmetric_samples_and_draw_logs_are_pinned():
+    """Samples and draw logs of (<<')^4 in each boundary mode, for seeds
+    0-99, pinned by digest: the diagonal draws come in row order."""
+    digest = hashlib.sha256()
+    for mode in ("free", "even_rows", "even_columns"):
+        for seed in range(100):
+            src = RandomSource(seed, log_draws=True)
+            s = symmetric_schur_sample(parse_word("(<<')^4"), (0.45,) * 8, 0.8, mode, src)
+            digest.update(json.dumps([s.lambdas, src.draw_log]).encode())
+    assert digest.hexdigest() == (
+        "7c3040f83699f6560e27111e3c797c6e309da4c1334b3ec4d6ead3aa3c35acc5"
+    )
 
 
 def test_reconstruct_symmetric_inputs_refuses_an_invalid_sample():
