@@ -175,7 +175,11 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
     box HV or every box VH) is grown one anti-diagonal at a time by
     :func:`_grow_diagonals`.  Any other plan is grown row by row, keeping
     one profile of m + 1 tuples: entry i holds tau(i, j) for the last row j
-    that reached column i.
+    that reached column i.  A row starts at its first box that can be
+    nonempty: every kernel keeps |nu| = |lam| + |mu| - |kap| + g, so a box
+    with input 0 and three empty neighbours grows the empty partition, which
+    the profile already holds.  A diagonal box is never skipped, and
+    ``stats`` still counts a skipped box, with work 1.
 
     With ``diagonal`` the sweep is symmetric and the shape must be
     self-conjugate: only boxes with i <= j are grown, so row j asks for
@@ -204,8 +208,16 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
         row_len = pi[j - 1]
         stop = row_len if diagonal is None else min(row_len, j)
         inputs = row_input(j, stop)
+        # skip the row's leading dead boxes; a symmetric row may end on the diagonal
+        last = stop if diagonal is None else stop - 1
+        start = 0
+        while start < last and not inputs[start] and not profile[start + 1]:
+            start += 1
+        if stats is not None:
+            stats.boxes += start
+            stats.work += start  # max(len lam, len mu) + 1 with both empty
         prev_diag = empty  # tau(i - 1, j - 1)
-        for i, kind in enumerate(kinds[j - 1][:stop], start=1):
+        for i, kind in enumerate(kinds[j - 1][start:stop], start=start + 1):
             lam, above = profile[i - 1], profile[i]  # tau(i - 1, j), tau(i, j - 1)
             if i == j and diagonal is not None:
                 nu = diagonal(i, kind, lam, prev_diag, inputs[i - 1])

@@ -3,20 +3,22 @@
 A pyramidal process is a two-sided sequence of partitions, interlaced toward
 a center and eventually empty, weighted by two summable parameter sequences.
 Sampling truncates at a random Cantor-pairing index K: the box at K receives
-a conditioned draw, boxes below K ordinary draws, boxes above K zeros, and
-the finite growth sweep over the truncation word does the rest.
+a conditioned draw, boxes below K ordinary draws (one prepared row per
+anti-diagonal), boxes above K zeros, and the finite growth sweep over the
+truncation word does the rest; it skips the boxes that stay empty, which
+are about half of the truncated corner.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import neg
-from typing import Dict, Optional, Tuple
+from operator import mul, neg
+from typing import Dict, List, Optional, Tuple
 
 from . import words
 from .partitions import EMPTY, Partition, first_break
-from .rng import RandomSource
+from .rng import RandomSource, variates
 from .sampler import DivergenceError, grow_profile
 from .words import Rel, Word, precompute_par
 
@@ -292,28 +294,39 @@ class PyramidalSampler:
             return PyramidalSample({}, self.params, self.conv, src.seed, None)
         i0, j0 = cantor_unpair(k)
         eps0 = self.conv.epsilon(i0, j0)
-        inputs = {(i0, j0): 1 if eps0 == 1 else 1 + src.geometric(self.params.c(i0, j0, eps0))}
+        g0 = 1 if eps0 == 1 else 1 + src.geometric(self.params.c(i0, j0, eps0))
         s0 = i0 + j0
+        a = [self.params.a[i] for i in range(s0 + 1)]
+        b = [self.params.b[j] for j in range(s0 + 1)]
+        # on an anti-diagonal s, box (s - j, j) draws a geometric (eps = -1)
+        # by the parities of s and j alone
+        flags = [[self.conv.epsilon(s - j, j) == -1 for j in (0, 1)] for s in (0, 1)]
+        draw = src.row_drawer()
+        rows = [[] for _ in range(s0 + 1)]  # rows[j][i]: the input of box (i, j)
         for s in range(s0 + 1):  # the boxes before K in Cantor order: j rising
-            for j in range(s + 1 if s < s0 else j0):
-                eps = self.conv.epsilon(s - j, j)
-                x = self.params.c(s - j, j, eps)
-                inputs[(s - j, j)] = src.bernoulli(x) if eps == 1 else src.geometric(x)
-        lambdas = grow_pyramidal(self.conv, inputs, s0 + 1)
+            n = s + 1 if s < s0 else j0
+            odds = list(map(mul, a[s::-1], b[:n]))
+            geometric = (flags[s % 2] * (n // 2 + 1))[:n]
+            for row, g in zip(rows, draw(variates(odds, geometric), n)):
+                row.append(g)  # box (s - j, j) is entry s - j of row j
+        rows[j0].append(g0)
+        lambdas = grow_pyramidal(self.conv, rows, s0 + 1)
         return PyramidalSample(lambdas, self.params, self.conv, src.seed, k)
 
 
-def grow_pyramidal(
-    convention: WordConvention, inputs: Dict[Tuple[int, int], int], m: int
-) -> Dict[int, Partition]:
+def grow_pyramidal(convention: WordConvention, rows: List[list], m: int) -> Dict[int, Partition]:
     """Grow the m x m corner: the growth sweep over the finite word
     ``truncation_word(convention, m)``, whose box (u, v) is corner box
-    (m - u, m - v).  Boxes without an entry in ``inputs`` take input 0.
-    Returns the nonempty lambda(k), keyed by k."""
+    (m - u, m - v).  ``rows[j][i]`` is the input of corner box (i, j) for
+    j < m; an entry past the end of a list is 0.  Returns the nonempty
+    lambda(k), keyed by k."""
     plan = precompute_par(truncation_word(convention, m), (0,) * (2 * m))
-    lambdas = grow_profile(
-        plan, lambda v, stop: [inputs.get((m - u, m - v), 0) for u in range(1, stop + 1)]
-    )
+
+    def row_input(v: int, stop: int) -> list:
+        row = rows[m - v]  # boxes (1, v) .. (stop, v) are entries stop - 1 .. 0
+        return [0] * (stop - len(row)) + row[stop - 1 :: -1]
+
+    lambdas = grow_profile(plan, row_input)
     return {k - m: lam for k, lam in enumerate(lambdas) if lam}
 
 
@@ -354,16 +367,27 @@ def rsk_shape(letters: list) -> Partition:
     return tuple(len(row) for row in rows)
 
 
+def _check_word_mean(name: str, mean: float) -> None:
+    """Refuse, before any draw, a Poisson mean past the longest word the
+    package expands: RSK inserts a word of about that many letters."""
+    if mean > words.MAX_WORD_LENGTH:
+        raise ValueError(
+            f"{name} = {mean!r} exceeds {words.MAX_WORD_LENGTH}, the longest word "
+            "this package expands; RSK would insert a word of about that many letters"
+        )
+
+
 def plancherel_sample(theta: float, src: RandomSource | int) -> Partition:
     """Poissonized Plancherel measure: P(lambda) ~ theta^n (f^lambda / n!)^2.
 
     Draw N ~ Poisson(theta), insert a uniform N-permutation by RSK, and
-    keep the shape.
+    keep the shape.  A theta above ``words.MAX_WORD_LENGTH`` is refused.
     """
     if isinstance(src, int):
         src = RandomSource(src)
     if not 0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta!r}")
+    _check_word_mean("theta", theta)
     n = src.poisson(theta)
     perm = src.permutation(n)
     return rsk_shape(perm)
@@ -375,7 +399,7 @@ def mixed_plancherel_sample(a: float, bs, src: RandomSource | int) -> Partition:
 
     Each line i carries an independent Poisson(a * b_i) point count; points
     are ordered uniformly in time and the word of their lines is inserted
-    by RSK.
+    by RSK.  A mean a * sum(b) above ``words.MAX_WORD_LENGTH`` is refused.
     """
     if isinstance(src, int):
         src = RandomSource(src)
@@ -384,6 +408,7 @@ def mixed_plancherel_sample(a: float, bs, src: RandomSource | int) -> Partition:
         raise ValueError(
             f"need finite a > 0 and finite nonnegative line intensities, got a={a!r}, {bs}"
         )
+    _check_word_mean("a * sum(b)", a * sum(bs))
     letters: list = []
     for i, b in enumerate(bs):
         letters.extend([i] * src.poisson(a * b))

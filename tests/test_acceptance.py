@@ -46,7 +46,7 @@ from schursample.unbounded import (
 from schursample.words import Rel, parse_word, precompute_par, q_volume_parameters
 from schursample.zfun import z_finite, z_symmetric
 
-from grid_reference import boundary_lambdas
+from grid_reference import boundary_lambdas, pyramid_rows
 
 
 class Budget:
@@ -278,7 +278,7 @@ def test_criterion_8_unbounded_sampler():
                             if kind in ("HV", "VH")
                             else rnd.randrange(4)
                         )
-                lam_inf = grow_pyramidal(conv, inputs, 4)
+                lam_inf = grow_pyramidal(conv, pyramid_rows(inputs, 4), 4)
                 fin_inputs = {(u, v): inputs[(4 - u, 4 - v)] for u, v in plan.boxes()}
                 lam_fin = boundary_lambdas(plan, run_growth(plan, fin_inputs))
                 assert all(

@@ -258,6 +258,19 @@ def test_non_finite_parameters_exit_with_an_error_line(capsys, command):
     assert err.startswith("error:") and "finite" in err
 
 
+def test_a_huge_plancherel_theta_exits_with_an_error_line_before_any_draw(
+    capsys, monkeypatch
+):
+    def no_draw(self):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(RandomSource, "uniform", no_draw)
+    code, out, err = run_cli(capsys, "sample-plancherel", "--theta", "1e300", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "theta = 1e+300 exceeds" in err
+
+
 def test_render_refuses_a_non_finite_scale():
     t = DominoTiling(parse_word("(<'>)^1"), (-3, 3), ())
     with pytest.raises(ValueError, match="finite"):

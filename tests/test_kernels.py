@@ -392,6 +392,19 @@ def test_box_kernels_match_reference_on_recorded_samples(monkeypatch):
             check_bits(kind, lam, mu, kap, r, nu)
 
 
+def test_the_pyramid_sweep_runs_no_kernel_on_a_dead_box(monkeypatch):
+    # about half of the corner lies past K, and a box with input 0 under
+    # three empty neighbours grows the empty partition: it is skipped
+    pyramid = _record_calls(
+        monkeypatch,
+        lambda: unbounded_schur_sample(
+            PyramidalParameters.q_volume(0.95), WordConvention.pyramid(), RandomSource(1)
+        ),
+    )
+    assert pyramid
+    assert ((), (), (), 0) not in [args for _, args in pyramid]
+
+
 # --- hypothesis: long valid triples, and the shrink round trips ------------
 
 @st.composite

@@ -39,3 +39,23 @@ def test_the_counted_kernels_exist(tracing):
 def test_the_recorded_draw_methods_exist(tracing):
     # the tracer records the draws through these RandomSource methods
     assert all(callable(vars(rng.RandomSource).get(n)) for n in tracing.RNG_METHODS)
+
+
+def test_a_pyramid_sample_grows_through_the_module_attribute(monkeypatch):
+    # the tracer's unbounded.grow span wraps this attribute; a sampler that
+    # called the function by another name would read unbounded.grow_s as 0
+    calls = []
+    grow = unbounded.grow_pyramidal
+
+    def counting(*args):
+        calls.append(args)
+        return grow(*args)
+
+    monkeypatch.setattr(unbounded, "grow_pyramidal", counting)
+    s = unbounded.unbounded_schur_sample(
+        unbounded.PyramidalParameters.q_volume(0.9),
+        unbounded.WordConvention.pyramid(),
+        rng.RandomSource(1),
+    )
+    assert s.lambdas
+    assert len(calls) == 1

@@ -336,6 +336,17 @@ def test_aztec_200_sample_stats_are_pinned():
     assert s.stats == SampleStats(boxes=20100, work=1185452)
 
 
+def test_skipped_dead_boxes_keep_their_sample_stats():
+    # x_1 = x_2 = x_3 = 0: the first columns draw 0, so each row starts with
+    # dead boxes; the sweep skips them but counts each with work 1 (pinned
+    # before the skip)
+    z = (0, 0, 0, 0.5, 0.7, 0.9, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2)
+    stats = [schur_sample(parse_word("(<)^6(>)^6"), z, seed).stats for seed in range(8)]
+    assert [(s.boxes, s.work) for s in stats] == [
+        (36, 41), (36, 46), (36, 54), (36, 50), (36, 54), (36, 48), (36, 45), (36, 52)
+    ]
+
+
 def test_mixed_words_keep_their_samples_and_draw_logs():
     """Samples and draw logs of a geometric word with a parameter > 1 and
     of a word with all four box kinds, for seeds 0-99, pinned by digest."""

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import random
+import re
 import time
 from collections import Counter
 
@@ -26,9 +29,9 @@ from schursample.unbounded import (
     truncation_word,
     unbounded_schur_sample,
 )
-from schursample.words import format_word, precompute_par
+from schursample.words import MAX_WORD_LENGTH, format_word, precompute_par
 
-from grid_reference import boundary_lambdas
+from grid_reference import boundary_lambdas, pyramid_rows
 
 
 def test_cantor_pairing():
@@ -284,7 +287,7 @@ def ref_pyramidal_sample(sampler, src):
         eps = sampler.conv.epsilon(i, j)
         c = sampler.params.c(i, j, eps)
         inputs[(i, j)] = src.bernoulli(c) if eps == 1 else src.geometric(c)
-    return k, grow_pyramidal(sampler.conv, inputs, i0 + j0 + 1)
+    return k, grow_pyramidal(sampler.conv, pyramid_rows(inputs, i0 + j0 + 1), i0 + j0 + 1)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
@@ -297,6 +300,23 @@ def test_sample_matches_the_cantor_order_loop(q):
             s = sampler.sample(src)
             assert (s.truncation_index, s.lambdas) == ref_pyramidal_sample(sampler, src_ref)
             assert src.draw_log == src_ref.draw_log
+
+
+def test_pyramidal_samples_and_draw_logs_are_pinned():
+    """K, the slices and the draw log of 240 samples, pinned by digest
+    before the sampler drew one prepared row per anti-diagonal."""
+    out = []
+    for q in (0.5, 0.9, 0.95):
+        params = PyramidalParameters.q_volume(q)
+        for conv in (WordConvention.plane_partitions(), WordConvention.pyramid()):
+            for seed in range(40):
+                src = RandomSource(seed, log_draws=True)
+                s = unbounded_schur_sample(params, conv, src)
+                lambdas = sorted((k, list(lam)) for k, lam in s.lambdas.items())
+                out.append([s.truncation_index, lambdas, src.draw_log])
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == (
+        "bf48a8c4589a67d0ef822a4a1a48aa45dcd4a0470b2b98cd191dfcd640b06936"
+    )
 
 
 def test_validate_refuses_slices_that_do_not_interlace():
@@ -339,7 +359,7 @@ def test_coupling_with_finite_sampler():
                     inputs[(i, j)] = (
                         rnd.randrange(2) if kind in ("HV", "VH") else rnd.randrange(4)
                     )
-            lam_inf = grow_pyramidal(conv, inputs, 4)
+            lam_inf = grow_pyramidal(conv, pyramid_rows(inputs, 4), 4)
             fin_inputs = {(u, v): inputs[(4 - u, 4 - v)] for u, v in plan.boxes()}
             grid = run_growth(plan, fin_inputs)
             lam_fin = boundary_lambdas(plan, grid)
@@ -363,7 +383,7 @@ def test_grow_pyramidal_matches_full_grid_on_sparse_inputs():
                         inputs[(i, j)] = (
                             rnd.randrange(2) if kind in ("HV", "VH") else rnd.randrange(4)
                         )
-                lam_inf = grow_pyramidal(conv, inputs, m)
+                lam_inf = grow_pyramidal(conv, pyramid_rows(inputs, m), m)
                 fin_inputs = {(u, v): inputs.get((m - u, m - v), 0) for u, v in plan.boxes()}
                 lam_fin = boundary_lambdas(plan, run_growth(plan, fin_inputs))
                 assert lam_inf == {k - m: lam for k, lam in enumerate(lam_fin) if lam}
@@ -433,6 +453,33 @@ def test_plancherel_refuses_a_non_finite_theta(theta):
 @pytest.mark.parametrize("a,bs", [(1.0, [math.nan]), (math.inf, [1.0])])
 def test_mixed_plancherel_refuses_non_finite_intensities(a, bs):
     with pytest.raises(ValueError, match="finite"):
+        mixed_plancherel_sample(a, bs, 0)
+
+
+def _refuse_draws(monkeypatch):
+    def no_draw(self):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(RandomSource, "uniform", no_draw)
+
+
+@pytest.mark.parametrize("theta", [1e300, MAX_WORD_LENGTH * 2.0])
+def test_plancherel_refuses_a_theta_past_the_longest_word_before_any_draw(
+    monkeypatch, theta
+):
+    # Poisson(1e300) would split into 10^299 draws, and its permutation
+    # would have about theta entries
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match=rf"theta = {re.escape(repr(theta))} exceeds {MAX_WORD_LENGTH}"):
+        plancherel_sample(theta, 0)
+
+
+@pytest.mark.parametrize("a,bs", [(1e300, [1.0]), (1e3, [600.0, 400.5]), (1.0, [1e308, 1e308])])
+def test_mixed_plancherel_refuses_a_mean_past_the_longest_word_before_any_draw(
+    monkeypatch, a, bs
+):
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match=rf"a \* sum\(b\) = .* exceeds {MAX_WORD_LENGTH}"):
         mixed_plancherel_sample(a, bs, 0)
 
 
