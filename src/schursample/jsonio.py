@@ -23,109 +23,38 @@ def _num_to_str(v) -> str:
     return str(v) if isinstance(v, (int, Fraction)) else repr(float(v))
 
 
-def sample_to_dict(s: ProcessSample) -> Dict[str, Any]:
+def _sample_to_dict(s) -> Dict[str, Any]:
+    """The record of a process or symmetric sample: a symmetric record adds
+    t and mode after z, a process record with a draw log adds it last."""
+    symmetric = isinstance(s, SymmetricSample)
     out = {
         "format": FORMAT,
-        "kind": "process-sample",
+        "kind": "symmetric-sample" if symmetric else "process-sample",
         "word": format_word(s.word),
         "z": [_num_to_str(v) for v in s.z],
-        "seed": s.seed,
-        "rng": s.rng_algorithm,
-        "lambdas": [list(l) for l in s.lambdas],
     }
-    if s.draw_log is not None:
-        out["draw_log"] = [[kind, param, value] for kind, param, value in s.draw_log]
+    if symmetric:
+        out.update(t=_num_to_str(s.t), mode=s.mode)
+    out.update(seed=s.seed, rng=s.rng_algorithm, lambdas=s.lambdas)  # tuples are arrays
+    if not symmetric and s.draw_log is not None:
+        out["draw_log"] = s.draw_log
     return out
 
 
-def sample_from_dict(d: Dict[str, Any]) -> ProcessSample:
-    if d.get("kind") not in (None, "process-sample"):
-        raise ValueError(f"not a process sample: kind={d.get('kind')!r}")
-    return ProcessSample(
-        word=parse_word(d["word"]),
-        z=tuple(parse_number(v) for v in d["z"]),
-        seed=d.get("seed"),
-        lambdas=tuple(make(l) for l in d["lambdas"]),
-        rng_algorithm=d.get("rng", "unknown"),
-        draw_log=[tuple(e) for e in d["draw_log"]] if "draw_log" in d else None,
-    )
-
-
-def symmetric_to_dict(s: SymmetricSample) -> Dict[str, Any]:
-    return {
-        "format": FORMAT,
-        "kind": "symmetric-sample",
-        "word": format_word(s.word),
-        "z": [_num_to_str(v) for v in s.z],
-        "t": _num_to_str(s.t),
-        "mode": s.mode,
-        "seed": s.seed,
-        "rng": s.rng_algorithm,
-        "lambdas": [list(l) for l in s.lambdas],
-    }
-
-
-def symmetric_from_dict(d: Dict[str, Any]) -> SymmetricSample:
-    if d.get("kind") != "symmetric-sample":
-        raise ValueError(f"not a symmetric sample: kind={d.get('kind')!r}")
-    return SymmetricSample(
-        word=parse_word(d["word"]),
-        z=tuple(parse_number(v) for v in d["z"]),
-        t=parse_number(d["t"]),
-        mode=d["mode"],
+def _sample_from_dict(d: Dict[str, Any], symmetric: bool):
+    """The sample of a record that _sample_to_dict writes; a process
+    record's draw log is read when present."""
+    fields = {"word": parse_word(d["word"]), "z": tuple(parse_number(v) for v in d["z"])}
+    if symmetric:
+        fields.update(t=parse_number(d["t"]), mode=d["mode"])
+    fields.update(
         seed=d.get("seed"),
         lambdas=tuple(make(l) for l in d["lambdas"]),
         rng_algorithm=d.get("rng", "unknown"),
     )
-
-
-def view_to_dict(view) -> Dict[str, Any]:
-    if isinstance(view, HeightMatrix):
-        return {
-            "format": FORMAT,
-            "kind": "plane-partition",
-            "shape": list(view.shape),
-            "rows": [list(r) for r in view.rows],
-        }
-    if isinstance(view, OverpartitionTableau):
-        return {
-            "format": FORMAT,
-            "kind": "plane-overpartition",
-            "shape": list(view.shape),
-            "rows": [[[v, bool(o)] for v, o in row] for row in view.rows],
-        }
-    raise TypeError(f"cannot serialize view of type {type(view).__name__}")
-
-
-def view_from_dict(d: Dict[str, Any]):
-    kind = d.get("kind")
-    if kind == "plane-partition":
-        view = HeightMatrix(tuple(d["shape"]), tuple(tuple(r) for r in d["rows"]))
-    elif kind == "steep-tiling":  # validate() below checks each field's type
-        window, dominoes = d["window"], d["dominoes"]
-        if type(window) is not list:
-            raise CodecError(f"window must be a list of two bounds, got {json.dumps(window)}")
-        if type(dominoes) is not list:
-            raise CodecError(f"dominoes must be a list, got {json.dumps(dominoes)}")
-        try:
-            fields = list(map(_DOMINO_FIELDS, dominoes))
-        except (TypeError, KeyError):
-            raise CodecError(_bad_domino(dominoes)) from None
-        fields.sort()
-        view = DominoTiling(parse_word(d["word"]), tuple(window), tuple(fields))
-    elif kind == "plane-overpartition":
-        view = OverpartitionTableau(
-            tuple(d["shape"]),
-            tuple(tuple((v, bool(o)) for v, o in row) for row in d["rows"]),
-        )
-    else:
-        raise ValueError(
-            f"cannot read a record of kind {kind!r}: only samples (process-sample, "
-            "symmetric-sample) and views (plane-partition, steep-tiling, "
-            "plane-overpartition) are read"
-        )
-    view.validate()
-    return view
+    if not symmetric and "draw_log" in d:
+        fields["draw_log"] = [tuple(e) for e in d["draw_log"]]
+    return (SymmetricSample if symmetric else ProcessSample)(**fields)
 
 
 # a steep tiling's record, written as json.dumps writes the equivalent dict
@@ -155,13 +84,22 @@ def _steep_tiling_json(view: DominoTiling) -> str:
 
 
 def dumps(obj) -> str:
-    if isinstance(obj, ProcessSample):
-        return json.dumps(sample_to_dict(obj))
-    if isinstance(obj, SymmetricSample):
-        return json.dumps(symmetric_to_dict(obj))
     if isinstance(obj, DominoTiling):
         return _steep_tiling_json(obj)
-    return json.dumps(view_to_dict(obj))
+    if isinstance(obj, (ProcessSample, SymmetricSample)):
+        record = _sample_to_dict(obj)
+    elif isinstance(obj, HeightMatrix):
+        record = {"format": FORMAT, "kind": "plane-partition", "shape": obj.shape, "rows": obj.rows}
+    elif isinstance(obj, OverpartitionTableau):
+        record = {
+            "format": FORMAT,
+            "kind": "plane-overpartition",
+            "shape": obj.shape,
+            "rows": [[[v, bool(o)] for v, o in row] for row in obj.rows],
+        }
+    else:
+        raise TypeError(f"cannot serialize view of type {type(obj).__name__}")
+    return json.dumps(record)
 
 
 def loads(text: str):
@@ -169,8 +107,32 @@ def loads(text: str):
     if not isinstance(d, dict):
         raise ValueError(f"a record must be a JSON object, got {text.strip()[:40]!r}")
     kind = d.get("kind", "process-sample")
-    if kind == "process-sample":
-        return sample_from_dict(d)
-    if kind == "symmetric-sample":
-        return symmetric_from_dict(d)
-    return view_from_dict(d)
+    if kind in ("process-sample", "symmetric-sample"):
+        return _sample_from_dict(d, kind == "symmetric-sample")
+    if kind == "plane-partition":
+        view = HeightMatrix(tuple(d["shape"]), tuple(tuple(r) for r in d["rows"]))
+    elif kind == "steep-tiling":  # validate() below checks each field's type
+        window, dominoes = d["window"], d["dominoes"]
+        if type(window) is not list:
+            raise CodecError(f"window must be a list of two bounds, got {json.dumps(window)}")
+        if type(dominoes) is not list:
+            raise CodecError(f"dominoes must be a list, got {json.dumps(dominoes)}")
+        try:
+            fields = list(map(_DOMINO_FIELDS, dominoes))
+        except (TypeError, KeyError):
+            raise CodecError(_bad_domino(dominoes)) from None
+        fields.sort()
+        view = DominoTiling(parse_word(d["word"]), tuple(window), tuple(fields))
+    elif kind == "plane-overpartition":
+        view = OverpartitionTableau(
+            tuple(d["shape"]),
+            tuple(tuple((v, bool(o)) for v, o in row) for row in d["rows"]),
+        )
+    else:
+        raise ValueError(
+            f"cannot read a record of kind {kind!r}: only samples (process-sample, "
+            "symmetric-sample) and views (plane-partition, steep-tiling, "
+            "plane-overpartition) are read"
+        )
+    view.validate()
+    return view

@@ -163,3 +163,13 @@ class RandomSource:
 
 
 _UNIFORM = RandomSource.uniform  # the stock uniform, which row_drawer inlines
+
+
+def as_source(src) -> RandomSource:
+    """The random source of a sampler's ``src`` argument: an int seeds a new
+    RandomSource, a RandomSource (or subclass) is used as it is."""
+    if isinstance(src, RandomSource):
+        return src
+    if isinstance(src, int):
+        return RandomSource(src)
+    raise TypeError(f"seed must be an int or a RandomSource, got {type(src).__name__}")

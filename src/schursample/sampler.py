@@ -53,7 +53,7 @@ from .partitions import (
     to_bits,
     turn,
 )
-from .rng import ALGORITHM, RandomSource, variates
+from .rng import ALGORITHM, RandomSource, as_source, variates
 from .rules import GROW, SHRINK, GrowthError, grow_hv_lanes
 from .words import Rel, ShapePlan, Word, precompute_par
 
@@ -178,8 +178,11 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
     that reached column i.  A row starts at its first box that can be
     nonempty: every kernel keeps |nu| = |lam| + |mu| - |kap| + g, so a box
     with input 0 and three empty neighbours grows the empty partition, which
-    the profile already holds.  A diagonal box is never skipped, and
-    ``stats`` still counts a skipped box, with work 1.
+    the profile already holds.  ``stats`` still counts a skipped box, with
+    work 1.  The skip may reach a symmetric row's diagonal box (j, j): every
+    diagonal rule keeps 2|mu| + p g = |kap| + |nu|, and there mu =
+    tau(j - 1, j) and kap = tau(j - 1, j - 1) are empty, as every earlier box
+    of the row was skipped, so with g = 0 it grows the empty partition too.
 
     With ``diagonal`` the sweep is symmetric and the shape must be
     self-conjugate: only boxes with i <= j are grown, so row j asks for
@@ -208,10 +211,8 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
         row_len = pi[j - 1]
         stop = row_len if diagonal is None else min(row_len, j)
         inputs = row_input(j, stop)
-        # skip the row's leading dead boxes; a symmetric row may end on the diagonal
-        last = stop if diagonal is None else stop - 1
-        start = 0
-        while start < last and not inputs[start] and not profile[start + 1]:
+        start = 0  # skip the row's leading dead boxes
+        while start < stop and not inputs[start] and not profile[start + 1]:
             start += 1
         if stats is not None:
             stats.boxes += start
@@ -464,12 +465,12 @@ def schur_sample(
     word: Sequence[Rel], z: Sequence, src: RandomSource | int
 ) -> ProcessSample:
     """Draw one exact sample of the Schur process of ``word`` with parameters
-    ``z``, storing one profile of m + 1 partitions."""
-    if isinstance(src, int):
-        src = RandomSource(src)
+    ``z``, storing one profile of m + 1 partitions.  With a logging ``src``
+    the sample's ``draw_log`` holds the draws of this call alone."""
+    src = as_source(src)
     plan = precompute_par(word, z)
     table, draw = check_parameters(plan), src.row_drawer()
-    stats = SampleStats()
+    stats, logged = SampleStats(), len(src.draw_log or ())
     lambdas = grow_profile(plan, lambda j, stop: draw(table[j - 1], stop), stats=stats)
     return ProcessSample(
         word=plan.word,
@@ -477,7 +478,7 @@ def schur_sample(
         seed=src.seed,
         lambdas=lambdas,
         stats=stats,
-        draw_log=list(src.draw_log) if src.draw_log is not None else None,
+        draw_log=None if src.draw_log is None else src.draw_log[logged:],
     )
 
 

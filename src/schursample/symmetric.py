@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .partitions import Partition, has_even_parts, require_closed, require_interlaced
-from .rng import ALGORITHM, RandomSource
+from .rng import ALGORITHM, RandomSource, as_source
 from .rules import (
     GrowthError,
     boundary_mode,
@@ -84,8 +84,7 @@ def symmetric_schur_sample(
     rules = _diagonal_rules(mode)
     if t <= 0:
         raise ValueError("the boundary weight t must be positive")
-    if isinstance(src, int):
-        src = RandomSource(src)
+    src = as_source(src)
     word = tuple(word)
     plan = _symmetric_plan(word, z, t)
 

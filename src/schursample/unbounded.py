@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import words
 from .partitions import EMPTY, Partition, first_break
-from .rng import RandomSource, variates
+from .rng import RandomSource, as_source, variates
 from .sampler import DivergenceError, grow_profile
 from .words import Rel, Word, precompute_par
 
@@ -287,8 +287,7 @@ class PyramidalSampler:
         return cantor_pair(s - j, j)
 
     def sample(self, src: RandomSource | int) -> PyramidalSample:
-        if isinstance(src, int):
-            src = RandomSource(src)
+        src = as_source(src)
         k = self.sample_truncation_index(src)
         if k is None:
             return PyramidalSample({}, self.params, self.conv, src.seed, None)
@@ -383,8 +382,7 @@ def plancherel_sample(theta: float, src: RandomSource | int) -> Partition:
     Draw N ~ Poisson(theta), insert a uniform N-permutation by RSK, and
     keep the shape.  A theta above ``words.MAX_WORD_LENGTH`` is refused.
     """
-    if isinstance(src, int):
-        src = RandomSource(src)
+    src = as_source(src)
     if not 0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta!r}")
     _check_word_mean("theta", theta)
@@ -401,8 +399,7 @@ def mixed_plancherel_sample(a: float, bs, src: RandomSource | int) -> Partition:
     are ordered uniformly in time and the word of their lines is inserted
     by RSK.  A mean a * sum(b) above ``words.MAX_WORD_LENGTH`` is refused.
     """
-    if isinstance(src, int):
-        src = RandomSource(src)
+    src = as_source(src)
     bs = [float(b) for b in bs]
     if not (0 < a < math.inf and all(0 <= b < math.inf for b in bs)):
         raise ValueError(

@@ -83,6 +83,22 @@ class _Accumulator:
         return ZValue(True, self.value if self.exact_mode else None, self.log)
 
 
+def _mul_pairs(acc: _Accumulator, word: tuple, z: Sequence, t=None) -> None:
+    """Multiply in, for each left symbol i and each later symbol j,
+    (1 + eps_ij z_i z_j)^eps_ij if j is a right symbol, with eps = +1
+    exactly for the mixed (primed/unprimed) pairs, and with ``t`` given
+    (1 + delta t^2 z_i z_j)^delta if j is a left one, with delta = -1
+    exactly when the two symbols are equal."""
+    for i in range(len(word)):
+        if not word[i].left:
+            continue
+        for j in range(i + 1, len(word)):
+            if not word[j].left:
+                acc.mul(z[i] * z[j], epsilon(word[i], word[j]))
+            elif t is not None:
+                acc.mul(t * t * z[i] * z[j], -1 if word[i] == word[j] else 1)
+
+
 def z_finite(word: Sequence[Rel], z: Sequence) -> ZValue:
     """Partition function of the finite Schur process: the product of
     (1 + eps_ij z_i z_j)^eps_ij over left-before-right index pairs, with
@@ -92,20 +108,15 @@ def z_finite(word: Sequence[Rel], z: Sequence) -> ZValue:
         raise ValueError("parameter list does not match word length")
     _require_parameters(z)
     acc = _Accumulator(_all_rational(z) and len(word) <= EXACT_WORD_LIMIT)
-    for i in range(len(word)):
-        if not word[i].left:
-            continue
-        for j in range(i + 1, len(word)):
-            if word[j].left:
-                continue
-            acc.mul(z[i] * z[j], epsilon(word[i], word[j]))
+    _mul_pairs(acc, word, z)
     return acc.result()
 
 
 def z_symmetric(word: Sequence[Rel], z: Sequence, t, mode: str = "free") -> ZValue:
     """Partition function of the right-free Schur process with boundary
     weight t^|free partition|: a left symbol whose diagonal rule draws
-    Geom(x^p) in the mode adds the factor 1 / (1 - (t z_i)^p)."""
+    Geom(x^p) in the mode adds the factor 1 / (1 - (t z_i)^p), and each
+    pair of left symbols the factor of ``_mul_pairs``."""
     _, rules = boundary_mode(mode)
     word = tuple(word)
     if len(z) != len(word):
@@ -117,16 +128,7 @@ def z_symmetric(word: Sequence[Rel], z: Sequence, t, mode: str = "free") -> ZVal
         power = rules["VV" if s.primed else "HH"][2] if s.left else 0
         if power:
             acc.mul((t * z[i]) ** power, -1)
-    for i in range(len(word)):
-        if not word[i].left:
-            continue
-        for j in range(i + 1, len(word)):
-            if word[j].left:
-                # delta = -1 when the two left symbols are equal
-                delta = -1 if word[i] == word[j] else 1
-                acc.mul(t * t * z[i] * z[j], delta)
-            else:
-                acc.mul(z[i] * z[j], epsilon(word[i], word[j]))
+    _mul_pairs(acc, word, z, t)
     return acc.result()
 
 

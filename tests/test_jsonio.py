@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -7,9 +8,14 @@ from hypothesis import given, strategies as st
 
 from schursample import jsonio
 from schursample.rng import RandomSource
-from schursample.sampler import ProcessSample, schur_sample
-from schursample.symmetric import SymmetricSample
-from schursample.tilings import CodecError
+from schursample.sampler import ProcessSample, reconstruct_inputs, schur_sample
+from schursample.symmetric import SymmetricSample, symmetric_schur_sample
+from schursample.tilings import (
+    CodecError,
+    to_plane_overpartition,
+    to_plane_partition,
+    to_steep_tiling,
+)
 from schursample.words import Rel, parse_word
 from schursample.zfun import MODES
 
@@ -72,3 +78,50 @@ def test_loads_keeps_an_overpartition_entry_as_written():
     record = {"kind": "plane-overpartition", "shape": [1], "rows": [[[1.5, False]]]}
     with pytest.raises(CodecError, match="entry 1.5 at row 1, column 1 is not an integer"):
         jsonio.loads(json.dumps(record))
+
+
+def _records():
+    """Process samples (half with draw logs), symmetric samples in every
+    mode and the three views, in a fixed order."""
+    for text, z in [
+        ("(<'>)^3", (1,) * 6),
+        ("(<)^2(>)^2", (Fraction(1, 2), 0.25, 1, Fraction(1, 3))),
+        ("<'<>>'<>", (0.5, 0.25, 0.3, 0.7, 0.2, 0.9)),
+    ]:
+        for seed in range(20):
+            yield schur_sample(parse_word(text), z, RandomSource(seed, log_draws=seed % 2 == 1))
+    for mode in ("free", "even_rows", "even_columns"):
+        for t in (1, Fraction(4, 5), 0.8):
+            for seed in range(10):
+                yield symmetric_schur_sample(parse_word("(<<')^4"), (0.45,) * 8, t, mode, seed)
+    for seed in range(10):
+        w = parse_word("(<)^2(>)^2")
+        yield to_plane_partition(w, schur_sample(w, (Fraction(1, 2),) * 4, seed).lambdas)
+        w = parse_word("(<'>)^3")
+        yield to_steep_tiling(w, schur_sample(w, (1,) * 6, seed).lambdas)
+        w = parse_word("(<<')^2")
+        yield to_plane_overpartition(w, symmetric_schur_sample(w, (0.5,) * 4, 1, "free", seed).lambdas)
+
+
+def test_records_and_their_round_trips_are_pinned():
+    """The bytes of 180 records of every kind that ``dumps`` writes, and of
+    each record read back and written again, pinned by digest."""
+    digest = hashlib.sha256()
+    for obj in _records():
+        text = jsonio.dumps(obj)
+        digest.update(f"{text}\n{jsonio.dumps(jsonio.loads(text))}\n".encode())
+    assert digest.hexdigest() == (
+        "7b2fec60498875ef114ac25925602c9439afc011d4fb9ae674db0b4b29d9e5c5"
+    )
+
+
+def test_a_sample_logs_only_its_own_draws():
+    # two samples from one logging source: the second keeps only its draws
+    src = RandomSource(1, log_draws=True)
+    first = schur_sample(parse_word("(<'>)^2"), (1,) * 4, src)
+    second = schur_sample(parse_word("(<'>)^2"), (1,) * 4, src)
+    for s in (first, second):
+        values = [v for _, _, v in s.draw_log]
+        assert values == list(reconstruct_inputs(s).values())
+        assert jsonio.loads(jsonio.dumps(s)).draw_log == s.draw_log
+    assert src.draw_log == first.draw_log + second.draw_log

@@ -3,7 +3,18 @@ import random
 
 import pytest
 
+from schursample import rng
 from schursample.rng import RandomSource, variates
+from schursample.sampler import schur_sample
+from schursample.symmetric import symmetric_schur_sample
+from schursample.unbounded import (
+    PyramidalParameters,
+    PyramidalSampler,
+    WordConvention,
+    mixed_plancherel_sample,
+    plancherel_sample,
+)
+from schursample.words import parse_word
 
 
 def test_determinism():
@@ -117,3 +128,36 @@ def test_row_draw_takes_an_overridden_or_wrapped_uniform(monkeypatch):
     monkeypatch.setattr(RandomSource, "uniform", lambda self: calls.append(1) or stock(self))
     assert RandomSource(9).row_drawer()(variates(odds, geometric), 4) == expected
     assert len(calls) == 4
+
+
+class _Subclass(RandomSource):
+    pass
+
+
+def test_as_source_takes_an_int_or_a_random_source():
+    src = _Subclass(4)
+    assert rng.as_source(src) is src
+    made = rng.as_source(7)
+    assert type(made) is RandomSource and made.seed == 7
+    with pytest.raises(TypeError, match="seed must be an int or a RandomSource, got float"):
+        rng.as_source(1.5)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda seed: schur_sample(parse_word("<>"), (0.5, 0.5), seed),
+        lambda seed: symmetric_schur_sample(parse_word("<"), (0.5,), 1, "free", seed),
+        lambda seed: PyramidalSampler(
+            PyramidalParameters.q_volume(0.5), WordConvention.pyramid()
+        ).sample(seed),
+        lambda seed: plancherel_sample(3.0, seed),
+        lambda seed: mixed_plancherel_sample(1.0, [0.5, 0.5], seed),
+    ],
+    ids=["schur", "symmetric", "pyramidal", "plancherel", "mixed_plancherel"],
+)
+def test_every_sampler_refuses_a_seed_of_another_type(entry):
+    assert entry(3) == entry(RandomSource(3))
+    for seed in (1.5, "3", None):
+        with pytest.raises(TypeError, match=f"got {type(seed).__name__}"):
+            entry(seed)

@@ -339,6 +339,28 @@ def test_symmetric_samples_and_draw_logs_are_pinned():
     )
 
 
+def test_the_symmetric_sweep_runs_no_diagonal_rule_on_a_dead_box(monkeypatch):
+    # a diagonal box whose row was skipped up to it has empty mu and kap;
+    # with G = 0 (or no G) its rule grows the empty partition, so it is skipped
+    calls = []
+
+    def recorder(rule):
+        def inner(*args):
+            calls.append(args)
+            return rule(*args)
+
+        return inner
+
+    for name in CHECKED_DIAGONAL_RULES:
+        monkeypatch.setattr(symmetric, name, recorder(getattr(symmetric, name)))
+    for mode in ("free", "even_rows", "even_columns"):
+        for seed in range(10):
+            symmetric_schur_sample(parse_word("(<<')^4"), (0.45,) * 8, 0.8, mode, seed)
+    assert calls
+    # (mu, kap, G) on a drawing rule, (mu, kap) on a deterministic one
+    assert not [args for args in calls if args[:2] == ((), ()) and args[2:] in ((), (0,))]
+
+
 def test_reconstruct_symmetric_inputs_refuses_an_invalid_sample():
     s = symmetric_schur_sample(parse_word("<<"), (0.5, 0.5), 1, "even_rows", 3)
     s.lambdas = (EMPTY, (1,), (1,), (1,), EMPTY)  # the free partition has an odd row
