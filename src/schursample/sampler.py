@@ -175,14 +175,17 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
     box HV or every box VH) is grown one anti-diagonal at a time by
     :func:`_grow_diagonals`.  Any other plan is grown row by row, keeping
     one profile of m + 1 tuples: entry i holds tau(i, j) for the last row j
-    that reached column i.  A row starts at its first box that can be
-    nonempty: every kernel keeps |nu| = |lam| + |mu| - |kap| + g, so a box
-    with input 0 and three empty neighbours grows the empty partition, which
-    the profile already holds.  ``stats`` still counts a skipped box, with
-    work 1.  The skip may reach a symmetric row's diagonal box (j, j): every
-    diagonal rule keeps 2|mu| + p g = |kap| + |nu|, and there mu =
-    tau(j - 1, j) and kap = tau(j - 1, j - 1) are empty, as every earlier box
-    of the row was skipped, so with g = 0 it grows the empty partition too.
+    that reached column i.  A quiet box runs no kernel: every box kernel
+    keeps nu >= lam, nu >= mu and |nu| = |lam| + |mu| - |kap| + g, so with
+    g = 0, lam == kap gives nu = mu and mu == kap gives nu = lam, which the
+    sweep assigns (a symmetric diagonal box keeps its rule).  A row starts
+    at its first box that can be nonempty, so its leading dead boxes (g = 0,
+    lam = mu = kap = ()) cost no loop either.  The skip may reach a
+    symmetric row's diagonal box (j, j): every diagonal rule keeps
+    2|mu| + p g = |kap| + |nu|, and there mu = tau(j - 1, j) and
+    kap = tau(j - 1, j - 1) are empty, as every earlier box of the row was
+    skipped, so with g = 0 it grows the empty partition too.  ``stats``
+    counts every box as if its kernel ran, a skipped dead box with work 1.
 
     With ``diagonal`` the sweep is symmetric and the shape must be
     self-conjugate: only boxes with i <= j are grown, so row j asks for
@@ -210,6 +213,7 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
     for j in range(1, nrows + 1):
         row_len = pi[j - 1]
         stop = row_len if diagonal is None else min(row_len, j)
+        diag_i = 0 if diagonal is None else j  # the column of the row's diagonal box
         inputs = row_input(j, stop)
         start = 0  # skip the row's leading dead boxes
         while start < stop and not inputs[start] and not profile[start + 1]:
@@ -220,10 +224,15 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
         prev_diag = empty  # tau(i - 1, j - 1)
         for i, kind in enumerate(kinds[j - 1][start:stop], start=start + 1):
             lam, above = profile[i - 1], profile[i]  # tau(i - 1, j), tau(i, j - 1)
-            if i == j and diagonal is not None:
-                nu = diagonal(i, kind, lam, prev_diag, inputs[i - 1])
+            g = inputs[i - 1]
+            if i == diag_i:
+                nu = diagonal(i, kind, lam, prev_diag, g)
+            elif not g and lam == prev_diag:  # a quiet box
+                nu = above
+            elif not g and above == prev_diag:
+                nu = lam
             else:
-                nu = grow[kind](lam, above, prev_diag, inputs[i - 1])
+                nu = grow[kind](lam, above, prev_diag, g)
             if stats is not None:
                 stats.boxes += 1
                 stats.work += max(len(lam), len(above)) + 1
@@ -494,11 +503,13 @@ def shrink_profile(plan: ShapePlan, lambdas: Sequence[Partition], diagonal=None)
 
     It keeps one profile of tau(i, j) as tuples on every plan: row j is
     shrunk right to left, each box giving tau(i - 1, j - 1), and those
-    kappas with the boundary of row j - 1 make the next profile.  (On a
-    bitset plan :func:`reconstruct_inputs` runs :func:`_shrink_diagonals`
-    instead.)  With ``diagonal`` only the boxes i <= j are shrunk;
-    box (i, i) gives ``diagonal(i, kind, mu, nu)`` = (kappa, input) with
-    mu = tau(i - 1, i).
+    kappas with the boundary of row j - 1 make the next profile.  A quiet
+    box runs no kernel here either: nu == mu gives (kappa, input) =
+    (lam, 0) and nu == lam gives (mu, 0), since that pair grows nu and the
+    preimage is unique.  (On a bitset plan :func:`reconstruct_inputs` runs
+    :func:`_shrink_diagonals` instead.)  With ``diagonal`` only the boxes
+    i <= j are shrunk; box (i, i) gives ``diagonal(i, kind, mu, nu)`` =
+    (kappa, input) with mu = tau(i - 1, i).
     """
     pi, nrows = plan.pi, len(plan.pi)
     rows = [[] for _ in range(nrows + 1)]  # rows[j]: boundary tau(i, j), i rising
@@ -513,10 +524,15 @@ def shrink_profile(plan: ShapePlan, lambdas: Sequence[Partition], diagonal=None)
         kaps, row = [], []
         mu = rows[j - 1][0] if rows[j - 1] else EMPTY  # tau(stop, j - 1)
         for i in range(stop, 0, -1):
+            lam, nu = profile[i - 1], profile[i]
             if i == j and diagonal is not None:
-                mu, rand = diagonal(i, kinds[i - 1], profile[i - 1], profile[i])
+                mu, rand = diagonal(i, kinds[i - 1], lam, nu)
+            elif nu == mu:  # a quiet box
+                mu, rand = lam, 0
+            elif nu == lam:
+                rand = 0
             else:
-                mu, rand = SHRINK[kinds[i - 1]](profile[i - 1], profile[i], mu)
+                mu, rand = SHRINK[kinds[i - 1]](lam, nu, mu)
             kaps.append(mu)  # tau(i - 1, j - 1), the mu of the next box
             row.append(rand)
         kaps.reverse()
@@ -531,9 +547,11 @@ def reconstruct_inputs(sample: ProcessSample) -> Dict[Box, int]:
     draw log of the forward run, keyed by box in row-major order.
 
     The inverse sweep :func:`shrink_profile` recovers them, and one forward
-    replay certifies them: they must regrow the sample.  A regrown sequence
-    interlaces, so the certificate also checks the interlacing; only when
-    it fails is the sample checked step by step, which names the first step
+    replay certifies them: they must be in range (g >= 0, a bit on HV/VH
+    boxes) and regrow the sample.  Inputs in range regrow a sequence that
+    interlaces, so the certificate also checks the interlacing (a corrupt
+    sample can give an input out of range that regrows it); only when it
+    fails is the sample checked step by step, which names the first step
     that does not interlace, and else GrowthError is raised.  A bitset plan
     is shrunk and regrown on the bitsets of the boundary's boxes, which the
     replay compares without decoding them; since tuples that are not
@@ -545,7 +563,11 @@ def reconstruct_inputs(sample: ProcessSample) -> Dict[Box, int]:
     plan = precompute_par(sample.word, sample.z)
     if not plan.bitsets:
         rows = shrink_profile(plan, lambdas)
-        regrown = grow_profile(plan, lambda j, stop: rows[j - 1]) == lambdas
+        regrown = all(
+            0 <= g and (g <= 1 or kind in _GEOMETRIC)
+            for row, kinds in zip(rows, plan.row_kinds)
+            for g, kind in zip(row, kinds)
+        ) and grow_profile(plan, lambda j, stop: rows[j - 1]) == lambdas
         inputs = chain.from_iterable(rows)
     else:
         stage, bits = _shrink_diagonals(plan, lambdas)

@@ -6,7 +6,8 @@ Sampling truncates at a random Cantor-pairing index K: the box at K receives
 a conditioned draw, boxes below K ordinary draws (one prepared row per
 anti-diagonal), boxes above K zeros, and the finite growth sweep over the
 truncation word does the rest; it skips the boxes that stay empty, which
-are about half of the truncated corner.
+are about half of the truncated corner, and runs no kernel on a quiet box,
+which most of the others are.
 """
 from __future__ import annotations
 
@@ -125,11 +126,6 @@ class WordConvention:
     def box_kind(self, i: int, j: int) -> str:
         return words.box_kind(self.left[i % 2], self.right[j % 2])
 
-    def plus_count(self, s: int) -> int:
-        """Number of boxes with epsilon = +1 on the anti-diagonal i + j = s."""
-        per_parity = (s // 2 + 1, (s + 1) // 2)  # boxes with j even, j odd
-        return sum(n for j, n in enumerate(per_parity) if self.epsilon(s - j, j) == 1)
-
     @staticmethod
     def plane_partitions() -> "WordConvention":
         return WordConvention((Rel.LH, Rel.LH), (Rel.RH, Rel.RH), "plane-partitions")
@@ -170,16 +166,17 @@ class PyramidalSampler:
 
     P(K <= k) is the product of (1 - c_ij) over boxes after k in Cantor
     order.  The cache is one table over anti-diagonals s = i + j: entry s is
-    the sum of log(1 - c) over the boxes with i + j < s.  When a_i b_j
-    depends only on i + j (geometric a and b with one ratio, as for
-    q-volume) an anti-diagonal's sum is a closed form in its number of
-    eps = +1 boxes; otherwise it is summed box by box.  The table stops at
-    the first anti-diagonal past which a certified bound on the remaining
-    mass is at most 1e-15 of the total (relative), and log P(empty) is the
-    midpoint of that bracket, an explicit approximation of the idealized
-    real-number model.  Sampling K bisects the table for the anti-diagonal,
-    then walks its boxes in Cantor order; a draw inside the tail bracket
-    resolves to the last box of the table.
+    the sum of log(1 - c) over the boxes with i + j < s, built in one pass
+    from each anti-diagonal's sum and a bound on the mass past it.  When
+    a_i b_j depends only on i + j (geometric a and b with one ratio, as for
+    q-volume) both are closed forms on plain floats (_closed_sums), the sum
+    one in the anti-diagonal's number of eps = +1 boxes; otherwise both are
+    summed term by term.  The table stops at the first anti-diagonal past
+    which the bound is at most 1e-15 of the total (relative), and
+    log P(empty) is the midpoint of that bracket, an explicit approximation
+    of the idealized real-number model.  Sampling K bisects the table for
+    the anti-diagonal, then walks its boxes in Cantor order; a draw inside
+    the tail bracket resolves to the last box of the table.
     """
 
     def __init__(self, params: PyramidalParameters, convention: WordConvention):
@@ -199,13 +196,7 @@ class PyramidalSampler:
         return c
 
     def _diag_sum(self, s: int) -> float:
-        """sum of log(1 - c) over the boxes with i + j = s."""
-        if self._closed:
-            x = self.params.a[0] * self.params.b[s]
-            if x < 1:
-                plus = self.conv.plus_count(s)
-                return (s + 1 - plus) * math.log1p(-x) - plus * math.log1p(x)
-        # box by box, which names the first divergent box
+        """sum of log(1 - c) over the boxes with i + j = s, box by box."""
         return sum(math.log1p(-self._c(s - j, j)) for j in range(s + 1))
 
     def _mass_past(self, s: int) -> float:
@@ -215,13 +206,36 @@ class PyramidalSampler:
         cmax = max(a.sup(m) * b.sup(0), a.sup(0) * b.sup(m))
         if cmax >= 1:
             return math.inf
-        if self._closed:
-            r = a.ratio
-            mass = a[0] * b[s] * ((s + 1) / (1 - r) + r / (1 - r) ** 2)
-        else:
-            mass = sum(a[i] * b.tail(s - i) for i in range(s)) + a.tail(s) * b.total()
+        mass = sum(a[i] * b.tail(s - i) for i in range(s)) + a.tail(s) * b.total()
         # -log(1 - c) <= ab / (1 - ab) for eps = -1 and <= ab for eps = +1
         return mass / (1 - cmax)
+
+    def _closed_sums(self):
+        """(term, bound), the closed case's _diag_sum and _mass_past on plain
+        floats: a_i b_j = x_(i+j), x_s = ca cb r^s, and box (s - j, j) has
+        eps = +1 by the parities of s and j alone.  A term with x_s >= 1 is
+        summed box by box, which names the first divergent box."""
+        ca, cb, r = self.params.a.coeff, self.params.b.coeff, self.params.a.ratio
+        is_plus = [[self.conv.epsilon(s - j, j) == 1 for j in (0, 1)] for s in (0, 1)]
+        d = 1 - r
+        spread = r / d**2
+
+        def term(s: int) -> float:
+            x = ca * (cb * r**s)
+            if x >= 1:
+                return self._diag_sum(s)
+            even, odd = is_plus[s % 2]  # boxes with j even, j odd
+            plus = (s // 2 + 1 if even else 0) + ((s + 1) // 2 if odd else 0)
+            return (s + 1 - plus) * math.log1p(-x) - plus * math.log1p(x)
+
+        def bound(s: int) -> float:
+            rm = r ** ((s + 1) // 2)
+            cmax = max(ca * rm * cb, ca * (cb * rm))
+            if cmax >= 1:
+                return math.inf
+            return ca * (cb * r**s) * ((s + 1) / d + spread) / (1 - cmax)
+
+        return term, bound
 
     def _closed_mass(self, terms: int) -> float:
         """Upper bound on -sum log(1 - c) over all boxes in the closed case:
@@ -245,26 +259,28 @@ class PyramidalSampler:
         if self._log_all is not None:
             return self._log_all
         cap = (1 << 20) + 1
+        term, bound = self._diag_sum, self._mass_past
         if self._closed:
+            term, bound = self._closed_sums()
             # the bulk of the mass sits on about 1/(1 - r) anti-diagonals; past
             # cap/16 of them the geometric tail alone is tight enough to refuse
             mass = self._closed_mass(min(math.ceil(1 / (1 - self.params.a.ratio)), cap >> 4))
-            if self._mass_past(cap) > K_BRACKET_REL * max(mass, 1e-6):
+            if bound(cap) > K_BRACKET_REL * max(mass, 1e-6):
                 raise ArithmeticError("tail bound fails to converge")
         diag = [0.0]
         hi, lo = 0.0, 0.0  # compensated running sum, hi + lo
         while True:
             s = len(diag) - 1
-            bound = self._mass_past(s)
-            if bound <= K_BRACKET_REL * max(abs(diag[-1]), 1e-6):
+            past = bound(s)
+            if past <= K_BRACKET_REL * max(abs(diag[-1]), 1e-6):
                 self._diag = diag
-                self._log_all = diag[-1] - bound / 2
+                self._log_all = diag[-1] - past / 2
                 return self._log_all
             if s >= cap:
                 raise ArithmeticError("tail bound fails to converge")
-            term = self._diag_sum(s)
-            t = hi + term
-            lo += (hi - t) + term if abs(hi) >= abs(term) else (term - t) + hi
+            x = term(s)
+            t = hi + x
+            lo += (hi - t) + x if abs(hi) >= abs(x) else (x - t) + hi
             hi = t
             diag.append(hi + lo)
 

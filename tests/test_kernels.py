@@ -393,16 +393,18 @@ def test_box_kernels_match_reference_on_recorded_samples(monkeypatch):
 
 
 def test_the_pyramid_sweep_runs_no_kernel_on_a_dead_box(monkeypatch):
-    # about half of the corner lies past K, and a box with input 0 under
-    # three empty neighbours grows the empty partition: it is skipped
+    # nor on any other quiet box: with input 0, lam == kap grows mu and
+    # mu == kap grows lam (a dead box, with three empty neighbours, is both),
+    # so the sweep assigns nu without a kernel call
     pyramid = _record_calls(
         monkeypatch,
         lambda: unbounded_schur_sample(
             PyramidalParameters.q_volume(0.95), WordConvention.pyramid(), RandomSource(1)
         ),
     )
-    assert pyramid
-    assert ((), (), (), 0) not in [args for _, args in pyramid]
+    assert len(pyramid) == 2127  # 7851 before quiet boxes were skipped
+    for _, (lam, mu, kap, g) in pyramid:
+        assert g or (lam != kap and mu != kap)
 
 
 # --- hypothesis: long valid triples, and the shrink round trips ------------
@@ -463,6 +465,17 @@ def test_box_grow_shrink_round_trip(kind, data):
     assert nu == REF_BOX[kind](lam, mu, kap, r)
     assert shrink(kind, lam, nu, mu) == (kap, r)
     check_shrink(kind, lam, mu, kap, r, nu)
+
+
+@pytest.mark.parametrize("kind", ["HH", "HV", "VH", "VV"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_quiet_box_grows_its_other_neighbour(kind, data):
+    # the identity that lets the sweep skip the kernel: with input 0,
+    # lam == kap gives nu = mu and mu == kap gives nu = lam
+    lam, mu, kap, _ = data.draw(box_triples(kind))
+    assert grow(kind, kap, mu, kap, 0) == mu
+    assert grow(kind, lam, kap, kap, 0) == lam
 
 
 @pytest.mark.parametrize("kind", ["HV", "VH"])

@@ -218,6 +218,19 @@ def test_reconstruct_rejects_inconsistent():
         reconstruct_inputs(bad)
 
 
+def test_reconstruct_refuses_a_quiet_step_that_does_not_interlace():
+    # box (2, 2) of <<>> has nu = lambda(2) == mu = lambda(3) but lam =
+    # lambda(1) = (2,) not in nu: the inverse sweep takes it as quiet,
+    # (kappa, g) = (lam, 0), and the box below then shrinks to g = -1, out
+    # of range; that replay would regrow the corrupt sample
+    s = schur_sample(parse_word("<<>>"), (0.5,) * 4, 1)
+    s.lambdas = (EMPTY, (2,), (1,), (1,), EMPTY)
+    plan = precompute_par(s.word, s.z)
+    assert shrink_profile(plan, s.lambdas) == [[2, -1], [0, 0]]
+    with pytest.raises(ValueError, match="does not interlace at step 2"):
+        reconstruct_inputs(s)
+
+
 def test_reconstruct_is_certified_by_a_forward_replay(monkeypatch):
     w = parse_word("<<>>")
     s = schur_sample(w, (0.9,) * 4, 3)

@@ -5,6 +5,7 @@ import random
 import re
 import time
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from schursample.rng import RandomSource
 from schursample.rules import grow_hh
 from schursample.sampler import DivergenceError, run_growth
 from schursample.unbounded import (
+    K_BRACKET_REL,
     ParamSeq,
     PyramidalParameters,
     PyramidalSample,
@@ -29,9 +31,10 @@ from schursample.unbounded import (
     truncation_word,
     unbounded_schur_sample,
 )
-from schursample.words import MAX_WORD_LENGTH, format_word, precompute_par
+from schursample.words import MAX_WORD_LENGTH, Rel, format_word, precompute_par
 
 from grid_reference import boundary_lambdas, pyramid_rows
+from table_reference import ReferenceSampler
 
 
 def test_cantor_pairing():
@@ -210,6 +213,59 @@ def test_closed_mass_bounds_the_whole_mass(q):
         for terms in (0, 1, math.ceil(1 / (1 - q)), 4 * math.ceil(1 / (1 - q))):
             assert mass <= sampler._closed_mass(terms) < 2 * mass / (1 - q)
         assert sampler._closed_mass(math.ceil(1 / (1 - q))) < 2 * mass
+
+
+ALL_CONVENTIONS = [
+    WordConvention(left, right)
+    for left in product((Rel.LH, Rel.LV), repeat=2)
+    for right in product((Rel.RH, Rel.RV), repeat=2)
+]
+
+
+def _table(sampler):
+    """(_diag, log P(empty)), or the type and message of the refusal."""
+    try:
+        log_all = sampler.log_p_empty()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return sampler._diag, log_all
+
+
+def test_closed_table_equals_the_reference_bit_for_bit():
+    # the plain-float closures against the ParamSeq formulas they replaced,
+    # on every convention: ratio 0, coeff 0, and a_0 b_0 = 1.5 >= 1, which
+    # the pyramid's box (0, 0) takes at eps = +1 (and the others refuse)
+    assert "_closed_sums" in vars(PyramidalSampler)  # the reference overrides it
+    tables = 0
+    for r in (0.0, 0.05, 0.5, 0.9, 0.97, 0.99):
+        for ca, cb in ((math.sqrt(r), math.sqrt(r)), (0.5, 0.5), (0.0, 1.0), (3.0, 0.5)):
+            params = PyramidalParameters(ParamSeq.geometric(ca, r), ParamSeq.geometric(cb, r))
+            for conv in ALL_CONVENTIONS:
+                got = _table(PyramidalSampler(params, conv))
+                assert got == _table(ReferenceSampler(params, conv))
+                tables += isinstance(got[1], float)
+    assert tables == 318
+    params = PyramidalParameters(ParamSeq.geometric(3.0, 0.5), ParamSeq.geometric(0.5, 0.5))
+    assert isinstance(_table(PyramidalSampler(params, WordConvention.pyramid()))[1], float)
+
+
+def test_closed_table_is_refused_from_the_same_q():
+    # 0.9999642124211632 is the largest q-volume q that the refusal lets
+    # through; the refusal reads only the tail bound at the cap and
+    # _closed_mass, so equal bounds there refuse the same q
+    below = 0.9999642124211632
+    above = math.nextafter(below, 1)
+    cap = (1 << 20) + 1
+    for q in (0.999, 0.9999, below, above, 0.99997, 0.999999):
+        for conv in (WordConvention.plane_partitions(), WordConvention.pyramid()):
+            params = PyramidalParameters.q_volume(q)
+            got = PyramidalSampler(params, conv)._closed_sums()[1](cap)
+            assert got == ReferenceSampler(params, conv)._closed_sums()[1](cap)
+            mass = PyramidalSampler(params, conv)._closed_mass(min(math.ceil(1 / (1 - q)), cap >> 4))
+            assert (got > K_BRACKET_REL * mass) == (q > below)
+    for cls in (PyramidalSampler, ReferenceSampler):
+        with pytest.raises(ArithmeticError, match="tail bound fails to converge"):
+            cls(PyramidalParameters.q_volume(above), WordConvention.pyramid()).log_p_empty()
 
 
 class FixedUniform(RandomSource):
