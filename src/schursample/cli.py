@@ -7,6 +7,7 @@ stream per run index, so output order and content are reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -196,7 +197,14 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and returned by every later
+    one, so that a process that calls ``main`` many times builds it once.
+    Parsing never changes the parser, and help and usage text read the
+    streams and the terminal width when they are printed.  Each
+    subcommand's handler (``func``) is bound here, on the first call; the
+    handlers look up the functions they call at call time."""
     p = argparse.ArgumentParser(
         prog="schursample",
         description="Exact sampling of Schur processes and their tiling models.",

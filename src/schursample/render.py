@@ -84,7 +84,7 @@ class _Svg:
             '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'viewBox="{" ".join(map(_fmt, box))}">'
         )
-        return head + "".join(self.elems) + "</svg>"
+        return "".join([head, *self.elems, "</svg>"])
 
 
 def render_lozenge(hm: HeightMatrix, style: RenderStyle) -> str:

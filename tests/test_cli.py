@@ -1,6 +1,10 @@
+import argparse
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -140,6 +144,63 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["sample"])  # missing --word
     assert exc.value.code == 2
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    argv = ["sample", "--word", "<>", "--q", "1/2", "--seed", "3"]
+    assert main(argv) == 0  # builds the parser, if no earlier call did
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        assert main(argv) == 0
+    with pytest.raises(SystemExit):
+        main(["sample"])
+    assert built == []
+
+
+def _run_in_a_fresh_process(argv, stdin_text):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-m", "schursample", *argv],
+                          input=stdin_text.encode(), capture_output=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_reused_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
+    # one process: a usage error first, then each stage reads the last output
+    with pytest.raises(SystemExit) as exc:
+        main(["sample"])
+    assert exc.value.code == 2
+    usage = capsys.readouterr()
+    code, out, err = _run_in_a_fresh_process(["sample"], "")
+    assert code == 2 and out == usage.out.encode() == b""
+    assert err.decode().startswith("usage: schursample sample")
+    assert usage.err.startswith("usage: schursample sample")
+    calls = [
+        ["sample", "--word", "(<'>)^3", "--z", "1,1,1,1,1,1", "--seed", "5"],
+        ["convert", "--to", "steep-tiling"],
+        ["render", "--style", "domino"],
+        ["sample-unbounded", "--q", "0.5", "--alternating", "--seed", "2", "--count", "3"],
+        ["sample-symmetric", "--word", "(<<')^2", "--z", "0.45,0.45,0.45,0.45",
+         "--t", "0.8", "--seed", "4"],
+    ]
+    text = ""
+    for argv in calls:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        fresh_code, fresh_out, _ = _run_in_a_fresh_process(argv, text)
+        assert (fresh_code, fresh_out) == (0, out.encode())
+        text = out
 
 
 def test_verify_cli_passes(capsys):
