@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -52,19 +53,26 @@ def _word_and_params(args):
     return word, z
 
 
-def _batch(count: int, seed: int, one):
+def _batch(count: int, seed: int, sample, batched: bool = False):
+    """The samples of --count and --seed: count 1 draws ``sample(src)`` from
+    the seed's own stream, a larger count draws from its children 0 ..
+    count - 1, as one call ``sample(src, count=count)`` for a ``batched``
+    sampler, which plans and checks once per batch, and else one call per
+    child."""
     if count < 1:
         raise CliError(f"--count must be at least 1, got {count}")
+    src = RandomSource(seed)
     if count == 1:
-        return [one(RandomSource(seed))]
-    base = RandomSource(seed)
-    return [one(base.child(k)) for k in range(count)]
+        return [sample(src)]
+    if batched:
+        return sample(src, count=count)
+    return [sample(src.child(k)) for k in range(count)]
 
 
 def cmd_sample(args) -> int:
     word, z = _word_and_params(args)
-    one = lambda src: schur_sample(word, z, src)
-    for s in _batch(args.count, args.seed, one):
+    sample = functools.partial(schur_sample, word, z)
+    for s in _batch(args.count, args.seed, sample, batched=True):
         print(jsonio.dumps(s))
     return 0
 
@@ -74,8 +82,8 @@ def cmd_sample_symmetric(args) -> int:
     z = parse_params(args.z, len(word))
     t = parse_params(args.t, 1)[0]
     mode = args.mode.replace("-", "_")
-    one = lambda src: symmetric_schur_sample(word, z, t, mode, src)
-    for s in _batch(args.count, args.seed, one):
+    sample = functools.partial(symmetric_schur_sample, word, z, t, mode)
+    for s in _batch(args.count, args.seed, sample, batched=True):
         print(jsonio.dumps(s))
     return 0
 
@@ -142,10 +150,8 @@ def cmd_verify(args) -> int:
     else:  # exact q^Volume weights, which the oracle recognises
         zx = q_volume_parameters(word, _exact(parse_number(args.q)))
     sup = enumerate_support(word, zx, cap=args.cap, refine_tail_to=2 * args.cap + 8)
-    src = RandomSource(args.seed)
     counts = {}
-    for k in range(args.samples):
-        s = schur_sample(word, z, src.child(k))
+    for s in schur_sample(word, z, RandomSource(args.seed), count=args.samples):
         counts[s.lambdas] = counts.get(s.lambdas, 0) + 1
     tv = tv_distance(counts, sup)
     total = sup.total
@@ -161,13 +167,34 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
+_SPACES, _INK = re.compile(r"\s*"), re.compile(r"\S")  # as str.isspace tells
+_ASCII_BREAKS = "\r\v\f\x1c\x1d\x1e"  # str.splitlines' ASCII line boundaries but "\n"
+
+
+def _first_line(text: str):
+    """``text.strip().splitlines()[0]``, or None for a blank text, copying
+    only the first line: a view can be megabytes long.  That line ends at the
+    first newline (``str.find``) unless another line boundary comes first;
+    an ASCII line is searched for those with ``in``, several times faster
+    than ``str.splitlines`` or a regular expression.  Its trailing
+    whitespace stays unless nothing but whitespace follows it."""
+    start = _SPACES.match(text).end()
+    if start == len(text):
+        return None
+    end = text.find("\n", start)
+    line = text[start : len(text) if end < 0 else end]
+    if not line.isascii() or any(c in line for c in _ASCII_BREAKS):
+        line = line.splitlines()[0]
+    return line if _INK.search(text, start + len(line)) else line.rstrip()
+
+
 def _first_record(args):
     """The first JSON line of --input (stdin for "-"), decoded."""
     text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
-    lines = text.strip().splitlines()
-    if not lines:
+    line = _first_line(text)
+    if line is None:
         raise CliError(f"no JSON record in input {args.input!r}")
-    return jsonio.loads(lines[0])
+    return jsonio.loads(line)
 
 
 def cmd_convert(args) -> int:

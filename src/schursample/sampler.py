@@ -471,24 +471,34 @@ def run_growth(
 
 
 def schur_sample(
-    word: Sequence[Rel], z: Sequence, src: RandomSource | int
-) -> ProcessSample:
+    word: Sequence[Rel], z: Sequence, src: RandomSource | int, *, count: Optional[int] = None
+) -> ProcessSample | List[ProcessSample]:
     """Draw one exact sample of the Schur process of ``word`` with parameters
     ``z``, storing one profile of m + 1 partitions.  With a logging ``src``
-    the sample's ``draw_log`` holds the draws of this call alone."""
+    the sample's ``draw_log`` holds the draws of this call alone.
+
+    With ``count=n`` it returns the list of n samples drawn from the streams
+    ``src.child(0)`` .. ``src.child(n - 1)``, equal (with their ``stats``
+    and ``draw_log``) to n calls on those streams.  The plan and the checked
+    draw rows are made once for the batch, before any draw."""
     src = as_source(src)
     plan = precompute_par(word, z)
-    table, draw = check_parameters(plan), src.row_drawer()
-    stats, logged = SampleStats(), len(src.draw_log or ())
-    lambdas = grow_profile(plan, lambda j, stop: draw(table[j - 1], stop), stats=stats)
-    return ProcessSample(
-        word=plan.word,
-        z=tuple(z),
-        seed=src.seed,
-        lambdas=lambdas,
-        stats=stats,
-        draw_log=None if src.draw_log is None else src.draw_log[logged:],
-    )
+    table, zt = check_parameters(plan), tuple(z)
+
+    def one(src: RandomSource) -> ProcessSample:
+        draw = src.row_drawer()
+        stats, logged = SampleStats(), len(src.draw_log or ())
+        lambdas = grow_profile(plan, lambda j, stop: draw(table[j - 1], stop), stats=stats)
+        return ProcessSample(
+            word=plan.word,
+            z=zt,
+            seed=src.seed,
+            lambdas=lambdas,
+            stats=stats,
+            draw_log=None if src.draw_log is None else src.draw_log[logged:],
+        )
+
+    return one(src) if count is None else [one(src.child(k)) for k in range(count)]
 
 
 # Another name for schur_sample, which already stores O(m + n) partitions;

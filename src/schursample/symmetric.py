@@ -9,7 +9,8 @@ a diagonal box runs the one-sided reflection rule that the mode table in
 j's inputs are its off-diagonal draws and then its diagonal box's input:
 a Geom(x_j^p) draw, or 0 where the rule is deterministic and draws
 nothing.  The sampler reads those rules from this module's ``grow_diag_*``
-names on each call, so a caller may substitute them.
+names once per call, a batch's call included, so a caller may substitute
+them.
 :func:`reconstruct_symmetric_inputs` runs the inverse sweep on the same
 triangle, recovers the rows of inputs and replays them.
 """
@@ -78,33 +79,47 @@ def symmetric_schur_sample(
     t,
     mode: str,
     src: RandomSource | int,
-) -> SymmetricSample:
+    *,
+    count: Optional[int] = None,
+) -> SymmetricSample | List[SymmetricSample]:
     """One exact sample of the right-free Schur process of ``word`` with
-    parameters (z; t) and the given boundary mode."""
+    parameters (z; t) and the given boundary mode.
+
+    With ``count=n`` it returns the list of n samples drawn from the streams
+    ``src.child(0)`` .. ``src.child(n - 1)``, equal to n calls on those
+    streams.  The diagonal rules, the plan, the checked draw rows and the
+    diagonal parameters are made once for the batch, before any draw."""
     rules = _diagonal_rules(mode)
     if t <= 0:
         raise ValueError("the boundary weight t must be positive")
     src = as_source(src)
-    word = tuple(word)
+    word, zt = tuple(word), tuple(z)
     plan = _symmetric_plan(word, z, t)
+    kinds = plan.row_kinds
 
     def diagonal_param(i: int, kind: str):
         power = rules[kind][2]
         return float(plan.x[i - 1]) ** power if power else None
 
-    table, draw, kinds = check_parameters(plan, diagonal_param), src.row_drawer(), plan.row_kinds
+    table = check_parameters(plan, diagonal_param)
+    # the Geom(x_j^p) parameter of diagonal box (j, j), None where it draws nothing
+    diag = [diagonal_param(j, kinds[j - 1][j - 1]) if j <= row_len else None
+            for j, row_len in enumerate(plan.pi, start=1)]
 
-    def row_input(j: int, stop: int) -> List[int]:
-        row = draw(table[j - 1], min(stop, j - 1))
-        if stop == j:  # and the diagonal box (j, j) last
-            xi = diagonal_param(j, kinds[j - 1][j - 1])
-            row.append(0 if xi is None else src.geometric(xi))
-        return row
+    def one(src: RandomSource) -> SymmetricSample:
+        draw = src.row_drawer()
 
-    lambdas = _grow(plan, rules, row_input)
-    return SymmetricSample(
-        word=word, z=tuple(z), t=t, mode=mode, seed=src.seed, lambdas=lambdas
-    )
+        def row_input(j: int, stop: int) -> List[int]:
+            row = draw(table[j - 1], min(stop, j - 1))
+            if stop == j:  # and the diagonal box (j, j) last
+                xi = diag[j - 1]
+                row.append(0 if xi is None else src.geometric(xi))
+            return row
+
+        lambdas = _grow(plan, rules, row_input)
+        return SymmetricSample(word=word, z=zt, t=t, mode=mode, seed=src.seed, lambdas=lambdas)
+
+    return one(src) if count is None else [one(src.child(k)) for k in range(count)]
 
 
 def _symmetric_plan(word: Word, z: Sequence, t) -> ShapePlan:

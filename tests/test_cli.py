@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from schursample import jsonio
-from schursample.cli import main
+from schursample.cli import _first_line, main
 from schursample.render import RenderStyle, render_svg
 from schursample.rng import RandomSource
 from schursample.sampler import schur_sample
@@ -138,6 +138,35 @@ def test_cli_empty_input_exits_with_an_error_line(capsys, tmp_path, command):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "no JSON record" in err
+
+
+_RECORD = '{"a": [1, 2]}'
+_FIRST_LINE_INPUTS = [
+    "", " ", "\n \n", "\r\n\t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0  　",
+    _RECORD, _RECORD + "\n", "\n\n  " + _RECORD + "  \n", _RECORD + "\r\n" + _RECORD,
+    _RECORD + " \t\n{}\n", _RECORD + " \t\n \n", _RECORD + "  ", "{\n}", "{  \n  }",
+    *(_RECORD + sep + "{}" for sep in "\r\x0b\x0c\x1c\x1d\x1e\x85  "),
+    '{"a": " "}\n', '{"a": "é"}\x85\n{}', '{"a": "é"} 　\n',
+    _RECORD + "\x1f{}", "\x1f" + _RECORD, " \xa0" + _RECORD + "　 \n",
+]
+
+
+@pytest.mark.parametrize("text", _FIRST_LINE_INPUTS)
+def test_the_first_record_is_the_first_line_of_the_stripped_input(text):
+    lines = text.strip().splitlines()
+    assert _first_line(text) == (lines[0] if lines else None)
+
+
+@pytest.mark.parametrize("text", [t for t in _FIRST_LINE_INPUTS if t.strip()])
+def test_the_first_record_decodes_or_fails_as_the_stripped_first_line(capsys, monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "render", "--input", "-")
+    try:
+        jsonio.loads(text.strip().splitlines()[0])
+    except Exception as exc:  # the same error line, naming the same position
+        assert (code, out, err) == (1, "", f"error: {exc}\n")
+    else:
+        assert code == 1 and "error:" in err  # decoded, then refused by render
 
 
 def test_cli_usage_error_exit_code():
