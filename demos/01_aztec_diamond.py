@@ -9,9 +9,8 @@ shuffling dynamics; any fill order gives the same tiling for the same bits.
 from collections import Counter
 from pathlib import Path
 
-from schursample import RandomSource, parse_word, precompute_par, schur_sample
+from schursample import RandomSource, parse_word, precompute_par, rules, schur_sample
 from schursample.render import RenderStyle, render_svg
-from schursample.sampler import run_growth
 from schursample.tilings import to_steep_tiling
 
 OUT = Path(__file__).parent / "output"
@@ -32,7 +31,10 @@ z = (1,) * (2 * n)
 sample = schur_sample(word, z, RandomSource(2024, log_draws=True))
 plan = precompute_par(word, z)
 bits = {box: bit for box, (_, _, bit) in zip(plan.boxes(), sample.draw_log)}
-grid = run_growth(plan, bits, "diagonal")
+grid = {}
+for i, j in sorted(plan.boxes(), key=sum):  # anti-diagonal by anti-diagonal
+    lam, mu, kap = (grid.get(p, ()) for p in ((i - 1, j), (i, j - 1), (i - 1, j - 1)))
+    grid[i, j] = rules.GROW[plan.row_kinds[j - 1][i - 1]](lam, mu, kap, bits[i, j])
 shuffled = tuple(grid.get(point, ()) for point in plan.boundary_points())
 print(f"\ndomino shuffling on the same {len(bits)} bits gives the same tiling: "
       f"{shuffled == sample.lambdas}")

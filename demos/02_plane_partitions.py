@@ -6,7 +6,7 @@ of a configuration proportional to q^(number of boxes).
 """
 from pathlib import Path
 
-from schursample import in_place_boundary_sample, parse_word, q_volume_parameters
+from schursample import parse_word, q_volume_parameters, schur_sample
 from schursample.render import RenderStyle, render_svg
 from schursample.tilings import to_plane_partition
 
@@ -15,7 +15,7 @@ OUT.mkdir(exist_ok=True)
 
 # --- a small boxed plane partition, printed as a height matrix -------------
 word = parse_word("(<)^6(>)^6")
-sample = in_place_boundary_sample(word, q_volume_parameters(word, 0.7), 7)
+sample = schur_sample(word, q_volume_parameters(word, 0.7), 7)
 hm = to_plane_partition(word, sample.lambdas)
 print("a 6x6-boxed plane partition at q = 0.7 (rows bottom-up):")
 for row in reversed(hm.rows):
@@ -24,7 +24,7 @@ print(f"volume = {sample.volume}")
 
 # --- a large one, rendered as stacked cubes ---------------------------------
 word = parse_word("(<)^40(>)^40")
-sample = in_place_boundary_sample(word, q_volume_parameters(word, 0.88), 11)
+sample = schur_sample(word, q_volume_parameters(word, 0.88), 11)
 hm = to_plane_partition(word, sample.lambdas)
 path = OUT / "plane_partition_40.svg"
 path.write_text(render_svg(hm, RenderStyle(model="lozenge", scale=7)))

@@ -16,7 +16,7 @@ from schursample import (
 )
 from schursample.render import RenderStyle, render_svg
 from schursample.tilings import to_steep_tiling
-from schursample.unbounded import truncation_params, truncation_word
+from schursample.unbounded import truncation_word
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)

@@ -25,8 +25,9 @@ recovered = reconstruct_inputs(sample)
 print("\nper-box inputs drawn (row-major) vs recovered from the output alone:")
 for (box, entry) in zip(plan.boxes(), src.draw_log):
     kind, param, value = entry
+    i, j = box
     mark = "ok" if recovered[box] == value else "MISMATCH"
-    print(f"  box {box} {plan.box_type(*box)} {kind}({param:.3f}) = {value}  -> {recovered[box]} {mark}")
+    print(f"  box {box} {plan.row_kinds[j - 1][i - 1]} {kind}({param:.3f}) = {value}  -> {recovered[box]} {mark}")
 
 assert all(recovered[b] == v for b, (_, _, v) in zip(plan.boxes(), src.draw_log))
 print(f"\nledger: {src.ledger.geometric_draws} geometric draws + "

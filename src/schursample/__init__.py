@@ -10,7 +10,6 @@ from .rng import RandomSource
 from .sampler import (
     DivergenceError,
     ProcessSample,
-    in_place_boundary_sample,
     reconstruct_inputs,
     schur_sample,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "encoded_shape",
     "format_word",
     "from_maya",
-    "in_place_boundary_sample",
     "interlaces",
     "mixed_plancherel_sample",
     "parse_word",

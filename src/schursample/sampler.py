@@ -11,8 +11,7 @@ row; the finite sampler ``schur_sample`` draws row j as one call of
 counts and logs as one ``bernoulli`` or ``geometric`` call per box.  The
 symmetric sampler (which passes a diagonal rule and grows one triangle)
 and the pyramidal one (which grows its finite truncation word) run on the
-same sweep.  ``in_place_boundary_sample`` is another name for
-``schur_sample``.
+same sweep.
 
 :func:`shrink_profile` is the same sweep run backwards on tuples: it peels
 the shape off the boundary and recovers every box's input, row by row.
@@ -29,11 +28,6 @@ boundary partitions.  :func:`reconstruct_inputs` inverts it the same way
 complements turned in a rectangle, and decodes nothing; both read the
 boundary's boxes from ``ShapePlan.boundary_points``.  Every other plan
 is grown row by row on one profile of tuples with ``rules.GROW``.
-
-:func:`run_growth` keeps the whole grid of tuples and takes any traversal
-order; it is the reference that the tests compare the sweep against.  Its
-``"diagonal"`` order is domino shuffling on Aztec words, and it grows the
-same grid as the sweep from the same inputs.
 """
 from __future__ import annotations
 
@@ -41,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .partitions import (
     EMPTY,
@@ -130,8 +124,10 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> List[tuple]:
     row, so each product is formed and checked once per distinct
     (y_j, symbol).  A symmetric sampler passes ``diagonal(i, kind)``, the
     geometric parameter drawn at the diagonal box (i, i), or None where
-    that box draws nothing; the boxes below the diagonal mirror those above
-    it and are skipped, and so is the diagonal, which the row does not hold.
+    that box draws nothing; it is refused like a product, also where its
+    float rounds up to 1.0 or overflows.  The boxes below the diagonal
+    mirror those above it and are skipped, and so is the diagonal, which
+    the row does not hold.
     """
     x, y, v, kinds = plan.x, plan.y, plan.v, plan.row_kinds
     # (type and value of y_j, its repr if 0, which tells -0.0 from 0.0, and
@@ -155,7 +151,7 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> List[tuple]:
         keys.append(key)
         if diagonal is not None and j <= row_len:
             xi = diagonal(j, row_kinds[j - 1])
-            if xi is not None and not 0 <= xi < 1:
+            if xi is not None and not (0 <= xi < 1 and float(xi) < 1):
                 _refuse((j, j), row_kinds[j - 1], xi)
     # made once the loop is over, since a later row may extend a shared list
     made = {
@@ -445,31 +441,6 @@ def _shrink_diagonals(plan: ShapePlan, lambdas: Sequence[Partition]):
     return stage, bits
 
 
-def run_growth(
-    plan: ShapePlan, inputs: Dict[Box, int], order: str = "row_major"
-) -> Dict[Box, Partition]:
-    """Fill the shape with the local rules under the given per-box inputs.
-
-    Any traversal respecting the coordinatewise partial order yields the same
-    grid; ``diagonal`` order (by i + j) realizes domino shuffling on Aztec
-    words.
-    """
-    if order == "row_major":
-        boxes: Iterable[Box] = plan.boxes()
-    elif order == "diagonal":
-        boxes = sorted(plan.boxes(), key=sum)
-    else:
-        raise ValueError(f"unknown traversal order {order!r}")
-    tau: Dict[Box, Partition] = {}
-    get = tau.get
-    for i, j in boxes:
-        lam = get((i - 1, j), EMPTY)
-        mu = get((i, j - 1), EMPTY)
-        kap = get((i - 1, j - 1), EMPTY)
-        tau[(i, j)] = GROW[plan.box_type(i, j)](lam, mu, kap, inputs[(i, j)])
-    return tau
-
-
 def schur_sample(
     word: Sequence[Rel], z: Sequence, src: RandomSource | int, *, count: Optional[int] = None
 ) -> ProcessSample | List[ProcessSample]:
@@ -501,8 +472,9 @@ def schur_sample(
     return one(src) if count is None else [one(src.child(k)) for k in range(count)]
 
 
-# Another name for schur_sample, which already stores O(m + n) partitions;
-# kept for the callers that use it.
+# Another name for schur_sample, left out of the package's API: the
+# benchmark's aztec workload (perfbench/workloads.py) is its one caller, and
+# ROADMAP item 9 retires it with the next change to the benchmark.
 in_place_boundary_sample = schur_sample
 
 

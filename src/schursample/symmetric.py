@@ -98,13 +98,17 @@ def symmetric_schur_sample(
     kinds = plan.row_kinds
 
     def diagonal_param(i: int, kind: str):
-        power = rules[kind][2]
-        return float(plan.x[i - 1]) ** power if power else None
+        # x^p for p = 1 or 2 by multiplication: exact on ints and Fractions,
+        # and inf, not OverflowError, past the float range
+        power, x = rules[kind][2], plan.x[i - 1]
+        return None if not power else x if power == 1 else x * x
 
     table = check_parameters(plan, diagonal_param)
-    # the Geom(x_j^p) parameter of diagonal box (j, j), None where it draws nothing
+    # the Geom(x_j^p) parameter of diagonal box (j, j), None where it draws
+    # nothing, as a float once check_parameters has refused every float >= 1
     diag = [diagonal_param(j, kinds[j - 1][j - 1]) if j <= row_len else None
             for j, row_len in enumerate(plan.pi, start=1)]
+    diag = [None if xi is None else float(xi) for xi in diag]
 
     def one(src: RandomSource) -> SymmetricSample:
         draw = src.row_drawer()

@@ -361,11 +361,6 @@ def truncation_word(convention: WordConvention, m: int) -> Word:
     return (*lefts, *(convention.right[j % 2] for j in range(m)))
 
 
-def truncation_params(params: PyramidalParameters, m: int) -> tuple:
-    a, b = params.a, params.b
-    return tuple(a[i] for i in range(m - 1, -1, -1)) + tuple(b[j] for j in range(m))
-
-
 def rsk_shape(letters: list) -> Partition:
     """Shape of the RSK insertion tableau of a word, by Schensted row
     insertion; it equals the shape of the word's growth diagram (Fomin)."""

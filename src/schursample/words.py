@@ -149,14 +149,12 @@ class ShapePlan:
     def n(self) -> int:
         return len(self.y)
 
-    def box_type(self, i: int, j: int) -> str:
-        return box_kind(self.u[i - 1], self.v[j - 1])
-
     @cached_property
     def row_kinds(self) -> List[List[str]]:
-        """kinds[j - 1][i - 1] == box_type(i, j) for every column i <= m;
-        rows with the same symbol share one list.  Computed once per plan,
-        for the parameter check and the growth sweep."""
+        """kinds[j - 1][i - 1] is the kind of box (i, j),
+        ``box_kind(u[i - 1], v[j - 1])``, for every column i <= m; rows with
+        the same symbol share one list.  Computed once per plan, for the
+        parameter check and the growth sweep."""
         # keyed by the prime, which alone sets the kinds of a row symbol
         by_prime = {p: [_KINDS[u.primed][p] for u in self.u] for p in {s.primed for s in self.v}}
         return [by_prime[s.primed] for s in self.v]

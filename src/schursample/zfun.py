@@ -126,8 +126,9 @@ def z_symmetric(word: Sequence[Rel], z: Sequence, t, mode: str = "free") -> ZVal
                        and len(word) <= EXACT_WORD_LIMIT)
     for i, s in enumerate(word):
         power = rules["VV" if s.primed else "HH"][2] if s.left else 0
-        if power:
-            acc.mul((t * z[i]) ** power, -1)
+        if power:  # p = 1 or 2; a float product past the range is inf
+            tz = t * z[i]
+            acc.mul(tz if power == 1 else tz * tz, -1)
     _mul_pairs(acc, word, z, t)
     return acc.result()
 

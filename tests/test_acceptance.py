@@ -27,12 +27,7 @@ from schursample.oracle import (
 )
 from schursample.partitions import EMPTY, conjugate, partitions_up_to
 from schursample.rng import RandomSource
-from schursample.sampler import (
-    in_place_boundary_sample,
-    reconstruct_inputs,
-    run_growth,
-    schur_sample,
-)
+from schursample.sampler import grow_profile, reconstruct_inputs, schur_sample
 from schursample.symmetric import reconstruct_symmetric_inputs, symmetric_schur_sample
 from schursample.unbounded import (
     PyramidalParameters,
@@ -40,13 +35,12 @@ from schursample.unbounded import (
     WordConvention,
     grow_pyramidal,
     plancherel_sample,
-    truncation_params,
     truncation_word,
 )
 from schursample.words import Rel, parse_word, precompute_par, q_volume_parameters
 from schursample.zfun import z_finite, z_symmetric
 
-from grid_reference import boundary_lambdas, pyramid_rows
+from grid_reference import boundary_lambdas, pyramid_rows, run_growth, truncation_params
 
 
 class Budget:
@@ -206,13 +200,16 @@ def test_criterion_6_traversal_invariance():
             plan = precompute_par(w, tuple(0.5 for _ in w))
             inputs = {
                 (i, j): rnd.randrange(4)
-                if plan.box_type(i, j) in ("HH", "VV")
+                if plan.row_kinds[j - 1][i - 1] in ("HH", "VV")
                 else rnd.randrange(2)
                 for i, j in plan.boxes()
             }
-            assert run_growth(plan, inputs, "row_major") == run_growth(
-                plan, inputs, "diagonal"
-            )
+            grid = run_growth(plan, inputs, "row_major")
+            assert grid == run_growth(plan, inputs, "diagonal")
+            # the product sweep (tuples or bitsets) grows the same boundary
+            assert grow_profile(
+                plan, lambda j, stop: [inputs[(i, j)] for i in range(1, stop + 1)]
+            ) == boundary_lambdas(plan, grid)
 
 
 def test_criterion_7_symmetric_variants():
@@ -330,10 +327,10 @@ def test_criterion_9_plancherel():
 def test_criterion_10_performance():
     with Budget("10a (Aztec 200x200 under 2s)", 2.0):
         w = parse_word("(<'>)^200")
-        s = in_place_boundary_sample(w, (1,) * 400, 424242)
+        s = schur_sample(w, (1,) * 400, 424242)
         assert s.stats.boxes == 200 * 201 // 2
     with Budget("10b (100x100 plane partition q=0.93 under 5s)", 5.0):
         w = parse_word("(<)^100(>)^100")
         z = q_volume_parameters(w, 0.93)
-        s = in_place_boundary_sample(w, z, 31415)
+        s = schur_sample(w, z, 31415)
         assert len(s.lambdas) == 201

@@ -106,6 +106,14 @@ def test_zfun_symmetric_cli(capsys):
     assert out.strip() == "36/35"
 
 
+def test_sample_symmetric_names_the_diagonal_box_whose_weight_overflows(capsys):
+    code, out, err = run_cli(
+        capsys, "sample-symmetric", "--word", "<", "--z", "1e200", "--mode", "even-rows"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: box (1, 1) of type HH has parameter inf")
+
+
 def test_zfun_refuses_a_mode_without_t(capsys):
     code, out, err = run_cli(capsys, "zfun", "--word", "<>", "--z", "1,1", "--mode", "even-rows")
     assert code == 1

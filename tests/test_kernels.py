@@ -26,7 +26,7 @@ from schursample.partitions import (
 )
 from schursample.rng import RandomSource
 from schursample.rules import grow, grow_diag, shrink, shrink_diag
-from schursample.sampler import run_growth, schur_sample
+from schursample.sampler import schur_sample
 from schursample.unbounded import (
     PyramidalParameters,
     WordConvention,
@@ -35,6 +35,7 @@ from schursample.unbounded import (
 from schursample.words import parse_word, precompute_par
 
 from bits_reference import GROW_BITS, SHRINK_BITS, turned_bits
+from grid_reference import run_growth
 
 _INF = float("inf")
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from schursample import rng, rules, symmetric, unbounded
+from schursample import rng, rules, sampler, symmetric, unbounded
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -34,6 +34,11 @@ def test_the_counted_kernels_exist(tracing):
         "grow_diag_v", "grow_diag_v_ec", "grow_diag_v_er",
     ]
     assert all(callable(vars(symmetric)[n]) for n in tracing.DIAG_RULES)
+
+
+def test_the_benchmark_alias_is_the_sampler():
+    # the aztec workload times schur_sample through this module attribute
+    assert sampler.in_place_boundary_sample is sampler.schur_sample
 
 
 def test_the_recorded_draw_methods_exist(tracing):

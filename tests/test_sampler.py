@@ -13,15 +13,14 @@ from schursample.sampler import (
     DivergenceError,
     SampleStats,
     check_parameters,
-    in_place_boundary_sample,
+    grow_profile,
     reconstruct_inputs,
-    run_growth,
     schur_sample,
     shrink_profile,
 )
 from schursample.words import Rel, parse_word, precompute_par, q_volume_parameters, symmetrize
 
-from grid_reference import boundary_lambdas
+from grid_reference import boundary_lambdas, run_growth
 
 
 def random_word(rnd, max_len=10):
@@ -147,12 +146,17 @@ def test_traversal_orders_agree():
         w = random_word(rnd, max_len=10)
         plan = precompute_par(w, tuple(0.5 for _ in w))
         inputs = {
-            (i, j): rnd.randrange(4) if plan.box_type(i, j) in ("HH", "VV") else rnd.randrange(2)
+            (i, j): rnd.randrange(4)
+            if plan.row_kinds[j - 1][i - 1] in ("HH", "VV")
+            else rnd.randrange(2)
             for i, j in plan.boxes()
         }
         g1 = run_growth(plan, inputs, order="row_major")
         g2 = run_growth(plan, inputs, order="diagonal")
         assert g1 == g2
+        # and the product sweep, on tuples or on bitsets, grows its boundary
+        swept = grow_profile(plan, lambda j, stop: [inputs[(i, j)] for i in range(1, stop + 1)])
+        assert swept == boundary_lambdas(plan, g1)
 
 
 def test_seeded_traversals_bit_identical():
@@ -167,23 +171,30 @@ def test_seeded_traversals_bit_identical():
     assert boundary_lambdas(plan, run_growth(plan, inputs, "diagonal")) == s.lambdas
 
 
+def _sample_and_full_grid(word, z, src):
+    """The sample of ``src``, which logs its draws, with its plan, its draws
+    by box and the full grid grown from them in row-major order."""
+    s = schur_sample(word, z, src)
+    plan = precompute_par(word, z)
+    drawn = dict(zip(plan.boxes(), (v for _, _, v in src.draw_log)))
+    return s, plan, drawn, run_growth(plan, drawn)
+
+
 def test_in_place_matches_full_grid():
     rnd = random.Random(2)
     for trial in range(300):
         w = random_word(rnd)
         z = q_volume_parameters(w, 0.5) if w else ()
-        a = schur_sample(w, z, 1000 + trial)
-        b = in_place_boundary_sample(w, z, 1000 + trial)
-        assert a.lambdas == b.lambdas
+        s, plan, _, grid = _sample_and_full_grid(w, z, RandomSource(1000 + trial, log_draws=True))
+        assert s.lambdas == boundary_lambdas(plan, grid)
 
 
 def test_in_place_aztec_100():
     w = parse_word("(<'>)^100")
     z = (1,) * 200
-    a = in_place_boundary_sample(w, z, 31337)
-    b = schur_sample(w, z, 31337)
-    assert a.lambdas == b.lambdas
-    a.validate()
+    s, plan, _, grid = _sample_and_full_grid(w, z, RandomSource(31337, log_draws=True))
+    assert s.lambdas == boundary_lambdas(plan, grid)
+    s.validate()
 
 
 def test_entropy_ledger_counts_boxes():
@@ -258,7 +269,7 @@ def test_zero_parameters_force_equal_slices():
 def test_complexity_guard_aztec():
     w = parse_word("(<'>)^30")
     z = (1,) * 60
-    s = in_place_boundary_sample(w, z, 8)
+    s = schur_sample(w, z, 8)
     big_l = max(max((max(l, default=0) for l in s.lambdas), default=0),
                 max((len(l) for l in s.lambdas), default=0))
     boxes = 30 * 31 // 2
@@ -279,11 +290,7 @@ def _check_against_tuple_reference(word, z, seed):
     """The sample of an all-mixed word (the sweep holds Maya bitsets) equals
     the tuple reference grown from its draw log, with equal SampleStats, and
     reconstruct_inputs returns that log."""
-    src = RandomSource(seed, log_draws=True)
-    s = schur_sample(word, z, src)
-    plan = precompute_par(word, z)
-    drawn = dict(zip(plan.boxes(), (v for _, _, v in src.draw_log)))
-    grid = run_growth(plan, drawn)
+    s, plan, drawn, grid = _sample_and_full_grid(word, z, RandomSource(seed, log_draws=True))
     assert s.lambdas == boundary_lambdas(plan, grid)
     assert s.stats == _reference_stats(plan, grid)
     assert reconstruct_inputs(s) == drawn

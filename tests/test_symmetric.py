@@ -273,7 +273,7 @@ def _reference_symmetric_lambdas(word, z, t, mode, seed):
     for i, j in plan.boxes():
         if j < i:
             continue
-        kind = plan.box_type(i, j)
+        kind = plan.row_kinds[j - 1][i - 1]
         if j > i:
             xi = float(plan.x[i - 1] * plan.y[j - 1])
             if kind in ("HH", "VV"):
@@ -311,6 +311,32 @@ def test_divergent_symmetric_parameters_raise_divergence_error():
     with pytest.raises(DivergenceError) as err:
         symmetric_schur_sample(parse_word("<<"), (0.9, 1.2), 1, "even_columns", 0)
     assert err.value.box == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "text, x, mode, error",
+    [
+        ("<", 10**400, "free", DivergenceError),
+        ("<", Fraction(10**400), "free", DivergenceError),
+        ("<", 1e200, "even_rows", ValueError),  # x^2 is inf
+        ("<'", 1e200, "even_columns", ValueError),
+    ],
+    ids=["int", "fraction", "float-even-rows", "float-even-columns"],
+)
+def test_a_diagonal_weight_past_the_float_range_is_refused_at_its_box(text, x, mode, error):
+    # x^p is formed exactly, or as a float product, and checked at box (1, 1)
+    # before it is turned into a float
+    with pytest.raises(error, match=r"^box \(1, 1\) of type"):
+        symmetric_schur_sample(parse_word(text), (x,), 1, mode, 0)
+    assert str(z_symmetric(parse_word(text), (x,), 1, mode)) == "divergent"
+
+
+def test_a_diagonal_weight_whose_float_rounds_to_one_is_refused():
+    # x^2 < 1 exactly, but its float is 1.0, which no geometric draw takes
+    x = Fraction(10**20 - 1, 10**20)
+    with pytest.raises(DivergenceError) as err:
+        symmetric_schur_sample(parse_word("<"), (x,), 1, "even_rows", 0)
+    assert err.value.box == (1, 1) and err.value.xi == 1.0
 
 
 def test_reconstruct_symmetric_inputs_equals_the_draw_log():

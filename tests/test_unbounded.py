@@ -13,7 +13,7 @@ from schursample.oracle import hook_length_f
 from schursample.partitions import EMPTY
 from schursample.rng import RandomSource
 from schursample.rules import grow_hh
-from schursample.sampler import DivergenceError, run_growth
+from schursample.sampler import DivergenceError
 from schursample.unbounded import (
     K_BRACKET_REL,
     ParamSeq,
@@ -27,13 +27,12 @@ from schursample.unbounded import (
     mixed_plancherel_sample,
     plancherel_sample,
     rsk_shape,
-    truncation_params,
     truncation_word,
     unbounded_schur_sample,
 )
 from schursample.words import MAX_WORD_LENGTH, Rel, format_word, precompute_par
 
-from grid_reference import boundary_lambdas, pyramid_rows
+from grid_reference import boundary_lambdas, pyramid_rows, run_growth, truncation_params
 from table_reference import ReferenceSampler
 
 

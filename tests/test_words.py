@@ -72,19 +72,20 @@ def test_precompute_par_running_example():
     assert plan.u == (LH, LV, LH, LH)
     assert plan.v == (RV, RV, RV, RH)
     # row 1 is the long bottom row, row 4 the top one next to the word start
-    assert plan.box_type(1, 4) == "HH"
-    assert plan.box_type(2, 4) == "VH"
-    assert plan.box_type(1, 3) == "HV"
-    assert plan.box_type(2, 3) == "VV"
-    assert plan.box_type(1, 1) == "HV"
-    assert plan.box_type(2, 1) == "VV"
-    assert plan.box_type(4, 1) == "HV"
+    kind = lambda i, j: plan.row_kinds[j - 1][i - 1]  # of box (i, j)
+    assert kind(1, 4) == "HH"
+    assert kind(2, 4) == "VH"
+    assert kind(1, 3) == "HV"
+    assert kind(2, 3) == "VV"
+    assert kind(1, 1) == "HV"
+    assert kind(2, 1) == "VV"
+    assert kind(4, 1) == "HV"
 
 
 def test_precompute_par_aztec():
     plan = precompute_par(parse_word("(<'>)^2"), (1, 1, 1, 1))
     assert plan.pi == (2, 1)
-    assert all(plan.box_type(i, j) == "VH" for i, j in plan.boxes())
+    assert all(plan.row_kinds[j - 1][i - 1] == "VH" for i, j in plan.boxes())
     assert plan.x == (1, 1) and plan.y == (1, 1)
 
 
