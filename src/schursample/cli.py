@@ -16,7 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import jsonio
-from .oracle import chi_square_pvalue, chi_square_statistic, enumerate_support, tv_distance
 from .render import RenderStyle, render_svg
 from .rng import RandomSource
 from .rules import MODES
@@ -144,6 +143,10 @@ def _exact(v) -> Fraction:
 
 
 def cmd_verify(args) -> int:
+    # imported here, as zfun is by cmd_zfun, so that no other command pays
+    # for compiling the oracle
+    from .oracle import chi_square_pvalue, chi_square_statistic, enumerate_support, tv_distance
+
     word, z = _word_and_params(args)
     if args.q is None:
         zx = tuple(_exact(v) for v in z)

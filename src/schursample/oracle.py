@@ -511,9 +511,31 @@ def chi_square_statistic(
 
 
 def chi_square_pvalue(stat: float, dof: int) -> float:
-    from scipy.stats import chi2
-
-    return float(chi2.sf(stat, dof))
+    """The upper tail P(X >= stat) of a chi-square X on ``dof`` (an int)
+    degrees of freedom, in closed form (Abramowitz & Stegun 26.4.4, 26.4.5).
+    With y = stat / 2, a = dof / 2 and t(s) = e^-y y^s / Gamma(s + 1), it is
+    t(a - 1) + t(a - 2) + ... down to t(0) for even dof, which is
+    P(Poisson(y) < a), and down to t(1/2), plus erfc(sqrt(y)), for odd dof.
+    For y < a it is 1 minus the lower tail t(a) + t(a + 1) + ..., whose
+    terms fall from the first: a tail near 1 is then formed from a small
+    sum, so it does not rise with stat by rounding.  Each term is formed in
+    the log domain, so none underflows before the others are summed.  As
+    ``scipy.stats.chi2.sf``: nan for dof <= 0 or a nan stat, 1.0 for
+    stat <= 0 and 0.0 for stat = inf."""
+    if dof <= 0 or stat != stat:
+        return math.nan
+    if stat <= 0 or stat == math.inf:
+        return 1.0 if stat <= 0 else 0.0
+    y, a = stat / 2, dof / 2
+    log_y = math.log(y)
+    term = lambda s: math.exp(s * log_y - y - math.lgamma(s + 1))
+    if y < a:
+        lower = [term(a)]
+        while lower[-1] > 1e-17 * lower[0]:
+            lower.append(term(a + len(lower)))
+        return 1.0 - math.fsum(lower)
+    head = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
+    return math.fsum([head, *(term(a - n) for n in range(1, dof // 2 + 1))])
 
 
 def hook_length_f(lam: Partition) -> int:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -125,18 +126,22 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> List[tuple]:
     (y_j, symbol).  A symmetric sampler passes ``diagonal(i, kind)``, the
     geometric parameter drawn at the diagonal box (i, i), or None where
     that box draws nothing; it is refused like a product, also where its
-    float rounds up to 1.0 or overflows.  The boxes below the diagonal
+    float rounds up to 1.0 or overflows, and so is a negative or non-finite
+    x_i, whatever the box draws.  The boxes below the diagonal
     mirror those above it and are skipped, and so is the diagonal, which
     the row does not hold.
     """
     x, y, v, kinds = plan.x, plan.y, plan.v, plan.row_kinds
     # (type and value of y_j, its repr if 0, which tells -0.0 from 0.0, and
-    # the prime of the row symbol) -> (floats by column, the row's kinds)
+    # the prime of the row symbol) -> (floats by column, the row's kinds); a
+    # Fraction's value is its (numerator, denominator), as Fraction.__hash__
+    # runs in Python
     rows = {}
     keys = []
     for j, row_len in enumerate(plan.pi, start=1):
         yj, row_kinds = y[j - 1], kinds[j - 1]
-        key = (type(yj), yj or repr(yj), v[j - 1].primed)
+        value = yj.as_integer_ratio() if type(yj) is Fraction else yj or repr(yj)
+        key = (type(yj), value, v[j - 1].primed)
         floats = rows.setdefault(key, ([], row_kinds))[0]
         stop = row_len if diagonal is None else min(row_len, j - 1)
         for i in range(len(floats), stop):  # the entries before were checked
@@ -151,6 +156,8 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> List[tuple]:
         keys.append(key)
         if diagonal is not None and j <= row_len:
             xi = diagonal(j, row_kinds[j - 1])
+            if not 0 <= x[j - 1] < _INF:  # x_j^2, or a rule that draws nothing, hides a sign
+                _refuse((j, j), row_kinds[j - 1], x[j - 1])
             if xi is not None and not (0 <= xi < 1 and float(xi) < 1):
                 _refuse((j, j), row_kinds[j - 1], xi)
     # made once the loop is over, since a later row may extend a shared list

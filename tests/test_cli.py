@@ -212,6 +212,38 @@ def _run_in_a_fresh_process(argv, stdin_text):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def _modules_after(code: str):
+    """The modules a fresh process has loaded after running ``code``."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    probe = code + "\nimport sys\nprint(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return proc.stdout.split()
+
+
+def test_importing_the_cli_loads_no_oracle_and_no_scipy():
+    loaded = _modules_after("import schursample.cli")
+    assert "schursample.cli" in loaded and "schursample.render" in loaded
+    assert "schursample.oracle" not in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
+def test_verify_loads_no_scipy():
+    loaded = _modules_after(
+        "import contextlib, io\n"
+        "from schursample.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    main(['verify', '--word', '<>', '--z', '1/2,1/2', '--samples', '200'])\n"
+        "assert 'chi-square p-value: 0.9913' in out.getvalue()"
+    )
+    assert "schursample.oracle" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
 def test_a_reused_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
     # one process: a usage error first, then each stage reads the last output
     with pytest.raises(SystemExit) as exc:

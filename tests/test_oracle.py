@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from schursample import rules
 from schursample.oracle import (
     SupportSizeError,
+    chi_square_pvalue,
     enumerate_support,
     enumerate_symmetric_support,
     escape_mass_bound,
@@ -199,3 +201,136 @@ def test_verify_bijections_reports_a_wrong_preimage(monkeypatch):
     monkeypatch.setattr(rules, "shrink", off_by_one)
     report = verify_bijections(2)
     assert not report.passed
+
+
+# (dof, x, scipy.stats.chi2.sf(x, dof)) from scipy 1.17.1, for x = r * dof at
+# r in (0.01, 0.1, 0.5, 0.9, 1, 1.25, 2, 5), where the tail is >= 1e-290
+CHI2_SF = (
+    (1, 0.01, 0.920344325445942),
+    (1, 0.1, 0.7518296340458492),
+    (1, 0.5, 0.47950012218695337),
+    (1, 0.9, 0.34278171114790873),
+    (1, 1.0, 0.31731050786291115),
+    (1, 1.25, 0.26355247728296954),
+    (1, 2.0, 0.15729920705028105),
+    (1, 5.0, 0.025347318677468325),
+    (2, 0.02, 0.990049833749168),
+    (2, 0.2, 0.9048374180359595),
+    (2, 1.0, 0.6065306597126334),
+    (2, 1.8, 0.4065696597405992),
+    (2, 2.0, 0.36787944117144245),
+    (2, 2.5, 0.2865047968601901),
+    (2, 4.0, 0.1353352832366127),
+    (2, 10.0, 0.006737946999085468),
+    (3, 0.03, 0.9986303948188087),
+    (3, 0.30000000000000004, 0.9600284803068776),
+    (3, 1.5, 0.6822703303362125),
+    (3, 2.7, 0.4402272943602312),
+    (3, 3.0, 0.3916251762710877),
+    (3, 3.75, 0.28975578119338535),
+    (3, 6.0, 0.11161022509471268),
+    (3, 15.0, 0.0018166489665723214),
+    (4, 0.04, 0.9998026467728904),
+    (4, 0.4, 0.9824769036935782),
+    (4, 2.0, 0.7357588823428847),
+    (4, 3.6, 0.46283688702044234),
+    (4, 4.0, 0.40600584970983794),
+    (4, 5.0, 0.2872974951836458),
+    (4, 8.0, 0.0915781944436709),
+    (4, 20.0, 0.0004993992273873336),
+    (7, 0.07, 0.9999993289114677),
+    (7, 0.7000000000000001, 0.9983357368454033),
+    (7, 3.5, 0.8352254826103422),
+    (7, 6.3, 0.5051889407557321),
+    (7, 7.0, 0.42887985755305486),
+    (7, 8.75, 0.2711068782822828),
+    (7, 14.0, 0.051181353413065414),
+    (7, 35.0, 1.1184430509074334e-05),
+    (10, 0.1, 0.9999999975020487),
+    (10, 1.0, 0.9998278843700441),
+    (10, 5.0, 0.8911780189141513),
+    (10, 9.0, 0.5321035763747151),
+    (10, 10.0, 0.44049328506521257),
+    (10, 12.5, 0.2529853233092983),
+    (10, 20.0, 0.029252688076961124),
+    (10, 50.0, 2.669083424904495e-07),
+    (31, 0.31, 1.0),
+    (31, 3.1, 0.999999999959784),
+    (31, 15.5, 0.9908119181479433),
+    (31, 27.900000000000002, 0.6263228024176233),
+    (31, 31.0, 0.46621250621750804),
+    (31, 38.75, 0.1597207504311753),
+    (31, 62.0, 0.0007793409160726119),
+    (31, 155.0, 1.9982611735101816e-18),
+    (40, 0.4, 1.0),
+    (40, 4.0, 0.9999999999999356),
+    (40, 20.0, 0.9965456580241432),
+    (40, 36.0, 0.6509161279807018),
+    (40, 40.0, 0.4702572668392401),
+    (40, 50.0, 0.1335748340856504),
+    (40, 80.0, 0.0001763028977385677),
+    (40, 200.0, 3.764893576001532e-23),
+    (59, 0.59, 1.0),
+    (59, 5.9, 1.0),
+    (59, 29.5, 0.9995356245518807),
+    (59, 53.1, 0.6916146582842809),
+    (59, 59.0, 0.4755119972953301),
+    (59, 73.75, 0.09358167801247524),
+    (59, 118.0, 8.076425555912488e-06),
+    (59, 295.0, 4.276199845640744e-33),
+    (100, 1.0, 1.0),
+    (100, 10.0, 1.0),
+    (100, 50.0, 0.9999930466947524),
+    (100, 90.0, 0.7531979655998298),
+    (100, 100.0, 0.48119168452795674),
+    (100, 125.0, 0.0459899323791504),
+    (100, 200.0, 1.1784500720979781e-08),
+    (100, 500.0, 1.720121005369523e-54),
+    (501, 5.01, 1.0),
+    (501, 50.1, 1.0),
+    (501, 250.5, 1.0),
+    (501, 450.90000000000003, 0.947119295370776),
+    (501, 501.0, 0.4915977714290517),
+    (501, 626.25, 0.00011266964172536957),
+    (501, 1002.0, 1.0356050544102753e-35),
+    (501, 2505.0, 5.341660871795269e-263),
+    (2001, 20.01, 1.0),
+    (2001, 200.10000000000002, 1.0),
+    (2001, 1000.5, 1.0),
+    (2001, 1800.9, 0.9994516891789966),
+    (2001, 2001.0, 0.4957958067483724),
+    (2001, 2501.25, 1.0594273538915346e-13),
+    (2001, 4002.0, 5.871947339464085e-136),
+    (5001, 50.01, 1.0),
+    (5001, 500.1, 1.0),
+    (5001, 2500.5, 1.0),
+    (5001, 4500.900000000001, 0.9999998835246912),
+    (5001, 5001.0, 0.4973406448157478),
+    (5001, 6251.25, 2.1661059247986245e-31),
+)
+
+
+@pytest.mark.parametrize("dof, x, sf", CHI2_SF)
+def test_chi_square_tail_matches_scipy(dof, x, sf):
+    assert chi_square_pvalue(x, dof) == pytest.approx(sf, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize(
+    "x, dof, sf",
+    [(0.0, 3, 1.0), (-2.5, 4, 1.0), (-math.inf, 1, 1.0), (math.inf, 3, 0.0),
+     (math.inf, 4, 0.0), (1e308, 7, 0.0)],
+)
+def test_chi_square_tail_at_the_ends(x, dof, sf):
+    assert chi_square_pvalue(x, dof) == sf
+
+
+@pytest.mark.parametrize("x, dof", [(1.0, 0), (0.0, 0), (1.0, -1), (math.nan, 3), (math.nan, 0)])
+def test_chi_square_tail_is_nan_where_scipy_says_nan(x, dof):
+    assert math.isnan(chi_square_pvalue(x, dof))
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 8, 41, 500, 2001])
+def test_chi_square_tail_does_not_increase(dof):
+    tails = [chi_square_pvalue(dof * r / 200, dof) for r in range(0, 2001)]
+    assert all(b <= a for a, b in zip(tails, tails[1:]))
+    assert tails[0] == 1.0 and 0 <= tails[-1] < 0.002

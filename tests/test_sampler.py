@@ -98,6 +98,21 @@ def test_parameter_table_shares_equal_rows():
     assert table[0] is table[1]
 
 
+def test_exact_rows_are_keyed_without_hashing_a_fraction(monkeypatch):
+    # Fraction.__hash__ runs in Python; equal Fractions still share one row
+    w, z = parse_word("(<'>)^2"), (Fraction(1), Fraction(1), Fraction(2, 2), Fraction(1))
+    table = check_parameters(precompute_par(w, z))
+    expected = schur_sample(w, z, 9)
+
+    def refuse(self):
+        raise AssertionError("a Fraction was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    assert schur_sample(w, z, 9).lambdas == expected.lambdas
+    shared = check_parameters(precompute_par(w, z))
+    assert shared[0] is shared[1] and table[0] is table[1]
+
+
 def test_bad_far_column_of_a_shared_row_names_its_first_box():
     # x = (0.5, 0.5, 3); y = (0.5, 0.5): rows 1 and 2 share one list, and
     # box (3, 1) is the first with x_i y_j >= 1 in row-major order

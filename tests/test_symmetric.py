@@ -331,6 +331,17 @@ def test_a_diagonal_weight_past_the_float_range_is_refused_at_its_box(text, x, m
     assert str(z_symmetric(parse_word(text), (x,), 1, mode)) == "divergent"
 
 
+@pytest.mark.parametrize("mode", rules.MODES)
+def test_a_negative_parameter_on_a_diagonal_only_box_is_refused(mode):
+    # even_rows draws Geom(x^2) there and even_columns draws nothing, so
+    # neither sees the sign unless x itself is checked
+    src = RandomSource(1, log_draws=True)
+    with pytest.raises(ValueError, match=r"^box \(1, 1\) of type HH has parameter -0.5; "
+                       "parameters must be finite and nonnegative, also as floats$"):
+        symmetric_schur_sample(parse_word("<"), (-0.5,), 1, mode, src)
+    assert src.draw_log == []
+
+
 def test_a_diagonal_weight_whose_float_rounds_to_one_is_refused():
     # x^2 < 1 exactly, but its float is 1.0, which no geometric draw takes
     x = Fraction(10**20 - 1, 10**20)
