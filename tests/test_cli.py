@@ -201,27 +201,27 @@ def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
     assert built == []
 
 
-def _run_in_a_fresh_process(argv, stdin_text):
+def _fresh_env():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _run_in_a_fresh_process(argv, stdin_text):
     proc = subprocess.run([sys.executable, "-m", "schursample", *argv],
-                          input=stdin_text.encode(), capture_output=True, env=env, timeout=120)
+                          input=stdin_text.encode(), capture_output=True, env=_fresh_env(),
+                          timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
 def _modules_after(code: str):
     """The modules a fresh process has loaded after running ``code``."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-    )
     probe = code + "\nimport sys\nprint(*sorted(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+                          env=_fresh_env(), timeout=120, check=True)
     return proc.stdout.split()
 
 
