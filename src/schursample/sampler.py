@@ -31,7 +31,6 @@ is grown row by row on one profile of tuples with ``rules.GROW``.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -50,16 +49,13 @@ from .partitions import (
 )
 from .rng import ALGORITHM, RandomSource, as_source, variates
 from .rules import GROW, SHRINK, GrowthError, grow_hv_lanes
-from .words import Rel, ShapePlan, Word, precompute_par
+from .words import FLOAT_MAX, Rel, ShapePlan, Word, is_parameter, precompute_par, product
 
 Box = Tuple[int, int]
 
 _INF = float("inf")
-# The largest float, as an int: a comparison with it is exact for ints,
-# floats and Fractions alike, and a Fraction compares with an int without
-# turning the float into a Fraction first.
-_MAX = int(sys.float_info.max)
 _GEOMETRIC = frozenset(("HH", "VV"))  # the box kinds that draw a geometric
+_POLICY = "parameters must be finite and nonnegative, also as floats"
 
 
 class DivergenceError(ValueError):
@@ -102,13 +98,33 @@ class ProcessSample:
 
 
 def _refuse(box: Box, kind: str, xi) -> None:
-    """Raise the error of a box whose parameter xi fails the check."""
-    if not 0 <= xi < _INF or (xi > _MAX and kind not in _GEOMETRIC):
-        raise ValueError(
-            f"box {box} of type {kind} has parameter {xi}; "
-            "parameters must be finite and nonnegative, also as floats"
-        )
-    raise DivergenceError(box, kind, xi if xi >= 1 else float(xi))
+    """Raise the error of a box whose parameter xi fails the check: a
+    non-parameter, or a Bernoulli weight past the float range, is a
+    ValueError, and a geometric weight whose float is >= 1 a
+    DivergenceError.  A weight is named as it is if it lies in
+    [1, FLOAT_MAX], and else by its float: 1.0 if it rounds up to 1, inf
+    past the float range."""
+    if is_parameter(xi):
+        xi = xi if 1 <= xi <= FLOAT_MAX else float(xi) if xi < 1 else _INF
+        if xi < _INF or kind in _GEOMETRIC:
+            raise DivergenceError(box, kind, xi)
+    raise ValueError(f"box {box} of type {kind} has parameter {xi}; {_POLICY}")
+
+
+def _refuse_parameters(plan: ShapePlan, symmetric: bool) -> None:
+    """Name the first non-parameter (``words.is_parameter``) of the plan:
+    by the first box that uses it in row-major order (x_i and then y_j of
+    box (i, j), only i <= j if ``symmetric``), or else by its symbol."""
+    for i, j in plan.boxes():
+        bad = [p for p in (plan.x[i - 1], plan.y[j - 1]) if not is_parameter(p)]
+        if bad and (i <= j or not symmetric):
+            _refuse((i, j), plan.row_kinds[j - 1][i - 1], bad[0])
+    left, right = iter(plan.x), iter(plan.y[::-1])  # the parameters in word order
+    z = [next(left if s.left else right) for s in plan.word]
+    k = next(k for k, p in enumerate(z) if not is_parameter(p))
+    raise ValueError(
+        f"symbol {k + 1} ({plan.word[k].value}) of the word has parameter {z[k]}; {_POLICY}"
+    )
 
 
 def check_parameters(plan: ShapePlan, diagonal=None) -> List[tuple]:
@@ -118,20 +134,24 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> List[tuple]:
     on HH/VV boxes and Bernoulli(x_i y_j / (1 + x_i y_j)) on HV/VH boxes,
     for ``RandomSource.row_drawer``.
 
-    A negative or non-finite parameter (or one past the float range) raises
-    ValueError; a geometric (HH/VV) parameter whose float is >= 1 raises
-    DivergenceError, which covers an exact parameter >= 1 and one that
-    rounds up to 1.0.  Rows with equal y_j and symbol share one prepared
-    row, so each product is formed and checked once per distinct
-    (y_j, symbol).  A symmetric sampler passes ``diagonal(i, kind)``, the
-    geometric parameter drawn at the diagonal box (i, i), or None where
-    that box draws nothing; it is refused like a product, also where its
-    float rounds up to 1.0 or overflows, and so is a negative or non-finite
-    x_i, whatever the box draws.  The boxes below the diagonal
-    mirror those above it and are skipped, and so is the diagonal, which
-    the row does not hold.
+    Every x_i and y_j must be a parameter (``words.is_parameter``), checked
+    before any product is formed; a ValueError names the first box that
+    uses a bad one, or its symbol if no box does.  Each x_i y_j is formed
+    by ``words.product``, exact where a float product would overflow.  A
+    Bernoulli (HV/VH) weight past the float range raises ValueError, and a
+    geometric (HH/VV) one whose float is >= 1 raises DivergenceError, which
+    covers an exact weight >= 1 and one that rounds up to 1.0.  Rows with
+    equal y_j and symbol share one prepared row, so each product is formed
+    and checked once per distinct (y_j, symbol).  A symmetric sampler
+    passes ``diagonal(i, kind)``, the geometric weight drawn at the
+    diagonal box (i, i), or None where that box draws nothing; it is
+    refused like a product.  The boxes below the diagonal mirror those
+    above it and are skipped, and so is the diagonal, which the row does
+    not hold.
     """
     x, y, v, kinds = plan.x, plan.y, plan.v, plan.row_kinds
+    if not all(map(is_parameter, x + y)):
+        _refuse_parameters(plan, diagonal is not None)
     # (type and value of y_j, its repr if 0, which tells -0.0 from 0.0, and
     # the prime of the row symbol) -> (floats by column, the row's kinds); a
     # Fraction's value is its (numerator, denominator), as Fraction.__hash__
@@ -145,20 +165,15 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> List[tuple]:
         floats = rows.setdefault(key, ([], row_kinds))[0]
         stop = row_len if diagonal is None else min(row_len, j - 1)
         for i in range(len(floats), stop):  # the entries before were checked
-            try:
-                xi = x[i] * yj
-            except OverflowError:  # a float operand makes an exact product overflow
-                xi = _INF
-            f = float(xi) if 0 <= xi <= _MAX else _INF
+            xi = product(x[i], yj)
+            f = float(xi) if xi <= FLOAT_MAX else _INF
             if f == _INF or (f >= 1 and row_kinds[i] in _GEOMETRIC):
                 _refuse((i + 1, j), row_kinds[i], xi)
             floats.append(f)
         keys.append(key)
         if diagonal is not None and j <= row_len:
             xi = diagonal(j, row_kinds[j - 1])
-            if not 0 <= x[j - 1] < _INF:  # x_j^2, or a rule that draws nothing, hides a sign
-                _refuse((j, j), row_kinds[j - 1], x[j - 1])
-            if xi is not None and not (0 <= xi < 1 and float(xi) < 1):
+            if xi is not None and not (xi < 1 and float(xi) < 1):
                 _refuse((j, j), row_kinds[j - 1], xi)
     # made once the loop is over, since a later row may extend a shared list
     made = {
@@ -207,7 +222,7 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
         for k, bits in _grow_diagonals(plan, stage, stats).items():
             lambdas[k] = from_bits(bits)
         return tuple(lambdas)
-    pi, m, n = plan.pi, plan.m, plan.n
+    pi, m, n = plan.pi, len(plan.x), len(plan.y)
     nrows = len(pi)
     kinds = plan.row_kinds
     grow, empty = GROW, EMPTY

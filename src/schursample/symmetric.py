@@ -34,6 +34,7 @@ from .rules import (
 )
 from .sampler import check_parameters, grow_profile, shrink_profile
 from .words import Rel, ShapePlan, Word, precompute_par, symmetrize
+from .words import is_parameter, product, quotient
 
 
 @dataclass
@@ -67,10 +68,13 @@ class SymmetricSample:
 
 def fold_boundary_weight(word: Sequence[Rel], z: Sequence, t):
     """Replace (Z; t) by the equivalent (Z-bar; 1): multiply left-symbol
-    parameters by t and divide right-symbol ones."""
+    parameters by t and divide right-symbol ones, by ``words.product`` and
+    ``words.quotient``, exact where a float result would overflow.  A
+    non-parameter is kept as it is, for ``check_parameters`` to name."""
     if t == 1:
         return tuple(z)
-    return tuple(zz * t if s.left else zz / t for s, zz in zip(word, z))
+    return tuple(zz if not is_parameter(zz) else product(zz, t) if s.left else quotient(zz, t)
+                 for s, zz in zip(word, z))
 
 
 def symmetric_schur_sample(
@@ -90,23 +94,21 @@ def symmetric_schur_sample(
     streams.  The diagonal rules, the plan, the checked draw rows and the
     diagonal parameters are made once for the batch, before any draw."""
     rules = _diagonal_rules(mode)
-    if t <= 0:
-        raise ValueError("the boundary weight t must be positive")
+    if not is_parameter(t) or t == 0:
+        raise ValueError(f"the boundary weight t must be positive and finite, got {t}")
     src = as_source(src)
     word, zt = tuple(word), tuple(z)
     plan = _symmetric_plan(word, z, t)
-    kinds = plan.row_kinds
 
     def diagonal_param(i: int, kind: str):
-        # x^p for p = 1 or 2 by multiplication: exact on ints and Fractions,
-        # and inf, not OverflowError, past the float range
+        # x^p for p = 1 or 2, exact where a float x * x would overflow
         power, x = rules[kind][2], plan.x[i - 1]
-        return None if not power else x if power == 1 else x * x
+        return None if not power else x if power == 1 else product(x, x)
 
     table = check_parameters(plan, diagonal_param)
     # the Geom(x_j^p) parameter of diagonal box (j, j), None where it draws
     # nothing, as a float once check_parameters has refused every float >= 1
-    diag = [diagonal_param(j, kinds[j - 1][j - 1]) if j <= row_len else None
+    diag = [diagonal_param(j, plan.row_kinds[j - 1][j - 1]) if j <= row_len else None
             for j, row_len in enumerate(plan.pi, start=1)]
     diag = [None if xi is None else float(xi) for xi in diag]
 

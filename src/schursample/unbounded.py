@@ -39,6 +39,11 @@ def cantor_unpair(k: int) -> Tuple[int, int]:
     return t - j, j
 
 
+def _fits_float(v) -> bool:
+    """Whether v is a parameter (``words.is_parameter``) that a float holds."""
+    return words.is_parameter(v) and v <= words.FLOAT_MAX
+
+
 @dataclass(frozen=True)
 class ParamSeq:
     """A nonnegative parameter sequence with a computable tail sum.
@@ -54,14 +59,14 @@ class ParamSeq:
 
     @staticmethod
     def finite(values) -> "ParamSeq":
-        vals = tuple(float(v) for v in values)
-        if not all(0 <= v < math.inf for v in vals):
-            raise ValueError(f"parameters must be finite and nonnegative, got {vals}")
-        return ParamSeq("finite", values=vals)
+        values = tuple(values)
+        if not all(map(_fits_float, values)):
+            raise ValueError(f"parameters must be finite and nonnegative floats, got {values}")
+        return ParamSeq("finite", values=tuple(map(float, values)))
 
     @staticmethod
     def geometric(coeff: float, ratio: float) -> "ParamSeq":
-        if not (0 <= ratio < 1 and 0 <= coeff < math.inf):
+        if not (_fits_float(ratio) and ratio < 1 and _fits_float(coeff)):
             raise ValueError(
                 f"geometric family needs finite coeff >= 0 and 0 <= ratio < 1, "
                 f"got coeff={coeff!r}, ratio={ratio!r}"
@@ -411,11 +416,9 @@ def mixed_plancherel_sample(a: float, bs, src: RandomSource | int) -> Partition:
     by RSK.  A mean a * sum(b) above ``words.MAX_WORD_LENGTH`` is refused.
     """
     src = as_source(src)
-    bs = [float(b) for b in bs]
-    if not (0 < a < math.inf and all(0 <= b < math.inf for b in bs)):
-        raise ValueError(
-            f"need finite a > 0 and finite nonnegative line intensities, got a={a!r}, {bs}"
-        )
+    if not (_fits_float(a) and a > 0):
+        raise ValueError(f"need a finite a > 0, got a={a!r}")
+    bs = ParamSeq.finite(bs).values  # the line intensities
     _check_word_mean("a * sum(b)", a * sum(bs))
     letters: list = []
     for i, b in enumerate(bs):

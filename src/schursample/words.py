@@ -6,12 +6,15 @@ for the size-2 Aztec diamond word.
 """
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, repeat
 from fractions import Fraction
+from numbers import Rational, Real
 from typing import List, Sequence, Tuple
 
 from .partitions import Partition, make
@@ -46,6 +49,11 @@ Word = Tuple[Rel, ...]
 _TOKEN = re.compile(r"\s*(?:(<'|>'|<|>)|(\()|(\)\s*\^\s*(\d+)))")
 
 MAX_WORD_LENGTH = 10**6  # longest word parse_word expands, in symbols
+
+# The largest float, as an int: a comparison with it is exact for ints,
+# floats and Fractions alike, and a Fraction compares with an int without
+# turning the float into a Fraction first.
+FLOAT_MAX = int(sys.float_info.max)
 
 
 def _check_length(n: int) -> None:
@@ -141,14 +149,6 @@ class ShapePlan:
     u: Tuple[Rel, ...]
     v: Tuple[Rel, ...]
 
-    @property
-    def m(self) -> int:
-        return len(self.x)
-
-    @property
-    def n(self) -> int:
-        return len(self.y)
-
     @cached_property
     def row_kinds(self) -> List[List[str]]:
         """kinds[j - 1][i - 1] is the kind of box (i, j),
@@ -179,7 +179,7 @@ class ShapePlan:
         """Lattice points on the boundary of pi (padded with empty rows up to
         the number of right symbols), clockwise from (0, n) on the vertical
         axis to (m, 0) on the horizontal axis; point k carries lambda(k)."""
-        i, j = 0, self.n
+        i, j = 0, len(self.y)
         pts = [(i, j)]
         for s in self.word:
             if s.left:
@@ -215,6 +215,37 @@ def precompute_par(w: Sequence[Rel], z: Sequence) -> ShapePlan:
         u=tuple(u),
         v=tuple(v_rev[::-1]),
     )
+
+
+def is_parameter(v) -> bool:
+    """Whether v can weight a symbol: a real number >= 0, finite if it is a
+    float.  An int or a Fraction may lie past the float range."""
+    if isinstance(v, float):
+        return 0 <= v < math.inf
+    # a Rational has the sign of its numerator, which compares faster
+    return isinstance(v, Rational) and v.numerator >= 0 or isinstance(v, Real) and 0 <= v < math.inf
+
+
+def product(a, b):
+    """a * b for two parameters: Python's own product, unless a float
+    product overflows (an int or Fraction past the float range times a
+    float raises, two finite floats give inf).  Then it is the exact
+    Fraction(a) * Fraction(b), since a float is a dyadic rational."""
+    try:
+        ab = a * b
+    except OverflowError:
+        return Fraction(a) * Fraction(b)
+    return Fraction(a) * Fraction(b) if isinstance(ab, float) and ab == math.inf else ab
+
+
+def quotient(a, b):
+    """a / b for two parameters, b > 0, with the exact fallback of
+    :func:`product`."""
+    try:
+        q = a / b
+    except OverflowError:
+        return Fraction(a) / Fraction(b)
+    return Fraction(a) / Fraction(b) if isinstance(q, float) and q == math.inf else q
 
 
 def q_volume_parameters(w: Sequence[Rel], q):
