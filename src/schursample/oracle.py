@@ -227,9 +227,12 @@ class SupportSizeError(RuntimeError):
 
 
 def _as_fractions(z) -> tuple:
-    if not all(isinstance(v, Rational) for v in z):
-        raise TypeError("the oracle works with exact rational parameters")
-    return tuple(map(Fraction, z))
+    out = []
+    for v in z:
+        if not isinstance(v, Rational):
+            raise TypeError("the oracle works with exact rational parameters")
+        out.append(Fraction(v))
+    return tuple(out)
 
 
 def sequence_weight(word: Word, z: Sequence, lambdas: Sequence[Partition]) -> Fraction:

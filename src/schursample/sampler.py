@@ -111,22 +111,6 @@ def _refuse(box: Box, kind: str, xi) -> None:
     raise ValueError(f"box {box} of type {kind} has parameter {xi}; {_POLICY}")
 
 
-def _refuse_parameters(plan: ShapePlan, symmetric: bool) -> None:
-    """Name the first non-parameter (``words.is_parameter``) of the plan:
-    by the first box that uses it in row-major order (x_i and then y_j of
-    box (i, j), only i <= j if ``symmetric``), or else by its symbol."""
-    for i, j in plan.boxes():
-        bad = [p for p in (plan.x[i - 1], plan.y[j - 1]) if not is_parameter(p)]
-        if bad and (i <= j or not symmetric):
-            _refuse((i, j), plan.row_kinds[j - 1][i - 1], bad[0])
-    left, right = iter(plan.x), iter(plan.y[::-1])  # the parameters in word order
-    z = [next(left if s.left else right) for s in plan.word]
-    k = next(k for k, p in enumerate(z) if not is_parameter(p))
-    raise ValueError(
-        f"symbol {k + 1} ({plan.word[k].value}) of the word has parameter {z[k]}; {_POLICY}"
-    )
-
-
 def check_parameters(plan: ShapePlan, diagonal=None) -> List[tuple]:
     """Check every parameter before any draw, naming the first bad box, and
     return the prepared rows of the draws: ``table[j - 1]`` is the row of
@@ -151,7 +135,19 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> List[tuple]:
     """
     x, y, v, kinds = plan.x, plan.y, plan.v, plan.row_kinds
     if not all(map(is_parameter, x + y)):
-        _refuse_parameters(plan, diagonal is not None)
+        # the first box that uses a bad one (i <= j on a symmetric plan),
+        # x_i before y_j, names it
+        for i, j in plan.boxes():
+            bad = [p for p in (x[i - 1], y[j - 1]) if not is_parameter(p)]
+            if bad and (diagonal is None or i <= j):
+                _refuse((i, j), kinds[j - 1][i - 1], bad[0])
+        # else its symbol: the parameters in word order
+        left, right = iter(x), iter(y[::-1])
+        z = [next(left if s.left else right) for s in plan.word]
+        k = next(k for k, p in enumerate(z) if not is_parameter(p))
+        raise ValueError(
+            f"symbol {k + 1} ({plan.word[k].value}) of the word has parameter {z[k]}; {_POLICY}"
+        )
     # (type and value of y_j, its repr if 0, which tells -0.0 from 0.0, and
     # the prime of the row symbol) -> (floats by column, the row's kinds); a
     # Fraction's value is its (numerator, denominator), as Fraction.__hash__

@@ -33,8 +33,7 @@ from .rules import (
     shrink_diag,
 )
 from .sampler import check_parameters, grow_profile, shrink_profile
-from .words import Rel, ShapePlan, Word, precompute_par, symmetrize
-from .words import is_parameter, product, quotient
+from .words import Rel, ShapePlan, Word, is_parameter, precompute_par, product, quotient, symmetrize
 
 
 @dataclass
