@@ -134,7 +134,7 @@ def check_parameters(plan: ShapePlan, diagonal=None) -> List[tuple]:
     not hold.
     """
     x, y, v, kinds = plan.x, plan.y, plan.v, plan.row_kinds
-    if not all(map(is_parameter, x + y)):
+    if not all(map(is_parameter, x + y if diagonal is None else x)):  # symmetric: x == y
         # the first box that uses a bad one (i <= j on a symmetric plan),
         # x_i before y_j, names it
         for i, j in plan.boxes():
