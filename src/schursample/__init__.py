@@ -33,9 +33,20 @@ from .words import (
     q_volume_parameters,
     symmetrize,
 )
-from .zfun import ZValue, z_finite, z_pyramidal, z_symmetric
 
 __version__ = "0.1.0"
+
+# compiled on first use, so that a process that only samples does not pay
+_ZFUN = frozenset(("ZValue", "z_finite", "z_pyramidal", "z_symmetric"))
+
+
+def __getattr__(name: str):
+    if name in _ZFUN:
+        from . import zfun
+
+        return getattr(zfun, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EMPTY",

@@ -9,7 +9,6 @@ exact rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -19,6 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .partitions import (
     EMPTY,
     Partition,
+    Record,
     conjugate,
     has_even_parts,
     interlaces_h,
@@ -194,8 +194,7 @@ def _sequences(word: Word, zz: tuple, cap: int, free):
 # ---------------------------------------------------------------------------
 # weighted support
 
-@dataclass
-class Support:
+class Support(Record):
     """Exact weights of the word-interlaced sequences with every slice
     within the weight cap, plus a rational upper bound on the mass that the
     cap missed.  ``free`` is the end condition of the slice walk: None for
@@ -203,11 +202,13 @@ class Support:
     with the parity of the boundary mode weighs t^|lam|.  The total comes
     from the slice DP and the entries are enumerated on first access."""
 
-    word: Word
-    z: tuple
-    cap: int
-    free: Optional[Tuple[Fraction, str]]
-    tail_bound: Fraction
+    def __init__(self, word: Word, z: tuple, cap: int, free: Optional[Tuple[Fraction, str]],
+                 tail_bound: Fraction):
+        self.word = word
+        self.z = z
+        self.cap = cap
+        self.free = free
+        self.tail_bound = tail_bound
 
     @cached_property
     def entries(self) -> Dict[tuple, Fraction]:
@@ -553,11 +554,12 @@ def hook_length_f(lam: Partition) -> int:
 # ---------------------------------------------------------------------------
 # bijection certification
 
-@dataclass
-class BijectionReport:
-    checked: int = 0
-    hit_targets: int = 0
-    counterexamples: List[str] = field(default_factory=list)
+class BijectionReport(Record):
+    def __init__(self, checked: int = 0, hit_targets: int = 0,
+                 counterexamples: Optional[List[str]] = None):
+        self.checked = checked
+        self.hit_targets = hit_targets
+        self.counterexamples = [] if counterexamples is None else counterexamples
 
     @property
     def passed(self) -> bool:

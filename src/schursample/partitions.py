@@ -4,10 +4,12 @@ Maya bitsets.
 A partition is a tuple of weakly decreasing positive integers; ``()`` is the
 empty partition.  All functions treat partitions as having an implicit
 infinite tail of zero parts, so ``part(lam, i)`` is total.
+
+This leaf module also holds the package's record bases, ``Record`` and
+``FrozenRecord``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, zip_longest
 from operator import ge, sub
 from typing import Iterable, Optional, Tuple
@@ -15,6 +17,43 @@ from typing import Iterable, Optional, Tuple
 Partition = Tuple[int, ...]
 
 EMPTY: Partition = ()
+
+
+class Record:
+    """A plain record.  Its fields are the parameters of its class's own
+    ``__init__``, in order, read once per class; records of one class
+    compare and print by their fields, and a mutable record is unhashable."""
+
+    def __init_subclass__(cls):
+        if "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record that hashes by its fields and refuses assignment; its
+    ``__init__`` sets the fields through ``self.__dict__``."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a frozen {type(self).__name__}")
 
 
 def make(parts: Iterable[int]) -> Partition:
@@ -121,17 +160,17 @@ def require_interlaced(word, lambdas, error) -> None:
         raise error(f"sequence does not interlace at step {i}: {a} {rel} {b} fails")
 
 
-@dataclass(frozen=True)
-class MayaWindow:
+class MayaWindow(FrozenRecord):
     """A finite window of a Maya diagram.
 
     Positions are half-integers stored doubled: cell k sits at doubled
     position ``offset + 2*k``.  Everything left of the window is a particle,
-    everything right of it a hole.
+    everything right of it a hole.  ``cells`` is a tuple of bools, True for
+    a particle.
     """
 
-    offset: int
-    cells: tuple  # tuple[bool, ...]; True = particle
+    def __init__(self, offset: int, cells: tuple):
+        self.__dict__.update(offset=offset, cells=cells)
 
     def positions(self):
         return [self.offset + 2 * k for k in range(len(self.cells))]

@@ -10,9 +10,9 @@ keys through one writer, ``_Svg``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, List
 
+from .partitions import FrozenRecord
 from .tilings import DominoTiling, HeightMatrix
 
 DOMINO_PALETTE = {
@@ -27,10 +27,9 @@ LOZENGE_PALETTE = {"top": "#f1c232", "left": "#cc4125", "right": "#3d85c6"}
 _COS30 = math.cos(math.pi / 6)
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    model: str = "domino"
-    scale: float = 12.0
+class RenderStyle(FrozenRecord):
+    def __init__(self, model: str = "domino", scale: float = 12.0):
+        self.__dict__.update(model=model, scale=scale)
 
 
 def _fmt(x: float) -> str:

@@ -9,21 +9,22 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Optional, Tuple
+
+from .partitions import Record
 
 ALGORITHM = "mt19937"
 
 _MIX = 0x9E3779B97F4A7C15  # golden-ratio increment for derived streams
 
 
-@dataclass
-class EntropyLedger:
+class EntropyLedger(Record):
     """Counts of the random variates consumed by a sampling run."""
 
-    geometric_draws: int = 0
-    bernoulli_draws: int = 0
+    def __init__(self, geometric_draws: int = 0, bernoulli_draws: int = 0):
+        self.geometric_draws = geometric_draws
+        self.bernoulli_draws = bernoulli_draws
 
     @property
     def total(self) -> int:

@@ -31,7 +31,6 @@ is grown row by row on one profile of tuples with ``rules.GROW``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -40,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .partitions import (
     EMPTY,
     Partition,
+    Record,
     from_bits,
     is_partition,
     require_closed,
@@ -70,23 +70,25 @@ class DivergenceError(ValueError):
         )
 
 
-@dataclass
-class SampleStats:
-    boxes: int = 0
-    work: int = 0  # candidate-row updates, for the complexity guard
+class SampleStats(Record):
+    def __init__(self, boxes: int = 0, work: int = 0):
+        self.boxes = boxes
+        self.work = work  # candidate-row updates, for the complexity guard
 
 
-@dataclass
-class ProcessSample:
+class ProcessSample(Record):
     """Output sequence of a sampling run with enough metadata to replay it."""
 
-    word: Word
-    z: tuple
-    seed: Optional[int]
-    lambdas: Tuple[Partition, ...]
-    rng_algorithm: str = ALGORITHM
-    stats: Optional[SampleStats] = None
-    draw_log: Optional[list] = None
+    def __init__(self, word: Word, z: tuple, seed: Optional[int], lambdas: Tuple[Partition, ...],
+                 rng_algorithm: str = ALGORITHM, stats: Optional[SampleStats] = None,
+                 draw_log: Optional[list] = None):
+        self.word = word
+        self.z = z
+        self.seed = seed
+        self.lambdas = lambdas
+        self.rng_algorithm = rng_algorithm
+        self.stats = stats
+        self.draw_log = draw_log
 
     def validate(self) -> None:
         require_closed(self.word, self.lambdas, ValueError)

@@ -16,10 +16,9 @@ triangle, recovers the rows of inputs and replays them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .partitions import Partition, has_even_parts, require_closed, require_interlaced
+from .partitions import Partition, Record, has_even_parts, require_closed, require_interlaced
 from .rng import ALGORITHM, RandomSource, as_source
 from .rules import (
     GrowthError,
@@ -36,18 +35,19 @@ from .sampler import check_parameters, grow_profile, shrink_profile
 from .words import Rel, ShapePlan, Word, is_parameter, precompute_par, product, quotient, symmetrize
 
 
-@dataclass
-class SymmetricSample:
+class SymmetricSample(Record):
     """Palindromic output sequence of length 2n + 1; entry n is the free
     partition, constrained by the boundary mode."""
 
-    word: Word
-    z: tuple
-    t: object
-    mode: str
-    seed: Optional[int]
-    lambdas: Tuple[Partition, ...]
-    rng_algorithm: str = ALGORITHM
+    def __init__(self, word: Word, z: tuple, t, mode: str, seed: Optional[int],
+                 lambdas: Tuple[Partition, ...], rng_algorithm: str = ALGORITHM):
+        self.word = word
+        self.z = z
+        self.t = t
+        self.mode = mode
+        self.seed = seed
+        self.lambdas = lambdas
+        self.rng_algorithm = rng_algorithm
 
     @property
     def free_partition(self) -> Partition:
@@ -99,16 +99,18 @@ def symmetric_schur_sample(
     word, zt = tuple(word), tuple(z)
     plan = _symmetric_plan(word, z, t)
 
+    # diag[j - 1]: the Geom(x_j^p) parameter of diagonal box (j, j), None
+    # where it draws nothing; formed once, as check_parameters asks for it
+    # row by row, and a float once it has refused every float >= 1
+    diag = [None] * len(plan.pi)
+
     def diagonal_param(i: int, kind: str):
         # x^p for p = 1 or 2, exact where a float x * x would overflow
         power, x = rules[kind][2], plan.x[i - 1]
-        return None if not power else x if power == 1 else product(x, x)
+        xi = diag[i - 1] = None if not power else x if power == 1 else product(x, x)
+        return xi
 
     table = check_parameters(plan, diagonal_param)
-    # the Geom(x_j^p) parameter of diagonal box (j, j), None where it draws
-    # nothing, as a float once check_parameters has refused every float >= 1
-    diag = [diagonal_param(j, plan.row_kinds[j - 1][j - 1]) if j <= row_len else None
-            for j, row_len in enumerate(plan.pi, start=1)]
     diag = [None if xi is None else float(xi) for xi in diag]
 
     def one(src: RandomSource) -> SymmetricSample:

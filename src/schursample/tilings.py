@@ -14,13 +14,14 @@ width-5 pyramid reconstructions in the tests):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .partitions import (
+    FrozenRecord,
     MayaWindow,
     Partition,
+    Record,
     conjugate,
     from_maya,
     require_closed,
@@ -49,14 +50,13 @@ def _require_tableau(shape: Partition, rows: tuple, values) -> None:
 # ---------------------------------------------------------------------------
 # reverse plane partitions
 
-@dataclass(frozen=True)
-class HeightMatrix:
+class HeightMatrix(FrozenRecord):
     """A reverse plane partition: ``rows[r-1]`` is row r (the r-th part of
-    the shape, drawn at the bottom in French convention), non-decreasing
-    along rows and up columns."""
+    the shape, drawn at the bottom in French convention), a tuple of ints
+    non-decreasing along rows and up columns."""
 
-    shape: Partition
-    rows: tuple  # tuple[tuple[int, ...], ...]
+    def __init__(self, shape: Partition, rows: tuple):
+        self.__dict__.update(shape=shape, rows=rows)
 
     def validate(self) -> None:
         _require_tableau(self.shape, self.rows, self.rows)
@@ -124,17 +124,18 @@ def _domino_fault(domino, signs) -> str:
     return f"pos2 {p} is even" if p % 2 == 0 else f"step {k} needs sign {signs[k]}"
 
 
-@dataclass
-class DominoTiling:
+class DominoTiling(Record):
     """A steep tiling, its dominoes the plain tuples (k, pos2, vertical,
     sign) in sorted order.  A domino covers the cell at doubled Maya
     position pos2 on diagonal k and the cell at pos2 + 2 (vertical) or
     pos2 (horizontal) on diagonal k + 1; its sign is +1 when both cells
-    are holes and -1 when both are particles."""
+    are holes and -1 when both are particles.  ``window`` is the doubled
+    positions [lo, hi] covered per diagonal."""
 
-    word: Word
-    window: Tuple[int, int]  # doubled positions [lo, hi] covered per diagonal
-    dominoes: tuple  # tuple[(int, int, bool, int), ...], sorted
+    def __init__(self, word: Word, window: Tuple[int, int], dominoes: tuple):
+        self.word = word
+        self.window = window
+        self.dominoes = dominoes
 
     def validate(self) -> None:
         """A steep word, odd integer window bounds, and dominoes of integer
@@ -296,14 +297,13 @@ def aztec_region_dominoes(tiling: DominoTiling, n: int) -> frozenset:
 # ---------------------------------------------------------------------------
 # plane overpartitions
 
-@dataclass(frozen=True)
-class OverpartitionTableau:
-    """Shape-filling by integers with overline flags; an overlined k stands
-    for the half-integer k - 1/2, so a cell (v, over) compares by its key
-    2v - over."""
+class OverpartitionTableau(FrozenRecord):
+    """Shape-filling by integers with overline flags, each row a tuple of
+    cells (v, over); an overlined k stands for the half-integer k - 1/2, so
+    a cell compares by its key 2v - over."""
 
-    shape: Partition
-    rows: tuple  # tuple[tuple[(int, bool), ...], ...]
+    def __init__(self, shape: Partition, rows: tuple):
+        self.__dict__.update(shape=shape, rows=rows)
 
     def validate(self) -> None:
         _require_tableau(self.shape, self.rows, ([v for v, _ in row] for row in self.rows))

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import mul, neg
 from typing import Dict, List, Optional, Tuple
 
 from . import words
-from .partitions import EMPTY, Partition, first_break
+from .partitions import EMPTY, FrozenRecord, Partition, Record, first_break
 from .rng import RandomSource, as_source, variates
 from .sampler import DivergenceError, grow_profile
 from .words import Rel, Word, precompute_par
@@ -44,18 +43,15 @@ def _fits_float(v) -> bool:
     return words.is_parameter(v) and v <= words.FLOAT_MAX
 
 
-@dataclass(frozen=True)
-class ParamSeq:
+class ParamSeq(FrozenRecord):
     """A nonnegative parameter sequence with a computable tail sum.
 
     Two generators cover the models in scope: explicit finite lists, and
     geometric families coeff * ratio^i (summable for ratio < 1).
     """
 
-    kind: str
-    values: tuple = ()
-    coeff: float = 0.0
-    ratio: float = 0.0
+    def __init__(self, kind: str, values: tuple = (), coeff: float = 0.0, ratio: float = 0.0):
+        self.__dict__.update(kind=kind, values=values, coeff=coeff, ratio=ratio)
 
     @staticmethod
     def finite(values) -> "ParamSeq":
@@ -94,12 +90,11 @@ class ParamSeq:
         return self.coeff * self.ratio**m
 
 
-@dataclass(frozen=True)
-class PyramidalParameters:
+class PyramidalParameters(FrozenRecord):
     """The (a_i) and (b_j) weight sequences of a pyramidal process."""
 
-    a: ParamSeq
-    b: ParamSeq
+    def __init__(self, a: ParamSeq, b: ParamSeq):
+        self.__dict__.update(a=a, b=b)
 
     def c(self, i: int, j: int, eps: int) -> float:
         ab = self.a[i] * self.b[j]
@@ -114,16 +109,14 @@ class PyramidalParameters:
         return PyramidalParameters(g, g)
 
 
-@dataclass(frozen=True)
-class WordConvention:
+class WordConvention(FrozenRecord):
     """The relation symbols on each side of the center, with period 2:
     ``left[i % 2]`` relates lambda(-i-1) to lambda(-i) and ``right[j % 2]``
     relates lambda(j) to lambda(j+1).  Box (i, j) pairs left symbol i with
     right symbol j: its kind and sign are words.box_kind and words.epsilon."""
 
-    left: Tuple[Rel, Rel]
-    right: Tuple[Rel, Rel]
-    name: str = "custom"
+    def __init__(self, left: Tuple[Rel, Rel], right: Tuple[Rel, Rel], name: str = "custom"):
+        self.__dict__.update(left=left, right=right, name=name)
 
     def epsilon(self, i: int, j: int) -> int:
         return words.epsilon(self.left[i % 2], self.right[j % 2])
@@ -142,13 +135,14 @@ class WordConvention:
         return WordConvention((Rel.LV, Rel.LH), (Rel.RH, Rel.RV), "pyramid")
 
 
-@dataclass
-class PyramidalSample:
-    lambdas: Dict[int, Partition]
-    params: PyramidalParameters
-    convention: WordConvention
-    seed: Optional[int]
-    truncation_index: Optional[int]  # None encodes K = -infinity
+class PyramidalSample(Record):
+    def __init__(self, lambdas: Dict[int, Partition], params: PyramidalParameters,
+                 convention: WordConvention, seed: Optional[int], truncation_index: Optional[int]):
+        self.lambdas = lambdas
+        self.params = params
+        self.convention = convention
+        self.seed = seed
+        self.truncation_index = truncation_index  # None encodes K = -infinity
 
     def lam(self, i: int) -> Partition:
         return self.lambdas.get(i, EMPTY)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, repeat
@@ -17,7 +16,7 @@ from fractions import Fraction
 from numbers import Rational, Real
 from typing import List, Sequence, Tuple
 
-from .partitions import Partition, make
+from .partitions import FrozenRecord, Partition, make
 
 
 class Rel(Enum):
@@ -131,8 +130,7 @@ def epsilon(left: Rel, right: Rel) -> int:
     return 1 if left.primed != right.primed else -1
 
 
-@dataclass(frozen=True)
-class ShapePlan:
+class ShapePlan(FrozenRecord):
     """Precomputed data for filling the encoded shape of a word.
 
     ``pi`` is the encoded shape; boxes are indexed (i, j) with j the row
@@ -142,12 +140,9 @@ class ShapePlan:
     the word (that is the row-1 symbol of the shape).
     """
 
-    word: Word
-    pi: Partition
-    x: tuple
-    y: tuple
-    u: Tuple[Rel, ...]
-    v: Tuple[Rel, ...]
+    def __init__(self, word: Word, pi: Partition, x: tuple, y: tuple,
+                 u: Tuple[Rel, ...], v: Tuple[Rel, ...]):
+        self.__dict__.update(word=word, pi=pi, x=x, y=y, u=u, v=v)
 
     @cached_property
     def row_kinds(self) -> List[List[str]]:

@@ -11,13 +11,13 @@ from its numerator and denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations
 from numbers import Rational
 from typing import Optional, Sequence
 
+from .partitions import FrozenRecord
 from .rules import MODES, boundary_mode  # zfun.MODES names the modes for callers
 from .sampler import DivergenceError
 from .unbounded import PyramidalSampler
@@ -26,17 +26,16 @@ from .words import FLOAT_MAX, Rel, epsilon, is_parameter, product
 EXACT_WORD_LIMIT = 40
 
 
-@dataclass(frozen=True)
-class ZValue:
+class ZValue(FrozenRecord):
     """A positive normalizing constant, possibly divergent.
 
     ``exact`` is set in the rational regime; ``log`` always holds the natural
     log of the value when finite.
     """
 
-    finite: bool
-    exact: Optional[Fraction] = None
-    log: Optional[float] = None
+    def __init__(self, finite: bool, exact: Optional[Fraction] = None,
+                 log: Optional[float] = None):
+        self.__dict__.update(finite=finite, exact=exact, log=log)
 
     def __float__(self) -> float:
         if not self.finite:

@@ -225,11 +225,29 @@ def _modules_after(code: str):
     return proc.stdout.split()
 
 
+# what `import dataclasses` pulls in; the package's records are plain classes
+_DATACLASS_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
 def test_importing_the_cli_loads_no_oracle_and_no_scipy():
     loaded = _modules_after("import schursample.cli")
     assert "schursample.cli" in loaded and "schursample.render" in loaded
     assert "schursample.oracle" not in loaded
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+    # zfun is compiled by the zfun command alone
+    assert [m for m in _DATACLASS_IMPORTS + ("schursample.zfun",) if m in loaded] == []
+
+
+def test_the_package_resolves_its_partition_functions_on_first_use():
+    loaded = _modules_after(
+        "import sys, schursample\n"
+        "assert 'schursample.zfun' not in sys.modules\n"
+        "from schursample import z_finite\n"
+        "from schursample import *\n"
+        "assert sorted(schursample.__all__) == sorted(n for n in dir() if n in schursample.__all__)\n"
+        "assert z_finite is schursample.zfun.z_finite and str(z_symmetric((), (), 1)) == '1'"
+    )
+    assert "schursample.zfun" in loaded
 
 
 def test_verify_loads_no_scipy():
@@ -242,6 +260,7 @@ def test_verify_loads_no_scipy():
     )
     assert "schursample.oracle" in loaded
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+    assert "dataclasses" not in loaded
 
 
 def test_a_reused_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
