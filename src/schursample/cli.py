@@ -143,6 +143,8 @@ def _exact(v) -> Fraction:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise CliError(f"--samples must be at least 1, got {args.samples}")
     # imported here, as zfun is by cmd_zfun, so that no other command pays
     # for compiling the oracle
     from .oracle import chi_square_pvalue, chi_square_statistic, enumerate_support, tv_distance
@@ -208,10 +210,8 @@ def cmd_convert(args) -> int:
         view = to_plane_partition(obj.word, obj.lambdas)
     elif args.to == "steep-tiling":
         view = to_steep_tiling(obj.word, obj.lambdas)
-    elif args.to == "overpartition":
+    else:  # overpartition, the last of the parser's choices
         view = to_plane_overpartition(obj.word, obj.lambdas)
-    else:
-        raise CliError(f"unknown target {args.to!r}")
     print(jsonio.dumps(view))
     return 0
 

@@ -107,32 +107,38 @@ def loads(text: str):
     if not isinstance(d, dict):
         raise ValueError(f"a record must be a JSON object, got {text.strip()[:40]!r}")
     kind = d.get("kind", "process-sample")
-    if kind in ("process-sample", "symmetric-sample"):
-        return _sample_from_dict(d, kind == "symmetric-sample")
-    if kind == "plane-partition":
-        view = HeightMatrix(tuple(d["shape"]), tuple(tuple(r) for r in d["rows"]))
-    elif kind == "steep-tiling":  # validate() below checks each field's type
-        window, dominoes = d["window"], d["dominoes"]
-        if type(window) is not list:
-            raise CodecError(f"window must be a list of two bounds, got {json.dumps(window)}")
-        if type(dominoes) is not list:
-            raise CodecError(f"dominoes must be a list, got {json.dumps(dominoes)}")
-        try:
-            fields = list(map(_DOMINO_FIELDS, dominoes))
-        except (TypeError, KeyError):
-            raise CodecError(_bad_domino(dominoes)) from None
-        fields.sort()
-        view = DominoTiling(parse_word(d["word"]), tuple(window), tuple(fields))
-    elif kind == "plane-overpartition":
-        view = OverpartitionTableau(
-            tuple(d["shape"]),
-            tuple(tuple((v, bool(o)) for v, o in row) for row in d["rows"]),
-        )
-    else:
-        raise ValueError(
-            f"cannot read a record of kind {kind!r}: only samples (process-sample, "
-            "symmetric-sample) and views (plane-partition, steep-tiling, "
-            "plane-overpartition) are read"
-        )
+    try:
+        if kind in ("process-sample", "symmetric-sample"):
+            return _sample_from_dict(d, kind == "symmetric-sample")
+        if kind == "plane-partition":
+            view = HeightMatrix(tuple(d["shape"]), tuple(tuple(r) for r in d["rows"]))
+        elif kind == "steep-tiling":  # validate() checks each field's type
+            window, dominoes = d["window"], d["dominoes"]
+            if type(window) is not list:
+                raise CodecError(f"window must be a list of two bounds, got {json.dumps(window)}")
+            if type(dominoes) is not list:
+                raise CodecError(f"dominoes must be a list, got {json.dumps(dominoes)}")
+            try:
+                fields = list(map(_DOMINO_FIELDS, dominoes))
+            except (TypeError, KeyError):
+                raise CodecError(_bad_domino(dominoes)) from None
+            view = DominoTiling(parse_word(d["word"]), tuple(window), fields)
+            view.validate()  # before the sort, since fields of mixed types do not compare
+            fields.sort()
+            view.dominoes = tuple(fields)
+            return view
+        elif kind == "plane-overpartition":
+            view = OverpartitionTableau(
+                tuple(d["shape"]),
+                tuple(tuple((v, bool(o)) for v, o in row) for row in d["rows"]),
+            )
+        else:
+            raise ValueError(
+                f"cannot read a record of kind {kind!r}: only samples (process-sample, "
+                "symmetric-sample) and views (plane-partition, steep-tiling, "
+                "plane-overpartition) are read"
+            )
+    except KeyError as missing:
+        raise CodecError(f"a {kind} record has no field {missing.args[0]!r}") from None
     view.validate()
     return view

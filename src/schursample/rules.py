@@ -25,7 +25,8 @@ On Maya bitsets (:func:`~schursample.partitions.to_bits`)
 ``grow_hv_lanes`` runs the HV rule, and its inverse on complements turned
 in a rectangle, in a score of big-int operations with no loop over the
 rows, on many boxes at once: each box is one lane of the ints.  The sweeps
-run it once per anti-diagonal of a plan whose boxes are all HV or VH.
+run it once per anti-diagonal of a plan whose boxes are all VH, and of the
+transpose of a plan whose boxes are all HV.
 
 The checked entry points :func:`grow` and :func:`grow_diag` assert the input
 range, strip preconditions, output interlacing and weight balance around a
@@ -259,7 +260,9 @@ def shrink_vh(lam: Partition, nu: Partition, mu: Partition) -> Tuple[Partition, 
 # table.  SHRINK[kind](lam, nu, mu) is the unchecked inverse of the same
 # kernel: (kappa, rand), valid only when nu has a preimage.  A plan whose
 # boxes are all HV or VH holds Maya bitsets (ShapePlan.bitsets), and its
-# sweeps run grow_hv_lanes on whole anti-diagonals instead.
+# sweeps run grow_hv_lanes on whole anti-diagonals instead: on its own
+# shape if every box is VH, and on the conjugate shape, transposed, if every
+# box is HV (grow_vh(lam, mu, ...) is grow_hv(mu, lam, ...)).
 _KERNELS = {"HH": grow_hh, "HV": grow_hv, "VH": grow_vh, "VV": grow_vv}
 GROW = dict(_KERNELS)
 SHRINK = {"HH": shrink_hh, "HV": shrink_hv, "VH": shrink_vh, "VV": shrink_vv}

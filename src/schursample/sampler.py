@@ -16,18 +16,22 @@ same sweep.
 :func:`shrink_profile` is the same sweep run backwards on tuples: it peels
 the shape off the boundary and recovers every box's input, row by row.
 
-On a plan whose boxes are all HV or VH (``ShapePlan.bitsets``, as on
-Aztec and other steep words) the growth sweep is domino shuffling: the
-boxes of one anti-diagonal do not depend on each other, so each
-anti-diagonal is one call of ``rules.grow_hv_lanes`` on Maya bitsets
-(``partitions.to_bits``) packed as lanes of one int, one lane per point.
-The inputs are staged one byte per box first, and only two anti-diagonals
-and the boundary's lanes are kept; the sweep decodes only the m + n + 1
-boundary partitions.  :func:`reconstruct_inputs` inverts it the same way
+On a plan whose boxes are all VH (as on Aztec and other steep words) the
+growth sweep is domino shuffling: the boxes of one anti-diagonal do not
+depend on each other, so each anti-diagonal is one call of
+``rules.grow_hv_lanes`` on Maya bitsets (``partitions.to_bits``) packed
+as lanes of one int, one lane per point.  The inputs are staged one byte
+per box first, and only two anti-diagonals and the boundary's lanes are
+kept; the sweep decodes only the m + n + 1 boundary partitions.
+:func:`reconstruct_inputs` inverts it the same way
 (:func:`_shrink_diagonals`), on the boundary's partitions encoded as
 complements turned in a rectangle, and decodes nothing; both read the
-boundary's boxes from ``ShapePlan.boundary_points``.  Every other plan
-is grown row by row on one profile of tuples with ``rules.GROW``.
+boundary's boxes from ``ShapePlan.boundary_points``.  A plan whose boxes
+are all HV, the other plan that holds bitsets (``ShapePlan.bitsets``), is
+swept as its transpose, the all-VH plan of the conjugate shape, since an
+HV box is a VH box with lam and mu exchanged; its partitions stay as they
+are.  Every other plan is grown row by row on one profile of tuples with
+``rules.GROW``.
 """
 from __future__ import annotations
 
@@ -40,6 +44,7 @@ from .partitions import (
     EMPTY,
     Partition,
     Record,
+    conjugate,
     from_bits,
     is_partition,
     require_closed,
@@ -111,6 +116,13 @@ def _refuse(box: Box, kind: str, xi) -> None:
         if xi < _INF or kind in _GEOMETRIC:
             raise DivergenceError(box, kind, xi)
     raise ValueError(f"box {box} of type {kind} has parameter {xi}; {_POLICY}")
+
+
+def check_count(count: Optional[int]) -> None:
+    """Refuse a negative batch size, before any plan or draw; None asks for
+    one sample and 0 for an empty batch."""
+    if count is not None and count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
 
 
 def check_parameters(plan: ShapePlan, diagonal=None) -> List[tuple]:
@@ -189,8 +201,9 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
     (stop, j); it is called once per row, rows rising, the canonical draw
     order.  A plan whose sweeps hold bitsets (``ShapePlan.bitsets``: every
     box HV or every box VH) is grown one anti-diagonal at a time by
-    :func:`_grow_diagonals`.  Any other plan is grown row by row, keeping
-    one profile of m + 1 tuples: entry i holds tau(i, j) for the last row j
+    :func:`_grow_diagonals`, an all-HV plan as its transpose
+    (:func:`_sweep`).  Any other plan is grown row by row, keeping one
+    profile of m + 1 tuples: entry i holds tau(i, j) for the last row j
     that reached column i.  A quiet box runs no kernel: every box kernel
     keeps nu >= lam, nu >= mu and |nu| = |lam| + |mu| - |kap| + g, so with
     g = 0, lam == kap gives nu = mu and mu == kap gives nu = lam, which the
@@ -212,12 +225,12 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
     plan has HH or VV boxes on its diagonal, so it holds tuples.
     """
     if plan.bitsets:
-        stage, step = _stage(plan), len(plan.pi) + 1
+        pi, wanted, rows = _sweep(plan)
+        stage = _stage(pi)
         for j, row_len in enumerate(plan.pi, start=1):
-            row = bytes(row_input(j, row_len)).translate(_PRESENT)
-            stage[step + j : row_len * step + j + 1 : step] = row  # _row(plan, j)
+            stage[rows[j - 1]] = bytes(row_input(j, row_len)).translate(_PRESENT)
         lambdas = [EMPTY] * (len(plan.word) + 1)
-        for k, bits in _grow_diagonals(plan, stage, stats).items():
+        for k, bits in _grow_diagonals(pi, wanted, stage, stats).items():
             lambdas[k] = from_bits(bits)
         return tuple(lambdas)
     pi, m, n = plan.pi, len(plan.x), len(plan.y)
@@ -264,50 +277,58 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
     return tuple(lambdas)
 
 
-# The anti-diagonal sweeps of bitset plans.  The inputs are staged one byte
-# per box, in column-major order with columns of len(pi) + 1 bytes, so that
-# a row and an anti-diagonal are both slices with a step: box (i, j) is at
-# byte i * (len(pi) + 1) + j and holds 2 | input, and every other point
-# holds 0.  Anti-diagonal d holds the points (i, d - i) for i from
-# max(0, d - len(pi)) to min(pi_1, d), each one lane of a packed int.
+# The anti-diagonal sweeps of bitset plans.  They run on all-VH plans only:
+# an HV box is a VH box with lam and mu exchanged, so an all-HV plan is swept
+# as its transpose, the all-VH plan of the conjugate shape (_sweep).  The
+# inputs are staged one byte per box, in column-major order with columns of
+# len(pi) + 1 bytes, so that a row and an anti-diagonal are both slices with
+# a step: box (i, j) is at byte i * (len(pi) + 1) + j and holds 2 | input,
+# and every other point holds 0.  Anti-diagonal d holds the points
+# (i, d - i) for i from max(0, d - len(pi)) to min(pi_1, d), each one lane
+# of a packed int.
 
 _PRESENT = bytes(2 | v & 1 for v in range(256))
 _INPUT = bytes(v & 1 for v in range(256))
 
 
-def _stage(plan: ShapePlan) -> bytearray:
-    return bytearray((plan.pi[0] + 1) * (len(plan.pi) + 1) if plan.pi else 0)
+def _sweep(plan: ShapePlan) -> Tuple[Partition, Dict[int, list], List[slice]]:
+    """(pi, wanted, rows): the shape the sweeps run on; anti-diagonal d ->
+    the list of (k, i) for the boundary's boxes (i, d - i) in it, whose tau
+    is lambda(k), the other boundary points being on the axes and empty;
+    and the slice of the plan's row j of boxes in the stage, rows[j - 1].
+    The largest key of ``wanted`` is the last anti-diagonal that holds a
+    box.  A VH plan gives its own shape, whose rows are slices with a step.
+    An HV plan gives the conjugate shape, where the plan's box (i, j) is
+    (j, i) and its row j is column j, a slice without a step."""
+    pi, vh = plan.pi, plan.u[0].primed
+    wanted = {}
+    for k, (i, j) in enumerate(plan.boundary_points()):
+        if i and j:
+            wanted.setdefault(i + j, []).append((k, i if vh else j))
+    shape = pi if vh else conjugate(pi)
+    step = len(shape) + 1
+    if vh:
+        rows = [slice(step + j, p * step + j + 1, step) for j, p in enumerate(pi, 1)]
+    else:
+        rows = [slice(j * step + 1, j * step + p + 1) for j, p in enumerate(pi, 1)]
+    return shape, wanted, rows
 
 
-def _row(plan: ShapePlan, j: int) -> slice:
-    """The bytes of row j's boxes in the stage."""
-    step = len(plan.pi) + 1
-    return slice(step + j, plan.pi[j - 1] * step + j + 1, step)
+def _stage(pi: Partition) -> bytearray:
+    return bytearray((pi[0] + 1) * (len(pi) + 1) if pi else 0)
 
 
 def _shift(x: int, s: int) -> int:
     return x << s if s >= 0 else x >> -s
 
 
-def _boundary(plan: ShapePlan) -> Dict[int, list]:
-    """Anti-diagonal d -> the list of (k, i) for the boundary points
-    (i, d - i) with i, j >= 1, which are boxes, whose tau is lambda(k); the
-    other boundary points are on the axes and empty.  Its largest key is
-    the last anti-diagonal that holds a box."""
-    out = {}
-    for k, (i, j) in enumerate(plan.boundary_points()):
-        if i and j:
-            out.setdefault(i + j, []).append((k, i))
-    return out
-
-
-def _lanes(plan: ShapePlan, stage: bytearray, W: int, diagonals):
-    """The lanes of W bits of the plan's anti-diagonals: yields, for each
+def _lanes(pi: Partition, stage: bytearray, W: int, diagonals):
+    """The lanes of W bits of the anti-diagonals of pi: yields, for each
     anti-diagonal d of ``diagonals``, (d, lo, hi, D, low, B, box): its
     first and last lane, the data bits (all but the top guard bit) and the
     bits 0 of its lanes, its staged bytes in bits 0..7 of the lanes, and
     the data bits of its boxes' lanes."""
-    nrows, top, Wb = len(plan.pi), plan.pi[0], W // 8
+    nrows, top, Wb = len(pi), pi[0], W // 8
     data = int.from_bytes((b"\xff" * (Wb - 1) + b"\x7f") * (top + 1), "little")
     ones = int.from_bytes((b"\x01" + bytes(Wb - 1)) * (top + 1), "little")
     buf = bytearray((top + 1) * Wb)  # only the first byte of a lane is written
@@ -323,21 +344,21 @@ def _lanes(plan: ShapePlan, stage: bytearray, W: int, diagonals):
         yield d, lo, hi, D, low, B, (P << (W - 1)) - P
 
 
-def _grow_diagonals(plan: ShapePlan, stage: bytearray, stats=None) -> Dict[int, int]:
-    """The growth of a bitset plan from its staged inputs, one call of
-    ``rules.grow_hv_lanes`` per anti-diagonal, each box a lane: returns
-    {k: the bitset of lambda(k)} for the boundary's boxes; the other
-    boundary points are empty.
+def _grow_diagonals(pi: Partition, wanted: dict, stage: bytearray, stats=None) -> Dict[int, int]:
+    """The growth of the all-VH plan of shape pi from its staged inputs, one
+    call of ``rules.grow_hv_lanes`` per anti-diagonal, each box a lane:
+    returns {k: the bitset of lambda(k)} for the boundary's boxes
+    ``wanted`` (as _sweep gives them); the other boundary points are empty.
 
-    Point (i, j) holds the bitset of tau(i, j) at the offset j + 1 on an HV
-    plan and i + 1 on a VH plan.  The offset exceeds the first part, since
-    each box is a vertical strip over one neighbour: a first part grows by
-    one at most per row (column) and the length by one at most per column
-    (row).  So every tail starts below bit i + j + 3, and lanes of
-    max(pi_j + j) + 5 bits or more hold every point.  A box reads two
-    lanes of anti-diagonal d - 1 and one of d - 2, shifted by whole lanes
-    and, where the offset is one less, by one bit.  The axes' lanes are
-    reset to empty bitsets and the lanes of points outside the shape to 0.
+    Point (i, j) holds the bitset of tau(i, j) at the offset i + 1.  The
+    offset exceeds the first part, since each box is a vertical strip over
+    one neighbour: a first part grows by one at most per column and the
+    length by one at most per row.  So every tail starts below bit
+    i + j + 3, and lanes of max(pi_j + j) + 5 bits or more hold every
+    point.  A box reads two lanes of anti-diagonal d - 1 and one of d - 2,
+    shifted by whole lanes and, where the offset is one less, by one bit.
+    The axes' lanes are reset to empty bitsets and the lanes of points
+    outside the shape to 0.
 
     ``SampleStats.work`` adds max(len lam, len mu) + 1 per box.  At the
     offset c, the tail of lam & mu starts at bit max(len lam, len mu) + c + 1,
@@ -345,30 +366,26 @@ def _grow_diagonals(plan: ShapePlan, stage: bytearray, stats=None) -> Dict[int, 
     point's bitset, the tail of lam & mu is tails(lam) & tails(mu), and that
     of nu is nu & tails(lam & mu), as nu is at most one row longer than both.
     """
-    pi, nrows = plan.pi, len(plan.pi)
     if not pi:
         return {}
-    hv = plan.row_kinds[0][0] == "HV"
-    wanted = _boundary(plan)
     last = max(wanted)
     W = (last + 12) // 8 * 8
     full = 1 << (W - 1)
     # the empty bitsets at the offsets 1 (E) and d + 1 (full - (4 << d))
     E = full - 4
-    D2, lo2, D1, lo1 = E, 0, full - 8 | E << W if hv else E | full - 8 << W, 0
+    D2, lo2, D1, lo1 = E, 0, E | full - 8 << W, 0
     tails, ones = D1, 0
     found = {}
-    for d, lo, hi, D, low, B, box in _lanes(plan, stage, W, range(2, last + 1)):
-        sL, sM, sK = (lo1 + 1 - lo) * W + (not hv), (lo1 - lo) * W + hv, (lo2 + 1 - lo) * W + 1
+    for d, lo, hi, D, low, B, box in _lanes(pi, stage, W, range(2, last + 1)):
+        sL, sM, sK = (lo1 + 1 - lo) * W + 1, (lo1 - lo) * W, (lo2 + 1 - lo) * W + 1
         L = D1 << sL & D
         M = (D1 << sM if sM >= 0 else D1 >> -sM) & D
         K = (D2 << sK if sK >= 0 else D2 >> -sK) & D
-        masks = (D + low, D, D)
-        nu = grow_hv_lanes(L, M, K, B & low, masks) if hv else grow_hv_lanes(M, L, K, B & low, masks)
+        nu = grow_hv_lanes(M, L, K, B & low, (D + low, D, D))
         # tau(0, d) in lane 0 and tau(d, 0) in lane d
-        axes = (full - (4 << d) if hv else E) if lo == 0 else 0
+        axes = E if lo == 0 else 0
         if hi == d:
-            axes |= (E if hv else full - (4 << d)) << (d - lo) * W
+            axes |= full - (4 << d) << (d - lo) * W
         nu = nu & box | axes
         if stats is not None:
             Y = tails << sL & (tails << sM if sM >= 0 else tails >> -sM) & box
@@ -378,15 +395,14 @@ def _grow_diagonals(plan: ShapePlan, stage: bytearray, stats=None) -> Dict[int, 
             found[k] = (nu >> (i - lo) * W & full - 1) - full
         D2, lo2, D1, lo1 = D1, lo1, nu, lo
     if stats is not None:
-        # minus the offsets, j + 1 (HV) or i + 1 (VH), summed over the boxes
+        # minus the offsets i + 1, summed over the boxes
         boxes = sum(pi)
-        offsets = sum(map(mul, pi, range(2, nrows + 2)) if hv else map(mul, pi, pi))
         stats.boxes += boxes
-        stats.work += boxes * (W - 1) - ones - (offsets if hv else (offsets + 3 * boxes) // 2)
+        stats.work += boxes * (W - 1) - ones - (sum(map(mul, pi, pi)) + 3 * boxes) // 2
     return found
 
 
-def _shrink_diagonals(plan: ShapePlan, lambdas: Sequence[Partition]):
+def _shrink_diagonals(pi: Partition, wanted: dict, lambdas: Sequence[Partition]):
     """The inverse of _grow_diagonals: (stage, bits), the staged inputs
     recovered from the boundary partitions ``lambdas`` and the bitsets
     ``bits`` of the boundary's boxes at the offsets of _grow_diagonals,
@@ -395,39 +411,35 @@ def _shrink_diagonals(plan: ShapePlan, lambdas: Sequence[Partition]):
     last one down.
 
     Point (i, j) holds the complement of tau(i, j) turned in the rectangle
-    of (i + 1) rows and j + 1 columns on an HV plan, (j + 1) x (i + 1) on a
-    VH plan (``partitions.turn``), which reaches past its length and its
-    first part; so every tail on anti-diagonal d starts at bit d + 4.  Box
-    (i, j) runs in the rectangle of its nu: the lam or mu that has one row
-    fewer gains the turned row, a shift by one bit and bit 2, and the
-    other, one column fewer, turns bit d + 3 into a hole; kappa loses both.
-    Anti-diagonals d and d - 1 give the kappas of d's boxes, which with the
-    boundary points on d - 2 make anti-diagonal d - 2; the recovered bits
-    go to the stage.
+    of (j + 1) rows and i + 1 columns (``partitions.turn``), which reaches
+    past its length and its first part; so every tail on anti-diagonal d
+    starts at bit d + 4.  Box (i, j) runs in the rectangle of its nu: its
+    mu, which has one row fewer, gains the turned row, a shift by one bit
+    and bit 2, and its lam, one column fewer, turns bit d + 3 into a hole;
+    kappa loses both.  Anti-diagonals d and d - 1 give the kappas of d's
+    boxes, which with the boundary points on d - 2 make anti-diagonal
+    d - 2; the recovered bits go to the stage.
     """
-    stage = _stage(plan)
-    if not plan.pi:
+    stage = _stage(pi)
+    if not pi:
         return stage, {}
-    pi, nrows = plan.pi, len(plan.pi)
-    for j in range(1, nrows + 1):
-        stage[_row(plan, j)] = b"\x02" * pi[j - 1]
-    hv = plan.row_kinds[0][0] == "HV"
-    on_diagonals = _boundary(plan)
-    last = max(on_diagonals)
+    nrows, step = len(pi), len(pi) + 1
+    for j, row_len in enumerate(pi, start=1):  # every box is present
+        stage[step + j : row_len * step + j + 1 : step] = b"\x02" * row_len
+    last = max(wanted)
     W = (last + 14) // 8 * 8
     Wb = W // 8
     bits, points = {}, []
-    for d, on in on_diagonals.items():
+    for d, on in wanted.items():
         for k, i in on:
-            bits[k] = v = to_bits(lambdas[k], d - i + 1 if hv else i + 1)
+            bits[k] = v = to_bits(lambdas[k], i + 1)
             points.append((i, d - i, v))
     # and the two points of the boundary on the axes that no box shrinks to
-    points += [(0, nrows, to_bits(EMPTY, nrows + 1 if hv else 1))]
-    points += [(pi[0], 0, to_bits(EMPTY, 1 if hv else pi[0] + 1))]
+    points += [(0, nrows, to_bits(EMPTY, 1)), (pi[0], 0, to_bits(EMPTY, pi[0] + 1))]
     edge = {}  # anti-diagonal -> (i, lane bytes) of the boundary points on it
     for i, j, v in points:
-        # v has the offset b = j + 1 (i + 1) of the rectangle, v << 1 has b + 1
-        lane = turn(v << 1, i + 1, j + 1) if hv else turn(v << 1, j + 1, i + 1)
+        # v has the offset i + 1 of the rectangle, v << 1 has i + 2
+        lane = turn(v << 1, j + 1, i + 1)
         edge.setdefault(i + j, []).append((i, (lane & (1 << (W - 1)) - 1).to_bytes(Wb, "little")))
 
     def boundary(d: int) -> int:
@@ -440,17 +452,12 @@ def _shrink_diagonals(plan: ShapePlan, lambdas: Sequence[Partition]):
         return int.from_bytes(buf, "little")
 
     N, D1, lo1 = boundary(last), boundary(last - 1), max(0, last - 1 - nrows)
-    for d, lo, hi, D, low, B, box in _lanes(plan, stage, W, range(last, 1, -1)):
+    for d, lo, hi, D, low, B, box in _lanes(pi, stage, W, range(last, 1, -1)):
         # lam (lane i - 1) and mu (lane i) in the rectangle of nu
         sL, sM = (lo1 + 1 - lo) * W, (lo1 - lo) * W
-        if hv:
-            Lc, Mc = D1 << sL + 1 & D | low << 2, _shift(D1, sM) & D ^ low << d + 3
-        else:
-            Lc, Mc = D1 << sL & D ^ low << d + 3, _shift(D1, sM + 1) & D | low << 2
+        Lc, Mc = D1 << sL & D ^ low << d + 3, _shift(D1, sM + 1) & D | low << 2
         masks = (D + low, D, D ^ low << d + 4)  # DJ without the tail's first bit
-        kap, signs = grow_hv_lanes(Mc, Lc, N, 0, masks, True) if hv else grow_hv_lanes(
-            Lc, Mc, N, 0, masks, True
-        )
+        kap, signs = grow_hv_lanes(Lc, Mc, N, 0, masks, True)
         inputs = B | (signs >> W - 2) & low
         stage[lo * nrows + d : hi * nrows + d + 1 : nrows] = inputs.to_bytes(
             (hi - lo + 1) * Wb, "little"
@@ -471,7 +478,9 @@ def schur_sample(
     With ``count=n`` it returns the list of n samples drawn from the streams
     ``src.child(0)`` .. ``src.child(n - 1)``, equal (with their ``stats``
     and ``draw_log``) to n calls on those streams.  The plan and the checked
-    draw rows are made once for the batch, before any draw."""
+    draw rows are made once for the batch, before any draw.  A negative
+    ``count`` raises ValueError."""
+    check_count(count)
     src = as_source(src)
     plan = precompute_par(word, z)
     table, zt = check_parameters(plan), tuple(z)
@@ -572,16 +581,15 @@ def reconstruct_inputs(sample: ProcessSample) -> Dict[Box, int]:
         ) and grow_profile(plan, lambda j, stop: rows[j - 1]) == lambdas
         inputs = chain.from_iterable(rows)
     else:
-        stage, bits = _shrink_diagonals(plan, lambdas)
+        pi, wanted, rows = _sweep(plan)
+        stage, bits = _shrink_diagonals(pi, wanted, lambdas)
         empty = set(range(len(lambdas))) - bits.keys()
         regrown = (
-            _grow_diagonals(plan, stage) == bits
+            _grow_diagonals(pi, wanted, stage) == bits
             and not any(lambdas[k] for k in empty)
             and all(map(is_partition, lambdas))
         )
-        inputs = chain.from_iterable(
-            stage[_row(plan, j)].translate(_INPUT) for j in range(1, len(plan.pi) + 1)
-        )
+        inputs = chain.from_iterable(stage[row].translate(_INPUT) for row in rows)
     if not regrown:
         sample.validate()
         raise GrowthError("the recovered inputs do not regrow the sample")

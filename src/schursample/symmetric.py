@@ -31,7 +31,7 @@ from .rules import (
     grow_diag_v_er,
     shrink_diag,
 )
-from .sampler import check_parameters, grow_profile, shrink_profile
+from .sampler import check_count, check_parameters, grow_profile, shrink_profile
 from .words import Rel, ShapePlan, Word, is_parameter, precompute_par, product, quotient, symmetrize
 
 
@@ -91,7 +91,9 @@ def symmetric_schur_sample(
     With ``count=n`` it returns the list of n samples drawn from the streams
     ``src.child(0)`` .. ``src.child(n - 1)``, equal to n calls on those
     streams.  The diagonal rules, the plan, the checked draw rows and the
-    diagonal parameters are made once for the batch, before any draw."""
+    diagonal parameters are made once for the batch, before any draw.  A
+    negative ``count`` raises ValueError."""
+    check_count(count)
     rules = _diagonal_rules(mode)
     if not is_parameter(t) or t == 0:
         raise ValueError(f"the boundary weight t must be positive and finite, got {t}")

@@ -148,3 +148,33 @@ def test_verify_plans_once(capsys, monkeypatch):
     cli.main(argv)
     assert "TV distance" in capsys.readouterr().out
     assert samples == [{"count": 300}] and len(checks) == 1
+
+
+@pytest.mark.parametrize("count", [-1, -2])
+def test_a_negative_count_is_refused_before_any_plan_or_draw(count):
+    # each call would be refused later (one parameter too few, an unknown
+    # mode), so the count error shows that its check comes first
+    src = RandomSource(0, log_draws=True)
+    for sample, args in (
+        (schur_sample, (parse_word("<'>"), (0.5,), src)),
+        (symmetric_schur_sample, (parse_word("<'"), (), 1, "no-such-mode", src)),
+    ):
+        with pytest.raises(ValueError, match=f"count must be at least 0, got {count}"):
+            sample(*args, count=count)
+    assert src.draw_log == []
+    word, z = parse_word("<'"), (0.5,)
+    assert symmetric_schur_sample(word, z, 1, "free", 3, count=0) == []
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_refuses_a_sample_count_below_one_before_the_oracle(capsys, monkeypatch, samples):
+    from schursample import oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(oracle, "enumerate_support", refuse)
+    code = cli.main(["verify", "--word", "<>", "--z", "1/2,1/2", "--samples", samples])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: --samples must be at least 1, got {samples}\n"

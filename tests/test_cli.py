@@ -688,3 +688,49 @@ def test_zfun_refuses_negative_parameters(capsys, argv, named):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and named in err
+
+
+def test_verify_with_q_checks_against_the_exact_q_volume_law(capsys):
+    # --q hands the oracle the exact weights q^-i and q^i of q = 1/2
+    code, out, err = run_cli(
+        capsys, "verify", "--word", "<>", "--q", "1/2",
+        "--cap", "20", "--samples", "4000", "--seed", "1",
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("support entries: 21 (cap 20)\n") and out.endswith("PASS\n")
+
+
+def test_verify_rounds_a_float_parameter_to_a_near_rational(capsys):
+    from schursample.cli import _exact
+
+    assert _exact(0.1) == Fraction(1, 10) != Fraction(0.1)
+    assert _exact(3) == Fraction(3)
+    code, out, _ = run_cli(
+        capsys, "verify", "--word", "<'>", "--z", "0.3,0.7", "--samples", "2000", "--seed", "3"
+    )
+    assert code == 0
+    assert out.startswith("support entries: 2 (cap 12)\n") and out.endswith("PASS\n")
+
+
+def test_sample_without_z_or_q_exits_with_an_error_line(capsys):
+    code, out, err = run_cli(capsys, "sample", "--word", "<>")
+    assert (code, out, err) == (1, "", "error: need --z or --q\n")
+
+
+def test_render_names_a_steep_tiling_field_of_another_type(capsys, tmp_path):
+    # sorting these dominoes compared "a" with 0, a TypeError that named no field
+    view = {"format": jsonio.FORMAT, "kind": "steep-tiling", "word": "<'>", "window": [-3, 3],
+            "dominoes": [_domino("a", 1, False, -1), _domino(0, 1, False, -1)]}
+    view_file = tmp_path / "view.json"
+    view_file.write_text(json.dumps(view))
+    code, out, err = run_cli(capsys, "render", "--input", str(view_file))
+    assert (code, out) == (1, "")
+    assert err == "error: domino ('a', 1, False, -1): k 'a' is not an integer\n"
+
+
+def test_render_names_a_missing_field_of_a_sample_record(capsys, tmp_path):
+    record = tmp_path / "sample.json"
+    record.write_text(json.dumps({"kind": "process-sample", "word": "<>", "lambdas": [[], [1], []]}))
+    code, out, err = run_cli(capsys, "render", "--input", str(record))
+    assert (code, out) == (1, "")
+    assert err == "error: a process-sample record has no field 'z'\n"

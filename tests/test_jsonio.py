@@ -125,3 +125,52 @@ def test_a_sample_logs_only_its_own_draws():
         assert values == list(reconstruct_inputs(s).values())
         assert jsonio.loads(jsonio.dumps(s)).draw_log == s.draw_log
     assert src.draw_log == first.draw_log + second.draw_log
+
+
+def _steep(*dominoes):
+    return {"format": jsonio.FORMAT, "kind": "steep-tiling", "word": "<'>",
+            "window": [-3, 3], "dominoes": [dict(zip(("k", "pos2", "vertical", "sign"), d))
+                                             for d in dominoes]}
+
+
+@pytest.mark.parametrize(
+    "dominoes, named",
+    [
+        ((("a", 1, False, -1), (0, 1, False, -1)), "k 'a' is not an integer"),
+        (((0, 1, False, -1), (0, None, False, -1)), "pos2 None is not an integer"),
+        (((0, 1, "x", -1), (0, 1, False, -1)), "vertical 'x' is not a bool"),
+        (((0, 1, False, "-"), (0, 1, False, -1)), "sign '-' is not an integer"),
+    ],
+)
+def test_a_steep_tiling_whose_fields_mix_types_is_refused_by_name(dominoes, named):
+    # the fields are checked before the dominoes are sorted, which cannot
+    # compare an int with a str or None
+    with pytest.raises(CodecError, match=named):
+        jsonio.loads(json.dumps(_steep(*dominoes)))
+
+
+def test_a_steep_tiling_reads_its_dominoes_sorted():
+    view = jsonio.loads(json.dumps(_steep((0, 1, False, -1), (0, -1, False, -1))))
+    assert view.dominoes == ((0, -1, False, -1), (0, 1, False, -1))
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ({"kind": "process-sample", "word": "<>", "lambdas": [[], [1], []]}, "z"),
+        ({"word": "<>", "z": ["1/2", "1/2"]}, "lambdas"),
+        ({"kind": "symmetric-sample", "word": "<", "z": ["1/2"], "t": "1",
+          "lambdas": [[], [1], []]}, "mode"),
+        ({"kind": "symmetric-sample", "word": "<", "z": ["1/2"], "mode": "free",
+          "lambdas": [[], [1], []]}, "t"),
+        ({"kind": "plane-partition", "shape": [1]}, "rows"),
+        ({"kind": "plane-overpartition", "rows": [[[1, False]]]}, "shape"),
+        ({"kind": "steep-tiling", "word": "<'>", "dominoes": []}, "window"),
+        ({"kind": "steep-tiling", "window": [-3, 3], "dominoes": []}, "word"),
+    ],
+)
+def test_a_record_without_a_field_it_needs_is_refused_by_name(record, field):
+    kind = record.get("kind", "process-sample")
+    with pytest.raises(CodecError) as err:
+        jsonio.loads(json.dumps(record))
+    assert str(err.value) == f"a {kind} record has no field {field!r}"

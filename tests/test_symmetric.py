@@ -440,3 +440,11 @@ def test_an_unknown_mode_is_refused_by_every_entry_point():
     for call in calls:
         with pytest.raises(ValueError, match=UNKNOWN_MODE):
             call()
+
+
+def test_validate_refuses_a_closed_sequence_that_is_not_palindromic():
+    # closed and of the right length for <<>>, but read backwards it differs
+    s = SymmetricSample(parse_word("<<"), (Fraction(1, 2),) * 2, 1, "free", 0,
+                        (EMPTY, (2,), (2,), (1,), EMPTY))
+    with pytest.raises(ValueError, match="^sequence is not palindromic$"):
+        s.validate()

@@ -424,3 +424,15 @@ def test_steep_tiling_check_names_the_fault(tiling, named):
 def test_steep_encoder_checks_the_word_before_the_slices(word, window, named):
     with pytest.raises(CodecError, match=named):
         to_steep_tiling(parse_word(word), [()], window=window)
+
+
+def test_height_matrix_refuses_a_column_that_decreases():
+    # rows[0] is the bottom row; column 2 falls from 5 to 1 going up
+    with pytest.raises(CodecError, match="^column 2 decreases at row 2$"):
+        HeightMatrix((2, 2), ((0, 5), (1, 1))).validate()
+
+
+def test_overpartition_encoder_refuses_a_sequence_short_of_the_free_partition():
+    word = overpartition_word(2)
+    with pytest.raises(CodecError, match="need the right-free sequence up to the free partition"):
+        to_plane_overpartition(word, (EMPTY, (1,), (1,), (2,)))

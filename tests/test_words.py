@@ -191,3 +191,9 @@ def test_box_kind_and_sign_read_the_two_primes():
         [1, 1, -1, -1],
         [1, 1, -1, -1],
     ]
+
+
+@pytest.mark.parametrize("text", [")^2", "<>)^2", "(<)^2)^3"])
+def test_parse_word_refuses_an_unbalanced_close(text):
+    with pytest.raises(ValueError, match=r"unbalanced '\)' in word"):
+        parse_word(text)

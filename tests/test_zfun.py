@@ -122,3 +122,9 @@ def test_z_refuses_negative_parameters(text, z):
 def test_z_symmetric_refuses_a_negative_boundary_weight():
     with pytest.raises(ValueError, match="parameters must be finite and nonnegative, got -1/2"):
         z_symmetric(parse_word("<"), (Fraction(1, 3),), Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("z", [(Fraction(1, 2),), (0.5, 0.5, 0.5)])
+def test_z_finite_refuses_a_parameter_list_of_another_length(z):
+    with pytest.raises(ValueError, match="^parameter list does not match word length$"):
+        z_finite(parse_word("<>"), z)
