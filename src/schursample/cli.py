@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -71,8 +70,7 @@ def _batch(count: int, seed: int, sample, batched: bool = False):
 def cmd_sample(args) -> int:
     word, z = _word_and_params(args)
     sample = functools.partial(schur_sample, word, z)
-    for s in _batch(args.count, args.seed, sample, batched=True):
-        print(jsonio.dumps(s))
+    sys.stdout.write(jsonio.dumps(_batch(args.count, args.seed, sample, batched=True)))
     return 0
 
 
@@ -82,8 +80,7 @@ def cmd_sample_symmetric(args) -> int:
     t = parse_params(args.t, 1)[0]
     mode = args.mode.replace("-", "_")
     sample = functools.partial(symmetric_schur_sample, word, z, t, mode)
-    for s in _batch(args.count, args.seed, sample, batched=True):
-        print(jsonio.dumps(s))
+    sys.stdout.write(jsonio.dumps(_batch(args.count, args.seed, sample, batched=True)))
     return 0
 
 
@@ -91,28 +88,13 @@ def cmd_sample_unbounded(args) -> int:
     params = PyramidalParameters.q_volume(float(parse_number(args.q)))
     conv = WordConvention.pyramid() if args.alternating else WordConvention.plane_partitions()
     sampler = PyramidalSampler(params, conv)
-    out = _batch(args.count, args.seed, sampler.sample)
-    for s in out:
-        print(
-            json.dumps(
-                {
-                    "format": jsonio.FORMAT,
-                    "kind": "pyramidal-sample",
-                    "q": args.q,
-                    "convention": conv.name,
-                    "seed": s.seed,
-                    "truncation_index": s.truncation_index,
-                    "lambdas": {str(i): list(v) for i, v in sorted(s.lambdas.items())},
-                }
-            )
-        )
+    sys.stdout.write(jsonio.dumps(_batch(args.count, args.seed, sampler.sample), q=args.q))
     return 0
 
 
 def cmd_sample_plancherel(args) -> int:
     one = lambda src: plancherel_sample(args.theta, src)
-    for lam in _batch(args.count, args.seed, one):
-        print(json.dumps({"format": jsonio.FORMAT, "kind": "partition", "lambda": list(lam)}))
+    sys.stdout.write(jsonio.dumps(_batch(args.count, args.seed, one)))
     return 0
 
 

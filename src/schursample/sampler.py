@@ -26,7 +26,8 @@ kept; the sweep decodes only the m + n + 1 boundary partitions.
 :func:`reconstruct_inputs` inverts it the same way
 (:func:`_shrink_diagonals`), on the boundary's partitions encoded as
 complements turned in a rectangle, and decodes nothing; both read the
-boundary's boxes from ``ShapePlan.boundary_points``.  A plan whose boxes
+boundary's boxes and the rows' slices from ``ShapePlan.sweep``, which a
+plan makes once, so a batch sets its sweep up once.  A plan whose boxes
 are all HV, the other plan that holds bitsets (``ShapePlan.bitsets``), is
 swept as its transpose, the all-VH plan of the conjugate shape, since an
 HV box is a VH box with lam and mu exchanged; its partitions stay as they
@@ -44,7 +45,6 @@ from .partitions import (
     EMPTY,
     Partition,
     Record,
-    conjugate,
     from_bits,
     is_partition,
     require_closed,
@@ -202,7 +202,7 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
     order.  A plan whose sweeps hold bitsets (``ShapePlan.bitsets``: every
     box HV or every box VH) is grown one anti-diagonal at a time by
     :func:`_grow_diagonals`, an all-HV plan as its transpose
-    (:func:`_sweep`).  Any other plan is grown row by row, keeping one
+    (``ShapePlan.sweep``).  Any other plan is grown row by row, keeping one
     profile of m + 1 tuples: entry i holds tau(i, j) for the last row j
     that reached column i.  A quiet box runs no kernel: every box kernel
     keeps nu >= lam, nu >= mu and |nu| = |lam| + |mu| - |kap| + g, so with
@@ -225,7 +225,7 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
     plan has HH or VV boxes on its diagonal, so it holds tuples.
     """
     if plan.bitsets:
-        pi, wanted, rows = _sweep(plan)
+        pi, wanted, rows = plan.sweep
         stage = _stage(pi)
         for j, row_len in enumerate(plan.pi, start=1):
             stage[rows[j - 1]] = bytes(row_input(j, row_len)).translate(_PRESENT)
@@ -279,39 +279,18 @@ def grow_profile(plan: ShapePlan, row_input, diagonal=None, stats=None):
 
 # The anti-diagonal sweeps of bitset plans.  They run on all-VH plans only:
 # an HV box is a VH box with lam and mu exchanged, so an all-HV plan is swept
-# as its transpose, the all-VH plan of the conjugate shape (_sweep).  The
-# inputs are staged one byte per box, in column-major order with columns of
-# len(pi) + 1 bytes, so that a row and an anti-diagonal are both slices with
-# a step: box (i, j) is at byte i * (len(pi) + 1) + j and holds 2 | input,
-# and every other point holds 0.  Anti-diagonal d holds the points
+# as its transpose, the all-VH plan of the conjugate shape.  ShapePlan.sweep
+# sets both up once per plan, and the sweeps only read it: the shape, the
+# boundary's boxes and the rows' slices of the stage.  The inputs are staged
+# one byte per box, in column-major order with columns of len(pi) + 1
+# bytes, so that a row and an anti-diagonal are both slices with a step:
+# box (i, j) is at byte i * (len(pi) + 1) + j and holds 2 | input, and
+# every other point holds 0.  Anti-diagonal d holds the points
 # (i, d - i) for i from max(0, d - len(pi)) to min(pi_1, d), each one lane
 # of a packed int.
 
 _PRESENT = bytes(2 | v & 1 for v in range(256))
 _INPUT = bytes(v & 1 for v in range(256))
-
-
-def _sweep(plan: ShapePlan) -> Tuple[Partition, Dict[int, list], List[slice]]:
-    """(pi, wanted, rows): the shape the sweeps run on; anti-diagonal d ->
-    the list of (k, i) for the boundary's boxes (i, d - i) in it, whose tau
-    is lambda(k), the other boundary points being on the axes and empty;
-    and the slice of the plan's row j of boxes in the stage, rows[j - 1].
-    The largest key of ``wanted`` is the last anti-diagonal that holds a
-    box.  A VH plan gives its own shape, whose rows are slices with a step.
-    An HV plan gives the conjugate shape, where the plan's box (i, j) is
-    (j, i) and its row j is column j, a slice without a step."""
-    pi, vh = plan.pi, plan.u[0].primed
-    wanted = {}
-    for k, (i, j) in enumerate(plan.boundary_points()):
-        if i and j:
-            wanted.setdefault(i + j, []).append((k, i if vh else j))
-    shape = pi if vh else conjugate(pi)
-    step = len(shape) + 1
-    if vh:
-        rows = [slice(step + j, p * step + j + 1, step) for j, p in enumerate(pi, 1)]
-    else:
-        rows = [slice(j * step + 1, j * step + p + 1) for j, p in enumerate(pi, 1)]
-    return shape, wanted, rows
 
 
 def _stage(pi: Partition) -> bytearray:
@@ -348,7 +327,8 @@ def _grow_diagonals(pi: Partition, wanted: dict, stage: bytearray, stats=None) -
     """The growth of the all-VH plan of shape pi from its staged inputs, one
     call of ``rules.grow_hv_lanes`` per anti-diagonal, each box a lane:
     returns {k: the bitset of lambda(k)} for the boundary's boxes
-    ``wanted`` (as _sweep gives them); the other boundary points are empty.
+    ``wanted`` (as ``ShapePlan.sweep`` gives them); the other boundary
+    points are empty.
 
     Point (i, j) holds the bitset of tau(i, j) at the offset i + 1.  The
     offset exceeds the first part, since each box is a vertical strip over
@@ -581,7 +561,7 @@ def reconstruct_inputs(sample: ProcessSample) -> Dict[Box, int]:
         ) and grow_profile(plan, lambda j, stop: rows[j - 1]) == lambdas
         inputs = chain.from_iterable(rows)
     else:
-        pi, wanted, rows = _sweep(plan)
+        pi, wanted, rows = plan.sweep
         stage, bits = _shrink_diagonals(pi, wanted, lambdas)
         empty = set(range(len(lambdas))) - bits.keys()
         regrown = (

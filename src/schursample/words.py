@@ -14,9 +14,9 @@ from functools import cached_property
 from itertools import chain, repeat
 from fractions import Fraction
 from numbers import Rational, Real
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .partitions import FrozenRecord, Partition, make
+from .partitions import FrozenRecord, Partition, conjugate, make
 
 
 class Rel(Enum):
@@ -162,6 +162,32 @@ class ShapePlan(FrozenRecord):
         u, v = self.u, self.v
         alike = u and v and u.count(u[0]) == len(u) and v.count(v[0]) == len(v)
         return bool(alike) and u[0].primed != v[0].primed
+
+    @cached_property
+    def sweep(self) -> Tuple[Partition, Dict[int, list], List[slice]]:
+        """(pi, wanted, rows) of a bitset plan, made once per plan for the
+        anti-diagonal sweeps of ``sampler``: the all-VH shape they run on;
+        anti-diagonal d -> the list of (k, i) for the boundary's boxes
+        (i, d - i) in it, whose tau is lambda(k), the other boundary points
+        being on the axes and empty; and the slice of the plan's row j of
+        boxes in their stage, rows[j - 1], where box (i, j) of that shape is
+        byte i * (len(pi) + 1) + j.  The largest key of ``wanted`` is the
+        last anti-diagonal that holds a box.  A VH plan gives its own shape,
+        whose rows are slices with a step.  An HV plan gives the conjugate
+        shape, where the plan's box (i, j) is (j, i) and its row j is column
+        j, a slice without a step."""
+        pi, vh = self.pi, self.u[0].primed
+        wanted = {}
+        for k, (i, j) in enumerate(self.boundary_points()):
+            if i and j:
+                wanted.setdefault(i + j, []).append((k, i if vh else j))
+        shape = pi if vh else conjugate(pi)
+        step = len(shape) + 1
+        if vh:
+            rows = [slice(step + j, p * step + j + 1, step) for j, p in enumerate(pi, 1)]
+        else:
+            rows = [slice(j * step + 1, j * step + p + 1) for j, p in enumerate(pi, 1)]
+        return shape, wanted, rows
 
     def boxes(self):
         """Row-major box order (the default fill order), as an iterator of

@@ -8,9 +8,9 @@ import pytest
 from schursample import cli, sampler, symmetric
 from schursample.rng import RandomSource
 from schursample.rules import MODES
-from schursample.sampler import DivergenceError, schur_sample
+from schursample.sampler import DivergenceError, reconstruct_inputs, schur_sample
 from schursample.symmetric import symmetric_schur_sample
-from schursample.words import parse_word, precompute_par
+from schursample.words import ShapePlan, parse_word, precompute_par
 
 
 @pytest.fixture
@@ -31,21 +31,28 @@ def children(monkeypatch):
     "text, z",
     [
         ("(<'>)^4", (1,) * 8),  # a bitset plan
+        ("(<>')^4", (0.5, 1, 2, 1, 0.25, 3, 1, 0.75)),  # an all-HV one, swept transposed
         ("<<'>><'>", (0.5, 0.25, 0.75, 0.5, 0.125, 0.5)),  # a tuple plan, float z
         ("<<'>><'>", (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(1, 2),
                      Fraction(1, 8), Fraction(1, 2))),  # exact z
     ],
-    ids=["bitset", "float", "fraction"],
+    ids=["bitset", "bitset-hv", "float", "fraction"],
 )
 def test_a_finite_batch_equals_single_calls_on_the_children(text, z):
     word, n = parse_word(text), 7
-    assert precompute_par(word, z).bitsets == (text == "(<'>)^4")
+    plan = precompute_par(word, z)
+    assert plan.bitsets == text.startswith("(<")  # all VH, or all HV and swept transposed
+    kinds = {kind for row in plan.row_kinds for kind in row}
+    assert kinds == {"(<'>)^4": {"VH"}, "(<>')^4": {"HV"}}.get(text, {"HH", "VH"})
     batch = schur_sample(word, z, RandomSource(11, log_draws=True), count=n)
     base = RandomSource(11, log_draws=True)
     singles = [schur_sample(word, z, base.child(k)) for k in range(n)]
     assert len(batch) == n
     assert batch == singles  # lambdas, seed, stats and draw_log alike
     assert all(s.draw_log for s in batch) and len({s.seed for s in batch}) == n
+    assert len({s.lambdas for s in batch}) > 1
+    for s in batch:  # each sample's inputs are its own draws, recovered from it alone
+        assert list(reconstruct_inputs(s).values()) == [g for _, _, g in s.draw_log]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -139,6 +146,14 @@ def test_sample_symmetric_count_plans_once_through_the_module_attribute(capsys, 
     assert cli.main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 16
     assert samples == [{"count": 16}] and len(checks) == 1
+
+
+@pytest.mark.parametrize("text", ["(<'>)^3", "(<>')^3"])
+def test_a_bitset_batch_sets_its_sweep_up_once(monkeypatch, text):
+    # the boundary's boxes and the rows' slices of ShapePlan.sweep
+    calls = _counting(monkeypatch, ShapePlan, "boundary_points")
+    batch = schur_sample(parse_word(text), (1,) * 6, 5, count=9)
+    assert len(batch) == 9 and len(calls) == 1
 
 
 def test_verify_plans_once(capsys, monkeypatch):

@@ -513,6 +513,48 @@ def test_render_refuses_a_malformed_tableau(capsys, tmp_path, view, named):
     assert err.startswith("error:") and named in err
 
 
+@pytest.mark.parametrize(
+    "record, named",
+    [
+        (
+            {"kind": "plane-partition", "shape": [1], "rows": [3]},
+            "row 1 of a plane-partition record must be a list, got 3",
+        ),
+        (
+            {"kind": "plane-partition", "shape": 2, "rows": [[3]]},
+            "a plane-partition record's shape must be a list of integers, got 2",
+        ),
+        (
+            {"kind": "plane-overpartition", "shape": [1], "rows": [[1]]},
+            "row 1 of a plane-overpartition record must be a list of [value, overlined] "
+            "pairs, got [1]",
+        ),
+        (
+            {"kind": "plane-overpartition", "shape": [1], "rows": 5},
+            "a plane-overpartition record's rows must be a list of lists, got 5",
+        ),
+        (
+            {"kind": "plane-overpartition", "shape": [2], "rows": [[[2, False], [1, False, 0]]]},
+            "row 1 of a plane-overpartition record must be a list of [value, overlined] "
+            "pairs, got [[2, false], [1, false, 0]]",
+        ),
+        (
+            {"kind": "plane-partition", "shape": ["1"], "rows": [[3]]},
+            "a plane-partition record's shape must be a list of integers, got [\"1\"]",
+        ),
+    ],
+    ids=["row-not-a-list", "shape-not-a-list", "entry-not-a-pair", "rows-not-a-list",
+         "entry-of-three", "shape-of-strings"],
+)
+def test_render_names_the_field_of_a_tableau_record_that_is_not_a_list_of_lists(
+    capsys, monkeypatch, record, named
+):
+    # these failed with a bare TypeError ("'int' object is not iterable")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(record)))
+    code, out, err = run_cli(capsys, "render", "--style", "lozenge", "--input", "-")
+    assert (code, out, err) == (1, "", f"error: {named}\n")
+
+
 def _domino(k, pos2, vertical, sign):
     return {"k": k, "pos2": pos2, "vertical": vertical, "sign": sign}
 

@@ -1,10 +1,10 @@
 """The window-bounded steep codec, the templated steep-tiling JSON codec,
-the grid-key SVG writer and the one-pass tableau codecs against the
-row-walk codec, the dict-building JSON codec, the float polygon renderers
-and the per-cell tableau scans they replaced, which are kept here as the
-reference.  Dominoes are plain tuples (k, pos2, vertical, sign); the
-reference reads them through the named tuple ``Domino``, to which they
-compare equal.
+the sample writer that formats a batch's shared head once, the grid-key
+SVG writer and the one-pass tableau codecs against the row-walk codec, the
+dict-building JSON codecs, the float polygon renderers and the per-cell
+tableau scans they replaced, which are kept here as the reference.
+Dominoes are plain tuples (k, pos2, vertical, sign); the reference reads
+them through the named tuple ``Domino``, to which they compare equal.
 
 The reference codec walks a fixed number of rows per step, reading every
 mark through ``part()``, and sorts the dominoes at the end.  Its row count
@@ -26,17 +26,21 @@ messages (default windows, windows widened and narrowed by up to 6 cells on
 each side, and sequences broken so they no longer interlace); equal JSON
 bytes and equal loaded views on random steep words and samples, also from
 records written out of order and with other spacing, and the pinned bytes
-of the Aztec 200 record at seed 501; equal SVG
+of the Aztec 200 record at seed 501; equal sample records, one per line,
+for lists of process, symmetric, pyramidal and Plancherel samples, also
+where the word, z, t, mode or kind changes inside the list; equal SVG
 bytes for all three renderers at several scales (random plane partitions
 for lozenges, random steep tilings for dominoes and particles) and on
 empty views; the vacuum rows that the old row count missed; equal
 tableaux and slices on symmetric samples of (<<')^n and on random reverse
 plane partitions; and equal verdicts on corrupted overpartitions.
 """
+import functools
 import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 from typing import NamedTuple, Tuple
 
 import pytest
@@ -45,8 +49,9 @@ from hypothesis import given, settings, strategies as st
 from schursample import jsonio
 from schursample.partitions import EMPTY, conjugate, part
 from schursample.render import DOMINO_PALETTE, LOZENGE_PALETTE, RenderStyle, render_svg
-from schursample.sampler import schur_sample
-from schursample.symmetric import symmetric_schur_sample
+from schursample.rng import RandomSource
+from schursample.sampler import ProcessSample, schur_sample
+from schursample.symmetric import SymmetricSample, symmetric_schur_sample
 from schursample.tilings import (
     CodecError,
     DominoTiling,
@@ -60,6 +65,12 @@ from schursample.tilings import (
     to_plane_partition,
     to_steep_tiling,
     word_shifts,
+)
+from schursample.unbounded import (
+    PyramidalParameters,
+    PyramidalSampler,
+    WordConvention,
+    plancherel_sample,
 )
 from schursample.words import Rel, format_word, parse_word, q_volume_parameters
 
@@ -289,6 +300,46 @@ def ref_steep_loads(text):
     return view
 
 
+# --- the reference sample writer: one dict per record --------------------
+
+def _num_to_str(v):
+    return str(v) if isinstance(v, (int, Fraction)) else repr(float(v))
+
+
+def ref_sample_dumps(s):
+    """The record of a process or symmetric sample: a symmetric record adds
+    t and mode after z, a process record with a draw log adds it last."""
+    symmetric = isinstance(s, SymmetricSample)
+    out = {
+        "format": jsonio.FORMAT,
+        "kind": "symmetric-sample" if symmetric else "process-sample",
+        "word": format_word(s.word),
+        "z": [_num_to_str(v) for v in s.z],
+    }
+    if symmetric:
+        out.update(t=_num_to_str(s.t), mode=s.mode)
+    out.update(seed=s.seed, rng=s.rng_algorithm, lambdas=s.lambdas)
+    if not symmetric and s.draw_log is not None:
+        out["draw_log"] = s.draw_log
+    return json.dumps(out)
+
+
+def ref_pyramidal_dumps(s, q):
+    return json.dumps({
+        "format": jsonio.FORMAT,
+        "kind": "pyramidal-sample",
+        "q": q,
+        "convention": s.convention.name,
+        "seed": s.seed,
+        "truncation_index": s.truncation_index,
+        "lambdas": {str(i): list(v) for i, v in sorted(s.lambdas.items())},
+    })
+
+
+def ref_partition_dumps(lam):
+    return json.dumps({"format": jsonio.FORMAT, "kind": "partition", "lambda": list(lam)})
+
+
 # --- random steep cases ----------------------------------------------------
 
 def _random_case(rnd, trial):
@@ -449,6 +500,77 @@ def test_steep_json_codec_matches_reference_on_the_aztec_200_record():
         "4e537f697e3009aa5271acad8998a73a18ff2d498808e22ee9681d91b6266243"
     )
     assert jsonio.loads(text) == ref_steep_loads(text) == view
+
+
+def _lines(records):
+    return "".join(r + "\n" for r in records)
+
+
+# one word object per text, so that in a list where only z, t or mode
+# changes, that field alone tells the runs of samples apart
+_word = functools.lru_cache(maxsize=None)(parse_word)
+
+
+def _process_batch(text, z, seed, log_draws=False, count=5):
+    return schur_sample(_word(text), z, RandomSource(seed, log_draws=log_draws), count=count)
+
+
+def _symmetric_batch(text, z, t, mode, seed, count=3):
+    return symmetric_schur_sample(_word(text), z, t, mode, RandomSource(seed), count=count)
+
+
+_THIRDS = tuple(Fraction(1, k) for k in range(2, 10))
+_Z45, _T45 = (0.45,) * 6, Fraction(4, 5)
+SAMPLE_LISTS = {
+    "bitset-vh": lambda: _process_batch("(<'>)^3", (1,) * 6, 1),
+    "bitset-hv-fraction": lambda: _process_batch("(<>')^4", _THIRDS, 2),
+    "tuple-float": lambda: _process_batch("<<'>><'>", (0.5, 0.25, 0.75, 0.5, 0.125, 1e-300), 3),
+    "tuple-fraction": lambda: _process_batch("(<)^2(>)^2", _THIRDS[:4], 4),
+    "int-and-float-z": lambda: _process_batch("<>", (1, 0.5), 5),
+    "draw-log": lambda: _process_batch("<<'>><'>", (0.5,) * 6, 6, log_draws=True),
+    "seed-none": lambda: [ProcessSample(parse_word("<'>"), (1, 1), None, ((), (1,), ()))],
+    "symmetric": lambda: [
+        s for mode in ("free", "even_rows", "even_columns")
+        for s in _symmetric_batch("(<<')^3", _Z45, _T45, mode, 7)
+    ],
+    "t-changes": lambda: _symmetric_batch("(<<')^3", _Z45, 1, "free", 7, count=2)
+    + _symmetric_batch("(<<')^3", _Z45, 1.0, "free", 7, count=2),
+    "word-changes": lambda: _process_batch("<>", (0.5, 0.5), 8, count=2)
+    + _process_batch("<'>", (0.5, 0.5), 8, count=2),
+    # equal values that are written differently: 1 and 1.0, 0.0 and -0.0
+    "z-changes": lambda: _process_batch("<>", (1, 0.5), 9, count=2)
+    + _process_batch("<>", (1.0, 0.5), 9, count=2)
+    + _process_batch("<>", (0.0, 0.5), 9, count=1)
+    + _process_batch("<>", (-0.0, 0.5), 9, count=1),
+    "kinds-change": lambda: _process_batch("(<')^2(>)^2", (0.5,) * 4, 10, count=2)
+    + _symmetric_batch("(<')^2", (0.5,) * 2, 1, "free", 10, count=2)
+    + _process_batch("(<')^2(>)^2", (0.5,) * 4, 10, count=1),
+    "empty": lambda: [],
+}
+
+
+@pytest.mark.parametrize("case", SAMPLE_LISTS)
+def test_sample_writer_matches_reference(case):
+    samples = SAMPLE_LISTS[case]()
+    assert jsonio.dumps(samples) == _lines(map(ref_sample_dumps, samples))
+    for s in samples:  # one sample, with no newline
+        assert jsonio.dumps(s) == ref_sample_dumps(s)
+
+
+def test_pyramidal_and_partition_writers_match_reference():
+    runs = []
+    for conv in (WordConvention.pyramid(), WordConvention.plane_partitions()):
+        sampler = PyramidalSampler(PyramidalParameters.q_volume(0.5), conv)
+        runs.append([sampler.sample(RandomSource(11).child(k)) for k in range(6)])
+        assert any(s.truncation_index is None for s in runs[-1])  # an empty sample too
+    mixed = runs[0][:3] + runs[1] + runs[0][3:]  # the convention changes twice
+    for samples in runs + [mixed]:
+        assert jsonio.dumps(samples, q="0.50") == _lines(
+            ref_pyramidal_dumps(s, "0.50") for s in samples
+        )
+    lams = [plancherel_sample(1.0, RandomSource(12).child(k)) for k in range(8)]
+    assert () in lams
+    assert jsonio.dumps(lams) == _lines(map(ref_partition_dumps, lams))
 
 
 # --- the reference tableau codecs: per-cell scans --------------------------
