@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import groupby
 from operator import is_, itemgetter
 from typing import Any, Dict
 
@@ -81,7 +82,7 @@ def _sample_from_dict(d: Dict[str, Any], symmetric: bool):
         fields.update(t=parse_number(d["t"]), mode=d["mode"])
     fields.update(
         seed=d.get("seed"),
-        lambdas=tuple(make(l) for l in d["lambdas"]),
+        lambdas=tuple(map(_partition, d["lambdas"])),
         rng_algorithm=d.get("rng", "unknown"),
     )
     if not symmetric and "draw_log" in d:
@@ -89,12 +90,29 @@ def _sample_from_dict(d: Dict[str, Any], symmetric: bool):
     return (SymmetricSample if symmetric else ProcessSample)(**fields)
 
 
+_INT = {int}
+
+
+def _partition(parts):
+    """``make(parts)``: a list of ints that is already a partition is taken
+    in C-level passes (a weakly decreasing list is one run for ``sorted``),
+    and ``make`` runs on any other, so it trims trailing zeros and names a
+    bad part as it does."""
+    if (
+        type(parts) is list
+        and set(map(type, parts)) <= _INT
+        and parts == sorted(parts, reverse=True)
+        and (not parts or parts[-1] > 0)
+    ):
+        return tuple(parts)
+    return make(parts)
+
+
 # a steep tiling's record, written as json.dumps writes the equivalent dict
 _STEEP_HEAD = (
     '{"format": %s, "kind": "steep-tiling", "word": %s, "window": [%d, %d], "dominoes": ['
 )
-_DOMINO = '{"k": %d, "pos2": %d, "vertical": %s, "sign": %d}'
-_JSON_BOOL = ("false", "true")
+_STEP_FIELDS = itemgetter(0, 3)  # (k, sign) of a domino tuple
 _DOMINO_FIELDS = itemgetter("k", "pos2", "vertical", "sign")
 
 
@@ -109,10 +127,17 @@ def _bad_domino(dominoes: list) -> str:
 
 
 def _steep_tiling_json(view: DominoTiling) -> str:
+    """The record of a steep tiling: its dominoes' objects are formatted a
+    step (k, sign) at a time, the step's text before pos2 and its two texts
+    after it once, so that a domino adds its pos2 and one of them."""
     lo, hi = view.window
     head = _STEEP_HEAD % (json.dumps(FORMAT), json.dumps(format_word(view.word)), lo, hi)
-    body = ", ".join([_DOMINO % (k, p, _JSON_BOOL[v], s) for k, p, v, s in view.dominoes])
-    return head + body + "]}"
+    steps = []
+    for (k, s), dominoes in groupby(view.dominoes, _STEP_FIELDS):
+        start = '{"k": %d, "pos2": ' % k
+        tails = (', "vertical": false, "sign": %d}' % s, ', "vertical": true, "sign": %d}' % s)
+        steps.append(start + (", " + start).join([f"{p}{tails[v]}" for _, p, v, _ in dominoes]))
+    return head + ", ".join(steps) + "]}"
 
 
 def dumps(obj, q=None) -> str:

@@ -4,6 +4,16 @@ The generator is CPython's Mersenne Twister (``random.Random``), recorded in
 output metadata as ``mt19937``.  Geometric variates use floating-point
 inversion k = floor(ln U / ln xi), an O(1) approximation of the real-number
 model; exact bit-level geometric sampling is out of scope.
+
+A Bernoulli(p) draw is ``1 if uniform() < p else 0``, one ``random()``
+call, and ``RandomSource.row_drawer`` draws most rows that way.  A row of
+Bernoulli(p) draws alone with one p, as every row of a uniform Aztec
+diamond is, is read in bulk on the stock generator: one
+``getrandbits(64 n)`` call reads the 2n words that n ``random()`` calls
+would read, in the same order, and the top byte of each draw's first word
+decides it but in about 2 cases in 256, which read the draw's uniform in
+full (:func:`_bernoulli_row`).  So the draws, the generator's state, the
+ledger and the draw log are those of the per-draw path.
 """
 from __future__ import annotations
 
@@ -17,6 +27,10 @@ from .partitions import Record
 ALGORITHM = "mt19937"
 
 _MIX = 0x9E3779B97F4A7C15  # golden-ratio increment for derived streams
+# The shortest row that row_drawer reads in bulk: at 8 Bernoulli(1/2)
+# draws one getrandbits call and the per-draw loop each take about 2 us
+# (CPython 3.11, 2-CPU x86-64 host), and below that the loop is faster.
+_BULK_MIN = 8
 
 
 class EntropyLedger(Record):
@@ -40,9 +54,56 @@ def variates(odds: List[float], geometric: List[bool]) -> tuple:
     Variate k is one float a: Bernoulli(a) if 0 < a < 1, a geometric with
     log(xi) = a if a < 0, else the constant int(a), which reads no entropy
     (p in {0, 1}, xi = 0).  A row is made once and drawn from many times.
+    A row of at least ``_BULK_MIN`` Bernoulli(p) variates alone, with one
+    p in (0, 1), also holds the table that reads them in bulk
+    (:func:`_bernoulli_row`).
     """
     steps = [(math.log(x) if x else 0) if g else x / (1.0 + x) for x, g in zip(odds, geometric)]
-    return steps, list(accumulate(geometric, initial=0)), odds, geometric
+    p = steps[0] if len(steps) >= _BULK_MIN else 0.0
+    bulk = 0.0 < p < 1.0 and not any(geometric) and steps.count(p) == len(steps)
+    return steps, list(accumulate(geometric, initial=0)), odds, geometric, bulk and _table(p)
+
+
+def _table(p: float) -> bytes:
+    """The ``translate`` table of Bernoulli(p) on the top byte T of a
+    uniform U: floor(256 U) = T < c = floor(256 p) gives U < p, and T > c
+    gives U >= p, so T maps to 1 or 0.  T = c, where U may lie on either
+    side of p, and T = 0, where U may be 0.0, which is drawn again, map to
+    2, undecided."""
+    c = int(256 * p)
+    table = bytearray(b"\x01" * c + bytes(256 - c))
+    table[0] = table[c] = 2
+    return bytes(table)
+
+
+def _bernoulli_row(getrandbits, raw: bytes, p: float, table: bytes) -> bytearray:
+    """The Bernoulli(p) draws of the uniforms in ``raw``, one byte each:
+    ``raw`` is ``getrandbits(64 n).to_bytes(8 n, "little")`` of a stock
+    generator, and the n draws equal n draws of ``1 if uniform() < p
+    else 0`` on it, which would leave it in the state that this leaves it.
+
+    CPython's ``random()`` reads two 32-bit words, a and b, and returns
+    ((a >> 5) * 2^26 + (b >> 6)) / 2^53; ``getrandbits(64 n)`` reads the
+    same 2n words in the same order, the first one lowest.  So bytes
+    8t .. 8t + 7 of ``raw`` are draw t's a and b, and byte 8t + 3 is the
+    top byte of its a, floor(256 U).  ``table`` (:func:`_table`) decides
+    every draw by that byte but those it maps to 2, which read their U in
+    full; a U of 0.0 is drawn again, as ``uniform`` draws it, from the
+    next slot, and the draws after it read one slot on, the last one from
+    words that ``getrandbits`` reads then."""
+    values = bytearray(raw[3::8].translate(table))
+    t = values.find(2)
+    while t >= 0:
+        a = int.from_bytes(raw[8 * t : 8 * t + 4], "little") >> 5
+        b = int.from_bytes(raw[8 * t + 4 : 8 * t + 8], "little") >> 6
+        u = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+        if not u:
+            more = raw[8 * t + 8 :] + getrandbits(64).to_bytes(8, "little")
+            values[t:] = _bernoulli_row(getrandbits, more, p, table)
+            break
+        values[t] = u < p
+        t = values.find(2, t + 1)
+    return values
 
 
 class RandomSource:
@@ -109,18 +170,28 @@ class RandomSource:
 
         The uniforms come from ``uniform``: the stock one is inlined as its
         generator call, with a draw of 0.0 drawn again, and an overridden
-        or wrapped one is called."""
+        or wrapped one is called.  With the stock uniform on a stock
+        ``random.Random`` generator, a row of Bernoulli(p) variates alone,
+        with one p, is read in bulk (:func:`_bernoulli_row`): one
+        ``getrandbits`` call reads the words that the ``stop`` uniforms
+        would read, in their order, so its draws are theirs."""
         uniform = self.uniform
-        rand = self._rng.random if type(self).uniform is _UNIFORM else uniform
+        stock = type(self).uniform is _UNIFORM
+        rand = self._rng.random if stock else uniform
+        bits = self._rng.getrandbits if stock and type(self._rng) is random.Random else None
         ledger, draw_log, ln = self.ledger, self.draw_log, math.log
 
         def draw(row: tuple, stop: int) -> List[int]:
-            steps, geoms, odds, geometric = row
-            values = [
-                (1 if (rand() or uniform()) < a else 0) if 0.0 < a < 1.0
-                else int(ln(rand() or uniform()) / a) if a < 0.0 else int(a)
-                for a in steps[:stop]
-            ]
+            steps, geoms, odds, geometric, table = row
+            if table and bits and stop >= _BULK_MIN:
+                raw = bits(64 * stop).to_bytes(8 * stop, "little")
+                values = list(_bernoulli_row(bits, raw, steps[0], table))
+            else:
+                values = [
+                    (1 if (rand() or uniform()) < a else 0) if 0.0 < a < 1.0
+                    else int(ln(rand() or uniform()) / a) if a < 0.0 else int(a)
+                    for a in steps[:stop]
+                ]
             ledger.geometric_draws += geoms[stop]
             ledger.bernoulli_draws += stop - geoms[stop]
             if draw_log is not None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schursample import jsonio
+from schursample.partitions import make
 from schursample.rng import RandomSource
 from schursample.sampler import ProcessSample, reconstruct_inputs, schur_sample
 from schursample.symmetric import SymmetricSample, symmetric_schur_sample
@@ -174,3 +175,33 @@ def test_a_record_without_a_field_it_needs_is_refused_by_name(record, field):
     with pytest.raises(CodecError) as err:
         jsonio.loads(json.dumps(record))
     assert str(err.value) == f"a {kind} record has no field {field!r}"
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        [3, 1, 0, 0],  # trailing zeros, trimmed
+        [2, True],  # a bool part
+        [1, 2],  # increasing
+        [2, 1.0],  # a float part
+        [3, 0, 1],  # a zero before a part
+        [-1],
+        [],
+        [5, 5, 2],
+        ["2"],
+    ],
+)
+def test_a_record_reads_its_partitions_as_make_reads_them(parts):
+    record = json.loads(jsonio.dumps(schur_sample(parse_word("<'><'>"), (1,) * 4, 3)))
+    record["lambdas"][2] = parts
+    text = json.dumps(record)
+    try:
+        expected = make(parts)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as raised:
+            jsonio.loads(text)
+        assert str(raised.value) == str(refused)
+    else:
+        sample = jsonio.loads(text)
+        assert sample.lambdas[2] == expected and type(sample.lambdas[2]) is tuple
+        assert list(map(type, sample.lambdas[2])) == [int] * len(expected)

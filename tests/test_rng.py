@@ -130,6 +130,164 @@ def test_row_draw_takes_an_overridden_or_wrapped_uniform(monkeypatch):
     assert len(calls) == 4
 
 
+class WordStream:
+    """CPython's ``random()`` and ``getrandbits(k)`` on a list of 32-bit
+    words, read in order; ``read`` counts the words read."""
+
+    def __init__(self, words):
+        self.words, self.read = list(words), 0
+
+    def _word(self):
+        self.read += 1
+        return self.words[self.read - 1]
+
+    def random(self):
+        a, b = self._word() >> 5, self._word() >> 6
+        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+
+    def getrandbits(self, k):
+        if k <= 32:
+            return self._word() >> (32 - k)
+        out = 0
+        for i in range((k - 1) // 32 + 1):  # the first word lowest
+            w, left = self._word(), k - 32 * i
+            out |= (w >> (32 - left) if left < 32 else w) << 32 * i
+        return out
+
+
+def _words(seed, n=4000):
+    gen = random.Random(seed)
+    return [gen.getrandbits(32) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2**40 + 3])
+def test_word_stream_is_cpythons_generator(seed):
+    stream, gen = WordStream(_words(seed)), random.Random(seed)
+    for k in (1, 31, 32, 33, 64, 100, 1, 12800):
+        assert [stream.random() for _ in range(5)] == [gen.random() for _ in range(5)]
+        assert stream.getrandbits(k) == gen.getrandbits(k)
+
+
+def _per_draw(rand, n, p):
+    """n draws of ``1 if uniform() < p else 0``, uniform() redrawing 0.0."""
+    values = []
+    for _ in range(n):
+        u = rand()
+        while u <= 0.0:
+            u = rand()
+        values.append(1 if u < p else 0)
+    return values
+
+
+def _bulk(getrandbits, n, p):
+    raw = getrandbits(64 * n).to_bytes(8 * n, "little")
+    return list(rng._bernoulli_row(getrandbits, raw, p, rng._table(p)))
+
+
+# p = 1/2; k/256 exactly; below 1/256; above 255/256; just below k/256
+PS = [0.5, 37 / 256, 1 / 256, 3e-4, 1 - 3e-4, 255 / 256, math.nextafter(37 / 256, 0)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 200])
+@pytest.mark.parametrize("p", PS)
+def test_bulk_row_equals_the_per_draw_path(n, p):
+    for seed in range(40):
+        bulk, one = random.Random(seed), random.Random(seed)
+        assert _bulk(bulk.getrandbits, n, p) == _per_draw(one.random, n, p)
+        assert bulk.random() == one.random()
+
+
+def _zeros(slots, n, seed=5):
+    """A word stream whose uniforms at ``slots`` are 0.0: words (a, b) with
+    a >> 5 == b >> 6 == 0, the first of them 0 and 0, the rest 31 and 63."""
+    words = _words(seed)
+    for k, t in enumerate(slots):
+        words[2 * t : 2 * t + 2] = (0, 0) if k == 0 else (31, 63)
+    return words
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 200])
+@pytest.mark.parametrize("where", ["first", "middle", "last", "twice", "thrice-at-end"])
+def test_bulk_row_draws_a_zero_uniform_again(n, where):
+    t = {"first": 0, "middle": n // 2, "last": n - 1, "twice": n // 2, "thrice-at-end": n - 1}[where]
+    slots = {"twice": [t, t + 1], "thrice-at-end": [t, t + 1, t + 2]}.get(where, [t])
+    for p in PS:
+        bulk, one = WordStream(_zeros(slots, n)), WordStream(_zeros(slots, n))
+        assert _bulk(bulk.getrandbits, n, p) == _per_draw(one.random, n, p)
+        assert bulk.read == one.read == 2 * (n + len(slots))
+
+
+def test_bulk_row_at_a_uniform_equal_to_p():
+    # U = 37/256 exactly, and the uniforms next to it, at slot 3 of 7
+    for a, b in [(37 << 24, 0), (37 << 24, 1 << 6), ((37 << 24) - 32, 0xFFFFFFFF)]:
+        words = _words(9)
+        words[6:8] = a, b
+        for p in (37 / 256, math.nextafter(37 / 256, 0), math.nextafter(37 / 256, 1)):
+            bulk, one = WordStream(words), WordStream(words)
+            assert _bulk(bulk.getrandbits, 7, p) == _per_draw(one.random, 7, p)
+
+
+def _bernoulli_row_of(p, n):
+    """A row of n Bernoulli variates of about p, with the p it draws."""
+    row = variates([p / (1.0 - p)] * n, [False] * n)
+    return row, row[0][0]
+
+
+@pytest.mark.parametrize("n", [8, 9, 200])
+@pytest.mark.parametrize("p", PS)
+def test_row_drawer_reads_a_one_parameter_row_in_bulk(monkeypatch, n, p):
+    calls = []
+    bulk = rng._bernoulli_row
+    monkeypatch.setattr(rng, "_bernoulli_row", lambda *a: calls.append(1) or bulk(*a))
+    row, q = _bernoulli_row_of(p, n)
+    for seed in range(20):
+        one, src = RandomSource(seed, log_draws=True), RandomSource(seed, log_draws=True)
+        expected = [one.bernoulli(q) for _ in range(n)]
+        assert src.row_drawer()(row, n) == expected
+        assert src.ledger == one.ledger
+        assert repr(src.draw_log) == repr(one.draw_log)
+        assert src._rng.random() == one._rng.random()
+    assert len(calls) == 20
+
+
+def test_rows_that_are_not_read_in_bulk():
+    assert not variates([1.0] * 7, [False] * 7)[4]  # too short to repay the call
+    assert variates([1.0] * 8, [False] * 8)[4]
+    assert not variates([1.0] * 7 + [2.0], [False] * 8)[4]  # two parameters
+    assert not variates([1.0] * 8, [False] * 7 + [True])[4]  # a geometric
+    assert not variates([0.0] * 8, [False] * 8)[4]  # p = 0 reads no entropy
+    assert not variates([1e300] * 8, [False] * 8)[4]  # nor p = 1
+
+
+def test_bulk_row_keeps_an_overridden_uniform_or_another_generator(monkeypatch):
+    monkeypatch.setattr(rng, "_bernoulli_row", None)  # any bulk read would fail
+    row, p = _bernoulli_row_of(0.5, 200)
+    for src in (FixedUniform(0.25), FixedUniform(0.75)):
+        assert src.row_drawer()(row, 200) == [int(src.u < p)] * 200
+    src, one = RandomSource(3), WordStream(_words(3, 1000))
+    src._rng = WordStream(_words(3, 1000))
+    assert src.row_drawer()(row, 200) == _per_draw(one.random, 200, p)
+    assert src._rng.read == one.read
+
+
+def test_a_batch_of_bulk_rows_equals_single_calls():
+    word, z = parse_word("(<'>)^12"), (1,) * 24
+    batch = schur_sample(word, z, RandomSource(8, log_draws=True), count=4)
+    parent = RandomSource(8, log_draws=True)
+    assert batch == [schur_sample(word, z, parent.child(k)) for k in range(4)]
+
+
+class FixedUniform(RandomSource):
+    """A source whose every uniform is u."""
+
+    def __init__(self, u):
+        super().__init__(0)
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
 class _Subclass(RandomSource):
     pass
 
